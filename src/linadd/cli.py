@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from contextlib import contextmanager
 
 from .terms import alpha_equal, term_size
 from .typesys import bool_type, tensor_type, type_size, unit_type
@@ -39,8 +41,18 @@ class Report:
         self.command = command
         self.inputs = inputs
         self.measurements: dict = {}
+        self.timings: dict = {}
         self.verdict = "info"
         self.details: list = []
+
+    @contextmanager
+    def timed(self, phase: str):
+        """Record the wall time of the block as timings[phase] seconds."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[phase] = time.perf_counter() - t0
 
     def fail(self, message: str):
         self.verdict = "fail"
@@ -51,10 +63,13 @@ class Report:
             self.verdict = "pass"
 
     def as_dict(self) -> dict:
+        measurements = self.measurements
+        if self.timings:
+            measurements = {**measurements, "timings": self.timings}
         return {
             "command": self.command,
             "inputs": self.inputs,
-            "measurements": self.measurements,
+            "measurements": measurements,
             "verdict": self.verdict,
             "details": self.details,
         }
@@ -86,9 +101,11 @@ def _parse_type_arg(text: str):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    d = load_derivation(args.file)
     report = Report("check", {"file": args.file, "system": args.system})
-    bad = check(d, args.system)
+    with report.timed("parse_s"):
+        d = load_derivation(args.file)
+    with report.timed("work_s"):
+        bad = check(d, args.system)
     m = metrics(d)
     report.measurements = {
         "size": m.size, "weight": m.weight,
@@ -104,13 +121,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    t = load_term(args.file)
     report = Report("normalize", {
         "file": args.file, "strategy": args.strategy, "seed": args.seed,
     })
+    with report.timed("parse_s"):
+        t = load_term(args.file)
     try:
-        res = normalize(t, strategy=args.strategy, budget=args.budget,
-                        keep_trace=args.trace, seed=args.seed)
+        with report.timed("work_s"):
+            res = normalize(t, strategy=args.strategy, budget=args.budget,
+                            keep_trace=args.trace, seed=args.seed)
     except BudgetExceeded:
         report.fail("reduction budget exhausted")
         return _emit(report, args)
@@ -133,10 +152,12 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_cutelim(args) -> int:
-    d = load_derivation(args.file)
     report = Report("cutelim", {"file": args.file, "budget": args.budget})
+    with report.timed("parse_s"):
+        d = load_derivation(args.file)
     try:
-        out, trace = eliminate(d, budget=args.budget)
+        with report.timed("work_s"):
+            out, trace = eliminate(d, budget=args.budget)
     except (CutElimError, Exception) as e:
         report.fail(str(e))
         return _emit(report, args)
@@ -159,10 +180,12 @@ def cmd_cutelim(args) -> int:
 
 
 def cmd_eta_expand(args) -> int:
-    d = load_derivation(args.file)
     report = Report("eta-expand", {"file": args.file})
+    with report.timed("parse_s"):
+        d = load_derivation(args.file)
     try:
-        out = eta_expand(d)
+        with report.timed("work_s"):
+            out = eta_expand(d)
     except InhabitError as e:
         report.fail(str(e))
         return _emit(report, args)
@@ -189,11 +212,13 @@ def cmd_inhabitants(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    d = load_derivation(args.file)
     report = Report("translate", {"file": args.file})
+    with report.timed("parse_s"):
+        d = load_derivation(args.file)
     lib = GadgetLibrary()
     try:
-        out = translate_derivation(d, lib)
+        with report.timed("work_s"):
+            out = translate_derivation(d, lib)
     except GadgetError as e:
         report.fail(str(e))
         return _emit(report, args)

@@ -209,7 +209,8 @@ def check(d: Derivation, system: str = LAM):
             bad(path, d, "context", "duplicate assumption names")
             return
         up = eigens
-        if d.rule == "forallR":
+        if (d.rule == "forallR" and len(d.premises) == 1
+                and isinstance(j.goal, Forall)):
             g = find_eigenvariable(d)
             if g is not None:
                 up = eigens | {g}

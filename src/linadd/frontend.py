@@ -17,11 +17,24 @@ Derivations are s-expressions
 
 with terms and types embedded as double-quoted strings in the syntax above.
 `;` starts a line comment in every format.
+
+Every judgement restates its whole context, so one file names the same type
+many times.  `parse_derivation` therefore parses each distinct type text once
+per call, and equal texts share one Type object (safe, since types are
+immutable and compare structurally).  Term texts are parsed at every
+occurrence: terms compare by identity (see `terms`), so sharing one object
+would make two separately written subjects the same term.
+`print_derivation` likewise prints each Type object once per call.  Neither
+memo outlives the call.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import takewhile
+from typing import NamedTuple
 
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
@@ -35,7 +48,6 @@ from .typesys import (
 from .derivation import Derivation, Judgement
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
-PUNCT = ("-o", "(", ")", "<", ">", ",", ".", "\\", "[", "]", "&", "*", '"')
 
 
 @dataclass(frozen=True)
@@ -53,61 +65,66 @@ class ParseError(Exception):
         super().__init__("%s at %d..%d%s" % (message, span.start, span.end, detail))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, keyword, punct, number, string, eof
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
+
+
+# Layout and comments, then one token: a group per token class.  A comment
+# runs to the end of its line, so that backtracking cannot end it early and
+# read a token inside it; every layout character has one reading, so a
+# failed match backtracks in linear time.  A word is a maximal run of
+# identifier characters (str.isalnum, `_`, `'`), which `\w` matches exactly.
+# Whether it is an identifier, a number or an error depends on its first
+# character under str.isalpha/str.isdigit, which no regex class expresses,
+# so the loop decides that.
+_LAYOUT = r"[ \t\r\n]*(?:;[^\n]*(?![^\n])[ \t\r\n]*)*"
+_SKIP = re.compile(_LAYOUT)
+_TOKEN = re.compile(_LAYOUT + r"""(?:
+    (?P<string>"[^"]*")
+  | (?P<word>\w[\w']*)
+  | (?P<punct>-o|[()<>,.\\\[\]&*])
+  | (?P<eof>\Z))""", re.VERBOSE)
 
 
 def tokenize(src: str) -> list:
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and src[j] != '"':
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", SourceSpan(i, n))
-            toks.append(Token("string", src[i + 1:j], SourceSpan(i, j + 1)))
-            i = j + 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            text = src[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            toks.append(Token(kind, text, SourceSpan(i, j)))
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("number", src[i:j], SourceSpan(i, j)))
-            i = j
-            continue
-        if src.startswith("-o", i):
-            toks.append(Token("punct", "-o", SourceSpan(i, i + 2)))
-            i += 2
-            continue
-        if c in "()<>,.\\[]&*":
-            toks.append(Token("punct", c, SourceSpan(i, i + 1)))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % c, SourceSpan(i, i + 1))
-    toks.append(Token("eof", "", SourceSpan(n, n)))
-    return toks
+    append = toks.append
+    match = _TOKEN.match
+    i = 0
+    while True:
+        m = match(src, i)
+        if m is None:
+            i = _SKIP.match(src, i).end()
+            if src[i] == '"':
+                raise ParseError("unterminated string", SourceSpan(i, len(src)))
+            raise ParseError("unexpected character %r" % src[i], SourceSpan(i, i + 1))
+        kind = m.lastgroup
+        text = m.group(kind)
+        i, j = m.span(kind)
+        if kind == "word":
+            c = text[0]
+            if c.isalpha() or c == "_":
+                kind = "keyword" if text in KEYWORDS else "ident"
+            elif c.isdigit():
+                # a number stops at the first non-digit; the rest of the
+                # word is scanned again
+                text = "".join(takewhile(str.isdigit, text))
+                kind, j = "number", i + len(text)
+            else:
+                raise ParseError("unexpected character %r" % c, SourceSpan(i, i + 1))
+        elif kind == "string":
+            text = text[1:-1]
+        append(Token(kind, text, i, j))
+        if kind == "eof":
+            return toks
+        i = j
 
 
 class _Cursor:
@@ -138,20 +155,40 @@ class _Cursor:
         return self.next()
 
 
+def _parse_all(parse, src: str):
+    """Run `parse` over the whole of `src`.  Binder prefixes, `-o` chains and
+    s-expressions parse in loops; bracketed forms recurse, and running out of
+    stack there is reported as a ParseError."""
+    c = _Cursor(tokenize(src))
+    try:
+        out = parse(c)
+    except RecursionError:
+        raise ParseError("nesting too deep", c.peek().span) from None
+    if c.peek().kind != "eof":
+        raise ParseError("trailing input", c.peek().span)
+    return out
+
+
 # -- types --------------------------------------------------------------------
 
 def _parse_type(c: _Cursor) -> Type:
-    t = c.peek()
-    if t.text == "forall":
+    # `forall a.` prefixes and the right-nested `-o` chain, innermost last
+    wrap = []
+    while True:
+        if c.peek().text == "forall":
+            c.next()
+            v = c.ident("type variable").text
+            c.expect(".")
+            wrap.append(partial(Forall, v))
+            continue
+        out = _parse_type_tensor(c)
+        if c.peek().text != "-o":
+            break
         c.next()
-        v = c.ident("type variable").text
-        c.expect(".")
-        return Forall(v, _parse_type(c))
-    left = _parse_type_tensor(c)
-    if c.peek().text == "-o":
-        c.next()
-        return Lolli(left, _parse_type(c))
-    return left
+        wrap.append(partial(Lolli, out))
+    for w in reversed(wrap):
+        out = w(out)
+    return out
 
 
 def _parse_type_tensor(c: _Cursor) -> Type:
@@ -182,11 +219,7 @@ def _parse_type_atom(c: _Cursor) -> Type:
 
 
 def parse_type(src: str) -> Type:
-    c = _Cursor(tokenize(src))
-    a = _parse_type(c)
-    if c.peek().kind != "eof":
-        raise ParseError("trailing input", c.peek().span)
-    return a
+    return _parse_all(_parse_type, src)
 
 
 def print_type(a: Type, use_macros: bool = False) -> str:
@@ -227,26 +260,35 @@ def print_type(a: Type, use_macros: bool = False) -> str:
 # -- terms --------------------------------------------------------------------
 
 def _parse_term(c: _Cursor) -> Term:
-    t = c.peek()
-    if t.text == "\\":
-        c.next()
-        v = c.ident("variable").text
-        c.expect(".")
-        return Abs(v, _parse_term(c))
-    if t.text == "let":
-        c.next()
-        m = _parse_term_tensor(c)
-        c.expect("be")
-        if c.peek().text == "I":
+    # `\x.` and `let ... in` prefixes, innermost last
+    wrap = []
+    while True:
+        t = c.peek()
+        if t.text == "\\":
             c.next()
+            v = c.ident("variable").text
+            c.expect(".")
+            wrap.append(partial(Abs, v))
+        elif t.text == "let":
+            c.next()
+            m = _parse_term_tensor(c)
+            c.expect("be")
+            if c.peek().text == "I":
+                c.next()
+                c.expect("in")
+                wrap.append(partial(let_unit, m))
+                continue
+            x = c.ident("variable").text
+            c.expect("*")
+            y = c.ident("variable").text
             c.expect("in")
-            return let_unit(m, _parse_term(c))
-        x = c.ident("variable").text
-        c.expect("*")
-        y = c.ident("variable").text
-        c.expect("in")
-        return let_tensor(m, x, y, _parse_term(c))
-    return _parse_term_tensor(c)
+            wrap.append(partial(let_tensor, m, x, y))
+        else:
+            break
+    out = _parse_term_tensor(c)
+    for w in reversed(wrap):
+        out = w(out)
+    return out
 
 
 def _parse_term_tensor(c: _Cursor) -> Term:
@@ -324,11 +366,7 @@ def _parse_term_atom(c: _Cursor) -> Term:
 
 
 def parse_term(src: str) -> Term:
-    c = _Cursor(tokenize(src))
-    m = _parse_term(c)
-    if c.peek().kind != "eof":
-        raise ParseError("trailing input", c.peek().span)
-    return m
+    return _parse_all(_parse_term, src)
 
 
 def print_term(m: Term, use_macros: bool = False) -> str:
@@ -380,27 +418,30 @@ def print_term(m: Term, use_macros: bool = False) -> str:
 # -- derivations --------------------------------------------------------------
 
 def _parse_sexp(c: _Cursor):
-    t = c.peek()
-    if t.text == "(" and t.kind == "punct":
-        c.next()
-        items = []
-        while not (c.peek().kind == "punct" and c.peek().text == ")"):
-            if c.peek().kind == "eof":
-                raise ParseError("unclosed parenthesis", t.span)
-            items.append(_parse_sexp(c))
-        c.next()
-        return items
-    if t.kind == "string":
-        c.next()
-        return ("str", t.text)
-    if t.kind in ("ident", "keyword", "number"):
-        c.next()
-        return ("atom", t.text)
-    raise ParseError("unexpected %r" % (t.text or "end of input"), t.span,
-                     expected=["s-expression"])
+    open_lists = []  # (opening token, items so far) of each unclosed list
+    while True:
+        t = c.next()
+        kind = t.kind
+        if kind == "punct" and t.text == "(":
+            open_lists.append((t, []))
+            continue
+        if kind == "string":
+            item = ("str", t.text)
+        elif kind in ("ident", "keyword", "number"):
+            item = ("atom", t.text)
+        elif kind == "punct" and t.text == ")" and open_lists:
+            item = open_lists.pop()[1]
+        elif kind == "eof" and open_lists:
+            raise ParseError("unclosed parenthesis", open_lists[-1][0].span)
+        else:
+            raise ParseError("unexpected %r" % (t.text or "end of input"), t.span,
+                             expected=["s-expression"])
+        if not open_lists:
+            return item
+        open_lists[-1][1].append(item)
 
 
-def _sexp_to_derivation(s) -> Derivation:
+def _sexp_to_derivation(s, type_of) -> Derivation:
     def fail(msg):
         raise ParseError(msg, SourceSpan(0, 0))
 
@@ -421,35 +462,58 @@ def _sexp_to_derivation(s) -> Derivation:
                 and isinstance(b[0], tuple) and b[0][0] == "atom"
                 and isinstance(b[1], tuple) and b[1][0] == "str"):
             fail("binding must be (name \"TYPE\")")
-        ctx.append((b[0][1], parse_type(b[1][1])))
+        ctx.append((b[0][1], type_of(b[1][1])))
     if not (isinstance(term_s, tuple) and term_s[0] == "str"
             and isinstance(type_s, tuple) and type_s[0] == "str"):
         fail("subject and goal must be quoted strings")
-    j = Judgement(tuple(ctx), parse_term(term_s[1]), parse_type(type_s[1]))
-    prems = tuple(_sexp_to_derivation(p) for p in s[3:])
-    return Derivation(name[1], j, prems)
+    j = Judgement(tuple(ctx), parse_term(term_s[1]), type_of(type_s[1]))
+    prems = []
+    for p in s[3:]:  # a loop, not a generator: one frame per level
+        prems.append(_sexp_to_derivation(p, type_of))
+    return Derivation(name[1], j, tuple(prems))
 
 
 def parse_derivation(src: str) -> Derivation:
-    c = _Cursor(tokenize(src))
-    s = _parse_sexp(c)
-    if c.peek().kind != "eof":
-        raise ParseError("trailing input", c.peek().span)
-    return _sexp_to_derivation(s)
+    """Parse a derivation file.  Equal type texts within the file are parsed
+    once and share one Type object; terms are parsed at every occurrence,
+    because they compare by identity."""
+    s = _parse_all(_parse_sexp, src)
+    types: dict = {}  # type text -> Type
+
+    def type_of(text):
+        a = types.get(text)
+        if a is None:
+            a = types[text] = parse_type(text)
+        return a
+
+    try:
+        return _sexp_to_derivation(s, type_of)
+    except RecursionError:
+        raise ParseError("nesting too deep", SourceSpan(0, 0)) from None
 
 
 def print_derivation(d: Derivation) -> str:
-    def go(d, indent):
-        pad = "  " * indent
-        j = d.conclusion
-        ctx = " ".join('(%s "%s")' % (n, print_type(a)) for n, a in j.context)
-        seq = '(seq (%s) "%s" "%s")' % (ctx, print_term(j.subject), print_type(j.goal))
-        if not d.premises:
-            return "%s(rule %s %s)" % (pad, d.rule, seq)
-        prems = "\n".join(go(p, indent + 1) for p in d.premises)
-        return "%s(rule %s %s\n%s)" % (pad, d.rule, seq, prems)
+    printed: dict = {}  # id(type) -> text; d keeps every key's type alive
+    out: list = []
 
-    return go(d, 0)
+    def ty(a):
+        s = printed.get(id(a))
+        if s is None:
+            s = printed[id(a)] = print_type(a)
+        return s
+
+    def go(d, indent):
+        j = d.conclusion
+        ctx = " ".join('(%s "%s")' % (n, ty(a)) for n, a in j.context)
+        out.append('%s(rule %s (seq (%s) "%s" "%s")' % (
+            "  " * indent, d.rule, ctx, print_term(j.subject), ty(j.goal)))
+        for p in d.premises:
+            out.append("\n")
+            go(p, indent + 1)
+        out.append(")")
+
+    go(d, 0)
+    return "".join(out)
 
 
 def derivations_equal(d1: Derivation, d2: Derivation) -> bool:

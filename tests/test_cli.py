@@ -41,6 +41,9 @@ def test_gen_and_check_round_trip(tmp_path, capsys):
     assert code == 0
     code, rep = run_json(capsys, "check", str(out))
     assert code == 0 and rep["measurements"]["violations"] == 0
+    timings = rep["measurements"]["timings"]
+    assert set(timings) == {"parse_s", "work_s"}
+    assert all(v >= 0 for v in timings.values())
 
 
 def test_check_reports_failures(tmp_path, capsys):

@@ -6,6 +6,7 @@ from linadd.derivation import (
     d_withL, d_withR, d_withR0, d_withR1, is_cut_free, is_eta_expanded,
     metrics, uses_rules,
 )
+from linadd.frontend import parse_derivation
 from linadd.inhabit import enumerate_inhabitants, maximal_value
 from linadd.translate import identity_derivation
 from linadd.typesys import Lolli, TVar, With, bool_type, unit_type
@@ -161,3 +162,16 @@ def test_every_corpus_entry_rechecks(corpus):
 def test_subject_size_at_most_twice_derivation_size(corpus):
     for e in corpus:
         assert term_size(e.derivation.conclusion.subject) <= 2 * e.size, e.name
+
+
+@pytest.mark.parametrize("text", [
+    # no premise
+    '(rule forallR (seq () "\\x. x" "forall a. a -o a"))',
+    # a goal that is not universally quantified
+    '(rule forallR (seq () "\\x. x" "a -o a")'
+    ' (rule lolliR (seq () "\\x. x" "a -o a")'
+    ' (rule ax (seq ((x "a")) "x" "a"))))',
+])
+def test_malformed_forallR_is_a_violation(text):
+    bad = check(parse_derivation(text))
+    assert bad and bad[0].rule == "forallR"

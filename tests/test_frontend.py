@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 
 from linadd.frontend import (
     ParseError, derivations_equal, parse_derivation, parse_term, parse_type,
-    print_derivation, print_term, print_type,
+    print_derivation, print_term, print_type, tokenize,
 )
+from linadd.derivation import Derivation, Judgement, check
 from linadd.terms import Abs, App, Copy, Pair, Proj, Var, alpha_equal, identity_term
 from linadd.typesys import Forall, Lolli, TVar, With, tensor_type, unit_type
 
@@ -56,6 +57,124 @@ def test_parse_error_is_located():
         parse_type("a -o")
     with pytest.raises(ParseError):
         parse_term("x y)")
+
+
+# Message, span and `expected` of the error on each malformed input.  Spans
+# inside a quoted string count from the start of that string.
+_PARSE_ERRORS = [
+    (parse_derivation, '(rule ax (seq () "x',
+     "unterminated string", (17, 19), ()),
+    (parse_term, "x $ y", "unexpected character '$'", (2, 3), ()),
+    (parse_derivation, "$", "unexpected character '$'", (0, 1), ()),
+    (parse_type, "a - b", "unexpected character '-'", (2, 3), ()),
+    (parse_type, "a -0 b", "unexpected character '-'", (2, 3), ()),
+    (parse_type, "1'", "unexpected character \"'\"", (1, 2), ()),
+    (parse_type, "a\fb", "unexpected character '\\x0c'", (1, 2), ()),
+    (parse_type, "\u216b", "unexpected character '\u216b'", (0, 1), ()),
+    (parse_term, "x y)", "trailing input", (3, 4), ()),
+    (parse_type, "a \u00e9 b", "trailing input", (2, 3), ()),
+    (parse_derivation, '(rule ax (seq () "x" "a")) extra',
+     "trailing input", (27, 32), ()),
+    (parse_derivation, '(rule ax (seq () "x y)" "a"))',
+     "trailing input", (3, 4), ()),
+    (parse_derivation, '(rule ax (seq () "x" "a")',
+     "unclosed parenthesis", (0, 1), ()),
+    (parse_derivation, '(rule ax (seq ((x "a -o")) "x" "a"))',
+     "unexpected 'end of input'", (4, 4), ("type",)),
+    (parse_derivation, '(rule ax (seq () "x" "a -o"))',
+     "unexpected 'end of input'", (4, 4), ("type",)),
+    (parse_derivation, "(foo)",
+     "derivation must be (rule NAME (seq ...) PREMISE...)", (0, 0), ()),
+    (parse_derivation, "", "unexpected 'end of input'", (0, 0),
+     ("s-expression",)),
+    (parse_type, "a -o", "unexpected 'end of input'", (4, 4), ("type",)),
+    (parse_type, "", "unexpected 'end of input'", (0, 0), ("type",)),
+    (parse_type, "forall . a", "unexpected '.'", (7, 8), ("type variable",)),
+    (parse_term, "\\x.", "unexpected 'end of input'", (3, 3), ("term",)),
+    (parse_term, "copy[x] y as a b", "unexpected 'b'", (15, 16), ("','",)),
+]
+
+
+@pytest.mark.parametrize("parse, src, message, span, expected", _PARSE_ERRORS)
+def test_parse_error_golden(parse, src, message, span, expected):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    e = info.value
+    assert (e.message, (e.span.start, e.span.end), e.expected) == (
+        message, span, expected)
+    detail = " (expected %s)" % ", ".join(expected) if expected else ""
+    assert str(e) == "%s at %d..%d%s" % (message, span[0], span[1], detail)
+
+
+_TOKENS = [
+    ("x' _y \u00e9_1 a1'b", [("ident", "x'", 0, 2), ("ident", "_y", 3, 5),
+                         ("ident", "\u00e9_1", 6, 9), ("ident", "a1'b", 10, 14)]),
+    ("x\u00b2 \u03b9", [("ident", "x\u00b2", 0, 2), ("ident", "\u03b9", 3, 4)]),
+    ("x1 12 1x", [("ident", "x1", 0, 2), ("number", "12", 3, 5),
+                  ("number", "1", 6, 7), ("ident", "x", 7, 8)]),
+    ("\u00b2x 1\u00b2", [("number", "\u00b2", 0, 1), ("ident", "x", 1, 2),
+                       ("number", "1\u00b2", 3, 5)]),
+    ("forall p1 I", [("keyword", "forall", 0, 6), ("keyword", "p1", 7, 9),
+                     ("keyword", "I", 10, 11)]),
+    ("; c\nx ; d", [("ident", "x", 4, 5)]),
+    ("a\t\r\nb", [("ident", "a", 0, 1), ("ident", "b", 4, 5)]),
+    ("a-ob", [("ident", "a", 0, 1), ("punct", "-o", 1, 3),
+              ("ident", "b", 3, 4)]),
+    ("a -o-o b", [("ident", "a", 0, 1), ("punct", "-o", 2, 4),
+                  ("punct", "-o", 4, 6), ("ident", "b", 7, 8)]),
+    ("(a)-o(b)", [("punct", "(", 0, 1), ("ident", "a", 1, 2),
+                  ("punct", ")", 2, 3), ("punct", "-o", 3, 5),
+                  ("punct", "(", 5, 6), ("ident", "b", 6, 7),
+                  ("punct", ")", 7, 8)]),
+    ('"s t"x', [("string", "s t", 0, 5), ("ident", "x", 5, 6)]),
+]
+
+
+@pytest.mark.parametrize("src, tokens", _TOKENS)
+def test_tokens_golden(src, tokens):
+    toks = tokenize(src)
+    got = [(t.kind, t.text, t.span.start, t.span.end) for t in toks]
+    assert got == tokens + [("eof", "", len(src), len(src))]
+
+
+# -- deep inputs --------------------------------------------------------------
+
+DEEP = 1500
+
+
+def test_deep_binder_prefix_parses():
+    t = parse_term("".join("\\v%d. " % i for i in range(DEEP)) + "v0")
+    for i in range(DEEP):
+        assert isinstance(t, Abs) and t.var == "v%d" % i
+        t = t.body
+    assert isinstance(t, Var) and t.name == "v0"
+
+
+def test_deep_forall_prefix_parses():
+    a = parse_type("".join("forall a%d. " % i for i in range(DEEP)) + "a0")
+    for i in range(DEEP):
+        assert isinstance(a, Forall) and a.var == "a%d" % i
+        a = a.body
+    assert a == TVar("a0")
+
+
+def test_long_lolli_chain_parses():
+    a = parse_type(" -o ".join(["a"] * (DEEP + 1)))
+    for _ in range(DEEP):
+        assert isinstance(a, Lolli) and a.dom == TVar("a")
+        a = a.cod
+    assert a == TVar("a")
+
+
+@pytest.mark.parametrize("parse, src", [
+    (parse_term, "(" * DEEP + "x" + ")" * DEEP),
+    (parse_type, "(" * DEEP + "a" + ")" * DEEP),
+    (parse_derivation,
+     '(rule ax (seq ((x "a")) "%sx%s" "a"))' % ("(" * DEEP, ")" * DEEP)),
+], ids=["term", "type", "derivation"])
+def test_deep_parentheses_raise_parse_error(parse, src):
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse(src)
 
 
 # -- generated round trips ----------------------------------------------------
@@ -111,7 +230,34 @@ def test_type_round_trip_with_macros(a):
     assert parse_type(print_type(a, use_macros=True)) == a
 
 
+def _judgement_types(d):
+    """Every context and goal type of every node of d."""
+    out, todo = [], [d]
+    while todo:
+        d = todo.pop()
+        out.extend(a for _, a in d.conclusion.context)
+        out.append(d.conclusion.goal)
+        todo.extend(d.premises)
+    return out
+
+
 def test_derivation_round_trip_on_corpus(corpus):
-    for e in corpus:
+    goals = [e.derivation.conclusion.goal for e in corpus]
+    for k, e in enumerate(corpus):
         d = e.derivation
-        assert derivations_equal(d, parse_derivation(print_derivation(d))), e.name
+        text = print_derivation(d)
+        back = parse_derivation(text)
+        assert derivations_equal(d, back), e.name
+        assert print_derivation(back) == text, e.name
+        assert check(back, e.system) == [], e.name
+        # equal type texts within one file parse to one shared object
+        shared = {}
+        for a in _judgement_types(back):
+            assert shared.setdefault(print_type(a), a) is a, e.name
+        # a known-bad copy fails the same way before and after the round trip
+        goal = next(g for g in goals[k + 1:] + goals[:k] if not g == d.conclusion.goal)
+        j = d.conclusion
+        swapped = Derivation(d.rule, Judgement(j.context, j.subject, goal), d.premises)
+        bad = check(swapped, e.system)
+        back = parse_derivation(print_derivation(swapped))
+        assert bad and check(back, e.system) == bad, e.name
