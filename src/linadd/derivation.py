@@ -17,15 +17,22 @@ contexts be disjoint.
 
 Checking memoizes on node identity, so derivations that share subderivations
 (a DAG) are checked once per distinct node.
+
+Each node caches its size, weight, height, summed cut heights and cut count
+in one lazily filled slot (see `terms.cache_up`), so `metrics` and
+`is_cut_free` cost only the nodes built since the last query, and a search
+for cuts skips every cut-free subderivation.  The counts are taken with tree
+multiplicity: a shared subderivation counts once per occurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
-    alpha_equal, free_vars, is_value, subst,
+    alpha_equal, cache_up, free_vars, is_value, subst,
 )
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
@@ -73,7 +80,7 @@ class Judgement:
 
 @dataclass(frozen=True, eq=False)
 class Derivation:
-    __slots__ = ("rule", "conclusion", "premises")
+    __slots__ = ("rule", "conclusion", "premises", "_stats")
     rule: str
     conclusion: Judgement
     premises: tuple
@@ -563,26 +570,29 @@ _HANDLERS = {
 
 # -- derived judgements about whole derivations -------------------------------
 
-def all_nodes(d: Derivation):
-    """Pre-order traversal with tree multiplicity (a shared node is yielded
-    once per occurrence); use only on tree-sized derivations."""
-    stack = [d]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(n.premises))
+_premises = attrgetter("premises")
+
+
+def _stats_here(d: Derivation, kids: list) -> tuple:
+    """(size, weight, height, height_sum, cuts) of d from its premises'."""
+    size, weight, height, height_sum, cuts = 1, d.rule == "withR1", 0, 0, 0
+    for s, w, h, hs, c in kids:
+        size += s
+        weight += w
+        height = max(height, h)
+        height_sum += hs
+        cuts += c
+    if d.rule == "cut":
+        return (size, weight, height + 1, height_sum + height, cuts + 1)
+    return (size, weight, height + 1, height_sum, cuts)
+
+
+def _stats(d: Derivation) -> tuple:
+    return cache_up(d, "_stats", _premises, _stats_here)
 
 
 def is_cut_free(d: Derivation) -> bool:
-    seen = set()
-
-    def go(d):
-        if id(d) in seen:
-            return True
-        seen.add(id(d))
-        return d.rule != "cut" and all(go(p) for p in d.premises)
-
-    return go(d)
+    return _stats(d)[4] == 0
 
 
 def is_eta_expanded(d: Derivation) -> bool:
@@ -627,32 +637,9 @@ class ProofMetrics:
 
 
 def metrics(d: Derivation) -> ProofMetrics:
-    size_memo: dict[int, tuple] = {}
-
-    def sizes(d):
-        r = size_memo.get(id(d))
-        if r is not None:
-            return r
-        s, w = 1, (1 if d.rule == "withR1" else 0)
-        for p in d.premises:
-            ps, pw = sizes(p)
-            s += ps
-            w += pw
-        size_memo[id(d)] = (s, w)
-        return s, w
-
-    h_memo: dict[int, int] = {}
-
-    def height(d):
-        r = h_memo.get(id(d))
-        if r is None:
-            r = 1 + max((height(p) for p in d.premises), default=0)
-            h_memo[id(d)] = r
-        return r
-
-    s, w = sizes(d)
-    hsum = sum(height(n) - 1 for n in all_nodes(d) if n.rule == "cut")
-    return ProofMetrics(size=s, weight=w, height_sum=hsum, max_height=height(d) - 1)
+    size, weight, height, height_sum, _ = _stats(d)
+    return ProofMetrics(size=size, weight=weight, height_sum=height_sum,
+                        max_height=height - 1)
 
 
 def check_size_bounds(d: Derivation) -> dict:

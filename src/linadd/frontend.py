@@ -38,8 +38,8 @@ from typing import NamedTuple
 
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
-    free_vars, identity_term, let_tensor, let_unit, match_tensor_term,
-    tensor_term,
+    alpha_equal, free_vars, identity_term, let_tensor, let_unit,
+    match_tensor_term, tensor_term,
 )
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
@@ -384,11 +384,12 @@ def print_term(m: Term, use_macros: bool = False) -> str:
             return go(t)
         return atom(t)
 
+    def is_macro(t):
+        return alpha_equal(t, identity_term()) or match_tensor_term(t) is not None
+
     def go(t):
         if use_macros:
-            ident = identity_term()
-            from .terms import alpha_equal
-            if isinstance(t, Abs) and alpha_equal(t, ident):
+            if isinstance(t, Abs) and alpha_equal(t, identity_term()):
                 return "I"
             mt = match_tensor_term(t)
             if mt is not None:
@@ -396,7 +397,12 @@ def print_term(m: Term, use_macros: bool = False) -> str:
         if isinstance(t, Var):
             return t.name
         if isinstance(t, Abs):
-            return "\\%s. %s" % (t.var, go(t.body))
+            # a `\x.` prefix is printed in a loop, as the parser reads it
+            binders = []
+            while isinstance(t, Abs) and not (binders and use_macros and is_macro(t)):
+                binders.append("\\%s. " % t.var)
+                t = t.body
+            return "".join(binders) + go(t)
         if isinstance(t, App):
             return "%s %s" % (appside(t.fun), atom(t.arg))
         if isinstance(t, Pair):
@@ -426,7 +432,7 @@ def _parse_sexp(c: _Cursor):
             open_lists.append((t, []))
             continue
         if kind == "string":
-            item = ("str", t.text)
+            item = ("str", t.text, t.start + 1)  # where the text starts
         elif kind in ("ident", "keyword", "number"):
             item = ("atom", t.text)
         elif kind == "punct" and t.text == ")" and open_lists:
@@ -439,6 +445,17 @@ def _parse_sexp(c: _Cursor):
         if not open_lists:
             return item
         open_lists[-1][1].append(item)
+
+
+def _in_string(parse, item):
+    """parse(text) of a ("str", text, start) item, with the span of a
+    ParseError moved from the start of the text to the start of the file."""
+    try:
+        return parse(item[1])
+    except ParseError as e:
+        at = item[2]
+        raise ParseError(e.message, SourceSpan(e.span.start + at, e.span.end + at),
+                         e.expected) from None
 
 
 def _sexp_to_derivation(s, type_of) -> Derivation:
@@ -462,11 +479,12 @@ def _sexp_to_derivation(s, type_of) -> Derivation:
                 and isinstance(b[0], tuple) and b[0][0] == "atom"
                 and isinstance(b[1], tuple) and b[1][0] == "str"):
             fail("binding must be (name \"TYPE\")")
-        ctx.append((b[0][1], type_of(b[1][1])))
+        ctx.append((b[0][1], _in_string(type_of, b[1])))
     if not (isinstance(term_s, tuple) and term_s[0] == "str"
             and isinstance(type_s, tuple) and type_s[0] == "str"):
         fail("subject and goal must be quoted strings")
-    j = Judgement(tuple(ctx), parse_term(term_s[1]), type_of(type_s[1]))
+    j = Judgement(tuple(ctx), _in_string(parse_term, term_s),
+                  _in_string(type_of, type_s))
     prems = []
     for p in s[3:]:  # a loop, not a generator: one frame per level
         prems.append(_sexp_to_derivation(p, type_of))
@@ -517,7 +535,6 @@ def print_derivation(d: Derivation) -> str:
 
 
 def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
-    from .terms import alpha_equal
     j1, j2 = d1.conclusion, d2.conclusion
     return (
         d1.rule == d2.rule

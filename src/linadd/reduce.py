@@ -11,8 +11,16 @@ expansions, so `beta` covers them; `eta` (\\x. M x -> M, x not free in M)
 is kept separate and is only used on the translation side.
 
 A redex is identified by its path (child indices from the root) and kind.
-`find_redexes` lists redexes in leftmost-outermost order; `normalize` runs a
-strategy (leftmost, rightmost, or seeded random) under an optional budget.
+`redex_free` is cached on every node (see `terms`), so a search skips each
+subtree it already knows holds no redex.  `normalize` runs a strategy
+(leftmost, rightmost, or seeded random) under an optional budget.  The
+leftmost and rightmost strategies descend from the root into the first (or
+last) child that is not redex-free and stop at the redex, so a step costs
+the depth of its redex plus the nodes that the contraction and the
+replacement on the path build, not a scan of the whole term.
+`find_redexes` lists every redex in leftmost-outermost (pre-)order; it is the
+reference those descents are tested against, and the random strategy draws
+from it.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import random
 
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
-    alpha_equal, free_vars, is_value, subst, term_size,
+    alpha_equal, cache_up, children, free_vars, is_value, subst,
 )
 
 REDEX_KINDS = ("beta", "proj", "copy", "let_unit", "let_tensor", "eta")
@@ -48,18 +56,45 @@ def redex_kind_at(t: Term):
     return None
 
 
+def _redex_free_here(t: Term, kids: list) -> bool:
+    return all(kids) and redex_kind_at(t) is None
+
+
+def redex_free(t: Term) -> bool:
+    """No redex anywhere in t, i.e. t is normal."""
+    return cache_up(t, "_redex_free", children, _redex_free_here)
+
+
 def find_redexes(t: Term) -> list:
     out = []
-
-    def go(t, path):
+    stack = [(t, ())]
+    while stack:
+        t, path = stack.pop()
+        if redex_free(t):
+            continue
         k = redex_kind_at(t)
         if k is not None:
             out.append(Redex(path, k))
-        for i, c in enumerate(t.children()):
-            go(c, path + (i,))
-
-    go(t, ())
+        cs = t.children()
+        for i in reversed(range(len(cs))):
+            stack.append((cs[i], path + (i,)))
     return out
+
+
+def _descend(t: Term, rightmost: bool) -> Redex:
+    """The first (or last) of find_redexes(t), for t not redex-free.  In
+    pre-order a node precedes its subtrees, so the first redex is the first
+    node on the way down that is one, and the last is where the way ends."""
+    path = []
+    while rightmost or redex_kind_at(t) is None:
+        cs = t.children()
+        order = range(len(cs) - 1, -1, -1) if rightmost else range(len(cs))
+        i = next((i for i in order if not redex_free(cs[i])), None)
+        if i is None:
+            break
+        path.append(i)
+        t = cs[i]
+    return Redex(tuple(path), redex_kind_at(t))
 
 
 def contract(t: Term) -> Term:
@@ -77,21 +112,26 @@ def contract(t: Term) -> Term:
 
 
 def _replace(t: Term, path: tuple, sub: Term) -> Term:
-    if not path:
-        return sub
-    i, rest = path[0], path[1:]
-    cs = t.children()
-    new = _replace(cs[i], rest, sub)
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = t.children()[i]
+    for n, i in zip(reversed(spine), reversed(path)):
+        sub = _with_child(n, i, sub)
+    return sub
+
+
+def _with_child(t: Term, i: int, new: Term) -> Term:
     if isinstance(t, Abs):
         return Abs(t.var, new)
     if isinstance(t, App):
-        return App(new, cs[1]) if i == 0 else App(cs[0], new)
+        return App(new, t.arg) if i == 0 else App(t.fun, new)
     if isinstance(t, Pair):
-        return Pair(new, cs[1]) if i == 0 else Pair(cs[0], new)
+        return Pair(new, t.right) if i == 0 else Pair(t.left, new)
     if isinstance(t, Proj):
         return Proj(t.index, new)
     if isinstance(t, Copy):
-        parts = list(cs)
+        parts = list(t.children())
         parts[i] = new
         return Copy(parts[0], parts[1], t.left_var, t.right_var, parts[2], parts[3])
     raise TypeError(t)
@@ -102,10 +142,6 @@ def step(t: Term, r: Redex) -> Term:
     if redex_kind_at(target) != r.kind:
         raise ValueError("no %s redex at %r" % (r.kind, r.path))
     return _replace(t, r.path, contract(target))
-
-
-def is_normal(t: Term) -> bool:
-    return not find_redexes(t)
 
 
 @dataclass
@@ -121,17 +157,14 @@ def normalize(t: Term, strategy: str = "leftmost", budget: int | None = None,
     steps = 0
     trace: list = []
     while True:
-        rs = find_redexes(t)
-        if not rs:
+        if redex_free(t):
             return NormalizeResult(t, steps, trace)
         if budget is not None and steps >= budget:
             raise BudgetExceeded("no normal form within %d steps" % budget)
-        if strategy == "leftmost":
-            r = rs[0]
-        elif strategy == "rightmost":
-            r = rs[-1]
+        if strategy in ("leftmost", "rightmost"):
+            r = _descend(t, strategy == "rightmost")
         elif strategy == "random":
-            r = rng.choice(rs)
+            r = rng.choice(find_redexes(t))
         else:
             raise ValueError("unknown strategy %r" % strategy)
         t = step(t, r)
@@ -211,11 +244,12 @@ def push_reduction(d, r: Redex):
     contraction.
     """
     from . import steps as st
+    from .derivation import metrics
     from .terms import canonical_key
 
     target = step(d.conclusion.subject, r)
     before_key = canonical_key(d.conclusion.subject)
-    fuel = 4 * (_deriv_size(d) ** 2) + 100
+    fuel = 4 * (metrics(d).size ** 2) + 100
     cur = d
     while fuel > 0:
         fuel -= 1
@@ -226,19 +260,6 @@ def push_reduction(d, r: Redex):
                 raise AssertionError("push_reduction contracted the wrong redex")
             return cur
     raise AssertionError("push_reduction did not converge")
-
-
-def _deriv_size(d) -> int:
-    memo = {}
-
-    def go(d):
-        r = memo.get(id(d))
-        if r is None:
-            r = 1 + sum(go(p) for p in d.premises)
-            memo[id(d)] = r
-        return r
-
-    return go(d)
 
 
 def _advance(d, path: tuple, st):

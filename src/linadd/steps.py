@@ -232,16 +232,18 @@ def classify_cut(d: Derivation) -> CutInfo:
 
 
 def classify_cuts(d: Derivation):
-    """All cut nodes with their tree paths, pre-order."""
+    """All cut nodes with their tree paths, pre-order.  Cut-free
+    subderivations are skipped."""
     out = []
-
-    def go(d, path):
+    stack = [(d, ())]
+    while stack:
+        d, path = stack.pop()
+        if is_cut_free(d):
+            continue
         if d.rule == "cut":
             out.append((path, classify_cut(d)))
-        for i, p in enumerate(d.premises):
-            go(p, path + (i,))
-
-    go(d, ())
+        for i in reversed(range(len(d.premises))):
+            stack.append((d.premises[i], path + (i,)))
     return out
 
 

@@ -15,17 +15,26 @@ Nodes are immutable and compare by identity; use `alpha_equal` (or
 `canonical_key` for hashing) to compare modulo bound-variable names.  Shared
 subterms are therefore cheap, and the size/free-variable helpers memoize on
 node identity so DAG-shaped terms stay tractable.
+
+Each node carries three lazily filled cache slots: its free variables
+(`free_vars`), whether it is value-shaped (`is_value`: no projection, no copy
+and no beta redex anywhere below), and whether it is redex-free
+(`reduce.redex_free`).  The two flags are computed by `cache_up`, a
+post-order walk without recursion that stops at nodes already filled, so a
+term built by substitution or by replacing a subterm costs only its new
+nodes, and a search can skip every subtree it knows is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+from operator import methodcaller
 
 
 @dataclass(frozen=True, eq=False)
 class Term:
-    __slots__ = ("_fv",)
+    __slots__ = ("_fv", "_value_shaped", "_redex_free")
 
     def children(self) -> tuple["Term", ...]:
         raise NotImplementedError
@@ -163,25 +172,43 @@ def match_tensor_term(t: Term):
 def term_size(t: Term) -> int:
     """Node count with |x| = 1, unary constructs +1, binary constructs +1;
     the copy construct counts guard, scrutinee, and its branch pair."""
-    memo: dict[int, int] = {}
-    def go(t: Term) -> int:
-        r = memo.get(id(t))
-        if r is not None:
-            return r
-        if isinstance(t, Var):
-            r = 1
-        elif isinstance(t, (Abs, Proj)):
-            r = go(t.children()[0]) + 1
-        elif isinstance(t, (App, Pair)):
-            r = go(t.children()[0]) + go(t.children()[1]) + 1
-        elif isinstance(t, Copy):
-            pair = go(t.left_branch) + go(t.right_branch) + 1
-            r = go(t.guard) + go(t.scrutinee) + pair + 1
-        else:
-            raise TypeError(t)
-        memo[id(t)] = r
+    sizes: dict[int, int] = {}
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if n is None:  # the node below has all its children done
+            n = stack.pop()
+            s = 1 + isinstance(n, Copy)
+            for c in n.children():
+                s += sizes[id(c)]
+            sizes[id(n)] = s
+        elif id(n) not in sizes:
+            stack += (n, None)
+            stack += n.children()
+    return sizes[id(t)]
+
+
+children = methodcaller("children")
+
+
+def cache_up(root, slot: str, kids, combine):
+    """The value `combine(n, [value of each of kids(n)])` at `root`, stored
+    in slot `slot` of every node computed on the way.  A post-order walk with
+    its own stack that descends only into nodes whose slot is still empty, so
+    a query costs the nodes built since the last one and no recursion."""
+    r = getattr(root, slot, None)
+    if r is not None:
         return r
-    return go(t)
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n is None:  # the node below has all its kids done
+            n = stack.pop()
+            object.__setattr__(n, slot, combine(n, [getattr(k, slot) for k in kids(n)]))
+        elif getattr(n, slot, None) is None:
+            stack += (n, None)
+            stack += kids(n)
+    return getattr(root, slot)
 
 
 def free_vars(t: Term) -> frozenset:
@@ -298,23 +325,17 @@ def alpha_equal(t1: Term, t2: Term) -> bool:
 
 # -- values -------------------------------------------------------------------
 
-def _proj_copy_free(t: Term) -> bool:
-    if isinstance(t, (Proj, Copy)):
-        return False
-    return all(_proj_copy_free(c) for c in t.children())
-
-
-def _beta_normal(t: Term) -> bool:
-    if isinstance(t, App) and isinstance(t.fun, Abs):
-        return False
-    return all(_beta_normal(c) for c in t.children())
+def _value_shaped_here(t: Term, kids: list) -> bool:
+    return (all(kids) and not isinstance(t, (Proj, Copy))
+            and not (isinstance(t, App) and isinstance(t.fun, Abs)))
 
 
 def is_value(t: Term) -> bool:
     """Closed, projection/copy-free, beta-normal terms; these are the only
     terms admitted as copy guards and the only closed normal forms of the
     lazy fragment."""
-    return not free_vars(t) and _proj_copy_free(t) and _beta_normal(t)
+    return (not free_vars(t)
+            and cache_up(t, "_value_shaped", children, _value_shaped_here))
 
 
 def is_term(t: Term) -> bool:

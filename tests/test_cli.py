@@ -96,6 +96,15 @@ def test_suite_cubic(capsys):
     assert code == 0 and rep["verdict"] == "pass"
 
 
+def test_normalize_deep_term(tmp_path, capsys):
+    f = tmp_path / "deep.lam"
+    f.write_text("".join("\\v%d. " % i for i in range(1500)) + "v0\n")
+    code, rep = run_json(capsys, "normalize", str(f))
+    assert code == 0 and rep["verdict"] == "pass"
+    assert rep["measurements"]["steps"] == 0
+    assert rep["measurements"]["input_size"] == 1501
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     f = tmp_path / "broken.lam"
     f.write_text("\\x.")

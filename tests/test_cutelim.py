@@ -5,9 +5,12 @@ from linadd.corpus import (
     deadlock_example, cubic_family, elimination_entries,
 )
 from linadd.cutelim import CutElimError, elim_step, eliminate, verify_simulation
+from linadd import steps
 from linadd.derivation import (
-    check_ok, d_ax, d_cut, is_cut_free, metrics,
+    Derivation, check_ok, d_ax, d_cut, is_cut_free, metrics,
 )
+from linadd.families import gen_applied, gen_ladd
+from linadd.inhabit import maximal_value
 from linadd.reduce import normalize
 from linadd.steps import (
     BLOCKED, COPY_FIRST, CRITICAL, DEADLOCK, READY, SYMMETRIC,
@@ -124,3 +127,83 @@ def test_classify_cuts_lists_paths():
     d = d_cut(ID, d_ax("x", ONE), "x")
     got = classify_cuts(d)
     assert [p for p, _ in got] == [()]
+
+
+# -- the cached derivation stats against uncached references -----------------
+
+def _ref_nodes(d):
+    """Every node of d with tree multiplicity, pre-order."""
+    out = [d]
+    for p in d.premises:
+        out += _ref_nodes(p)
+    return out
+
+
+def _ref_height(d):
+    return 1 + max(map(_ref_height, d.premises), default=0)
+
+
+def _ref_metrics(d):
+    nodes = _ref_nodes(d)
+    return (len(nodes), sum(n.rule == "withR1" for n in nodes),
+            sum(_ref_height(n) - 1 for n in nodes if n.rule == "cut"),
+            _ref_height(d) - 1)
+
+
+def _ref_cuts(d, path=()):
+    """classify_cut at every cut of d, by a walk that prunes nothing."""
+    out = [(path, classify_cut(d))] if d.rule == "cut" else []
+    for i, p in enumerate(d.premises):
+        out += _ref_cuts(p, path + (i,))
+    return out
+
+
+def _assert_stats(d):
+    assert classify_cuts(d) == _ref_cuts(d)
+    seen = set()
+    for n in _ref_nodes(d):
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        m = metrics(n)
+        assert (m.size, m.weight, m.height_sum, m.max_height) == _ref_metrics(n)
+        assert is_cut_free(n) == all(k.rule != "cut" for k in _ref_nodes(n))
+
+
+def test_stats_match_reference_along_elimination(corpus):
+    _, ladd6 = gen_ladd(6, ONE)
+    inputs = [e.derivation for e in elimination_entries(corpus)]
+    inputs += [d for _, d in cubic_family(3)]
+    inputs.append(gen_applied(ladd6, maximal_value(ONE)[1]))
+    for d in inputs:
+        _, trace = eliminate(d, keep_derivations=True)
+        for snap in trace.snapshots:
+            _assert_stats(snap)
+
+
+def test_eliminate_costs_local_work(monkeypatch):
+    # eliminate(ladd(1,8)) takes 59 steps on |D| = 1,076 and classifies 752
+    # cuts.  Rescanning all of D at every step for cuts and for the trace
+    # metrics reads about 181k premise tuples.
+    _, d = gen_ladd(8, ONE)
+    d = gen_applied(d, maximal_value(ONE)[1])
+    size = metrics(d).size
+    calls = {"classify_cut": 0, "premises": 0}
+    real_classify = steps.classify_cut
+    real_premises = Derivation.__dict__["premises"]
+
+    def classify(x):
+        calls["classify_cut"] += 1
+        return real_classify(x)
+
+    def premises(node):
+        calls["premises"] += 1
+        return real_premises.__get__(node, Derivation)
+
+    monkeypatch.setattr(steps, "classify_cut", classify)
+    monkeypatch.setattr(Derivation, "premises", property(
+        premises, lambda node, v: real_premises.__set__(node, v)))
+    _, trace = eliminate(d, recheck=False)
+    assert trace.total_steps == 59
+    assert calls["classify_cut"] <= size
+    assert calls["premises"] <= 10 * size

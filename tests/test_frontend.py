@@ -60,7 +60,7 @@ def test_parse_error_is_located():
 
 
 # Message, span and `expected` of the error on each malformed input.  Spans
-# inside a quoted string count from the start of that string.
+# count from the start of the input, also inside a quoted string.
 _PARSE_ERRORS = [
     (parse_derivation, '(rule ax (seq () "x',
      "unterminated string", (17, 19), ()),
@@ -76,13 +76,13 @@ _PARSE_ERRORS = [
     (parse_derivation, '(rule ax (seq () "x" "a")) extra',
      "trailing input", (27, 32), ()),
     (parse_derivation, '(rule ax (seq () "x y)" "a"))',
-     "trailing input", (3, 4), ()),
+     "trailing input", (21, 22), ()),
     (parse_derivation, '(rule ax (seq () "x" "a")',
      "unclosed parenthesis", (0, 1), ()),
     (parse_derivation, '(rule ax (seq ((x "a -o")) "x" "a"))',
-     "unexpected 'end of input'", (4, 4), ("type",)),
+     "unexpected 'end of input'", (23, 23), ("type",)),
     (parse_derivation, '(rule ax (seq () "x" "a -o"))',
-     "unexpected 'end of input'", (4, 4), ("type",)),
+     "unexpected 'end of input'", (26, 26), ("type",)),
     (parse_derivation, "(foo)",
      "derivation must be (rule NAME (seq ...) PREMISE...)", (0, 0), ()),
     (parse_derivation, "", "unexpected 'end of input'", (0, 0),
@@ -143,7 +143,9 @@ DEEP = 1500
 
 
 def test_deep_binder_prefix_parses():
-    t = parse_term("".join("\\v%d. " % i for i in range(DEEP)) + "v0")
+    src = "".join("\\v%d. " % i for i in range(DEEP)) + "v0"
+    t = parse_term(src)
+    assert print_term(t) == src
     for i in range(DEEP):
         assert isinstance(t, Abs) and t.var == "v%d" % i
         t = t.body

@@ -2,17 +2,22 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from linadd.derivation import check
-from linadd.families import gen_applied, gen_ladd
+from linadd import reduce
+from linadd.derivation import check, d_app
+from linadd.families import gen_add, gen_applied, gen_ladd
 from linadd.frontend import parse_term
+from linadd.inhabit import enumerate_inhabitants, maximal_value
 from linadd.reduce import (
-    BudgetExceeded, beta_eta_equal, beta_eta_normal_form, eta_normalize,
-    find_redexes, is_normal, normalize, push_reduction,
-    reduction_graph_confluent, step,
+    BudgetExceeded, Redex, beta_eta_equal, beta_eta_normal_form, eta_normalize,
+    find_redexes, normalize, push_reduction,
+    reduction_graph_confluent, redex_free, step,
 )
-from linadd.terms import alpha_equal, identity_term, term_size
-from linadd.translate import identity_derivation
-from linadd.typesys import unit_type
+from linadd.terms import (
+    Abs, App, Copy, Pair, Proj, Var,
+    alpha_equal, free_vars, identity_term, is_value, subst, term_size,
+)
+from linadd.translate import GadgetLibrary, identity_derivation, translate_derivation
+from linadd.typesys import bool_type, tensor_type, unit_type
 
 
 I = identity_term()
@@ -83,7 +88,7 @@ def test_every_step_shrinks_lam_subjects(corpus):
         if e.system != "lam":
             continue
         t = e.derivation.conclusion.subject
-        while not is_normal(t):
+        while not redex_free(t):
             r = find_redexes(t)[0]
             t2 = step(t, r)
             assert term_size(t2) < term_size(t), e.name
@@ -127,3 +132,161 @@ def test_ladd_steps_and_sizes(n, strategy):
     applied = gen_applied(d, identity_derivation())
     res = normalize(applied.conclusion.subject, strategy=strategy)
     assert res.steps == 2 * n + 1
+
+
+# -- the cached flags and the descent against uncached references ------------
+
+def _ref_free(t):
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Abs):
+        return _ref_free(t.body) - {t.var}
+    if isinstance(t, Copy):
+        return (_ref_free(t.guard) | _ref_free(t.scrutinee)
+                | (_ref_free(t.left_branch) - {t.left_var})
+                | (_ref_free(t.right_branch) - {t.right_var}))
+    return set().union(*map(_ref_free, t.children()))
+
+
+def _ref_shaped(t):
+    if isinstance(t, (Proj, Copy)) or (isinstance(t, App) and isinstance(t.fun, Abs)):
+        return False
+    return all(map(_ref_shaped, t.children()))
+
+
+def _ref_is_value(t):
+    return not _ref_free(t) and _ref_shaped(t)
+
+
+def _ref_redexes(t, path=()):
+    """Every redex of t in pre-order, by a walk that prunes nothing."""
+    out = []
+    if isinstance(t, App) and isinstance(t.fun, Abs):
+        out.append(Redex(path, "beta"))
+    elif isinstance(t, Proj) and isinstance(t.body, Pair):
+        out.append(Redex(path, "proj"))
+    elif isinstance(t, Copy) and _ref_is_value(t.scrutinee):
+        out.append(Redex(path, "copy"))
+    for i, c in enumerate(t.children()):
+        out += _ref_redexes(c, path + (i,))
+    return out
+
+
+def _ref_size(t):
+    return 1 + isinstance(t, Copy) + sum(map(_ref_size, t.children()))
+
+
+def _distinct_subterms(t):
+    seen, todo = {}, [t]
+    while todo:
+        s = todo.pop()
+        if id(s) not in seen:
+            seen[id(s)] = s
+            todo.extend(s.children())
+    return list(seen.values())
+
+
+def _assert_flags(t):
+    for s in _distinct_subterms(t):
+        assert is_value(s) == _ref_is_value(s)
+        assert redex_free(s) == (not _ref_redexes(s))
+
+
+def _oracle_subjects(corpus):
+    out = [(e.name, e.derivation.conclusion.subject) for e in corpus]
+    for name, gen, base in (("ladd(1,6)", gen_ladd, unit_type()),
+                            ("add(B,6)", gen_add, bool_type())):
+        _, d = gen(6, base)
+        out.append((name, gen_applied(d, maximal_value(base)[1]).conclusion.subject))
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_descent_picks_the_reference_redex(corpus, strategy):
+    pick = 0 if strategy == "leftmost" else -1
+    for name, t in _oracle_subjects(corpus):
+        res = normalize(t, strategy=strategy, keep_trace=True)
+        before = t
+        for r, after in res.trace:
+            ref = _ref_redexes(before)
+            assert r == ref[pick], name
+            assert find_redexes(before) == ref, name
+            before = after
+        assert res.term is before and _ref_redexes(before) == [], name
+        assert redex_free(before) and find_redexes(before) == [], name
+
+
+def test_flags_match_reference_along_reductions(corpus):
+    # every term a leftmost normalization visits, including the nodes that
+    # substitution and replacement build
+    for name, t in _oracle_subjects(corpus):
+        _assert_flags(t)
+        for _, after in normalize(t, keep_trace=True).trace:
+            _assert_flags(after)
+            assert term_size(after) == _ref_size(after), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_flags_match_reference_after_subst(corpus, data):
+    subjects = [e.derivation.conclusion.subject for e in corpus]
+    t = data.draw(st.sampled_from(subjects))
+    s = data.draw(st.sampled_from(_distinct_subterms(t)))
+    u = data.draw(st.sampled_from(_distinct_subterms(data.draw(st.sampled_from(subjects)))))
+    fv = sorted(free_vars(s))
+    out = subst(s, data.draw(st.sampled_from(fv)), u) if fv else s
+    _assert_flags(out)
+    assert term_size(out) == _ref_size(out)
+
+
+# -- deep terms and the cost of a step ----------------------------------------
+
+DEEP = 1500
+
+
+def _under_binders(body):
+    for i in reversed(range(DEEP)):
+        body = Abs("v%d" % i, body)
+    return body
+
+
+def test_deep_normal_term_takes_no_steps():
+    t = _under_binders(Var("v0"))
+    for strategy in ("leftmost", "rightmost", "random"):
+        assert normalize(t, strategy=strategy, seed=0).steps == 0
+    assert find_redexes(t) == []
+    assert term_size(t) == DEEP + 1
+
+
+def test_deep_redex_takes_one_step():
+    t = _under_binders(App(identity_term(), Var("v0")))
+    assert [r.path for r in find_redexes(t)] == [(0,) * DEEP]
+    res = normalize(t)
+    assert res.steps == 1
+    body = res.term
+    for _ in range(DEEP):
+        body = body.body
+    assert isinstance(body, Var) and body.name == "v0"
+
+
+def test_normalize_costs_local_work(monkeypatch):
+    # Normalizing the duplicator of B*B*B applied to an inhabitant takes 775
+    # steps on a term of 2,393 nodes.  Rescanning the whole term at every
+    # step looks at about 955k nodes.
+    b = bool_type()
+    a = tensor_type(tensor_type(b, b), b)
+    lib = GadgetLibrary()
+    tv = translate_derivation(enumerate_inhabitants(a).members[0][1], lib)
+    m = d_app(lib.duplicator(a), tv).conclusion.subject
+    calls = 0
+    real = reduce.redex_kind_at
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(reduce, "redex_kind_at", counted)
+    res = normalize(m)
+    assert res.steps == 775
+    assert calls <= 10 * term_size(m)
