@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from .terms import alpha_equal, term_size
 from .typesys import bool_type, tensor_type, type_size, unit_type
 from .derivation import (
-    LAM, check, is_cut_free, metrics,
+    LAM, CheckError, check, is_cut_free, metrics,
 )
 from .reduce import BudgetExceeded, normalize, push_reduction, beta_eta_equal
 from .cutelim import CutElimError, eliminate
@@ -158,7 +158,7 @@ def cmd_cutelim(args) -> int:
     try:
         with report.timed("work_s"):
             out, trace = eliminate(d, budget=args.budget)
-    except (CutElimError, Exception) as e:
+    except (CutElimError, CheckError) as e:
         report.fail(str(e))
         return _emit(report, args)
     m0, m1 = metrics(d), metrics(out)

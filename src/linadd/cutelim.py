@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derivation import Derivation, check_ok, is_cut_free, metrics
+from .derivation import Derivation, check_ok, is_cut_free, metrics, rebuild
 from .typesys import judgement_is_forall_lazy
 from .terms import alpha_equal
 from . import steps as st
 from .steps import (
     BLOCKED, COMMUTING, COPY_FIRST, CRITICAL, READY, SYMMETRIC,
-    ElimStepError, classify_cut, classify_cuts, eliminate_cut_once, rebuild,
+    ElimStepError, classify_cut, classify_cuts, eliminate_cut_once,
 )
 
 
@@ -76,6 +76,14 @@ def _apply_at(d: Derivation, path: tuple, fn) -> Derivation:
     return rebuild(d, tuple(prems))
 
 
+def _step_at(d: Derivation, path: tuple, fn) -> Derivation:
+    """_apply_at, with a failed step reported as a CutElimError."""
+    try:
+        return _apply_at(d, path, fn)
+    except ElimStepError as e:
+        raise CutElimError(str(e)) from e
+
+
 def elim_step(d: Derivation, path: tuple) -> Derivation:
     """Apply the matching elimination rule at the cut at `path`.  Only
     symmetric, commuting, and ready critical cuts may be fired."""
@@ -89,16 +97,15 @@ def elim_step(d: Derivation, path: tuple) -> Derivation:
         raise CutElimError("cut at %r is blocked on an inner cut" % (path,))
     if info.kind == CRITICAL and info.status != READY:
         raise CutElimError("critical cut at %r is %s, not ready" % (path, info.status))
-    try:
-        return _apply_at(d, path, lambda n: eliminate_cut_once(n, allow_unready=False))
-    except ElimStepError as e:
-        raise CutElimError(str(e)) from e
+    return _step_at(d, path, lambda n: eliminate_cut_once(n, allow_unready=False))
 
 
 def eliminate(d: Derivation, budget: int | None = None,
               recheck: bool = True, keep_derivations: bool = False) -> tuple:
     """Run the round strategy to a cut-free derivation.  Returns
-    (derivation, ElimTrace)."""
+    (derivation, ElimTrace).  Raises CutElimError when the input is not
+    forall-lazy or no step applies, and CheckError (with recheck) when the
+    input or the result fails `check`."""
     j = d.conclusion
     if not judgement_is_forall_lazy(j.context_types(), j.goal):
         raise CutElimError("conclusion sequent is not forall-lazy")
@@ -135,7 +142,7 @@ def eliminate(d: Derivation, budget: int | None = None,
             spent += 1
             if spent > budget:
                 raise CutElimError("elimination budget exhausted")
-            cur = _apply_at(cur, path, st.commute_once)
+            cur = _step_at(cur, path, st.commute_once)
             record(path, "commuting")
         # {2} one principal firing
         cuts = classify_cuts(cur)
@@ -158,7 +165,7 @@ def eliminate(d: Derivation, budget: int | None = None,
         spent += 1
         if spent > budget:
             raise CutElimError("elimination budget exhausted")
-        cur = _apply_at(cur, path, fn)
+        cur = _step_at(cur, path, fn)
         record(path, kind)
 
     if recheck:

@@ -1,8 +1,31 @@
 """Sequent derivations and the proof checker.
 
-A derivation node records its rule name, its full conclusion judgement, and
-its premise subderivations; checking verifies that every node is a correct
-instance of its rule schema under one of three systems:
+A derivation node records its rule name, its full conclusion judgement, its
+premise subderivations, and the parameters its rule was built with:
+
+    rule            parameters      premises
+    ax              x, A            -
+    cut             x               left, right (x : A in the right one)
+    lolliR          x               one (x is abstracted)
+    lolliL          y, x            left, right (y : A -o B introduced,
+                                    x : B of the right premise consumed)
+    withR, withR0   -               left, right
+    withR1          x               left branch, right branch, guard
+    withL1, withL2  y, x, other     one (y : A & B introduced, x consumed,
+                                    other the component not projected)
+    forallR         gamma, alpha    one (eigenvariable gamma bound as alpha)
+    forallL         x, quant        one (x : quant, a forall, replaces x's
+                                    instance)
+
+The `d_*` constructors at the end of this module are the one definition of
+each rule: each computes the conclusion from its premises and parameters and
+raises ValueError on a schema mismatch.  `check` rebuilds every node with
+its rule's constructor and compares the result with the stated conclusion;
+beyond that it checks only what a constructor cannot see: the rule set of
+the system, arity, duplicate names, the context split of cut and lolliL,
+closure and laziness, the withR1 guard, and linearity.  Nodes built without
+parameters, as the parser builds them, get theirs from `rule_params`, which
+recovers them from the conclusion and premises.  The three systems:
 
     imll2   ax, cut, lolliR, lolliL, forallR, forallL
     imall2  imll2 plus withR (shared-context pair), withL1/withL2
@@ -27,7 +50,8 @@ multiplicity: a shared subderivation counts once per occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 from .terms import (
@@ -44,11 +68,12 @@ LAM = "lam"
 IMALL2 = "imall2"
 IMLL2 = "imll2"
 
-RULES = (
-    "ax", "cut", "lolliR", "lolliL",
-    "withR", "withR0", "withR1", "withL1", "withL2",
-    "forallR", "forallL",
-)
+_ARITY = {
+    "ax": 0, "cut": 2, "lolliR": 1, "lolliL": 2,
+    "withR": 2, "withR0": 2, "withR1": 3, "withL1": 1, "withL2": 1,
+    "forallR": 1, "forallL": 1,
+}
+RULES = tuple(_ARITY)
 
 _SYSTEM_RULES = {
     IMLL2: {"ax", "cut", "lolliR", "lolliL", "forallR", "forallL"},
@@ -78,12 +103,23 @@ class Judgement:
         return None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Derivation:
-    __slots__ = ("rule", "conclusion", "premises", "_stats")
+    """A rule instance; `params` is None when the node was built without its
+    rule's parameters (see `rule_params`)."""
+
+    __slots__ = ("rule", "conclusion", "premises", "params", "_stats")
     rule: str
     conclusion: Judgement
     premises: tuple
+    params: tuple | None
+
+    def __init__(self, rule: str, conclusion: Judgement, premises: tuple,
+                 params: tuple | None = None):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "params", params)
 
 
 @dataclass
@@ -104,12 +140,9 @@ class CheckError(Exception):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-def _ctx_multiset(ctx):
-    return sorted((n, a._skeleton()) for n, a in ctx)
-
-
 def _same_context(c1, c2) -> bool:
-    return _ctx_multiset(c1) == _ctx_multiset(c2)
+    """Equal as multisets, for c1 without duplicate names."""
+    return len(c1) == len(c2) and dict(c1) == dict(c2)
 
 
 def _ctx_remove(ctx, name):
@@ -117,7 +150,7 @@ def _ctx_remove(ctx, name):
 
 
 def context_names(ctx):
-    return frozenset(n for n, _ in ctx)
+    return frozenset(dict(ctx))
 
 
 def context_free_type_vars(ctx):
@@ -215,16 +248,13 @@ def check(d: Derivation, system: str = LAM):
         if len(set(names)) != len(names):
             bad(path, d, "context", "duplicate assumption names")
             return
+        params = rule_params(d)
         up = eigens
-        if (d.rule == "forallR" and len(d.premises) == 1
-                and isinstance(j.goal, Forall)):
-            g = find_eigenvariable(d)
-            if g is not None:
-                up = eigens | {g}
+        if d.rule == "forallR" and params is not None:
+            up = eigens | {params[0]}
         for i, p in enumerate(d.premises):
             go(p, path + (i,), up)
-        handler = _HANDLERS.get(d.rule)
-        handler(d, path, system, bad, eigens)
+        _check_node(d, params, path, system, bad, eigens)
         if system == LAM:
             lin = _linearity(j)
             if lin:
@@ -241,28 +271,60 @@ def check_ok(d: Derivation, system: str = LAM) -> None:
         raise CheckError(vs)
 
 
-def _expect_premises(d, path, n, bad) -> bool:
-    if len(d.premises) != n:
-        bad(path, d, "arity", "expected %d premises, got %d" % (n, len(d.premises)))
-        return False
-    return True
-
-
-def _check_ax(d, path, system, bad, eigens):
-    if not _expect_premises(d, path, 0, bad):
+def _check_node(d, params, path, system, bad, eigens):
+    """Rebuild d with its rule's constructor, compare the conclusions, then
+    check the side conditions no constructor sees."""
+    rule = d.rule
+    if len(d.premises) != _ARITY[rule]:
+        bad(path, d, "arity", "expected %d premises, got %d"
+            % (_ARITY[rule], len(d.premises)))
+        return
+    if params is None:
+        bad(path, d, rule, "cannot identify the %s" % _PARAM_NAMES[rule])
+        return
+    try:
+        built = CONSTRUCTORS[rule](*d.premises, *params).conclusion
+    except ValueError as e:
+        bad(path, d, rule, str(e))
         return
     j = d.conclusion
-    if len(j.context) != 1:
-        bad(path, d, "ax", "axiom context must be a single assumption")
+    differ = [part for part, same in (
+        ("context", _same_context(j.context, built.context)),
+        ("goal", j.goal == built.goal),
+        ("subject", alpha_equal(j.subject, built.subject))) if not same]
+    if differ:
+        bad(path, d, rule, "the rule concludes a different %s" % " and ".join(differ))
         return
-    (x, a), = j.context
-    if not (isinstance(j.subject, Var) and j.subject.name == x):
-        bad(path, d, "ax", "subject must be the assumption variable")
-    if a != j.goal:
-        bad(path, d, "ax", "assumption and goal types differ")
+    if rule in ("cut", "lolliL"):
+        _split_linear(d, path, bad, eigens)
+    if system != LAM:
+        return
+    lazy = ()
+    if rule == "lolliL":
+        ab = j.lookup(params[0])
+        if is_closed(ab.cod) and not is_closed(ab.dom):
+            bad(path, d, "closure",
+                "implication-left with closed codomain but open domain")
+    elif rule == "forallR":
+        if is_closed(j.goal) and context_free_type_vars(j.context):
+            bad(path, d, "closure",
+                "closed forall introduced over a context with free type variables")
+    elif rule in ("withL1", "withL2"):
+        lazy = (j.lookup(params[0]),)
+    elif rule == "withR0":
+        lazy = (j.goal.left, j.goal.right)
+    elif rule == "withR1":
+        guard = d.premises[2]
+        if not is_value(guard.conclusion.subject):
+            bad(path, d, "withR1", "guard must be a value")
+        if not is_eta_expanded(guard):
+            bad(path, d, "withR1", "guard subderivation must be eta-expanded")
+        lazy = (j.context[0][1], j.goal.left, j.goal.right)
+    if not all(is_closed(a) and is_forall_lazy(a) for a in lazy):
+        bad(path, d, "laziness", "%s types must be closed forall-lazy" % rule)
 
 
-def _split_linear(d, path, bad, left_j, right_j, eigens):
+def _split_linear(d, path, bad, eigens):
     """Common context side conditions of cut and lolliL.
 
     The two premise contexts may not share free type variables.  Variables
@@ -270,302 +332,108 @@ def _split_linear(d, path, bad, left_j, right_j, eigens):
     occurrences at the scale of the whole derivation and are exempt — without
     the exemption the boolean type would have no cut-free inhabitants.
     """
-    if context_names(left_j.context) & context_names(right_j.context):
+    left, right = (p.conclusion.context for p in d.premises)
+    if context_names(left) & context_names(right):
         bad(path, d, "context", "premise contexts share assumption names")
-    shared = (context_free_type_vars(left_j.context)
-              & context_free_type_vars(right_j.context)) - eigens
+    shared = (context_free_type_vars(left) & context_free_type_vars(right)) - eigens
     if shared:
         bad(path, d, "linear-constraint",
             "premise contexts share free type variables: %s" % sorted(shared))
 
 
-def _check_cut(d, path, system, bad, eigens):
-    if not _expect_premises(d, path, 2, bad):
-        return
-    j = d.conclusion
-    l, r = d.premises
-    lj, rj = l.conclusion, r.conclusion
-    cut_names = context_names(rj.context) - context_names(j.context)
-    if len(cut_names) != 1:
-        bad(path, d, "cut", "cannot identify the cut assumption")
-        return
-    x = next(iter(cut_names))
-    a = rj.lookup(x)
-    if lj.goal != a:
-        bad(path, d, "cut", "left premise goal differs from cut type")
-    if lj.context and any(n not in context_names(j.context) for n in context_names(lj.context)):
-        bad(path, d, "cut", "left premise context not in conclusion")
-    if not _same_context(j.context, lj.context + _ctx_remove(rj.context, x)):
-        bad(path, d, "cut", "conclusion context is not the premise contexts joined")
-    if rj.goal != j.goal:
-        bad(path, d, "cut", "goal differs from right premise goal")
-    _split_linear(d, path, bad, lj, rj, eigens)
-    if not alpha_equal(j.subject, subst(rj.subject, x, lj.subject)):
-        bad(path, d, "cut", "subject is not the substituted right subject")
+def rule_params(d: Derivation):
+    """The parameters of d's rule: the stored ones, or else those recovered
+    from its conclusion and premises, which are then stored; None when they
+    cannot be recovered."""
+    params = d.params
+    if params is None:
+        params = _recover_params(d)
+        if params is not None:
+            object.__setattr__(d, "params", params)
+    return params
 
 
-def _check_lolliR(d, path, system, bad, eigens):
-    if not _expect_premises(d, path, 1, bad):
-        return
-    j = d.conclusion
-    pj = d.premises[0].conclusion
-    if not isinstance(j.goal, Lolli):
-        bad(path, d, "lolliR", "goal must be an implication")
-        return
-    if not isinstance(j.subject, Abs):
-        bad(path, d, "lolliR", "subject must be an abstraction")
-        return
-    new = context_names(pj.context) - context_names(j.context)
-    if len(new) != 1:
-        bad(path, d, "lolliR", "cannot identify the abstracted assumption")
-        return
-    x = next(iter(new))
-    if pj.lookup(x) != j.goal.dom:
-        bad(path, d, "lolliR", "abstracted assumption type differs from domain")
-    if not _same_context(_ctx_remove(pj.context, x), j.context):
-        bad(path, d, "lolliR", "context mismatch")
-    if pj.goal != j.goal.cod:
-        bad(path, d, "lolliR", "premise goal differs from codomain")
-    if not alpha_equal(j.subject, Abs(x, pj.subject)):
-        bad(path, d, "lolliR", "subject is not the abstracted premise subject")
+# What `_recover_params` looks for, for the rules where it can fail.
+_PARAM_NAMES = {
+    "ax": "single assumption", "withR1": "single assumption",
+    "cut": "cut assumption", "lolliR": "abstracted assumption",
+    "lolliL": "introduced and consumed assumptions",
+    "withL1": "introduced and consumed assumptions",
+    "withL2": "introduced and consumed assumptions",
+    "forallR": "eigenvariable", "forallL": "instantiated assumption",
+}
 
 
-def _check_lolliL(d, path, system, bad, eigens):
-    if not _expect_premises(d, path, 2, bad):
-        return
-    j = d.conclusion
-    l, r = d.premises
-    lj, rj = l.conclusion, r.conclusion
-    # y: the conclusion assumption absent from both premises; x: the right
-    # premise assumption absent from the conclusion.
-    ys = context_names(j.context) - context_names(lj.context) - context_names(rj.context)
-    xs = context_names(rj.context) - context_names(j.context)
-    if len(ys) != 1 or len(xs) != 1:
-        bad(path, d, "lolliL", "cannot identify the introduced/consumed assumptions")
-        return
-    y, x = next(iter(ys)), next(iter(xs))
+def _one(names):
+    return next(iter(names)) if len(names) == 1 else None
+
+
+def _recover_params(d: Derivation):
+    rule, j, prems = d.rule, d.conclusion, d.premises
+    if len(prems) != _ARITY.get(rule):
+        return None
+    if rule == "ax":
+        return j.context[0] if len(j.context) == 1 else None
+    if rule in ("withR", "withR0"):
+        return ()
+    if rule == "withR1":
+        return (j.context[0][0],) if len(j.context) == 1 else None
+    names = context_names(j.context)
+    last = prems[-1].conclusion  # the right or only premise
+    if rule == "forallR":
+        g = _eigenvariable(j, last.goal)
+        return None if g is None else (g, j.goal.var)
+    if rule == "forallL":
+        x = _instantiated(j, last)
+        return None if x is None else (x, j.lookup(x))
+    x = _one(context_names(last.context) - names)  # the consumed assumption
+    if x is None:
+        return None
+    if rule in ("cut", "lolliR"):
+        return (x,)
+    y = _one(names - context_names(last.context)
+             - context_names(prems[0].conclusion.context))
+    if y is None:
+        return None
+    if rule == "lolliL":
+        return (y, x)
     ab = j.lookup(y)
-    if not isinstance(ab, Lolli):
-        bad(path, d, "lolliL", "introduced assumption must have implication type")
-        return
-    if lj.goal != ab.dom:
-        bad(path, d, "lolliL", "left premise goal differs from domain")
-    if rj.lookup(x) != ab.cod:
-        bad(path, d, "lolliL", "consumed assumption type differs from codomain")
-    if not _same_context(j.context,
-                         lj.context + ((y, ab),) + _ctx_remove(rj.context, x)):
-        bad(path, d, "lolliL", "context mismatch")
-    if rj.goal != j.goal:
-        bad(path, d, "lolliL", "goal differs from right premise goal")
-    _split_linear(d, path, bad, lj, rj, eigens)
-    if not alpha_equal(j.subject, subst(rj.subject, x, App(Var(y), lj.subject))):
-        bad(path, d, "lolliL", "subject is not the right subject with y applied")
-    if system == LAM and is_closed(ab.cod) and not is_closed(ab.dom):
-        bad(path, d, "closure",
-            "implication-left with closed codomain but open domain")
+    if not isinstance(ab, With):
+        return None
+    return (y, x, ab.right if rule == "withL1" else ab.left)
 
 
-def _check_withR(d, path, system, bad, eigens):
-    # IMALL2 additive pair: both premises share the whole context.
-    if not _expect_premises(d, path, 2, bad):
-        return
-    j = d.conclusion
-    lj, rj = (p.conclusion for p in d.premises)
-    if not isinstance(j.goal, With):
-        bad(path, d, "withR", "goal must be a conjunction")
-        return
-    if not (_same_context(j.context, lj.context) and _same_context(j.context, rj.context)):
-        bad(path, d, "withR", "premises must share the conclusion context")
-    if lj.goal != j.goal.left or rj.goal != j.goal.right:
-        bad(path, d, "withR", "premise goals differ from the components")
-    if not (isinstance(j.subject, Pair)
-            and alpha_equal(j.subject, Pair(lj.subject, rj.subject))):
-        bad(path, d, "withR", "subject is not the premise pair")
-
-
-def _check_withR0(d, path, system, bad, eigens):
-    if not _expect_premises(d, path, 2, bad):
-        return
-    j = d.conclusion
-    lj, rj = (p.conclusion for p in d.premises)
-    if not isinstance(j.goal, With):
-        bad(path, d, "withR0", "goal must be a conjunction")
-        return
-    if j.context or lj.context or rj.context:
-        bad(path, d, "withR0", "all contexts must be empty")
-    if lj.goal != j.goal.left or rj.goal != j.goal.right:
-        bad(path, d, "withR0", "premise goals differ from the components")
-    for side in (j.goal.left, j.goal.right):
-        if not (is_closed(side) and is_forall_lazy(side)):
-            bad(path, d, "withR0", "component types must be closed forall-lazy")
-    if not (isinstance(j.subject, Pair)
-            and alpha_equal(j.subject, Pair(lj.subject, rj.subject))):
-        bad(path, d, "withR0", "subject is not the premise pair")
-
-
-def _check_withR1(d, path, system, bad, eigens):
-    if not _expect_premises(d, path, 3, bad):
-        return
-    j = d.conclusion
-    b1, b2, g = d.premises
-    if not isinstance(j.goal, With):
-        bad(path, d, "withR1", "goal must be a conjunction")
-        return
-    if len(j.context) != 1:
-        bad(path, d, "withR1", "conclusion context must be a single assumption")
-        return
-    (x, a), = j.context
-    sub = j.subject
-    if not (isinstance(sub, Copy) and isinstance(sub.scrutinee, Var)
-            and sub.scrutinee.name == x):
-        bad(path, d, "withR1", "subject must copy the context variable")
-        return
-    for side, p, comp in (("left", b1, j.goal.left), ("right", b2, j.goal.right)):
-        pj = p.conclusion
-        if len(pj.context) != 1 or pj.context[0][1] != a:
-            bad(path, d, "withR1", "%s branch context must be one assumption of the guard type" % side)
-            continue
-        if pj.goal != comp:
-            bad(path, d, "withR1", "%s branch goal differs from the component" % side)
-    gj = g.conclusion
-    if gj.context:
-        bad(path, d, "withR1", "guard premise context must be empty")
-    if gj.goal != a:
-        bad(path, d, "withR1", "guard premise goal differs from the assumption type")
-    if not is_value(gj.subject):
-        bad(path, d, "withR1", "guard must be a value")
-    if not is_eta_expanded(g):
-        bad(path, d, "withR1", "guard subderivation must be eta-expanded")
-    for t, what in ((a, "assumption"), (j.goal.left, "left component"),
-                    (j.goal.right, "right component")):
-        if not (is_closed(t) and is_forall_lazy(t)):
-            bad(path, d, "withR1", "%s type must be closed forall-lazy" % what)
-    want = Copy(g.conclusion.subject, Var(x),
-                b1.conclusion.context[0][0] if b1.conclusion.context else "_",
-                b2.conclusion.context[0][0] if b2.conclusion.context else "_",
-                b1.conclusion.subject, b2.conclusion.subject)
-    if not alpha_equal(sub, want):
-        bad(path, d, "withR1", "subject does not assemble the premises")
-
-
-def _check_withL(i):
-    def go(d, path, system, bad, eigens):
-        if not _expect_premises(d, path, 1, bad):
-            return
-        j = d.conclusion
-        pj = d.premises[0].conclusion
-        ys = context_names(j.context) - context_names(pj.context)
-        xs = context_names(pj.context) - context_names(j.context)
-        if len(ys) != 1 or len(xs) != 1:
-            bad(path, d, "withL", "cannot identify the introduced/consumed assumptions")
-            return
-        y, x = next(iter(ys)), next(iter(xs))
-        ab = j.lookup(y)
-        if not isinstance(ab, With):
-            bad(path, d, "withL", "introduced assumption must have conjunction type")
-            return
-        comp = ab.left if i == 1 else ab.right
-        if pj.lookup(x) != comp:
-            bad(path, d, "withL", "consumed assumption type differs from component %d" % i)
-        if not _same_context(j.context, ((y, ab),) + _ctx_remove(pj.context, x)):
-            bad(path, d, "withL", "context mismatch")
-        if pj.goal != j.goal:
-            bad(path, d, "withL", "goal differs from premise goal")
-        if not alpha_equal(j.subject, subst(pj.subject, x, Proj(i, Var(y)))):
-            bad(path, d, "withL", "subject is not the projected premise subject")
-        if system == LAM and not (is_closed(ab) and is_forall_lazy(ab)):
-            bad(path, d, "withL", "conjunction must be closed forall-lazy")
-    return go
-
-
-def find_eigenvariable(d: Derivation):
-    """For a forallR node, the eigenvariable used in the premise (or a fresh
-    name when the bound variable does not occur)."""
-    j = d.conclusion
-    pj = d.premises[0].conclusion
-    m = match_instantiation(j.goal.body, j.goal.var, pj.goal)
+def _eigenvariable(j: Judgement, premise_goal: Type):
+    """The eigenvariable at which the premise goal instantiates the
+    quantified goal (a fresh name when the bound variable does not occur)."""
+    if not isinstance(j.goal, Forall):
+        return None
+    m = match_instantiation(j.goal.body, j.goal.var, premise_goal)
     if m is None:
         return None
     _, b = m
     if b is None:
         return fresh_type_var("g", context_free_type_vars(j.context)
                               | free_type_vars(j.goal))
-    if not isinstance(b, TVar):
-        return None
-    return b.name
+    return b.name if isinstance(b, TVar) else None
 
 
-def _check_forallR(d, path, system, bad, eigens):
-    if not _expect_premises(d, path, 1, bad):
-        return
-    j = d.conclusion
-    pj = d.premises[0].conclusion
-    if not isinstance(j.goal, Forall):
-        bad(path, d, "forallR", "goal must be universally quantified")
-        return
-    if not _same_context(j.context, pj.context):
-        bad(path, d, "forallR", "context mismatch")
-    if not alpha_equal(j.subject, pj.subject):
-        bad(path, d, "forallR", "subject must be unchanged")
-    g = find_eigenvariable(d)
-    if g is None:
-        bad(path, d, "forallR", "premise goal is not an instance at an eigenvariable")
-        return
-    if g in context_free_type_vars(j.context):
-        bad(path, d, "forallR", "eigenvariable occurs free in the context")
-    if system == LAM and is_closed(j.goal) and context_free_type_vars(j.context):
-        bad(path, d, "closure",
-            "closed forall introduced over a context with free type variables")
-
-
-def _check_forallL(d, path, system, bad, eigens):
-    if not _expect_premises(d, path, 1, bad):
-        return
-    j = d.conclusion
-    pj = d.premises[0].conclusion
+def _instantiated(j: Judgement, pj: Judgement):
+    """The forallL assumption: the one whose type differs in the premise,
+    else any quantified one (its instance may equal it), whose premise type
+    instantiates it."""
     xs = [n for n, a in j.context
           if pj.lookup(n) is not None and pj.lookup(n) != a]
     xs += [n for n, _ in j.context if pj.lookup(n) is None]
     if len(xs) != 1:
-        # The instantiated type may equal the quantified one (unused binder);
-        # fall back to scanning for any forall assumption matching.
         xs = [n for n, a in j.context if isinstance(a, Forall)
               and pj.lookup(n) is not None]
-    done = False
     for x in xs:
-        a = j.lookup(x)
-        if not isinstance(a, Forall):
-            continue
-        inst = pj.lookup(x)
-        if inst is None:
-            continue
-        if match_instantiation(a.body, a.var, inst) is not None:
-            done = True
-            break
-    if not done:
-        bad(path, d, "forallL", "no assumption instantiates a quantified type")
-        return
-    if not _same_context(_ctx_remove(j.context, x), _ctx_remove(pj.context, x)):
-        bad(path, d, "forallL", "context mismatch")
-    if pj.goal != j.goal:
-        bad(path, d, "forallL", "goal differs from premise goal")
-    if not alpha_equal(j.subject, pj.subject):
-        bad(path, d, "forallL", "subject must be unchanged")
-
-
-_HANDLERS = {
-    "ax": _check_ax,
-    "cut": _check_cut,
-    "lolliR": _check_lolliR,
-    "lolliL": _check_lolliL,
-    "withR": _check_withR,
-    "withR0": _check_withR0,
-    "withR1": _check_withR1,
-    "withL1": _check_withL(1),
-    "withL2": _check_withL(2),
-    "forallR": _check_forallR,
-    "forallL": _check_forallL,
-}
+        a, inst = j.lookup(x), pj.lookup(x)
+        if (isinstance(a, Forall) and inst is not None
+                and match_instantiation(a.body, a.var, inst) is not None):
+            return x
+    return None
 
 
 # -- derived judgements about whole derivations -------------------------------
@@ -666,12 +534,13 @@ def check_lazy_propagation(d: Derivation) -> bool:
 
 # -- construction combinators -------------------------------------------------
 #
-# Smart constructors used by generators, gadget builders, and the translator.
-# Each computes the conclusion from its premises; they raise ValueError on
-# schema mismatch rather than producing an unsound node.
+# One constructor per rule, used by generators, gadget builders, the
+# translator, cut elimination and `check`.  Each computes the conclusion from
+# its premises and parameters and stores the parameters; it raises
+# ValueError on a schema mismatch rather than producing an unsound node.
 
 def d_ax(x: str, a: Type) -> Derivation:
-    return Derivation("ax", Judgement(((x, a),), Var(x), a), ())
+    return Derivation("ax", Judgement(((x, a),), Var(x), a), (), (x, a))
 
 
 def d_cut(left: Derivation, right: Derivation, x: str) -> Derivation:
@@ -682,7 +551,7 @@ def d_cut(left: Derivation, right: Derivation, x: str) -> Derivation:
     return Derivation(
         "cut",
         Judgement(ctx, subst(rj.subject, x, lj.subject), rj.goal),
-        (left, right),
+        (left, right), (x,),
     )
 
 
@@ -694,7 +563,7 @@ def d_lolliR(d: Derivation, x: str) -> Derivation:
     return Derivation(
         "lolliR",
         Judgement(_ctx_remove(j.context, x), Abs(x, j.subject), Lolli(a, j.goal)),
-        (d,),
+        (d,), (x,),
     )
 
 
@@ -708,16 +577,18 @@ def d_lolliL(left: Derivation, right: Derivation, y: str, x: str) -> Derivation:
     return Derivation(
         "lolliL",
         Judgement(ctx, subst(rj.subject, x, App(Var(y), lj.subject)), rj.goal),
-        (left, right),
+        (left, right), (y, x),
     )
 
 
 def d_withR(left: Derivation, right: Derivation) -> Derivation:
     lj, rj = left.conclusion, right.conclusion
+    if not _same_context(lj.context, rj.context):
+        raise ValueError("withR premises must share one context")
     return Derivation(
         "withR",
         Judgement(lj.context, Pair(lj.subject, rj.subject), With(lj.goal, rj.goal)),
-        (left, right),
+        (left, right), (),
     )
 
 
@@ -728,12 +599,14 @@ def d_withR0(left: Derivation, right: Derivation) -> Derivation:
     return Derivation(
         "withR0",
         Judgement((), Pair(lj.subject, rj.subject), With(lj.goal, rj.goal)),
-        (left, right),
+        (left, right), (),
     )
 
 
 def d_withR1(b1: Derivation, b2: Derivation, guard: Derivation, x: str) -> Derivation:
     a = guard.conclusion.goal
+    if guard.conclusion.context:
+        raise ValueError("withR1 guard premise must be closed")
     (x1, a1), = b1.conclusion.context
     (x2, a2), = b2.conclusion.context
     if a1 != a or a2 != a:
@@ -741,7 +614,7 @@ def d_withR1(b1: Derivation, b2: Derivation, guard: Derivation, x: str) -> Deriv
     sub = Copy(guard.conclusion.subject, Var(x), x1, x2,
                b1.conclusion.subject, b2.conclusion.subject)
     goal = With(b1.conclusion.goal, b2.conclusion.goal)
-    return Derivation("withR1", Judgement(((x, a),), sub, goal), (b1, b2, guard))
+    return Derivation("withR1", Judgement(((x, a),), sub, goal), (b1, b2, guard), (x,))
 
 
 def d_withL(i: int, d: Derivation, y: str, x: str, other: Type) -> Derivation:
@@ -754,7 +627,7 @@ def d_withL(i: int, d: Derivation, y: str, x: str, other: Type) -> Derivation:
     return Derivation(
         "withL%d" % i,
         Judgement(ctx, subst(j.subject, x, Proj(i, Var(y))), j.goal),
-        (d,),
+        (d,), (y, x, other),
     )
 
 
@@ -763,9 +636,12 @@ def d_forallR(d: Derivation, gamma: str, alpha: str) -> Derivation:
     j = d.conclusion
     if gamma in context_free_type_vars(j.context):
         raise ValueError("eigenvariable %s free in context" % gamma)
+    if gamma != alpha and alpha in free_type_vars(j.goal):
+        raise ValueError("bound variable %s free in the premise goal" % alpha)
     body = subst_type(j.goal, gamma, TVar(alpha)) if gamma != alpha else j.goal
     return Derivation(
-        "forallR", Judgement(j.context, j.subject, Forall(alpha, body)), (d,)
+        "forallR", Judgement(j.context, j.subject, Forall(alpha, body)), (d,),
+        (gamma, alpha),
     )
 
 
@@ -777,7 +653,21 @@ def d_forallL(d: Derivation, x: str, quant: Type) -> Derivation:
     if not isinstance(quant, Forall) or match_instantiation(quant.body, quant.var, inst) is None:
         raise ValueError("assumption type is not an instance of %r" % (quant,))
     ctx = tuple((n, quant if n == x else a) for n, a in j.context)
-    return Derivation("forallL", Judgement(ctx, j.subject, j.goal), (d,))
+    return Derivation("forallL", Judgement(ctx, j.subject, j.goal), (d,), (x, quant))
+
+
+# Each rule's constructor, called as CONSTRUCTORS[rule](*premises, *params).
+CONSTRUCTORS = {
+    "ax": d_ax, "cut": d_cut, "lolliR": d_lolliR, "lolliL": d_lolliL,
+    "withR": d_withR, "withR0": d_withR0, "withR1": d_withR1,
+    "withL1": partial(d_withL, 1), "withL2": partial(d_withL, 2),
+    "forallR": d_forallR, "forallL": d_forallL,
+}
+
+
+def rebuild(d: Derivation, prems: tuple) -> Derivation:
+    """d's rule with d's parameters over replacement premises."""
+    return CONSTRUCTORS[d.rule](*prems, *rule_params(d))
 
 
 def d_app(fun: Derivation, arg: Derivation) -> Derivation:

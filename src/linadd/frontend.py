@@ -232,27 +232,39 @@ def print_type(a: Type, use_macros: bool = False) -> str:
         return s
 
     def go(t):
-        if use_macros:
-            if is_unit_type(t):
-                return "1"
-            m = match_tensor_type(t)
-            if m is not None:
-                return "%s * %s" % (atom(m[0]), atom(m[1]))
-        if isinstance(t, TVar):
-            return t.name
-        if isinstance(t, Lolli):
-            return "%s -o %s" % (atom(t.dom), go(t.cod))
-        if isinstance(t, With):
-            ls = atom(t.left)
-            if isinstance(t.left, With):
-                ls = "(%s)" % go(t.left)
-            rs = atom(t.right)
-            if isinstance(t.right, With):
-                rs = "(%s)" % go(t.right)
-            return "%s & %s" % (ls, rs)
-        if isinstance(t, Forall):
-            return "forall %s. %s" % (t.var, go(t.body))
-        raise TypeError(t)
+        # `forall a.` prefixes and the right-nested `-o` chain are printed
+        # in a loop, as the parser reads them
+        parts = []
+        while True:
+            if use_macros:
+                if is_unit_type(t):
+                    parts.append("1")
+                    break
+                m = match_tensor_type(t)
+                if m is not None:
+                    parts.append("%s * %s" % (atom(m[0]), atom(m[1])))
+                    break
+            if isinstance(t, Forall):
+                parts.append("forall %s. " % t.var)
+                t = t.body
+            elif isinstance(t, Lolli):
+                parts.append("%s -o " % atom(t.dom))
+                t = t.cod
+            elif isinstance(t, TVar):
+                parts.append(t.name)
+                break
+            elif isinstance(t, With):
+                ls = atom(t.left)
+                if isinstance(t.left, With):
+                    ls = "(%s)" % go(t.left)
+                rs = atom(t.right)
+                if isinstance(t.right, With):
+                    rs = "(%s)" % go(t.right)
+                parts.append("%s & %s" % (ls, rs))
+                break
+            else:
+                raise TypeError(t)
+        return "".join(parts)
 
     return go(a)
 
@@ -423,18 +435,28 @@ def print_term(m: Term, use_macros: bool = False) -> str:
 
 # -- derivations --------------------------------------------------------------
 
+class _List(list):
+    """An s-expression list; `start` is the offset of its parenthesis."""
+
+    __slots__ = ("start",)
+
+
 def _parse_sexp(c: _Cursor):
+    """Lists are `_List`s; atoms and strings are ("atom" | "str", text,
+    offset of the token)."""
     open_lists = []  # (opening token, items so far) of each unclosed list
     while True:
         t = c.next()
         kind = t.kind
         if kind == "punct" and t.text == "(":
-            open_lists.append((t, []))
+            items = _List()
+            items.start = t.start
+            open_lists.append((t, items))
             continue
         if kind == "string":
-            item = ("str", t.text, t.start + 1)  # where the text starts
+            item = ("str", t.text, t.start)
         elif kind in ("ident", "keyword", "number"):
-            item = ("atom", t.text)
+            item = ("atom", t.text, t.start)
         elif kind == "punct" and t.text == ")" and open_lists:
             item = open_lists.pop()[1]
         elif kind == "eof" and open_lists:
@@ -453,36 +475,38 @@ def _in_string(parse, item):
     try:
         return parse(item[1])
     except ParseError as e:
-        at = item[2]
+        at = item[2] + 1  # past the opening quote
         raise ParseError(e.message, SourceSpan(e.span.start + at, e.span.end + at),
                          e.expected) from None
 
 
 def _sexp_to_derivation(s, type_of) -> Derivation:
-    def fail(msg):
-        raise ParseError(msg, SourceSpan(0, 0))
+    def fail(msg, item):
+        # the first character of the offending item
+        at = item.start if isinstance(item, _List) else item[2]
+        raise ParseError(msg, SourceSpan(at, at + 1))
 
-    if not (isinstance(s, list) and len(s) >= 3 and s[0] == ("atom", "rule")):
-        fail("derivation must be (rule NAME (seq ...) PREMISE...)")
+    if not (isinstance(s, list) and len(s) >= 3 and s[0][:2] == ("atom", "rule")):
+        fail("derivation must be (rule NAME (seq ...) PREMISE...)", s)
     name = s[1]
     if not (isinstance(name, tuple) and name[0] == "atom"):
-        fail("rule name must be an atom")
+        fail("rule name must be an atom", name)
     seq = s[2]
-    if not (isinstance(seq, list) and len(seq) == 4 and seq[0] == ("atom", "seq")):
-        fail("judgement must be (seq ((x \"A\") ...) \"TERM\" \"TYPE\")")
+    if not (isinstance(seq, list) and len(seq) == 4 and seq[0][:2] == ("atom", "seq")):
+        fail("judgement must be (seq ((x \"A\") ...) \"TERM\" \"TYPE\")", seq)
     ctx_s, term_s, type_s = seq[1], seq[2], seq[3]
     if not isinstance(ctx_s, list):
-        fail("context must be a list of bindings")
+        fail("context must be a list of bindings", ctx_s)
     ctx = []
     for b in ctx_s:
         if not (isinstance(b, list) and len(b) == 2
                 and isinstance(b[0], tuple) and b[0][0] == "atom"
                 and isinstance(b[1], tuple) and b[1][0] == "str"):
-            fail("binding must be (name \"TYPE\")")
+            fail("binding must be (name \"TYPE\")", b)
         ctx.append((b[0][1], _in_string(type_of, b[1])))
-    if not (isinstance(term_s, tuple) and term_s[0] == "str"
-            and isinstance(type_s, tuple) and type_s[0] == "str"):
-        fail("subject and goal must be quoted strings")
+    for item in (term_s, type_s):
+        if not (isinstance(item, tuple) and item[0] == "str"):
+            fail("subject and goal must be quoted strings", item)
     j = Judgement(tuple(ctx), _in_string(parse_term, term_s),
                   _in_string(type_of, type_s))
     prems = []

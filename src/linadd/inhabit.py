@@ -200,8 +200,7 @@ def eta_expansion_derivation(x: str, a: Type) -> Derivation:
 def eta_expand(d: Derivation) -> Derivation:
     """Replace every axiom at a non-atomic type by its eta-long derivation;
     the result proves the same sequent with an eta-expanded subject."""
-    from .steps import rebuild
-    from .derivation import is_cut_free
+    from .derivation import is_cut_free, rebuild
     if not is_cut_free(d):
         raise InhabitError("eta-expansion requires a cut-free derivation")
 

@@ -32,6 +32,7 @@ from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
     alpha_equal, cache_up, children, free_vars, is_value, subst,
 )
+from .derivation import rebuild, rule_params
 
 REDEX_KINDS = ("beta", "proj", "copy", "let_unit", "let_tensor", "eta")
 
@@ -272,7 +273,7 @@ def _advance(d, path: tuple, st):
     new_prem = _advance(d.premises[i], sub_path, st)
     prems = list(d.premises)
     prems[i] = new_prem
-    return st.rebuild(d, tuple(prems))
+    return rebuild(d, tuple(prems))
 
 
 def _var_path(t: Term, x: str):
@@ -319,16 +320,14 @@ def _locate(d, path: tuple):
         return (0, path)
     if rule == "lolliL":
         rj = d.premises[1].conclusion
-        xs = frozenset(n for n, _ in rj.context) - frozenset(n for n, _ in j.context)
-        (x,) = xs
+        _, x = rule_params(d)
         px = _var_path(rj.subject, x)
         if _is_prefix(px + (1,), path):
             return (0, path[len(px) + 1:])
         return (1, path)
     if rule == "cut":
         rj = d.premises[1].conclusion
-        xs = frozenset(n for n, _ in rj.context) - frozenset(n for n, _ in j.context)
-        (x,) = xs
+        x, = rule_params(d)
         px = _var_path(rj.subject, x)
         if _is_prefix(px, path):
             return (0, path[len(px):])

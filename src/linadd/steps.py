@@ -9,9 +9,10 @@ Everything cut elimination (and subject reduction, which reuses it) needs:
   `commuting` otherwise;
 * one commuting movement (the cut is pushed past the non-principal rule);
 * the principal firings, each of which performs at most one reduction step
-  on the subject;
-* `rebuild`, which re-assembles a node after a premise changed, recomputing
-  the conclusion judgement.
+  on the subject.
+
+Every step reads the parameters of the rules it moves with `rule_params` and
+builds through the rules' constructors.
 
 A critical cut is `safe` when the left premise proves a closed sequent and
 `ready` when additionally the left subderivation is cut-free; only ready
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Var, fresh_name, free_vars, is_value, subst
-from .typesys import Forall, TVar, Type, free_type_vars, fresh_type_var, subst_type
+from .terms import fresh_name, is_value
+from .typesys import TVar, Type, free_type_vars, fresh_type_var, subst_type
 from .derivation import (
-    Derivation, Judgement,
-    context_free_type_vars, context_names, find_eigenvariable, is_cut_free,
-    match_instantiation,
-    d_ax, d_cut, d_forallL, d_forallR, d_lolliL, d_lolliR,
-    d_withL, d_withR, d_withR0, d_withR1,
+    CONSTRUCTORS, Derivation,
+    context_free_type_vars, context_names, is_cut_free, match_instantiation,
+    rule_params,
+    d_cut, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withR0,
 )
 
 SYMMETRIC = "symmetric"
@@ -50,67 +50,13 @@ class ElimStepError(Exception):
     pass
 
 
-# -- parameter recovery -------------------------------------------------------
-
-def cut_var(d: Derivation) -> str:
-    rj = d.premises[1].conclusion
-    (x,) = context_names(rj.context) - context_names(d.conclusion.context)
-    return x
-
-
-def lolliR_var(d: Derivation) -> str:
-    pj = d.premises[0].conclusion
-    (x,) = context_names(pj.context) - context_names(d.conclusion.context)
-    return x
-
-
-def lolliL_vars(d: Derivation):
-    """(introduced y, consumed x) of an implication-left node."""
-    j = d.conclusion
-    lj, rj = (p.conclusion for p in d.premises)
-    (y,) = context_names(j.context) - context_names(lj.context) - context_names(rj.context)
-    (x,) = context_names(rj.context) - context_names(j.context)
-    return y, x
-
-
-def withL_vars(d: Derivation):
-    """(introduced y, consumed x, untouched component type)."""
-    j = d.conclusion
-    pj = d.premises[0].conclusion
-    (y,) = context_names(j.context) - context_names(pj.context)
-    (x,) = context_names(pj.context) - context_names(j.context)
-    ab = j.lookup(y)
-    other = ab.right if d.rule == "withL1" else ab.left
-    return y, x, other
-
-
-def forallL_var(d: Derivation) -> str:
-    j = d.conclusion
-    pj = d.premises[0].conclusion
-    for n, a in j.context:
-        if pj.lookup(n) != a:
-            return n
-    # unused quantifier: instance equals the quantified type; pick the (only)
-    # quantified assumption that admits the instantiation
-    for n, a in j.context:
-        if isinstance(a, Forall):
-            return n
-    raise ElimStepError("cannot recover the forallL assumption")
+_PRINCIPAL = frozenset({"ax", "lolliL", "withL1", "withL2", "forallL", "withR1"})
 
 
 def principal_var(d: Derivation):
-    """The context variable the last rule of d acts on, if any."""
-    if d.rule == "ax":
-        return d.conclusion.context[0][0]
-    if d.rule == "lolliL":
-        return lolliL_vars(d)[0]
-    if d.rule in ("withL1", "withL2"):
-        return withL_vars(d)[0]
-    if d.rule == "forallL":
-        return forallL_var(d)
-    if d.rule == "withR1":
-        return d.conclusion.context[0][0]
-    return None
+    """The context variable the last rule of d acts on, if any: the first
+    parameter of each left rule, the axiom and the guarded duplication."""
+    return rule_params(d)[0] if d.rule in _PRINCIPAL else None
 
 
 # -- renaming -----------------------------------------------------------------
@@ -118,38 +64,32 @@ def principal_var(d: Derivation):
 def rename_assumption(d: Derivation, old: str, new: str) -> Derivation:
     """Rename a free assumption throughout a derivation (contexts and
     subjects)."""
-    if old == new:
+    if old == new or d.conclusion.lookup(old) is None:
         return d
-    j = d.conclusion
-    if j.lookup(old) is None:
-        return d
-    ctx = tuple((new if n == old else n, a) for n, a in j.context)
     prems = tuple(rename_assumption(p, old, new) for p in d.premises)
-    return Derivation(
-        d.rule, Judgement(ctx, subst(j.subject, old, Var(new)), j.goal), prems
-    )
-
-
-def _eigen_of(d: Derivation):
-    if d.rule != "forallR":
-        return None
-    return find_eigenvariable(d)
+    params = rule_params(d)
+    if d.rule != "forallR":  # its parameters name type variables
+        params = tuple(new if p == old else p for p in params)
+    return CONSTRUCTORS[d.rule](*prems, *params)
 
 
 def subst_type_deriv(d: Derivation, x: str, b: Type) -> Derivation:
     """Substitute a type for a free type variable throughout a derivation,
-    renaming inner eigenvariables that would capture."""
+    renaming inner eigenvariables and bound variables that would capture."""
+    prems = d.premises
     if d.rule == "forallR":
-        g = _eigen_of(d)
-        if g is not None and (g == x or g in free_type_vars(b)):
+        g, alpha = rule_params(d)
+        if g == x or g in free_type_vars(b):
             g2 = fresh_type_var(g)
-            d = Derivation(
-                d.rule, d.conclusion, (subst_type_deriv(d.premises[0], g, TVar(g2)),)
-            )
-    j = d.conclusion
-    ctx = tuple((n, subst_type(a, x, b)) for n, a in j.context)
-    prems = tuple(subst_type_deriv(p, x, b) for p in d.premises)
-    return Derivation(d.rule, Judgement(ctx, j.subject, subst_type(j.goal, x, b)), prems)
+            prems = (subst_type_deriv(prems[0], g, TVar(g2)),)
+            g = g2
+        if alpha in free_type_vars(b):
+            alpha = fresh_type_var(alpha)
+        return d_forallR(subst_type_deriv(prems[0], x, b), g, alpha)
+    params = tuple(subst_type(p, x, b) if isinstance(p, Type) else p
+                   for p in rule_params(d))
+    prems = tuple(subst_type_deriv(p, x, b) for p in prems)
+    return CONSTRUCTORS[d.rule](*prems, *params)
 
 
 def _ensure_fresh(d: Derivation, var: str, avoid) -> tuple:
@@ -158,38 +98,6 @@ def _ensure_fresh(d: Derivation, var: str, avoid) -> tuple:
         return d, var
     new = fresh_name(var, set(avoid) | context_names(d.conclusion.context))
     return rename_assumption(d, var, new), new
-
-
-# -- rebuild ------------------------------------------------------------------
-
-def rebuild(d: Derivation, prems: tuple) -> Derivation:
-    """Re-assemble d's rule over replacement premises whose contexts and types
-    agree with the originals (only subjects may differ)."""
-    r = d.rule
-    if r == "ax":
-        return d
-    if r == "cut":
-        return d_cut(prems[0], prems[1], cut_var(d))
-    if r == "lolliR":
-        return d_lolliR(prems[0], lolliR_var(d))
-    if r == "lolliL":
-        y, x = lolliL_vars(d)
-        return d_lolliL(prems[0], prems[1], y, x)
-    if r == "withR":
-        return d_withR(prems[0], prems[1])
-    if r == "withR0":
-        return d_withR0(prems[0], prems[1])
-    if r == "withR1":
-        return d_withR1(prems[0], prems[1], prems[2], d.conclusion.context[0][0])
-    if r in ("withL1", "withL2"):
-        y, x, other = withL_vars(d)
-        return d_withL(1 if r == "withL1" else 2, prems[0], y, x, other)
-    if r == "forallR":
-        return d_forallR(prems[0], find_eigenvariable(d), d.conclusion.goal.var)
-    if r == "forallL":
-        x = forallL_var(d)
-        return d_forallL(prems[0], x, d.conclusion.lookup(x))
-    raise ElimStepError("cannot rebuild rule %s" % r)
 
 
 # -- classification -----------------------------------------------------------
@@ -206,7 +114,7 @@ def classify_cut(d: Derivation) -> CutInfo:
     if d.rule != "cut":
         raise ValueError("not a cut")
     l, r = d.premises
-    x = cut_var(d)
+    x, = rule_params(d)
     info = lambda kind, status=None: CutInfo(kind, status, l.rule, r.rule)
     if l.rule == "ax" or r.rule == "ax":
         return info(SYMMETRIC)
@@ -252,7 +160,7 @@ def classify_cuts(d: Derivation):
 def commute_once(d: Derivation) -> Derivation:
     """Push the cut one rule upward (subject and judgement are preserved)."""
     l, r = d.premises
-    x = cut_var(d)
+    x, = rule_params(d)
     if principal_var(r) != x and r.rule != "withR1":
         return _commute_right(d, l, r, x)
     return _commute_left(d, l, r, x)
@@ -261,33 +169,32 @@ def commute_once(d: Derivation) -> Derivation:
 def _commute_right(d, l, r, x):
     lnames = context_names(l.conclusion.context)
     if r.rule == "lolliR":
-        z = lolliR_var(r)
+        z, = rule_params(r)
         r1, z = _ensure_fresh(r.premises[0], z, lnames)
         return d_lolliR(d_cut(l, r1, x), z)
     if r.rule == "lolliL":
-        y, w = lolliL_vars(r)
+        y, w = rule_params(r)
         r1, r2 = r.premises
         if r1.conclusion.lookup(x) is not None:
             return d_lolliL(d_cut(l, r1, x), r2, y, w)
         r2, w = _ensure_fresh(r2, w, lnames)
         return d_lolliL(r1, d_cut(l, r2, x), y, w)
     if r.rule in ("withL1", "withL2"):
-        y, w, other = withL_vars(r)
+        y, w, other = rule_params(r)
         r1, w = _ensure_fresh(r.premises[0], w, lnames)
-        return d_withL(1 if r.rule == "withL1" else 2, d_cut(l, r1, x), y, w, other)
+        return CONSTRUCTORS[r.rule](d_cut(l, r1, x), y, w, other)
     if r.rule == "forallL":
-        z = forallL_var(r)
-        return d_forallL(d_cut(l, r.premises[0], x), z, r.conclusion.lookup(z))
+        return d_forallL(d_cut(l, r.premises[0], x), *rule_params(r))
     if r.rule == "forallR":
-        g = find_eigenvariable(r)
+        g, alpha = rule_params(r)
         r1 = r.premises[0]
         if g in context_free_type_vars(l.conclusion.context):
             g2 = fresh_type_var(g)
             r1 = subst_type_deriv(r1, g, TVar(g2))
             g = g2
-        return d_forallR(d_cut(l, r1, x), g, r.conclusion.goal.var)
+        return d_forallR(d_cut(l, r1, x), g, alpha)
     if r.rule == "cut":
-        w = cut_var(r)
+        w, = rule_params(r)
         r1, r2 = r.premises
         if r1.conclusion.lookup(x) is not None:
             return d_cut(d_cut(l, r1, x), r2, w)
@@ -299,16 +206,15 @@ def _commute_right(d, l, r, x):
 def _commute_left(d, l, r, x):
     rnames = context_names(r.conclusion.context)
     if l.rule == "lolliL":
-        y, w = lolliL_vars(l)
+        y, w = rule_params(l)
         l2, w = _ensure_fresh(l.premises[1], w, rnames)
         return d_lolliL(l.premises[0], d_cut(l2, r, x), y, w)
     if l.rule in ("withL1", "withL2"):
-        y, w, other = withL_vars(l)
+        y, w, other = rule_params(l)
         l1, w = _ensure_fresh(l.premises[0], w, rnames)
-        return d_withL(1 if l.rule == "withL1" else 2, d_cut(l1, r, x), y, w, other)
+        return CONSTRUCTORS[l.rule](d_cut(l1, r, x), y, w, other)
     if l.rule == "forallL":
-        z = forallL_var(l)
-        return d_forallL(d_cut(l.premises[0], r, x), z, l.conclusion.lookup(z))
+        return d_forallL(d_cut(l.premises[0], r, x), *rule_params(l))
     raise ElimStepError("cannot commute past %s on the left" % l.rule)
 
 
@@ -319,30 +225,30 @@ def reassociate_blocked(d: Derivation) -> Derivation:
     instead waits for the inner cut (the opposite reassociation would undo
     this one, so pairing them loops)."""
     l, r = d.premises
-    x = cut_var(d)
+    x, = rule_params(d)
     if l.rule != "cut":
         raise ElimStepError("left premise is not a cut")
-    w = cut_var(l)
+    w, = rule_params(l)
     l2, w = _ensure_fresh(l.premises[1], w, context_names(r.conclusion.context))
     return d_cut(l.premises[0], d_cut(l2, r, x), w)
 
 
 def fire_symmetric(d: Derivation) -> Derivation:
     l, r = d.premises
-    x = cut_var(d)
+    x, = rule_params(d)
     if r.rule == "ax":
         return l
     if l.rule == "ax":
         y = l.conclusion.context[0][0]
         return rename_assumption(r, x, y)
     if l.rule == "lolliR" and r.rule == "lolliL":
-        z = lolliR_var(l)
+        z, = rule_params(l)
         r1, r2 = r.premises
-        _, w = lolliL_vars(r)
+        _, w = rule_params(r)
         l1, z = _ensure_fresh(l.premises[0], z, context_names(r1.conclusion.context))
         return d_cut(d_cut(r1, l1, z), r2, w)
     if l.rule == "forallR" and r.rule == "forallL":
-        g = find_eigenvariable(l)
+        g, _ = rule_params(l)
         quant = l.conclusion.goal
         inst = r.premises[0].conclusion.lookup(x)
         m = match_instantiation(quant.body, quant.var, inst)
@@ -356,7 +262,7 @@ def fire_symmetric(d: Derivation) -> Derivation:
             l1 = subst_type_deriv(l1, g, b)
         return d_cut(l1, r.premises[0], x)
     if l.rule == "withR0" and r.rule in ("withL1", "withL2"):
-        _, w, _ = withL_vars(r)
+        _, w, _ = rule_params(r)
         comp = l.premises[0] if r.rule == "withL1" else l.premises[1]
         return d_cut(comp, r.premises[0], w)
     raise ElimStepError("cut (%s, %s) is not symmetric" % (l.rule, r.rule))

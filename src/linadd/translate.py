@@ -18,9 +18,9 @@ from .typesys import (
     tensor_type, unit_type, type_size,
 )
 from .derivation import (
-    Derivation, check, CheckError,
-    context_names,
-    d_app, d_ax, d_cut, d_forallL, d_forallR, d_inst, d_lolliL, d_lolliR,
+    CONSTRUCTORS, Derivation, check, CheckError,
+    context_names, rule_params,
+    d_app, d_ax, d_forallR, d_inst, d_lolliL, d_lolliR,
 )
 
 
@@ -340,53 +340,33 @@ def translate_derivation(d: Derivation, lib: GadgetLibrary | None = None) -> Der
 
 
 def _translate_node(d: Derivation, go, lib: GadgetLibrary) -> Derivation:
-    from .steps import (cut_var, lolliR_var, lolliL_vars, withL_vars,
-                        forallL_var)
     rule = d.rule
-    if rule == "ax":
-        (x, a), = d.conclusion.context
-        return d_ax(x, translate_type(a))
-    if rule == "cut":
-        x = cut_var(d)
-        return d_cut(go(d.premises[0]), go(d.premises[1]), x)
-    if rule == "lolliR":
-        return d_lolliR(go(d.premises[0]), lolliR_var(d))
-    if rule == "lolliL":
-        y, x = lolliL_vars(d)
-        return d_lolliL(go(d.premises[0]), go(d.premises[1]), y, x)
+    params = rule_params(d)
+    if rule in ("ax", "forallL"):
+        x, a = params
+        return CONSTRUCTORS[rule](*map(go, d.premises), x, translate_type(a))
+    if rule in ("cut", "lolliR", "lolliL", "forallR"):
+        return CONSTRUCTORS[rule](*map(go, d.premises), *params)
     if rule == "withR0":
         return d_tensor_pair(go(d.premises[0]), go(d.premises[1]))
     if rule in ("withL1", "withL2"):
-        i = 1 if rule == "withL1" else 2
-        y, x, _ = withL_vars(d)
-        ab = d.conclusion.lookup(y)
-        keep = translate_type(ab.left if i == 1 else ab.right)
-        drop = translate_type(ab.right if i == 1 else ab.left)
-        other = fresh_name("d", free_vars(d.conclusion.subject)
-                           | context_names(d.conclusion.context) | {x})
-        body = go(d.premises[0])
-        e = d_app(lib.eraser(drop), d_ax(other, drop))
-        body = d_let_unit(e, body)
-        x1, x2 = (x, other) if i == 1 else (other, x)
-        return d_let_tensor(d_ax(y, translate_type(ab)), body, x1, x2)
+        y, x, other = params
+        drop = translate_type(other)
+        z = fresh_name("d", free_vars(d.conclusion.subject)
+                       | context_names(d.conclusion.context) | {x})
+        e = d_app(lib.eraser(drop), d_ax(z, drop))
+        body = d_let_unit(e, go(d.premises[0]))
+        x1, x2 = (x, z) if rule == "withL1" else (z, x)
+        ab = translate_type(d.conclusion.lookup(y))
+        return d_let_tensor(d_ax(y, ab), body, x1, x2)
     if rule == "withR1":
-        from .steps import principal_var
-        x = principal_var(d)
-        (x1, _), = d.premises[0].conclusion.context
+        x, = params
+        (x1, a), = d.premises[0].conclusion.context
         (x2, _), = d.premises[1].conclusion.context
-        a = translate_type(d.premises[0].conclusion.context[0][1])
+        a = translate_type(a)
         dup = lib.duplicator(a)
         pair = d_tensor_pair(go(d.premises[0]), go(d.premises[1]))
         return d_let_tensor(d_app(dup, d_ax(x, a)), pair, x1, x2)
-    if rule == "forallR":
-        from .derivation import find_eigenvariable
-        g = find_eigenvariable(d)
-        alpha = d.conclusion.goal.var
-        return d_forallR(go(d.premises[0]), g, alpha)
-    if rule == "forallL":
-        x = forallL_var(d)
-        return d_forallL(go(d.premises[0]), x,
-                         translate_type(d.conclusion.lookup(x)))
     raise ValueError("cannot translate rule %r" % (rule,))
 
 

@@ -4,7 +4,8 @@
 
 `1` (the unit) and `A * B` (the tensor) are macros over -o and forall and are
 expanded on construction.  Types compare and hash modulo renaming of bound
-variables: `==` goes through a cached de-Bruijn skeleton, as required for
+variables: `==` walks -o and & pairwise and compares a cached de-Bruijn
+skeleton at each quantifier; the hash is the skeleton's, as required for
 context lookup and memoized proof search.
 
 Polarity of a subtype occurrence flips through the left of -o and is preserved
@@ -34,11 +35,29 @@ class Type:
         return s
 
     def __eq__(self, other):
-        if self is other:
-            return True
+        # Paired -o and & nodes are walked with a stack, and shared subtrees
+        # are skipped by identity, so comparing a freshly built type costs
+        # its new nodes; only a quantifier compares whole skeletons.
         if not isinstance(other, Type):
             return NotImplemented
-        return self._skeleton() == other._skeleton()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind is Lolli:
+                stack += ((a.cod, b.cod), (a.dom, b.dom))
+            elif kind is With:
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif kind is TVar:
+                if a.name != b.name:
+                    return False
+            elif a._skeleton() != b._skeleton():
+                return False
+        return True
 
     def __hash__(self):
         return hash(self._skeleton())

@@ -54,6 +54,21 @@ def test_check_reports_failures(tmp_path, capsys):
     assert rep["verdict"] == "fail" and rep["details"]
 
 
+@pytest.mark.parametrize("text", [
+    # fails check: an axiom with no assumption
+    '(rule ax (seq () "x" "forall a. a -o a"))',
+    # checks, but the conclusion has a negative forall
+    '(rule lolliR (seq () "\\x. x" "(forall a. a) -o forall a. a")'
+    ' (rule ax (seq ((x "forall a. a")) "x" "forall a. a")))',
+], ids=["fails-check", "not-forall-lazy"])
+def test_cutelim_rejects_input(tmp_path, capsys, text):
+    f = tmp_path / "in.lamd"
+    f.write_text(text + "\n")
+    code, rep = run_json(capsys, "cutelim", str(f))
+    assert code == 1
+    assert rep["verdict"] == "fail" and rep["details"]
+
+
 def test_normalize_term_file(tmp_path, capsys):
     f = tmp_path / "t.lam"
     f.write_text("(\\x. x) (\\y. y)\n")

@@ -175,3 +175,31 @@ def test_subject_size_at_most_twice_derivation_size(corpus):
 def test_malformed_forallR_is_a_violation(text):
     bad = check(parse_derivation(text))
     assert bad and bad[0].rule == "forallR"
+
+
+def test_recovered_parameters_match_the_stored_ones(corpus):
+    from linadd.derivation import rule_params
+    from linadd.frontend import print_derivation
+    from linadd.typesys import free_type_vars
+    for e in corpus:
+        todo = [(e.derivation, parse_derivation(print_derivation(e.derivation)))]
+        while todo:
+            d, back = todo.pop()
+            assert back.params is None
+            got, want = rule_params(back), d.params
+            if d.rule == "forallR" and want[0] not in free_type_vars(
+                    d.premises[0].conclusion.goal):
+                got, want = got[1:], want[1:]  # vacuous: any fresh eigenvariable
+            assert got == want, (e.name, d.rule)
+            todo.extend(zip(d.premises, back.premises))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: d_withR(d_ax("x", ONE), d_ax("y", ONE)),
+    lambda: d_withR1(d_ax("x1", ONE), d_ax("x2", ONE), d_ax("g", ONE), "x"),
+    # |- \x. x : (g -o a) -o g -o a, with g bound as the free a
+    lambda: d_forallR(d_lolliR(d_ax("x", Lolli(TVar("g"), TVar("a"))), "x"), "g", "a"),
+], ids=["withR-contexts-differ", "withR1-open-guard", "forallR-capture"])
+def test_constructors_reject_unsound_instances(build):
+    with pytest.raises(ValueError):
+        build()

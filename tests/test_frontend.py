@@ -60,7 +60,9 @@ def test_parse_error_is_located():
 
 
 # Message, span and `expected` of the error on each malformed input.  Spans
-# count from the start of the input, also inside a quoted string.
+# count from the start of the input, also inside a quoted string; a
+# structural error in a derivation spans the first character of the
+# offending item.
 _PARSE_ERRORS = [
     (parse_derivation, '(rule ax (seq () "x',
      "unterminated string", (17, 19), ()),
@@ -84,7 +86,7 @@ _PARSE_ERRORS = [
     (parse_derivation, '(rule ax (seq () "x" "a -o"))',
      "unexpected 'end of input'", (26, 26), ("type",)),
     (parse_derivation, "(foo)",
-     "derivation must be (rule NAME (seq ...) PREMISE...)", (0, 0), ()),
+     "derivation must be (rule NAME (seq ...) PREMISE...)", (0, 1), ()),
     (parse_derivation, "", "unexpected 'end of input'", (0, 0),
      ("s-expression",)),
     (parse_type, "a -o", "unexpected 'end of input'", (4, 4), ("type",)),
@@ -92,6 +94,20 @@ _PARSE_ERRORS = [
     (parse_type, "forall . a", "unexpected '.'", (7, 8), ("type variable",)),
     (parse_term, "\\x.", "unexpected 'end of input'", (3, 3), ("term",)),
     (parse_term, "copy[x] y as a b", "unexpected 'b'", (15, 16), ("','",)),
+    (parse_derivation, " foo",
+     "derivation must be (rule NAME (seq ...) PREMISE...)", (1, 2), ()),
+    (parse_derivation, '(rule ax (seq () "x" "a") foo)',
+     "derivation must be (rule NAME (seq ...) PREMISE...)", (26, 27), ()),
+    (parse_derivation, '(rule (ax) (seq () "x" "a"))',
+     "rule name must be an atom", (6, 7), ()),
+    (parse_derivation, "(rule ax (foo))",
+     'judgement must be (seq ((x "A") ...) "TERM" "TYPE")', (9, 10), ()),
+    (parse_derivation, '(rule ax (seq x "x" "a"))',
+     "context must be a list of bindings", (14, 15), ()),
+    (parse_derivation, '(rule ax (seq ((x)) "x" "a"))',
+     'binding must be (name "TYPE")', (15, 16), ()),
+    (parse_derivation, '(rule ax (seq () "x" a))',
+     "subject and goal must be quoted strings", (21, 22), ()),
 ]
 
 
@@ -153,7 +169,9 @@ def test_deep_binder_prefix_parses():
 
 
 def test_deep_forall_prefix_parses():
-    a = parse_type("".join("forall a%d. " % i for i in range(DEEP)) + "a0")
+    src = "".join("forall a%d. " % i for i in range(DEEP)) + "a0"
+    a = parse_type(src)
+    assert print_type(a) == src
     for i in range(DEEP):
         assert isinstance(a, Forall) and a.var == "a%d" % i
         a = a.body
@@ -161,7 +179,10 @@ def test_deep_forall_prefix_parses():
 
 
 def test_long_lolli_chain_parses():
-    a = parse_type(" -o ".join(["a"] * (DEEP + 1)))
+    src = " -o ".join(["a"] * (DEEP + 1))
+    a = parse_type(src)
+    assert print_type(a) == src
+    assert a == parse_type(src)
     for _ in range(DEEP):
         assert isinstance(a, Lolli) and a.dom == TVar("a")
         a = a.cod
