@@ -15,18 +15,14 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .terms import alpha_equal, term_size
-from .typesys import bool_type, tensor_type, type_size, unit_type
-from .derivation import (
-    LAM, CheckError, check, is_cut_free, metrics,
-)
-from .reduce import BudgetExceeded, normalize, push_reduction, beta_eta_equal
+from .terms import term_size
+from .typesys import bool_type, unit_type
+from .derivation import LAM, CheckError, check, metrics
+from .reduce import BudgetExceeded, normalize
 from .cutelim import CutElimError, eliminate
 from .inhabit import InhabitError, enumerate_inhabitants, eta_expand
 from .translate import (
-    GadgetError, GadgetLibrary, check_soundness, compression_report,
-    d_tensor_pair, d_app, identity_derivation, translate_derivation,
-    translate_type,
+    GadgetError, GadgetLibrary, compression_report, translate_derivation,
 )
 from .families import gen_add, gen_applied, gen_ladd
 from .frontend import (
@@ -34,6 +30,7 @@ from .frontend import (
     print_derivation, print_term, print_type,
 )
 from . import corpus as corpus_mod
+from . import suites
 
 
 class Report:
@@ -268,141 +265,19 @@ def cmd_gen(args) -> int:
 
 # -- suites -------------------------------------------------------------------
 
-def _suite_subject_reduction(report: Report, args):
-    """Every one-step reduct of every corpus subject has a rebuilt, rechecked
-    derivation of the same judgement."""
-    from .reduce import find_redexes
-    entries = corpus_mod.lam_entries(corpus_mod.build_corpus(seed=args.seed))
-    checked = 0
-    for e in entries:
-        d = e.derivation
-        for r in find_redexes(d.conclusion.subject):
-            d2 = push_reduction(d, r)
-            bad = check(d2, LAM)
-            if bad:
-                report.fail("%s: reduct fails to check: %s" % (e.name, bad[0]))
-                return
-            checked += 1
-    report.measurements.update(entries=len(entries), reducts_checked=checked)
-
-
-def _suite_blowup(report: Report, args):
-    """add grows results exponentially in n + 1 steps; ladd stays linear and
-    shrinks at every one of its 2n + 1 steps."""
-    one = unit_type()
-    table = []
-    for n in range(1, 9):
-        at, ad = gen_add(n, one)
-        lt, ld = gen_ladd(n, one)
-        add_app = gen_applied(ad, identity_derivation())
-        ladd_app = gen_applied(ld, identity_derivation())
-        ra = normalize(add_app.conclusion.subject)
-        rl = normalize(ladd_app.conclusion.subject, keep_trace=True)
-        row = {"n": n, "add_size": term_size(at), "ladd_size": term_size(lt),
-               "add_steps": ra.steps, "ladd_steps": rl.steps,
-               "add_nf_size": term_size(ra.term),
-               "ladd_nf_size": term_size(rl.term)}
-        table.append(row)
-        if term_size(at.body) != 5 * n + 1:
-            report.fail("add size law fails at n=%d" % n)
-        if ra.steps != n + 1 or rl.steps != 2 * n + 1:
-            report.fail("step count law fails at n=%d" % n)
-        sizes = [term_size(ladd_app.conclusion.subject)]
-        sizes += [term_size(t) for _, t in rl.trace]
-        if any(b >= a for a, b in zip(sizes, sizes[1:])):
-            report.fail("ladd size not strictly decreasing at n=%d" % n)
-    report.measurements["table"] = table
-
-
-def _suite_cutelim_cubic(report: Report, args):
-    """Elimination steps stay within a cubic bound fitted on the smallest
-    family members."""
-    fam = corpus_mod.cubic_family(8)
-    rows = []
-    for n, d in fam:
-        out, trace = eliminate(d)
-        if not is_cut_free(out):
-            report.fail("n=%d: result retains a cut" % n)
-        rows.append({"n": n, "size": metrics(d).size,
-                     "steps": trace.total_steps})
-    fit = max(r["steps"] / r["size"] ** 3 for r in rows[:3])
-    for r in rows:
-        if r["steps"] > fit * r["size"] ** 3 + 1e-9:
-            report.fail("cubic bound violated at n=%d" % r["n"])
-    report.measurements.update(constant=fit, table=rows)
-
-
-def _suite_duplicator(report: Report, args):
-    """Erasers discard and duplicators duplicate every closed normal
-    inhabitant, beta-eta."""
-    lib = GadgetLibrary()
-    one, b = unit_type(), bool_type()
-    cases = [one, b, tensor_type(b, b)]
-    total = 0
-    for a in cases:
-        inhabitants = enumerate_inhabitants(a)
-        era, dup = lib.eraser(a), lib.duplicator(a)
-        for _, vd in inhabitants.members:
-            tv = translate_derivation(vd, lib)
-            v = tv.conclusion.subject
-            if not beta_eta_equal(d_app(era, tv).conclusion.subject,
-                                  identity_derivation().conclusion.subject):
-                report.fail("eraser fails on an inhabitant of %s" % print_type(a))
-            want = d_tensor_pair(tv, tv).conclusion.subject
-            if not beta_eta_equal(d_app(dup, tv).conclusion.subject, want):
-                report.fail("duplicator fails on an inhabitant of %s" % print_type(a))
-            total += 1
-    report.measurements.update(types=len(cases), inhabitants_checked=total)
-
-
-def _suite_soundness(report: Report, args):
-    """Each elimination step's translation preserves the subject beta-eta."""
-    entries = corpus_mod.soundness_entries(corpus_mod.build_corpus(seed=args.seed))
-    lib = GadgetLibrary()
-    steps = 0
-    for e in entries:
-        _, trace = eliminate(e.derivation, keep_derivations=True)
-        for before, after in zip(trace.snapshots, trace.snapshots[1:]):
-            if not check_soundness(before, after, lib):
-                report.fail("%s: translation not preserved across a step" % e.name)
-                return
-            steps += 1
-    report.measurements.update(entries=len(entries), steps_checked=steps)
-
-
-def _suite_confluence(report: Report, args):
-    """Leftmost, rightmost, and seeded random strategies reach the same
-    normal form on every corpus subject."""
-    entries = corpus_mod.lam_entries(corpus_mod.build_corpus(seed=args.seed))
-    for e in entries:
-        t = e.derivation.conclusion.subject
-        ref = normalize(t, strategy="leftmost").term
-        others = [normalize(t, strategy="rightmost").term]
-        for s in range(3):
-            others.append(normalize(t, strategy="random", seed=s).term)
-        if any(not alpha_equal(ref, o) for o in others):
-            report.fail("%s: strategies disagree on the normal form" % e.name)
-            return
-    report.measurements.update(entries=len(entries), strategies=5)
-
-
-_SUITES = {
-    "subject-reduction": _suite_subject_reduction,
-    "blowup": _suite_blowup,
-    "cutelim-cubic": _suite_cutelim_cubic,
-    "duplicator": _suite_duplicator,
-    "soundness": _suite_soundness,
-    "confluence": _suite_confluence,
-}
-
-
 def cmd_suite(args) -> int:
-    names = list(_SUITES) if args.name == "all" else [args.name]
+    names = list(suites.SUITES) if args.name == "all" else [args.name]
+    corpus, gadgets = None, GadgetLibrary()
     code = 0
     for name in names:
         report = Report("suite", {"name": name, "seed": args.seed})
         try:
-            _SUITES[name](report, args)
+            if corpus is None and name in suites.CORPUS_SUITES:
+                corpus = corpus_mod.build_corpus(seed=args.seed)
+            res = suites.SUITES[name](corpus, gadgets)
+            report.measurements = res.measurements
+            for message in res.failures:
+                report.fail(message)
         except Exception as e:  # suite failures never abort the process
             report.fail("%s: %s" % (type(e).__name__, e))
         report.passed()
@@ -475,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("suite", help="run a verification suite")
-    sp.add_argument("name", choices=tuple(_SUITES) + ("all",))
+    sp.add_argument("name", choices=tuple(suites.SUITES) + ("all",))
     common(sp)
     sp.set_defaults(fn=cmd_suite)
 

@@ -8,8 +8,7 @@ Types:   a | A -o B | A & B | forall a. A | 1 | A * B          (macros)
 
 `-o` is right-associative; `&` and `*` bind tighter and associate left;
 application is left-associative.  Macros are expanded while parsing and are
-never represented in the AST; the printers emit the expanded form unless
-``use_macros`` is set, in which case unit and tensor shapes are re-sugared.
+never represented in the AST; the printers emit the expanded form.
 
 Derivations are s-expressions
 
@@ -38,13 +37,9 @@ from typing import NamedTuple
 
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
-    alpha_equal, free_vars, identity_term, let_tensor, let_unit,
-    match_tensor_term, tensor_term,
+    alpha_equal, free_vars, identity_term, let_tensor, let_unit, tensor_term,
 )
-from .typesys import (
-    Forall, Lolli, TVar, Type, With,
-    is_unit_type, match_tensor_type, tensor_type, unit_type,
-)
+from .typesys import Forall, Lolli, TVar, Type, With, tensor_type, unit_type
 from .derivation import Derivation, Judgement
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
@@ -222,12 +217,10 @@ def parse_type(src: str) -> Type:
     return _parse_all(_parse_type, src)
 
 
-def print_type(a: Type, use_macros: bool = False) -> str:
+def print_type(a: Type) -> str:
     def atom(t):
         s = go(t)
-        if isinstance(t, (Lolli, Forall, With)) and s not in ("1",):
-            return "(%s)" % s
-        if use_macros and match_tensor_type(t) is not None:
+        if isinstance(t, (Lolli, Forall, With)):
             return "(%s)" % s
         return s
 
@@ -236,14 +229,6 @@ def print_type(a: Type, use_macros: bool = False) -> str:
         # in a loop, as the parser reads them
         parts = []
         while True:
-            if use_macros:
-                if is_unit_type(t):
-                    parts.append("1")
-                    break
-                m = match_tensor_type(t)
-                if m is not None:
-                    parts.append("%s * %s" % (atom(m[0]), atom(m[1])))
-                    break
             if isinstance(t, Forall):
                 parts.append("forall %s. " % t.var)
                 t = t.body
@@ -381,37 +366,26 @@ def parse_term(src: str) -> Term:
     return _parse_all(_parse_term, src)
 
 
-def print_term(m: Term, use_macros: bool = False) -> str:
+def print_term(m: Term) -> str:
     def atom(t):
         s = go(t)
         if isinstance(t, (Var, Pair, Proj)):
-            return s
-        if s == "I":
             return s
         return "(%s)" % s
 
     def appside(t):
         # left side of application: applications stay bare
-        if isinstance(t, App) and not (use_macros and match_tensor_term(t)):
+        if isinstance(t, App):
             return go(t)
         return atom(t)
 
-    def is_macro(t):
-        return alpha_equal(t, identity_term()) or match_tensor_term(t) is not None
-
     def go(t):
-        if use_macros:
-            if isinstance(t, Abs) and alpha_equal(t, identity_term()):
-                return "I"
-            mt = match_tensor_term(t)
-            if mt is not None:
-                return "%s * %s" % (atom(mt[0]), atom(mt[1]))
         if isinstance(t, Var):
             return t.name
         if isinstance(t, Abs):
             # a `\x.` prefix is printed in a loop, as the parser reads it
             binders = []
-            while isinstance(t, Abs) and not (binders and use_macros and is_macro(t)):
+            while isinstance(t, Abs):
                 binders.append("\\%s. " % t.var)
                 t = t.body
             return "".join(binders) + go(t)
@@ -578,8 +552,3 @@ def load_term(path: str) -> Term:
 def load_derivation(path: str) -> Derivation:
     with open(path) as f:
         return parse_derivation(f.read())
-
-
-def save(path: str, text: str) -> None:
-    with open(path, "w") as f:
-        f.write(text if text.endswith("\n") else text + "\n")

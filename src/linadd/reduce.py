@@ -34,9 +34,6 @@ from .terms import (
 )
 from .derivation import rebuild, rule_params
 
-REDEX_KINDS = ("beta", "proj", "copy", "let_unit", "let_tensor", "eta")
-
-
 @dataclass(frozen=True)
 class Redex:
     path: tuple

@@ -37,7 +37,10 @@ class Type:
     def __eq__(self, other):
         # Paired -o and & nodes are walked with a stack, and shared subtrees
         # are skipped by identity, so comparing a freshly built type costs
-        # its new nodes; only a quantifier compares whole skeletons.
+        # its new nodes; a node whose two children are one object on both
+        # sides pushes that pair once, so a shared DAG such as
+        # with_tower(t, n) costs n, not 2^n.  Only a quantifier compares
+        # whole skeletons.
         if not isinstance(other, Type):
             return NotImplemented
         stack = [(self, other)]
@@ -49,9 +52,15 @@ class Type:
             if kind is not type(b):
                 return False
             if kind is Lolli:
-                stack += ((a.cod, b.cod), (a.dom, b.dom))
+                if a.dom is a.cod and b.dom is b.cod:
+                    stack.append((a.dom, b.dom))
+                else:
+                    stack += ((a.cod, b.cod), (a.dom, b.dom))
             elif kind is With:
-                stack += ((a.right, b.right), (a.left, b.left))
+                if a.left is a.right and b.left is b.right:
+                    stack.append((a.left, b.left))
+                else:
+                    stack += ((a.right, b.right), (a.left, b.left))
             elif kind is TVar:
                 if a.name != b.name:
                     return False

@@ -11,7 +11,6 @@ from linadd.derivation import (
 )
 from linadd.families import gen_applied, gen_ladd
 from linadd.inhabit import maximal_value
-from linadd.reduce import normalize
 from linadd.steps import (
     BLOCKED, COPY_FIRST, CRITICAL, DEADLOCK, READY, SYMMETRIC,
     classify_cut, classify_cuts,
@@ -104,17 +103,6 @@ def test_snapshots_chain_and_simulate():
     assert trace.snapshots[-1] is out
     for before, after in zip(trace.snapshots, trace.snapshots[1:]):
         assert verify_simulation(before, after)
-
-
-def test_elimination_matches_reduction_on_corpus(corpus):
-    for e in elimination_entries(corpus):
-        out, _ = eliminate(e.derivation)
-        assert is_cut_free(out), e.name
-        check_ok(out)
-        nf = normalize(e.derivation.conclusion.subject).term
-        assert alpha_equal(out.conclusion.subject, nf), e.name
-        if not e.derivation.conclusion.context:
-            assert is_value(out.conclusion.subject), e.name
 
 
 def test_budget_is_enforced():

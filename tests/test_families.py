@@ -4,7 +4,6 @@ from linadd.families import (
     value_tower_derivation, with_tower,
 )
 from linadd.inhabit import maximal_value
-from linadd.reduce import normalize
 from linadd.terms import Abs, alpha_equal, identity_term, term_size
 from linadd.translate import identity_derivation
 from linadd.typesys import With, bool_type, unit_type
@@ -38,15 +37,6 @@ def test_add_checks_in_imall2_but_not_lam():
     assert check(d, "lam")
 
 
-def test_add_step_count_and_result():
-    for n in range(1, 5):
-        _, d = gen_add(n, ONE)
-        applied = gen_applied(d, ID)
-        res = normalize(applied.conclusion.subject)
-        assert res.steps == n + 1
-        assert alpha_equal(res.term, pair_tower(identity_term(), n))
-
-
 def test_ladd_checks_in_lam():
     for n in range(4):
         _, d = gen_ladd(n, ONE)
@@ -67,18 +57,6 @@ def test_ladd_over_bool_size():
     for n in range(4):
         t, _ = gen_ladd(n, B)
         assert term_size(t.body) == ladd_size_formula(n, guard)
-
-
-def test_ladd_reduction_shrinks_every_step():
-    for n in range(1, 5):
-        _, d = gen_ladd(n, ONE)
-        applied = gen_applied(d, ID)
-        res = normalize(applied.conclusion.subject, keep_trace=True)
-        assert res.steps == 2 * n + 1
-        sizes = [term_size(applied.conclusion.subject)]
-        sizes += [term_size(t) for _, t in res.trace]
-        assert all(b < a for a, b in zip(sizes, sizes[1:]))
-        assert alpha_equal(res.term, pair_tower(identity_term(), n))
 
 
 def test_value_tower_derivation():

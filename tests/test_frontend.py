@@ -247,12 +247,6 @@ def test_type_round_trip(a):
     assert parse_type(print_type(a)) == a
 
 
-@settings(max_examples=100, deadline=None)
-@given(_types())
-def test_type_round_trip_with_macros(a):
-    assert parse_type(print_type(a, use_macros=True)) == a
-
-
 def _judgement_types(d):
     """Every context and goal type of every node of d."""
     out, todo = [], [d]

@@ -110,3 +110,18 @@ def test_size_bound_on_members():
     for a in (ONE, B, tensor_type(B, B)):
         for t, d in enumerate_inhabitants(a).members:
             assert term_size(t) <= 2 * metrics(d).size
+
+
+@pytest.mark.parametrize("a,count", [
+    (tensor_type(ONE, ONE), 1),
+    (tensor_type(B, B), 4),
+    (tensor_type(ONE, B), 2),
+    (tensor_type(ONE, tensor_type(ONE, ONE)), 1),
+    (tensor_type(tensor_type(B, B), B), 8),
+], ids=["1*1", "B*B", "1*B", "1*(1*1)", "B*B*B"])
+def test_tensor_fast_path_matches_generic_search(a, count):
+    fast = enumerate_inhabitants(a).terms()
+    slow = enumerate_inhabitants(a, use_fast_paths=False).terms()
+    assert len(fast) == len(slow) == count
+    for t in fast:
+        assert sum(alpha_equal(t, u) for u in slow) == 1

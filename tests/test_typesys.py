@@ -1,3 +1,5 @@
+import time
+
 from linadd.typesys import (
     Forall, Lolli, TVar, With,
     bool_type, classify_type, free_type_vars, is_closed, is_forall_lazy,
@@ -81,3 +83,17 @@ def test_judgement_folds_context_into_the_goal():
 def test_type_sizes_are_positive_and_monotone():
     assert type_size(TVar("a")) == 1
     assert type_size(ONE) < type_size(B)
+
+
+def test_equality_of_shared_towers_walks_each_level_once():
+    # with_tower(t, n) shares one child under both sides of every &; two
+    # separately built towers compare in n pair visits, not 2^n
+    from linadd.families import with_tower
+    started = time.perf_counter()
+    assert with_tower(ONE, 24) == with_tower(ONE, 24)
+    assert with_tower(ONE, 24) != with_tower(B, 24)
+    one = unit_type()
+    assert Lolli(ONE, ONE) == Lolli(one, one)
+    assert Lolli(ONE, ONE) != Lolli(B, B)
+    assert Lolli(ONE, ONE) != Lolli(one, B)
+    assert time.perf_counter() - started < 1.0
