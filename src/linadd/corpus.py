@@ -13,10 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .terms import is_value
-from .typesys import (
-    Forall, Lolli, TVar, With,
-    bool_type, judgement_is_forall_lazy, tensor_type, unit_type,
-)
+from .typesys import bool_type, judgement_is_forall_lazy, tensor_type, unit_type
 from .derivation import (
     Derivation, LAM, check, d_ax, d_cut, d_lolliL, d_lolliR, d_withL,
     d_withR1, d_forallL, is_cut_free, is_eta_expanded, metrics,
@@ -58,19 +55,14 @@ def _entry(out, name, d, system=LAM, tags=()):
 
 # -- landmark derivations -----------------------------------------------------
 
-def unit_value_derivation() -> Derivation:
-    """|- I : 1 in eta-long form."""
-    return identity_derivation()
-
-
 def deadlock_example() -> Derivation:
     """A critical cut that can never fire: the copied argument y I is built
     from an assumption, so no amount of reduction turns it into a value."""
     one = unit_type()
-    use = d_lolliL(unit_value_derivation(), d_ax("w", one), "y", "w")
+    use = d_lolliL(identity_derivation(), d_ax("w", one), "y", "w")
     left = d_forallL(use, "y", one)          # y : 1 |- y I : 1
     right = d_withR1(d_ax("x1", one), d_ax("x2", one),
-                     unit_value_derivation(), "x")
+                     identity_derivation(), "x")
     return d_cut(left, right, "x")
 
 
@@ -79,7 +71,7 @@ def copy_first_example() -> Derivation:
     pair until the copy has fired."""
     one = unit_type()
     left = d_withR1(d_ax("x1", one), d_ax("x2", one),
-                    unit_value_derivation(), "x")
+                    identity_derivation(), "x")
     right = d_withL(1, d_ax("p", one), "y", "p", one)
     return d_cut(left, right, "y")
 
@@ -87,12 +79,12 @@ def copy_first_example() -> Derivation:
 def copy_first_enclosure() -> Derivation:
     """The copy-first example under an outer cut that closes its context; the
     enclosing derivation is forall-lazy and eliminates completely."""
-    return d_cut(unit_value_derivation(), copy_first_example(), "x")
+    return d_cut(identity_derivation(), copy_first_example(), "x")
 
 
 def deadlock_enclosure() -> Derivation:
     """The deadlock example under an outer cut that closes its context."""
-    return d_cut(unit_value_derivation(), deadlock_example(), "y")
+    return d_cut(identity_derivation(), deadlock_example(), "y")
 
 
 def cubic_family(max_n: int = 8):
@@ -101,7 +93,7 @@ def cubic_family(max_n: int = 8):
     out = []
     for n in range(1, max_n + 1):
         _, d = gen_ladd(n, unit_type())
-        out.append((n, gen_applied(d, unit_value_derivation())))
+        out.append((n, gen_applied(d, identity_derivation())))
     return out
 
 
@@ -164,7 +156,7 @@ def build_corpus(seed: int = 0, random_count: int = 160) -> list:
         _, d = gen_ladd(n, one)
         _entry(out, "ladd-unit-%d" % n, d)
         _entry(out, "ladd-unit-%d-applied" % n,
-               gen_applied(d, unit_value_derivation()))
+               gen_applied(d, identity_derivation()))
     for n in range(0, 5):
         _, d = gen_ladd(n, boolean)
         tags = () if n >= 3 else ("small",)

@@ -13,7 +13,8 @@ premise subderivations, and the parameters its rule was built with:
     withR1          x               left branch, right branch, guard
     withL1, withL2  y, x, other     one (y : A & B introduced, x consumed,
                                     other the component not projected)
-    forallR         gamma, alpha    one (eigenvariable gamma bound as alpha)
+    forallR         gamma, alpha    one (eigenvariable gamma bound, alpha
+                                    only the print hint of the binder)
     forallL         x, quant        one (x : quant, a forall, replaces x's
                                     instance)
 
@@ -23,9 +24,11 @@ raises ValueError on a schema mismatch.  `check` rebuilds every node with
 its rule's constructor and compares the result with the stated conclusion;
 beyond that it checks only what a constructor cannot see: the rule set of
 the system, arity, duplicate names, the context split of cut and lolliL,
-closure and laziness, the withR1 guard, and linearity.  Nodes built without
-parameters, as the parser builds them, get theirs from `rule_params`, which
-recovers them from the conclusion and premises.  The three systems:
+closure and laziness, the withR1 guard, and in lam linearity (which rejects
+nothing the rest accepts, but names every node that a bad premise made
+non-linear).  Nodes built without parameters, as the parser builds them, get
+theirs from `rule_params`, which recovers them from the conclusion and
+premises.  The three systems:
 
     imll2   ax, cut, lolliR, lolliL, forallR, forallL
     imall2  imll2 plus withR (shared-context pair), withL1/withL2
@@ -34,15 +37,16 @@ recovers them from the conclusion and premises.  The three systems:
             and forall-laziness side conditions
 
 Rules carry term decorations, so the left rules and cut perform substitutions
-in the subject.  Contexts are multisets of named, typed assumptions; cut and
-lolliL additionally demand that the free type variables of the two premise
-contexts be disjoint.
+in the subject, and lolliR, withR1 and forallR bind names (see `nameless`:
+no rule renames, and none can capture).  Contexts are multisets of named,
+typed assumptions; cut and lolliL additionally demand that the free type
+variables of the two premise contexts be disjoint.
 
 Checking memoizes on node identity, so derivations that share subderivations
 (a DAG) are checked once per distinct node.
 
 Each node caches its size, weight, height, summed cut heights and cut count
-in one lazily filled slot (see `terms.cache_up`), so `metrics` and
+in one lazily filled slot (see `nameless.cache_up`), so `metrics` and
 `is_cut_free` cost only the nodes built since the last query, and a search
 for cuts skips every cut-free subderivation.  The counts are taken with tree
 multiplicity: a shared subderivation counts once per occurrence.
@@ -54,14 +58,15 @@ from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
+from .nameless import cache_up
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
-    alpha_equal, cache_up, free_vars, is_value, subst,
+    free_vars, fresh_name, is_value, subst, term_size,
 )
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
-    free_type_vars, fresh_type_var, is_closed, is_forall_lazy,
-    subst_type, type_size,
+    close_type, free_type_vars, fresh_type_var, is_closed, is_forall_lazy,
+    match_instantiation, open_type, type_size,
 )
 
 LAM = "lam"
@@ -154,73 +159,21 @@ def context_names(ctx):
 
 
 def context_free_type_vars(ctx):
-    out = frozenset()
-    for _, a in ctx:
-        out |= free_type_vars(a)
-    return out
-
-
-def match_instantiation(body: Type, var: str, target: Type):
-    """Find B with body[B/var] == target, or None.  When var does not occur,
-    any B works and (True, None) distinguishes that from failure."""
-    hits = []
-
-    def go(a: Type, t: Type, env: dict) -> bool:
-        # env maps bound names of `a` to bound names of `t` (de Bruijn align).
-        if isinstance(a, TVar):
-            if a.name == var and var not in env:
-                hits.append(t)
-                return True
-            if a.name in env:
-                return isinstance(t, TVar) and t.name == env[a.name]
-            return isinstance(t, TVar) and t.name not in env.values() and t.name == a.name
-        if isinstance(a, Lolli):
-            return (isinstance(t, Lolli) and go(a.dom, t.dom, env)
-                    and go(a.cod, t.cod, env))
-        if isinstance(a, With):
-            return (isinstance(t, With) and go(a.left, t.left, env)
-                    and go(a.right, t.right, env))
-        if isinstance(a, Forall):
-            return (isinstance(t, Forall)
-                    and go(a.body, t.body, {**env, a.var: t.var}))
-        raise TypeError(a)
-
-    if not go(body, target, {}):
-        return None
-    if not hits:
-        return (True, None)
-    b0 = hits[0]
-    if any(b != b0 for b in hits[1:]):
-        return None
-    # Re-verify through real substitution (covers shadowing corner cases).
-    if subst_type(body, var, b0) != target:
-        return None
-    return (True, b0)
+    return frozenset().union(*(a._fv for _, a in ctx))
 
 
 def _linearity(j: Judgement):
-    """Every context variable occurs free in the subject, exactly once."""
-
-    def count(t: Term, x: str) -> int:
+    """The context names that do not occur free in the subject exactly once,
+    with their counts."""
+    counts: dict = {}
+    stack = [j.subject]
+    while stack:
+        t = stack.pop()
         if isinstance(t, Var):
-            return 1 if t.name == x else 0
-        if isinstance(t, Abs):
-            return 0 if t.var == x else count(t.body, x)
-        if isinstance(t, Copy):
-            n = count(t.guard, x) + count(t.scrutinee, x)
-            if t.left_var != x:
-                n += count(t.left_branch, x)
-            if t.right_var != x:
-                n += count(t.right_branch, x)
-            return n
-        return sum(count(c, x) for c in t.children())
-
-    bad = []
-    for n, _ in j.context:
-        c = count(j.subject, n)
-        if c != 1:
-            bad.append((n, c))
-    return bad
+            counts[t.name] = counts.get(t.name, 0) + 1
+        elif t._fv:
+            stack += t.children()
+    return [(n, counts.get(n, 0)) for n, _ in j.context if counts.get(n) != 1]
 
 
 def check(d: Derivation, system: str = LAM):
@@ -291,7 +244,7 @@ def _check_node(d, params, path, system, bad, eigens):
     differ = [part for part, same in (
         ("context", _same_context(j.context, built.context)),
         ("goal", j.goal == built.goal),
-        ("subject", alpha_equal(j.subject, built.subject))) if not same]
+        ("subject", j.subject == built.subject)) if not same]
     if differ:
         bad(path, d, rule, "the rule concludes a different %s" % " and ".join(differ))
         return
@@ -408,7 +361,7 @@ def _eigenvariable(j: Judgement, premise_goal: Type):
     quantified goal (a fresh name when the bound variable does not occur)."""
     if not isinstance(j.goal, Forall):
         return None
-    m = match_instantiation(j.goal.body, j.goal.var, premise_goal)
+    m = match_instantiation(j.goal, premise_goal)
     if m is None:
         return None
     _, b = m
@@ -431,7 +384,7 @@ def _instantiated(j: Judgement, pj: Judgement):
     for x in xs:
         a, inst = j.lookup(x), pj.lookup(x)
         if (isinstance(a, Forall) and inst is not None
-                and match_instantiation(a.body, a.var, inst) is not None):
+                and match_instantiation(a, inst) is not None):
             return x
     return None
 
@@ -463,37 +416,25 @@ def is_cut_free(d: Derivation) -> bool:
     return _stats(d)[4] == 0
 
 
+def _nodes(d: Derivation):
+    """Every distinct node of d, once each, without recursion."""
+    seen, todo = set(), [d]
+    while todo:
+        d = todo.pop()
+        if id(d) not in seen:
+            seen.add(id(d))
+            todo += d.premises
+            yield d
+
+
 def is_eta_expanded(d: Derivation) -> bool:
     """Cut-free with every axiom at an atomic type."""
-    seen = set()
-
-    def go(d):
-        if id(d) in seen:
-            return True
-        seen.add(id(d))
-        if d.rule == "cut":
-            return False
-        if d.rule == "ax" and not isinstance(d.conclusion.goal, TVar):
-            return False
-        return all(go(p) for p in d.premises)
-
-    return go(d)
+    return all(n.rule != "cut" and (
+        n.rule != "ax" or isinstance(n.conclusion.goal, TVar)) for n in _nodes(d))
 
 
 def uses_rules(d: Derivation) -> frozenset:
-    seen = set()
-    rules = set()
-
-    def go(d):
-        if id(d) in seen:
-            return
-        seen.add(id(d))
-        rules.add(d.rule)
-        for p in d.premises:
-            go(p)
-
-    go(d)
-    return frozenset(rules)
+    return frozenset(n.rule for n in _nodes(d))
 
 
 @dataclass
@@ -512,7 +453,6 @@ def metrics(d: Derivation) -> ProofMetrics:
 
 def check_size_bounds(d: Derivation) -> dict:
     """For eta-expanded derivations: |M| <= |ctx|+|goal| <= 2|D|."""
-    from .terms import term_size
     j = d.conclusion
     m = term_size(j.subject)
     seq = sum(type_size(a) for a in j.context_types()) + type_size(j.goal)
@@ -609,7 +549,7 @@ def d_withR1(b1: Derivation, b2: Derivation, guard: Derivation, x: str) -> Deriv
         raise ValueError("withR1 guard premise must be closed")
     (x1, a1), = b1.conclusion.context
     (x2, a2), = b2.conclusion.context
-    if a1 != a or a2 != a:
+    if not a1 == a2 == a:
         raise ValueError("branch assumptions must carry the guard type")
     sub = Copy(guard.conclusion.subject, Var(x), x1, x2,
                b1.conclusion.subject, b2.conclusion.subject)
@@ -632,17 +572,14 @@ def d_withL(i: int, d: Derivation, y: str, x: str, other: Type) -> Derivation:
 
 
 def d_forallR(d: Derivation, gamma: str, alpha: str) -> Derivation:
-    """Generalize the premise goal, abstracting eigenvariable gamma as alpha."""
+    """Generalize the premise goal over eigenvariable gamma, printed as
+    alpha where that captures nothing."""
     j = d.conclusion
     if gamma in context_free_type_vars(j.context):
         raise ValueError("eigenvariable %s free in context" % gamma)
-    if gamma != alpha and alpha in free_type_vars(j.goal):
-        raise ValueError("bound variable %s free in the premise goal" % alpha)
-    body = subst_type(j.goal, gamma, TVar(alpha)) if gamma != alpha else j.goal
-    return Derivation(
-        "forallR", Judgement(j.context, j.subject, Forall(alpha, body)), (d,),
-        (gamma, alpha),
-    )
+    goal = Forall(alpha, close_type(j.goal, gamma), True)
+    return Derivation("forallR", Judgement(j.context, j.subject, goal), (d,),
+                      (gamma, alpha))
 
 
 def d_forallL(d: Derivation, x: str, quant: Type) -> Derivation:
@@ -650,7 +587,7 @@ def d_forallL(d: Derivation, x: str, quant: Type) -> Derivation:
     inst = j.lookup(x)
     if inst is None:
         raise ValueError("no assumption %s" % x)
-    if not isinstance(quant, Forall) or match_instantiation(quant.body, quant.var, inst) is None:
+    if not isinstance(quant, Forall) or match_instantiation(quant, inst) is None:
         raise ValueError("assumption type is not an instance of %r" % (quant,))
     ctx = tuple((n, quant if n == x else a) for n, a in j.context)
     return Derivation("forallL", Judgement(ctx, j.subject, j.goal), (d,), (x, quant))
@@ -673,7 +610,6 @@ def rebuild(d: Derivation, prems: tuple) -> Derivation:
 def d_app(fun: Derivation, arg: Derivation) -> Derivation:
     """Natural-deduction application: cut the function into an implication-left
     on a fresh head variable."""
-    from .terms import fresh_name
     fj = fun.conclusion
     if not isinstance(fj.goal, Lolli):
         raise ValueError("function premise must have implication type")
@@ -687,11 +623,10 @@ def d_app(fun: Derivation, arg: Derivation) -> Derivation:
 
 def d_inst(d: Derivation, b: Type) -> Derivation:
     """Use a universally quantified conclusion at an instance type."""
-    from .terms import fresh_name
     j = d.conclusion
     if not isinstance(j.goal, Forall):
         raise ValueError("conclusion is not quantified")
     x = fresh_name("u", context_names(j.context) | free_vars(j.subject))
-    inst = subst_type(j.goal.body, j.goal.var, b)
+    inst = open_type(j.goal.body, b)
     use = d_forallL(d_ax(x, inst), x, j.goal)
     return d_cut(d, use, x)

@@ -9,7 +9,7 @@ the single-assumption pair rule, and reduction strictly shrinks the term.
 
 from __future__ import annotations
 
-from .terms import Abs, App, Copy, Pair, Var, Term, term_size
+from .terms import Abs, App, Copy, Pair, Var, Term
 from .typesys import Type, With
 from .derivation import (
     Derivation, d_app, d_ax, d_lolliR, d_withR, d_withR0, d_withR1,

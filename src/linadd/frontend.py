@@ -17,29 +17,34 @@ Derivations are s-expressions
 with terms and types embedded as double-quoted strings in the syntax above.
 `;` starts a line comment in every format.
 
-Every judgement restates its whole context, so one file names the same type
-many times.  `parse_derivation` therefore parses each distinct type text once
-per call, and equal texts share one Type object (safe, since types are
-immutable and compare structurally).  Term texts are parsed at every
-occurrence: terms compare by identity (see `terms`), so sharing one object
-would make two separately written subjects the same term.
-`print_derivation` likewise prints each Type object once per call.  Neither
-memo outlives the call.
+Every judgement restates its whole context, and many rules keep the subject
+of their premise, so one file names the same type and term many times.
+`parse_derivation` therefore parses each distinct type or term text once per
+call, and equal texts share one object (safe, since both are immutable and
+compare structurally).  `print_derivation` likewise prints each Type object
+once per call.  Neither memo outlives the call.
+
+Each binder the parsers read closes its name in its body (see `nameless`).
+The printers choose the names of binders: each keeps its hint unless the
+hint would capture.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import takewhile
 from typing import NamedTuple
 
+from .nameless import references
 from .terms import (
-    Abs, App, Copy, Pair, Proj, Term, Var,
-    alpha_equal, free_vars, identity_term, let_tensor, let_unit, tensor_term,
+    Abs, App, Bound, Copy, Pair, Proj, Term, Var,
+    identity_term, let_tensor, let_unit, tensor_term,
 )
-from .typesys import Forall, Lolli, TVar, Type, With, tensor_type, unit_type
+from .typesys import (
+    Forall, Lolli, TBound, TVar, Type, With, tensor_type, unit_type,
+)
 from .derivation import Derivation, Judgement
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
@@ -217,20 +222,35 @@ def parse_type(src: str) -> Type:
     return _parse_all(_parse_type, src)
 
 
+def _binder_name(hint: str, scope, names: list) -> str:
+    """The name to print for a binder over `scope`, appended to `names`
+    (the enclosing binders', outermost first): its hint, unless that would
+    capture a free name of the scope or the innermost enclosing binder so
+    named that the scope refers to; then the first of base0, base1, ... that
+    does neither, base being the hint without its trailing digits."""
+    base = hint.rstrip("0123456789")
+    v, i = hint, 0
+    while v in scope._fv or (
+            v in names and references(scope, names[::-1].index(v) + 1)):
+        v, i = "%s%d" % (base, i), i + 1
+    names.append(v)
+    return v
+
+
 def print_type(a: Type) -> str:
+    names: list = []  # the printed names of the enclosing binders
+
     def atom(t):
-        s = go(t)
-        if isinstance(t, (Lolli, Forall, With)):
-            return "(%s)" % s
-        return s
+        return "(%s)" % go(t) if isinstance(t, (Lolli, Forall, With)) else go(t)
 
     def go(t):
         # `forall a.` prefixes and the right-nested `-o` chain are printed
         # in a loop, as the parser reads them
         parts = []
+        outer = len(names)
         while True:
             if isinstance(t, Forall):
-                parts.append("forall %s. " % t.var)
+                parts.append("forall %s. " % _binder_name(t.var, t.body, names))
                 t = t.body
             elif isinstance(t, Lolli):
                 parts.append("%s -o " % atom(t.dom))
@@ -238,17 +258,15 @@ def print_type(a: Type) -> str:
             elif isinstance(t, TVar):
                 parts.append(t.name)
                 break
+            elif isinstance(t, TBound):
+                parts.append(names[-1 - t.index])
+                break
             elif isinstance(t, With):
-                ls = atom(t.left)
-                if isinstance(t.left, With):
-                    ls = "(%s)" % go(t.left)
-                rs = atom(t.right)
-                if isinstance(t.right, With):
-                    rs = "(%s)" % go(t.right)
-                parts.append("%s & %s" % (ls, rs))
+                parts.append("%s & %s" % (atom(t.left), atom(t.right)))
                 break
             else:
                 raise TypeError(t)
+        del names[outer:]
         return "".join(parts)
 
     return go(a)
@@ -367,41 +385,48 @@ def parse_term(src: str) -> Term:
 
 
 def print_term(m: Term) -> str:
-    def atom(t):
-        s = go(t)
-        if isinstance(t, (Var, Pair, Proj)):
-            return s
-        return "(%s)" % s
+    names: list = []  # the printed names of the enclosing binders
 
-    def appside(t):
-        # left side of application: applications stay bare
-        if isinstance(t, App):
-            return go(t)
-        return atom(t)
+    def atom(t):
+        return go(t) if isinstance(t, (Var, Bound, Pair, Proj)) else "(%s)" % go(t)
 
     def go(t):
         if isinstance(t, Var):
             return t.name
+        if isinstance(t, Bound):
+            return names[-1 - t.index]
         if isinstance(t, Abs):
             # a `\x.` prefix is printed in a loop, as the parser reads it
+            outer = len(names)
             binders = []
             while isinstance(t, Abs):
-                binders.append("\\%s. " % t.var)
+                binders.append("\\%s. " % _binder_name(t.var, t.body, names))
                 t = t.body
-            return "".join(binders) + go(t)
+            binders.append(go(t))
+            del names[outer:]
+            return "".join(binders)
         if isinstance(t, App):
-            return "%s %s" % (appside(t.fun), atom(t.arg))
+            # so is an application spine
+            parts = []
+            while isinstance(t, App):
+                parts.append(atom(t.arg))
+                t = t.fun
+            parts.append(atom(t))
+            return " ".join(reversed(parts))
         if isinstance(t, Pair):
             return "<%s, %s>" % (go(t.left), go(t.right))
         if isinstance(t, Proj):
             return "p%d(%s)" % (t.index, go(t.body))
         if isinstance(t, Copy):
+            guard = atom(t.guard) if isinstance(t.guard, App) else go(t.guard)
+            x = _binder_name(t.left_var, t.left_branch, names)
+            left = go(t.left_branch)
+            names.pop()
+            y = _binder_name(t.right_var, t.right_branch, names)
+            right = go(t.right_branch)
+            names.pop()
             return "copy[%s] %s as %s,%s in <%s, %s>" % (
-                go(t.guard) if not isinstance(t.guard, App) else atom(t.guard),
-                atom(t.scrutinee) if not isinstance(t.scrutinee, Var) else go(t.scrutinee),
-                t.left_var, t.right_var,
-                go(t.left_branch), go(t.right_branch),
-            )
+                guard, atom(t.scrutinee), x, y, left, right)
         raise TypeError(t)
 
     return go(m)
@@ -454,7 +479,7 @@ def _in_string(parse, item):
                          e.expected) from None
 
 
-def _sexp_to_derivation(s, type_of) -> Derivation:
+def _sexp_to_derivation(s, type_of, term_of) -> Derivation:
     def fail(msg, item):
         # the first character of the offending item
         at = item.start if isinstance(item, _List) else item[2]
@@ -481,29 +506,20 @@ def _sexp_to_derivation(s, type_of) -> Derivation:
     for item in (term_s, type_s):
         if not (isinstance(item, tuple) and item[0] == "str"):
             fail("subject and goal must be quoted strings", item)
-    j = Judgement(tuple(ctx), _in_string(parse_term, term_s),
+    j = Judgement(tuple(ctx), _in_string(term_of, term_s),
                   _in_string(type_of, type_s))
     prems = []
     for p in s[3:]:  # a loop, not a generator: one frame per level
-        prems.append(_sexp_to_derivation(p, type_of))
+        prems.append(_sexp_to_derivation(p, type_of, term_of))
     return Derivation(name[1], j, tuple(prems))
 
 
 def parse_derivation(src: str) -> Derivation:
-    """Parse a derivation file.  Equal type texts within the file are parsed
-    once and share one Type object; terms are parsed at every occurrence,
-    because they compare by identity."""
+    """Parse a derivation file.  Equal type or term texts within the file
+    are parsed once and share one object."""
     s = _parse_all(_parse_sexp, src)
-    types: dict = {}  # type text -> Type
-
-    def type_of(text):
-        a = types.get(text)
-        if a is None:
-            a = types[text] = parse_type(text)
-        return a
-
     try:
-        return _sexp_to_derivation(s, type_of)
+        return _sexp_to_derivation(s, cache(parse_type), cache(parse_term))
     except RecursionError:
         raise ParseError("nesting too deep", SourceSpan(0, 0)) from None
 
@@ -537,7 +553,7 @@ def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
     return (
         d1.rule == d2.rule
         and j1.context == j2.context
-        and alpha_equal(j1.subject, j2.subject)
+        and j1.subject == j2.subject
         and j1.goal == j2.goal
         and len(d1.premises) == len(d2.premises)
         and all(derivations_equal(p, q) for p, q in zip(d1.premises, d2.premises))

@@ -22,13 +22,14 @@ from .terms import Term, term_size
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
     free_type_vars, fresh_type_var, is_closed, is_forall_lazy,
-    judgement_is_forall_lazy, match_tensor_type, subst_type, type_size,
+    match_tensor_type, open_type,
 )
 from .derivation import (
-    Derivation,
+    Derivation, context_free_type_vars, is_cut_free, rebuild,
     d_ax, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withR0,
 )
 from .frontend import print_term
+from .translate import d_tensor_pair
 
 
 class InhabitError(Exception):
@@ -58,12 +59,8 @@ def _splits(items):
                    tuple(items[i] for i in idx if i not in cs))
 
 
-def _sequent_key(ctx, goal):
-    return (tuple(sorted((n, a._skeleton()) for n, a in ctx)), goal._skeleton())
-
-
 def _search(ctx, goal, memo, counter):
-    key = _sequent_key(ctx, goal)
+    key = (frozenset(ctx), goal)
     if key in memo:
         return memo[key]
     memo[key] = []  # cycle guard; sequents shrink, so cycles cannot recur
@@ -73,12 +70,10 @@ def _search(ctx, goal, memo, counter):
     out = []
 
     if isinstance(goal, Forall):
-        ctx_ftv = frozenset()
-        for _, a in ctx:
-            ctx_ftv |= free_type_vars(a)
+        ctx_ftv = context_free_type_vars(ctx)
         if not (is_closed(goal) and ctx_ftv):
             g = fresh_type_var("e", ctx_ftv | free_type_vars(goal))
-            body = subst_type(goal.body, goal.var, TVar(g))
+            body = open_type(goal.body, TVar(g))
             for sub in _search(ctx, body, memo, counter):
                 out.append(d_forallR(sub, g, goal.var))
     elif isinstance(goal, Lolli):
@@ -120,23 +115,11 @@ def _search(ctx, goal, memo, counter):
 
 
 def _dedupe(derivs):
-    from .terms import canonical_key
-    seen = {}
+    out = []
     for d in derivs:
-        k = canonical_key(d.conclusion.subject)
-        if k not in seen:
-            seen[k] = d
-    return list(seen.values())
-
-
-def _tensor_pair_derivation(l: Derivation, r: Derivation) -> Derivation:
-    """Closed derivation of |- \\z. z L R : A * B from closed component
-    derivations."""
-    a, b = l.conclusion.goal, r.conclusion.goal
-    g = fresh_type_var("g", free_type_vars(a) | free_type_vars(b))
-    inner = d_lolliL(r, d_ax("q%s" % g, TVar(g)), "p%s" % g, "q%s" % g)
-    outer = d_lolliL(l, inner, "z%s" % g, "p%s" % g)
-    return d_forallR(d_lolliR(outer, "z%s" % g), g, g)
+        if all(d.conclusion.subject != e.conclusion.subject for e in out):
+            out.append(d)
+    return out
 
 
 def enumerate_inhabitants(a: Type, use_fast_paths: bool = True) -> InhabitantSet:
@@ -151,7 +134,7 @@ def enumerate_inhabitants(a: Type, use_fast_paths: bool = True) -> InhabitantSet
             members = []
             for _, ld in ls.members:
                 for _, rd in rs.members:
-                    d = _tensor_pair_derivation(ld, rd)
+                    d = d_tensor_pair(ld, rd)
                     members.append((d.conclusion.subject, d))
             return InhabitantSet(a, members)
     derivs = _dedupe(_search((), a, {}, [0]))
@@ -164,17 +147,7 @@ def maximal_value(a: Type):
     s = enumerate_inhabitants(a)
     if not s.members:
         return None
-    return max(s.members, key=lambda td: (term_size(td[0]), _neg_lex(print_term(td[0]))))
-
-
-class _neg_lex(str):
-    """Reverse lexicographic comparison wrapper for max()."""
-
-    def __lt__(self, other):
-        return str.__gt__(self, other)
-
-    def __gt__(self, other):
-        return str.__lt__(self, other)
+    return min(s.members, key=lambda td: (-term_size(td[0]), print_term(td[0])))
 
 
 # -- eta expansion ------------------------------------------------------------
@@ -190,7 +163,7 @@ def eta_expansion_derivation(x: str, a: Type) -> Derivation:
         return d_lolliR(d_lolliL(left, mid, x, w), z)
     if isinstance(a, Forall):
         g = fresh_type_var("e", free_type_vars(a))
-        inst = subst_type(a.body, a.var, TVar(g))
+        inst = open_type(a.body, TVar(g))
         return d_forallR(d_forallL(eta_expansion_derivation(x, inst), x, a), g, a.var)
     if isinstance(a, With):
         raise InhabitError("cannot eta-expand an assumption of conjunction type")
@@ -200,7 +173,6 @@ def eta_expansion_derivation(x: str, a: Type) -> Derivation:
 def eta_expand(d: Derivation) -> Derivation:
     """Replace every axiom at a non-atomic type by its eta-long derivation;
     the result proves the same sequent with an eta-expanded subject."""
-    from .derivation import is_cut_free, rebuild
     if not is_cut_free(d):
         raise InhabitError("eta-expansion requires a cut-free derivation")
 

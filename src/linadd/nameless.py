@@ -1,0 +1,262 @@
+"""Locally nameless syntax trees: the machinery that types and terms share.
+
+A bound variable is an index leaf: 0 for the nearest enclosing binder, k for
+the binder k levels further out; free variables stay named leaves
+(Charguéraud, "The Locally Nameless Representation", JAR 2012).  So trees are
+alpha-equivalent exactly when they are equal node for node, and substituting
+for a free name cannot capture.  A binder keeps the name it was built with
+as a print hint, which equality ignores.
+
+A node class provides
+
+    children()          its subtrees, in order
+    binds               for each child, how many binders the node puts over it
+    with_children(ks)   the same node, hints included, over new children
+                        (a node with one child holds it in `body`)
+    datum               the slot besides the children that equality compares
+                        (a free name, an index, a projection's side), or None
+
+and its leaf classes set `free_var` (a named leaf) or `bound_var` (an index
+leaf).  The constructor of a binder closes its name in its body, unless told
+that the body is already scoped.  Nodes are immutable by convention.
+
+Each node stores, when it is built, its free names (`_fv`) and how many
+enclosing binders its indices need (`_loose`, 0 when it is locally closed).
+Its structural hash (`_hash`) is stored when it is built too for types, which
+are hashed often, and filled on demand by `cache_up` for terms.  Every walk here
+keeps its own stack, so no depth of nesting reaches Python's recursion limit.
+"""
+
+from __future__ import annotations
+
+import itertools
+from operator import attrgetter, methodcaller
+
+children = methodcaller("children")
+free_names = attrgetter("_fv")  # the names of a node's free-variable leaves
+loose = attrgetter("_loose")    # the binders a node's indices need
+
+_EMPTY = frozenset()
+
+
+class Node:
+    __slots__ = ()
+    weight = 1  # what the node adds to `size`
+    binds: tuple = ()
+    datum: str | None = None
+    free_var = False
+    bound_var = False
+
+    def children(self) -> tuple:
+        return ()
+
+    def with_children(self, kids):
+        return type(self)(*kids)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in type(self).__slots__))
+
+    def __eq__(self, other):
+        # One walk with its own stack of node pairs, flattened; shared
+        # subtrees are skipped by identity, and a node whose two children
+        # are one object on both sides pushes that pair once, so a shared
+        # DAG such as with_tower(t, n) costs n, not 2^n.
+        if not isinstance(other, Node):
+            return NotImplemented
+        stack = [self, other]
+        pop = stack.pop
+        while stack:
+            b = pop()
+            a = pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if cls is not b.__class__:
+                return False
+            datum = cls.datum
+            if datum is not None and getattr(a, datum) != getattr(b, datum):
+                return False
+            ka = a.children()
+            if len(ka) == 2:
+                x, y = ka
+                u, v = b.children()
+                stack += (x, u) if x is y and u is v else (y, v, x, u)
+            elif ka:
+                for x, u in zip(ka, b.children()):
+                    stack += (x, u)
+        return True
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        return h if h is not None else cache_up(self, "_hash", children, _hash_here)
+
+
+def name_leaf(n, name: str) -> None:
+    n.name = name
+    n._fv = frozenset((name,))
+    n._loose = 0
+    n._hash = hash(name)
+
+
+def index_leaf(n, index: int) -> None:
+    n.index = index
+    n._fv = _EMPTY
+    n._loose = index + 1
+    n._hash = index
+
+
+def over(n, a, b) -> None:
+    """Store the summaries of n, whose children are a and b."""
+    f, g = a._fv, b._fv
+    n._fv = (f | g if g and g is not f else f) if f else g
+    n._loose = a._loose if a._loose >= b._loose else b._loose
+
+
+def _hash_here(n, kids):
+    datum = n.datum
+    return hash((n.__class__, datum and getattr(n, datum), *kids))
+
+
+def cache_up(root, slot: str, kids, combine):
+    """The value `combine(n, [value of each of kids(n)])` at `root`, stored
+    in slot `slot` of every node computed on the way.  A post-order walk with
+    its own stack that descends only into nodes whose slot is still empty, so
+    a query costs the nodes built since the last one and no recursion."""
+    r = getattr(root, slot, None)
+    if r is not None:
+        return r
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n is None:  # the node below has all its kids done
+            n = stack.pop()
+            object.__setattr__(n, slot, combine(n, [getattr(k, slot) for k in kids(n)]))
+        elif getattr(n, slot, None) is None:
+            stack += (n, None)
+            stack += kids(n)
+    return getattr(root, slot)
+
+
+def rewrite(root, name, leaf):
+    """root with leaves replaced: with a name, every free variable of that
+    name, else every index that points past the binders above it; leaf n
+    becomes `leaf(n, depth)`, depth being the binders above n.  Only nodes
+    on the way to a replaced leaf are rebuilt, and a child that is the same
+    object as its left sibling, as in with_tower(t, n), once.  The stack
+    holds a frame (node, depth, children, new children so far) for each
+    node above with several children, and the node itself for one child."""
+    if name not in root._fv if name else not root._loose:
+        return root
+    stack = []  # the one-child nodes and the frames above the current node
+    n, depth, done = root, 0, None
+    while True:
+        if done is None:  # n has a leaf to replace at or below it
+            if len(n.binds) == 1:  # its one child is its body
+                stack.append(n)
+                depth += n.binds[0]
+                n = n.body
+                continue
+            if not n.binds:
+                done = leaf(n, depth)
+                continue
+            frame = (n, depth, n.children(), [])
+        else:  # done replaces the current node below the top of the stack
+            if not stack:
+                return done
+            frame = stack.pop()
+            if type(frame) is not tuple:
+                done = frame.with_children((done,))
+                continue
+            frame[3].append(done)
+        top, top_depth, kids, new = frame
+        for i in range(len(new), len(kids)):
+            c = kids[i]
+            d = top_depth + top.binds[i]
+            if name not in c._fv if name else c._loose <= d:
+                new.append(c)
+            elif i and c is kids[i - 1] and d == top_depth + top.binds[i - 1]:
+                new.append(new[-1])
+            else:
+                stack.append(frame)
+                n, depth, done = c, d, None
+                break
+        else:
+            done = top.with_children(new)
+
+
+def substitute(t, x: str, s):
+    """t with the locally closed s for every free x; nothing is renamed,
+    because no binder names a variable."""
+    return rewrite(t, x, lambda n, depth: s)
+
+
+def bind(t, x: str, index_cls):
+    """The body for a binder of x over t: every free x becomes an index
+    leaf (`index_cls`) that points at the new binder."""
+    return rewrite(t, x, lambda n, depth: index_cls(depth))
+
+
+def shift(t, k: int):
+    """t moved under k more binders (or out of -k binders it does not refer
+    to): every index that points past t's root grows by k."""
+    return rewrite(t, None, lambda n, depth: type(n)(n.index + k)) if k else t
+
+
+def instantiate(scope, s):
+    """The body `scope` of a binder with s for the bound variable.  Indices
+    that point further out drop by one, and s is shifted past the binders it
+    lands under, so that this also contracts a redex below binders."""
+    def leaf(n, depth):
+        if n.index == depth:
+            return shift(s, depth)
+        return type(n)(n.index - 1)
+
+    return rewrite(scope, None, leaf)
+
+
+def size(t) -> int:
+    """The sum of the weights of t's nodes, a shared subtree counted once
+    per occurrence."""
+    sizes: dict[int, int] = {}
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if n is None:  # the node below has all its children done
+            n = stack.pop()
+            s = n.weight
+            for c in n.children():
+                s += sizes[id(c)]
+            sizes[id(n)] = s
+        elif id(n) not in sizes:
+            stack += (n, None)
+            stack += n.children()
+    return sizes[id(t)]
+
+
+_fresh = itertools.count()
+
+
+def fresh(base: str, avoid=(), sep: str = "_") -> str:
+    """A new free name: base without trailing digits, sep and a number
+    never used before, and not in `avoid`."""
+    base = base.rstrip("0123456789_") or "v"
+    while True:
+        name = "%s%s%d" % (base, sep, next(_fresh))
+        if name not in avoid:
+            return name
+
+
+def references(t, i: int) -> bool:
+    """Whether t has an index that points i binders past its root."""
+    stack = [(t, i)]
+    while stack:
+        n, k = stack.pop()
+        if n._loose <= k:
+            continue
+        if n.bound_var:
+            if n.index == k:
+                return True
+        else:
+            stack += [(c, k + b) for c, b in zip(n.children(), n.binds)]
+    return False

@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import random
 
+from .nameless import cache_up, children, references, shift
 from .terms import (
-    Abs, App, Copy, Pair, Proj, Term, Var,
-    alpha_equal, cache_up, children, free_vars, is_value, subst,
+    Abs, App, Bound, Copy, Pair, Proj, Term, Var,
+    alpha_equal, free_vars, is_value, open_term,
 )
-from .derivation import rebuild, rule_params
+from .derivation import metrics, rebuild, rule_params
 
 @dataclass(frozen=True)
 class Redex:
@@ -98,13 +99,13 @@ def _descend(t: Term, rightmost: bool) -> Redex:
 def contract(t: Term) -> Term:
     """Contract the redex at the root of t."""
     if isinstance(t, App) and isinstance(t.fun, Abs):
-        return subst(t.fun.body, t.fun.var, t.arg)
+        return open_term(t.fun.body, t.arg)
     if isinstance(t, Proj) and isinstance(t.body, Pair):
         return t.body.left if t.index == 1 else t.body.right
     if isinstance(t, Copy) and is_value(t.scrutinee):
         return Pair(
-            subst(t.left_branch, t.left_var, t.scrutinee),
-            subst(t.right_branch, t.right_var, t.scrutinee),
+            open_term(t.left_branch, t.scrutinee),
+            open_term(t.right_branch, t.scrutinee),
         )
     raise ValueError("no redex at the root")
 
@@ -115,24 +116,10 @@ def _replace(t: Term, path: tuple, sub: Term) -> Term:
         spine.append(t)
         t = t.children()[i]
     for n, i in zip(reversed(spine), reversed(path)):
-        sub = _with_child(n, i, sub)
+        kids = list(n.children())
+        kids[i] = sub
+        sub = n.with_children(kids)
     return sub
-
-
-def _with_child(t: Term, i: int, new: Term) -> Term:
-    if isinstance(t, Abs):
-        return Abs(t.var, new)
-    if isinstance(t, App):
-        return App(new, t.arg) if i == 0 else App(t.fun, new)
-    if isinstance(t, Pair):
-        return Pair(new, t.right) if i == 0 else Pair(t.left, new)
-    if isinstance(t, Proj):
-        return Proj(t.index, new)
-    if isinstance(t, Copy):
-        parts = list(t.children())
-        parts[i] = new
-        return Copy(parts[0], parts[1], t.left_var, t.right_var, parts[2], parts[3])
-    raise TypeError(t)
 
 
 def step(t: Term, r: Redex) -> Term:
@@ -177,28 +164,21 @@ def eta_redex_at(t: Term) -> bool:
     return (
         isinstance(t, Abs)
         and isinstance(t.body, App)
-        and isinstance(t.body.arg, Var)
-        and t.body.arg.name == t.var
-        and t.var not in free_vars(t.body.fun)
+        and t.body.arg == Bound(0)
+        and not references(t.body.fun, 0)
     )
 
 
 def eta_step(t: Term):
     """Contract the leftmost-outermost eta redex, or return None."""
-
-    def go(t, path):
-        if eta_redex_at(t):
-            return path
-        for i, c in enumerate(t.children()):
-            p = go(c, path + (i,))
-            if p is not None:
-                return p
-        return None
-
-    p = go(t, ())
-    if p is None:
-        return None
-    return _replace(t, p, t[p].body.fun)
+    stack = [(t, ())]
+    while stack:
+        s, path = stack.pop()
+        if eta_redex_at(s):
+            return _replace(t, path, shift(s.body.fun, -1))
+        cs = s.children()
+        stack += [(cs[i], path + (i,)) for i in reversed(range(len(cs)))]
+    return None
 
 
 def eta_normalize(t: Term) -> Term:
@@ -242,19 +222,16 @@ def push_reduction(d, r: Redex):
     contraction.
     """
     from . import steps as st
-    from .derivation import metrics
-    from .terms import canonical_key
 
-    target = step(d.conclusion.subject, r)
-    before_key = canonical_key(d.conclusion.subject)
+    before = d.conclusion.subject
+    target = step(before, r)
     fuel = 4 * (metrics(d).size ** 2) + 100
     cur = d
     while fuel > 0:
         fuel -= 1
         cur = _advance(cur, r.path, st)
-        key = canonical_key(cur.conclusion.subject)
-        if key != before_key:
-            if key != canonical_key(target):
+        if cur.conclusion.subject != before:
+            if cur.conclusion.subject != target:
                 raise AssertionError("push_reduction contracted the wrong redex")
             return cur
     raise AssertionError("push_reduction did not converge")
@@ -274,25 +251,13 @@ def _advance(d, path: tuple, st):
 
 
 def _var_path(t: Term, x: str):
-    """Path of the (unique) free occurrence of x in t, or None."""
-    if isinstance(t, Var):
-        return () if t.name == x else None
-    if isinstance(t, Abs) and t.var == x:
-        return None
-    for i, c in enumerate(t.children()):
-        if isinstance(t, Copy):
-            if i == 2 and t.left_var == x:
-                continue
-            if i == 3 and t.right_var == x:
-                continue
-        p = _var_path(c, x)
-        if p is not None:
-            return (i,) + p
-    return None
-
-
-def _is_prefix(p, q) -> bool:
-    return len(p) <= len(q) and q[: len(p)] == p
+    """Path of the (unique) free occurrence of x in t."""
+    path = []
+    while not isinstance(t, Var):
+        i = next(i for i, c in enumerate(t.children()) if x in free_vars(c))
+        path.append(i)
+        t = t.children()[i]
+    return tuple(path)
 
 
 def _locate(d, path: tuple):
@@ -319,14 +284,14 @@ def _locate(d, path: tuple):
         rj = d.premises[1].conclusion
         _, x = rule_params(d)
         px = _var_path(rj.subject, x)
-        if _is_prefix(px + (1,), path):
+        if path[:len(px) + 1] == px + (1,):
             return (0, path[len(px) + 1:])
         return (1, path)
     if rule == "cut":
         rj = d.premises[1].conclusion
         x, = rule_params(d)
         px = _var_path(rj.subject, x)
-        if _is_prefix(px, path):
+        if path[:len(px)] == px:
             return (0, path[len(px):])
         kind = redex_kind_at(j.subject[path])
         if redex_kind_at(rj.subject[path]) == kind:

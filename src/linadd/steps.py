@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import fresh_name, is_value
-from .typesys import TVar, Type, free_type_vars, fresh_type_var, subst_type
+from .typesys import (
+    TVar, Type, free_type_vars, fresh_type_var, match_instantiation, subst_type,
+)
 from .derivation import (
     CONSTRUCTORS, Derivation,
-    context_free_type_vars, context_names, is_cut_free, match_instantiation,
-    rule_params,
+    context_free_type_vars, context_names, is_cut_free, rule_params,
     d_cut, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withR0,
 )
 
@@ -75,7 +76,7 @@ def rename_assumption(d: Derivation, old: str, new: str) -> Derivation:
 
 def subst_type_deriv(d: Derivation, x: str, b: Type) -> Derivation:
     """Substitute a type for a free type variable throughout a derivation,
-    renaming inner eigenvariables and bound variables that would capture."""
+    renaming inner eigenvariables that would capture."""
     prems = d.premises
     if d.rule == "forallR":
         g, alpha = rule_params(d)
@@ -83,8 +84,6 @@ def subst_type_deriv(d: Derivation, x: str, b: Type) -> Derivation:
             g2 = fresh_type_var(g)
             prems = (subst_type_deriv(prems[0], g, TVar(g2)),)
             g = g2
-        if alpha in free_type_vars(b):
-            alpha = fresh_type_var(alpha)
         return d_forallR(subst_type_deriv(prems[0], x, b), g, alpha)
     params = tuple(subst_type(p, x, b) if isinstance(p, Type) else p
                    for p in rule_params(d))
@@ -251,7 +250,7 @@ def fire_symmetric(d: Derivation) -> Derivation:
         g, _ = rule_params(l)
         quant = l.conclusion.goal
         inst = r.premises[0].conclusion.lookup(x)
-        m = match_instantiation(quant.body, quant.var, inst)
+        m = match_instantiation(quant, inst)
         if m is None:
             raise ElimStepError("quantifier instance does not match")
         _, b = m

@@ -11,33 +11,35 @@ the right branch; the guard V must be a value.  Tensor pairs, the identity
 combinator, and the two let forms are macros and are expanded on construction
 (see `frontend`); they never appear as distinct node kinds.
 
-Nodes are immutable and compare by identity; use `alpha_equal` (or
-`canonical_key` for hashing) to compare modulo bound-variable names.  Shared
-subterms are therefore cheap, and the size/free-variable helpers memoize on
-node identity so DAG-shaped terms stay tractable.
+Terms are locally nameless (see `nameless`): a bound variable is a `Bound`
+index and a free one a named `Var`; `Abs.var`, `Copy.left_var` and
+`Copy.right_var` are only print hints.  `Abs(x, M)` and `Copy(g, s, x, y, L,
+R)` bind the free x (and y) of their bodies; with `scoped` set, the bodies
+already refer to their binders by index.  So `==` is structural and is
+alpha-equivalence (`alpha_equal`), the hash is structural and cached,
+contracting a beta or copy redex is one `open_term`, and `subst` cannot
+capture.  Nodes are immutable, so shared subterms are cheap, and the helpers
+below memoize on node identity so DAG-shaped terms stay tractable.
 
-Each node carries three lazily filled cache slots: its free variables
-(`free_vars`), whether it is value-shaped (`is_value`: no projection, no copy
-and no beta redex anywhere below), and whether it is redex-free
-(`reduce.redex_free`).  The two flags are computed by `cache_up`, a
-post-order walk without recursion that stops at nodes already filled, so a
-term built by substitution or by replacing a subterm costs only its new
-nodes, and a search can skip every subtree it knows is done.
+Besides its stored free variables and looseness (see `nameless`), each node
+carries three lazily filled slots: its hash, whether it is value-shaped
+(`is_value`: no projection, no copy and no beta redex anywhere below), and
+whether it is redex-free (`reduce.redex_free`).  They are computed by
+`cache_up`, a post-order walk without recursion that stops at nodes already
+filled, so a term built by substitution or by replacing a subterm costs only
+its new nodes, and a search can skip every subtree it knows is done.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import itertools
-from operator import methodcaller
+from .nameless import (
+    Node, bind, cache_up, children, free_names, fresh, index_leaf, instantiate,
+    loose, name_leaf, over, references, shift, size, substitute,
+)
 
 
-@dataclass(frozen=True, eq=False)
-class Term:
-    __slots__ = ("_fv", "_value_shaped", "_redex_free")
-
-    def children(self) -> tuple["Term", ...]:
-        raise NotImplementedError
+class Term(Node):
+    __slots__ = ("_fv", "_loose", "_hash", "_value_shaped", "_redex_free")
 
     def __getitem__(self, path):
         t = self
@@ -46,88 +48,117 @@ class Term:
         return t
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Term):
     __slots__ = ("name",)
-    name: str
+    datum = "name"
+    free_var = True
+    __init__ = name_leaf
 
-    def children(self):
-        return ()
+
+class Bound(Term):
+    """The variable bound `index` binders out."""
+
+    __slots__ = ("index",)
+    datum = "index"
+    bound_var = True
+    __init__ = index_leaf
 
 
-@dataclass(frozen=True, eq=False)
 class Abs(Term):
     __slots__ = ("var", "body")
-    var: str
-    body: Term
+    binds = (1,)
+
+    def __init__(self, var: str, body: Term, scoped: bool = False):
+        if not scoped and var in body._fv:
+            body = bind(body, var, Bound)
+        self.var = var
+        self.body = body
+        self._fv = body._fv
+        self._loose = body._loose - 1 if body._loose > 1 else 0
 
     def children(self):
         return (self.body,)
 
+    def with_children(self, kids):
+        return Abs(self.var, kids[0], True)
 
-@dataclass(frozen=True, eq=False)
+
 class App(Term):
     __slots__ = ("fun", "arg")
-    fun: Term
-    arg: Term
+    binds = (0, 0)
+
+    def __init__(self, fun: Term, arg: Term):
+        self.fun = fun
+        self.arg = arg
+        over(self, fun, arg)
 
     def children(self):
         return (self.fun, self.arg)
 
 
-@dataclass(frozen=True, eq=False)
 class Pair(Term):
     __slots__ = ("left", "right")
-    left: Term
-    right: Term
+    binds = (0, 0)
+
+    def __init__(self, left: Term, right: Term):
+        self.left = left
+        self.right = right
+        over(self, left, right)
 
     def children(self):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False)
 class Proj(Term):
-    __slots__ = ("index", "body")
-    index: int  # 1 or 2
-    body: Term
+    __slots__ = ("index", "body")  # index 1 or 2
+    binds = (0,)
+    datum = "index"
+
+    def __init__(self, index: int, body: Term):
+        self.index = index
+        self.body = body
+        self._fv = body._fv
+        self._loose = body._loose
 
     def children(self):
         return (self.body,)
 
+    def with_children(self, kids):
+        return Proj(self.index, *kids)
 
-@dataclass(frozen=True, eq=False)
+
 class Copy(Term):
     """copy[guard] scrutinee as left_var, right_var in <left_branch, right_branch>"""
 
-    __slots__ = (
-        "guard",
-        "scrutinee",
-        "left_var",
-        "right_var",
-        "left_branch",
-        "right_branch",
-    )
-    guard: Term
-    scrutinee: Term
-    left_var: str
-    right_var: str
-    left_branch: Term
-    right_branch: Term
+    __slots__ = ("guard", "scrutinee", "left_var", "right_var", "left_branch",
+                 "right_branch")
+    binds = (0, 0, 1, 1)
+    weight = 2
+
+    def __init__(self, guard, scrutinee, left_var, right_var, left_branch,
+                 right_branch, scoped: bool = False):
+        if not scoped:
+            left_branch = close_term(left_branch, left_var)
+            right_branch = close_term(right_branch, right_var)
+        self.guard, self.scrutinee = guard, scrutinee
+        self.left_var, self.right_var = left_var, right_var
+        self.left_branch, self.right_branch = left_branch, right_branch
+        over(self, guard, scrutinee)
+        for branch in (left_branch, right_branch):
+            if branch._fv:
+                self._fv = self._fv | branch._fv
+            if branch._loose - 1 > self._loose:
+                self._loose = branch._loose - 1
 
     def children(self):
         return (self.guard, self.scrutinee, self.left_branch, self.right_branch)
 
+    def with_children(self, kids):
+        g, s, l, r = kids
+        return Copy(g, s, self.left_var, self.right_var, l, r, True)
 
-_fresh_counter = itertools.count()
 
-
-def fresh_name(base: str = "v", avoid=()) -> str:
-    base = base.rstrip("0123456789_") or "v"
-    avoid = set(avoid)
-    while True:
-        cand = "%s_%d" % (base, next(_fresh_counter))
-        if cand not in avoid:
-            return cand
+fresh_name = fresh
 
 
 # -- macro constructors -------------------------------------------------------
@@ -137,9 +168,9 @@ def identity_term() -> Term:
 
 
 def tensor_term(m: Term, n: Term) -> Term:
-    """M * N expands to \\z. z M N with z fresh."""
-    z = fresh_name("z", free_vars(m) | free_vars(n))
-    return Abs(z, App(App(Var(z), m), n))
+    """M * N expands to \\z. z M N.  Indices of M and N that point past them
+    are shifted past the new binder."""
+    return Abs("z", App(App(Bound(0), shift(m, 1)), shift(n, 1)), True)
 
 
 def let_unit(m: Term, n: Term) -> Term:
@@ -153,174 +184,37 @@ def let_tensor(m: Term, x: str, y: str, n: Term) -> Term:
 
 
 def match_tensor_term(t: Term):
-    """Recognize the \\z. z M N shape produced by tensor_term."""
-    if (
-        isinstance(t, Abs)
-        and isinstance(t.body, App)
-        and isinstance(t.body.fun, App)
-        and isinstance(t.body.fun.fun, Var)
-        and t.body.fun.fun.name == t.var
-        and t.var not in free_vars(t.body.fun.arg)
-        and t.var not in free_vars(t.body.arg)
-    ):
-        return t.body.fun.arg, t.body.arg
-    return None
+    """Return (M, N) when t is tensor_term(M, N), else None: read M and N
+    off the shape, then rebuild it."""
+    try:
+        m, n = t.body.fun.arg, t.body.arg
+    except AttributeError:
+        return None
+    if references(m, 0) or references(n, 0):
+        return None
+    m, n = shift(m, -1), shift(n, -1)
+    return (m, n) if tensor_term(m, n) == t else None
 
 
-# -- measured, memoized traversals -------------------------------------------
-
-def term_size(t: Term) -> int:
-    """Node count with |x| = 1, unary constructs +1, binary constructs +1;
-    the copy construct counts guard, scrutinee, and its branch pair."""
-    sizes: dict[int, int] = {}
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if n is None:  # the node below has all its children done
-            n = stack.pop()
-            s = 1 + isinstance(n, Copy)
-            for c in n.children():
-                s += sizes[id(c)]
-            sizes[id(n)] = s
-        elif id(n) not in sizes:
-            stack += (n, None)
-            stack += n.children()
-    return sizes[id(t)]
+# Node count with |x| = 1, unary constructs +1, binary constructs +1; the
+# copy construct counts guard, scrutinee, and its branch pair.
+term_size = size
+free_vars = free_names
+subst = substitute
+open_term = instantiate
 
 
-children = methodcaller("children")
-
-
-def cache_up(root, slot: str, kids, combine):
-    """The value `combine(n, [value of each of kids(n)])` at `root`, stored
-    in slot `slot` of every node computed on the way.  A post-order walk with
-    its own stack that descends only into nodes whose slot is still empty, so
-    a query costs the nodes built since the last one and no recursion."""
-    r = getattr(root, slot, None)
-    if r is not None:
-        return r
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if n is None:  # the node below has all its kids done
-            n = stack.pop()
-            object.__setattr__(n, slot, combine(n, [getattr(k, slot) for k in kids(n)]))
-        elif getattr(n, slot, None) is None:
-            stack += (n, None)
-            stack += kids(n)
-    return getattr(root, slot)
-
-
-def free_vars(t: Term) -> frozenset:
-    r = getattr(t, "_fv", None)
-    if r is not None:
-        return r
-    if isinstance(t, Var):
-        r = frozenset((t.name,))
-    elif isinstance(t, Abs):
-        r = free_vars(t.body) - {t.var}
-    elif isinstance(t, Copy):
-        r = (
-            free_vars(t.guard)
-            | free_vars(t.scrutinee)
-            | (free_vars(t.left_branch) - {t.left_var})
-            | (free_vars(t.right_branch) - {t.right_var})
-        )
-    else:
-        r = frozenset()
-        for c in t.children():
-            r |= free_vars(c)
-    object.__setattr__(t, "_fv", r)
-    return r
-
-
-def subst(t: Term, x: str, s: Term) -> Term:
-    """Capture-avoiding substitution of s for free occurrences of x in t."""
-    if x not in free_vars(t):
-        return t
-    fvs = free_vars(s)
-    if isinstance(t, Var):
-        return s if t.name == x else t
-    if isinstance(t, Abs):
-        v, body = t.var, t.body
-        if v in fvs:
-            v2 = fresh_name(v, fvs | free_vars(body))
-            body = subst(body, v, Var(v2))
-            v = v2
-        return Abs(v, subst(body, x, s))
-    if isinstance(t, App):
-        return App(subst(t.fun, x, s), subst(t.arg, x, s))
-    if isinstance(t, Pair):
-        return Pair(subst(t.left, x, s), subst(t.right, x, s))
-    if isinstance(t, Proj):
-        return Proj(t.index, subst(t.body, x, s))
-    if isinstance(t, Copy):
-        lv, lb = t.left_var, t.left_branch
-        if lv in fvs:
-            lv2 = fresh_name(lv, fvs | free_vars(lb))
-            lb = subst(lb, lv, Var(lv2))
-            lv = lv2
-        rv, rb = t.right_var, t.right_branch
-        if rv in fvs:
-            rv2 = fresh_name(rv, fvs | free_vars(rb))
-            rb = subst(rb, rv, Var(rv2))
-            rv = rv2
-        return Copy(
-            subst(t.guard, x, s),
-            subst(t.scrutinee, x, s),
-            lv,
-            rv,
-            subst(lb, x, s),
-            subst(rb, x, s),
-        )
-    raise TypeError(t)
+def close_term(t: Term, x: str) -> Term:
+    """The body of a binder over the free x of t."""
+    return bind(t, x, Bound)
 
 
 def rename_var(t: Term, old: str, new: str) -> Term:
     return subst(t, old, Var(new))
 
 
-# -- alpha equivalence --------------------------------------------------------
-
-def _canon(t: Term, env: dict, depth: int, out: list) -> None:
-    if isinstance(t, Var):
-        if t.name in env:
-            out.append(("b", env[t.name]))
-        else:
-            out.append(("f", t.name))
-    elif isinstance(t, Abs):
-        out.append(("abs",))
-        _canon(t.body, {**env, t.var: depth}, depth + 1, out)
-    elif isinstance(t, App):
-        out.append(("app",))
-        _canon(t.fun, env, depth, out)
-        _canon(t.arg, env, depth, out)
-    elif isinstance(t, Pair):
-        out.append(("pair",))
-        _canon(t.left, env, depth, out)
-        _canon(t.right, env, depth, out)
-    elif isinstance(t, Proj):
-        out.append(("proj", t.index))
-        _canon(t.body, env, depth, out)
-    elif isinstance(t, Copy):
-        out.append(("copy",))
-        _canon(t.guard, env, depth, out)
-        _canon(t.scrutinee, env, depth, out)
-        _canon(t.left_branch, {**env, t.left_var: depth}, depth + 1, out)
-        _canon(t.right_branch, {**env, t.right_var: depth}, depth + 1, out)
-    else:
-        raise TypeError(t)
-
-
-def canonical_key(t: Term) -> tuple:
-    """Hashable key identifying t up to renaming of bound variables."""
-    out: list = []
-    _canon(t, {}, 0, out)
-    return tuple(out)
-
-
 def alpha_equal(t1: Term, t2: Term) -> bool:
-    return t1 is t2 or canonical_key(t1) == canonical_key(t2)
+    return t1 == t2
 
 
 # -- values -------------------------------------------------------------------
@@ -334,7 +228,7 @@ def is_value(t: Term) -> bool:
     """Closed, projection/copy-free, beta-normal terms; these are the only
     terms admitted as copy guards and the only closed normal forms of the
     lazy fragment."""
-    return (not free_vars(t)
+    return (not free_vars(t) and not loose(t)
             and cache_up(t, "_value_shaped", children, _value_shaped_here))
 
 

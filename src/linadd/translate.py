@@ -11,15 +11,16 @@ full derivation in the multiplicative fragment, so the output re-checks.
 
 from __future__ import annotations
 
-from .terms import Term, fresh_name, free_vars, term_size
+from functools import cache
+
+from .terms import fresh_name, free_vars, term_size
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
-    bool_type, free_type_vars, fresh_type_var, is_closed, subst_type,
-    tensor_type, unit_type, type_size,
+    bool_type, free_type_vars, fresh_type_var, is_closed, match_tensor_type,
+    open_type, subst_type, tensor_type, unit_type,
 )
 from .derivation import (
-    CONSTRUCTORS, Derivation, check, CheckError,
-    context_names, rule_params,
+    CONSTRUCTORS, Derivation, context_names, metrics, rule_params,
     d_app, d_ax, d_forallR, d_inst, d_lolliL, d_lolliR,
 )
 
@@ -31,15 +32,10 @@ class GadgetError(Exception):
 # -- type translation ---------------------------------------------------------
 
 def translate_type(a: Type) -> Type:
-    if isinstance(a, TVar):
-        return a
-    if isinstance(a, Lolli):
-        return Lolli(translate_type(a.dom), translate_type(a.cod))
     if isinstance(a, With):
         return tensor_type(translate_type(a.left), translate_type(a.right))
-    if isinstance(a, Forall):
-        return Forall(a.var, translate_type(a.body))
-    raise TypeError(a)
+    kids = a.children()
+    return a.with_children([translate_type(k) for k in kids]) if kids else a
 
 
 # -- small derivation combinators --------------------------------------------
@@ -96,7 +92,7 @@ def _eraser_body(s: Type, env: frozenset, d: Derivation) -> Derivation:
         if isinstance(s, Forall):
             m = fresh_type_var("m", env | free_type_vars(s))
             env = env | {m}
-            s = subst_type(s.body, s.var, TVar(m))
+            s = open_type(s.body, TVar(m))
             d = d_inst(d, unit_type())
         elif isinstance(s, Lolli):
             d = d_app(d, _generator(s.dom, env))
@@ -140,30 +136,24 @@ def _eraser(a: Type, env: frozenset) -> Derivation:
 
 BOOL = bool_type()
 
-_TRUE_FALSE = None
-
-
+@cache
 def _bool_values():
     """Derivations of the two eta-long boolean inhabitants; the one pairing
     its first argument first represents true."""
-    global _TRUE_FALSE
-    if _TRUE_FALSE is None:
-        def build(swap):
-            x, y = fresh_name("bx", set()), fresh_name("by", set())
-            a = fresh_type_var("a", frozenset())
-            l, r = d_ax(x, TVar(a)), d_ax(y, TVar(a))
-            first, second = (r, l) if swap else (l, r)
-            d = d_tensor_pair(first, second)
-            d = d_lolliR(d_lolliR(d, y), x)
-            return d_forallR(d, a, "a")
-        _TRUE_FALSE = (build(False), build(True))
-    return _TRUE_FALSE
+    def build(swap):
+        x, y = fresh_name("bx", set()), fresh_name("by", set())
+        a = fresh_type_var("a", frozenset())
+        l, r = d_ax(x, TVar(a)), d_ax(y, TVar(a))
+        first, second = (r, l) if swap else (l, r)
+        d = d_tensor_pair(first, second)
+        d = d_lolliR(d_lolliR(d, y), x)
+        return d_forallR(d, a, "a")
+    return (build(False), build(True))
 
 
 def _tensor_shape(a: Type):
     """Parse a type as a tensor tree over the unit and boolean leaves;
     None if some leaf is neither."""
-    from .typesys import match_tensor_type
     m = match_tensor_type(a)
     if m is not None:
         l = _tensor_shape(m[0])
@@ -209,7 +199,6 @@ def _flat_select(bools: list, shape, lib) -> Derivation:
     """Selection by table: a closed balanced tuple holds the outcome pair for
     every boolean assignment (true half first); each selector then takes the
     current table apart, keeps its half, and erases the other."""
-    from .typesys import match_tensor_type
 
     def table(k, assignment):
         if k == len(bools):
@@ -272,7 +261,6 @@ class GadgetLibrary:
         # Each tree node gets a variable name: the root is the lambda
         # binder, inner names are introduced by the destructuring lets, and
         # a boolean leaf's name doubles as its selector variable.
-        from .typesys import match_tensor_type
         z = fresh_name("z", set())
 
         bools: list = []
@@ -304,7 +292,6 @@ class GadgetLibrary:
         return d_lolliR(wrap(named, a, body), z)
 
     def _product_dup(self, a: Type, shape) -> Derivation:
-        from .typesys import match_tensor_type
         t1, t2 = match_tensor_type(a)
         d1, d2 = self.duplicator(t1), self.duplicator(t2)
         z, x, y, x1, x2, y1, y2 = (fresh_name(n, set()) for n in
@@ -384,7 +371,6 @@ def check_soundness(before: Derivation, after: Derivation,
 
 
 def compression_report(d: Derivation, lib: GadgetLibrary | None = None) -> dict:
-    from .derivation import metrics
     out = translate_derivation(d, lib or GadgetLibrary())
     return {
         "derivation_size": metrics(d).size,

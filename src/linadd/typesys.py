@@ -3,10 +3,14 @@
     A ::= a | A -o B | A & B | forall a. A
 
 `1` (the unit) and `A * B` (the tensor) are macros over -o and forall and are
-expanded on construction.  Types compare and hash modulo renaming of bound
-variables: `==` walks -o and & pairwise and compares a cached de-Bruijn
-skeleton at each quantifier; the hash is the skeleton's, as required for
-context lookup and memoized proof search.
+expanded on construction.  Types are locally nameless (see `nameless`): a
+bound type variable is a `TBound` index and a free one a named `TVar`, and
+`Forall.var` is only a print hint.  So `==` is structural and is
+alpha-equivalence, the hash is structural and stored at construction,
+instantiating a quantifier is one `open_type`, and binding a name is one
+`close_type`.
+`Forall(a, A)` binds the free `a` of A; a function that walks below a
+quantifier sees TBound(0) for its variable.
 
 Polarity of a subtype occurrence flips through the left of -o and is preserved
 by & and forall.  The classifier predicates defined from polarity:
@@ -19,199 +23,182 @@ by & and forall.  The classifier predicates defined from polarity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import itertools
+from functools import partial
+
+from .nameless import (
+    Node, bind, free_names, fresh, index_leaf, instantiate, loose, name_leaf,
+    over, references, shift, size, substitute,
+)
 
 
-@dataclass(frozen=True, eq=False)
-class Type:
-    __slots__ = ("_skel", "_ftv")
-
-    def _skeleton(self) -> tuple:
-        s = getattr(self, "_skel", None)
-        if s is None:
-            s = _skel(self, {}, 0)
-            object.__setattr__(self, "_skel", s)
-        return s
+class Type(Node):
+    __slots__ = ("_fv", "_loose", "_hash")
 
     def __eq__(self, other):
-        # Paired -o and & nodes are walked with a stack, and shared subtrees
-        # are skipped by identity, so comparing a freshly built type costs
-        # its new nodes; a node whose two children are one object on both
-        # sides pushes that pair once, so a shared DAG such as
-        # with_tower(t, n) costs n, not 2^n.  Only a quantifier compares
-        # whole skeletons.
+        # Node.__eq__ with the kinds spelled out: types are compared at
+        # every rule, for every context entry and goal
         if not isinstance(other, Type):
             return NotImplemented
-        stack = [(self, other)]
+        stack = [self, other]
+        pop = stack.pop
         while stack:
-            a, b = stack.pop()
+            b, a = pop(), pop()
+            kind = a.__class__
             if a is b:
                 continue
-            kind = type(a)
-            if kind is not type(b):
+            if kind is not b.__class__:
                 return False
             if kind is Lolli:
-                if a.dom is a.cod and b.dom is b.cod:
-                    stack.append((a.dom, b.dom))
-                else:
-                    stack += ((a.cod, b.cod), (a.dom, b.dom))
+                x, y, u, v = a.dom, a.cod, b.dom, b.cod
             elif kind is With:
-                if a.left is a.right and b.left is b.right:
-                    stack.append((a.left, b.left))
-                else:
-                    stack += ((a.right, b.right), (a.left, b.left))
-            elif kind is TVar:
-                if a.name != b.name:
-                    return False
-            elif a._skeleton() != b._skeleton():
+                x, y, u, v = a.left, a.right, b.left, b.right
+            elif kind is Forall:
+                stack += (a.body, b.body)
+                continue
+            elif (a.name != b.name) if kind is TVar else (a.index != b.index):
                 return False
+            else:
+                continue
+            stack += (x, u) if x is y and u is v else (y, v, x, u)
         return True
 
-    def __hash__(self):
-        return hash(self._skeleton())
+    __hash__ = Node.__hash__
 
 
-@dataclass(frozen=True, eq=False)
 class TVar(Type):
     __slots__ = ("name",)
-    name: str
+    datum = "name"
+    free_var = True
+    __init__ = name_leaf
 
 
-@dataclass(frozen=True, eq=False)
+class TBound(Type):
+    """The type variable bound `index` quantifiers out."""
+
+    __slots__ = ("index",)
+    datum = "index"
+    bound_var = True
+    __init__ = index_leaf
+
+
 class Lolli(Type):
     __slots__ = ("dom", "cod")
-    dom: Type
-    cod: Type
+    binds = (0, 0)
+
+    def __init__(self, dom: Type, cod: Type):
+        self.dom = dom
+        self.cod = cod
+        over(self, dom, cod)
+        self._hash = hash((Lolli, dom._hash, cod._hash))
+
+    def children(self):
+        return (self.dom, self.cod)
 
 
-@dataclass(frozen=True, eq=False)
 class With(Type):
     __slots__ = ("left", "right")
-    left: Type
-    right: Type
+    binds = (0, 0)
+
+    def __init__(self, left: Type, right: Type):
+        self.left = left
+        self.right = right
+        over(self, left, right)
+        self._hash = hash((With, left._hash, right._hash))
+
+    def children(self):
+        return (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False)
 class Forall(Type):
+    """forall var. body, binding the free `var` of the given body; with
+    `scoped`, the body already refers to it as TBound(0)."""
+
     __slots__ = ("var", "body")
-    var: str
-    body: Type
+    binds = (1,)
+
+    def __init__(self, var: str, body: Type, scoped: bool = False):
+        if not scoped and var in body._fv:
+            body = bind(body, var, TBound)
+        self.var = var
+        self.body = body
+        self._fv = body._fv
+        self._loose = body._loose - 1 if body._loose > 1 else 0
+        self._hash = hash((Forall, body._hash))
+
+    def children(self):
+        return (self.body,)
+
+    def with_children(self, kids):
+        return Forall(self.var, kids[0], True)
 
 
-def _skel(a: Type, env: dict, depth: int) -> tuple:
-    if isinstance(a, TVar):
-        if a.name in env:
-            return ("b", env[a.name])
-        return ("f", a.name)
-    if isinstance(a, Lolli):
-        return ("lolli", _skel(a.dom, env, depth), _skel(a.cod, env, depth))
-    if isinstance(a, With):
-        return ("with", _skel(a.left, env, depth), _skel(a.right, env, depth))
-    if isinstance(a, Forall):
-        return ("forall", _skel(a.body, {**env, a.var: depth}, depth + 1))
-    raise TypeError(a)
+type_size = size
+free_type_vars = free_names
+fresh_type_var = partial(fresh, sep="")
+subst_type = substitute
+open_type = instantiate
 
 
-def type_size(a: Type) -> int:
-    if isinstance(a, TVar):
-        return 1
-    if isinstance(a, (Lolli, With)):
-        l, r = (a.dom, a.cod) if isinstance(a, Lolli) else (a.left, a.right)
-        return type_size(l) + type_size(r) + 1
-    if isinstance(a, Forall):
-        return type_size(a.body) + 1
-    raise TypeError(a)
+def close_type(a: Type, x: str) -> Type:
+    """The body of a quantifier over the free x of a."""
+    return bind(a, x, TBound)
 
 
-def free_type_vars(a: Type) -> frozenset:
-    r = getattr(a, "_ftv", None)
-    if r is not None:
-        return r
-    if isinstance(a, TVar):
-        r = frozenset((a.name,))
-    elif isinstance(a, Lolli):
-        r = free_type_vars(a.dom) | free_type_vars(a.cod)
-    elif isinstance(a, With):
-        r = free_type_vars(a.left) | free_type_vars(a.right)
-    elif isinstance(a, Forall):
-        r = free_type_vars(a.body) - {a.var}
-    else:
-        raise TypeError(a)
-    object.__setattr__(a, "_ftv", r)
-    return r
-
-
-_fresh_tv = itertools.count()
-
-
-def fresh_type_var(base: str = "a", avoid=()) -> str:
-    base = base.rstrip("0123456789_") or "a"
-    avoid = set(avoid)
-    while True:
-        cand = "%s%d" % (base, next(_fresh_tv))
-        if cand not in avoid:
-            return cand
-
-
-def subst_type(a: Type, x: str, b: Type) -> Type:
-    """Capture-avoiding substitution of b for free occurrences of x in a."""
-    if x not in free_type_vars(a):
-        return a
-    if isinstance(a, TVar):
-        return b if a.name == x else a
-    if isinstance(a, Lolli):
-        return Lolli(subst_type(a.dom, x, b), subst_type(a.cod, x, b))
-    if isinstance(a, With):
-        return With(subst_type(a.left, x, b), subst_type(a.right, x, b))
-    if isinstance(a, Forall):
-        v, body = a.var, a.body
-        if v in free_type_vars(b):
-            v2 = fresh_type_var(v, free_type_vars(b) | free_type_vars(body))
-            body = subst_type(body, v, TVar(v2))
-            v = v2
-        return Forall(v, subst_type(body, x, b))
-    raise TypeError(a)
+def match_instantiation(quant: Forall, target: Type):
+    """Find B with open_type(quant.body, B) == target, or None.  When the
+    bound variable does not occur, any B works and (True, None)
+    distinguishes that from failure.  One walk of both types together."""
+    hit = None
+    stack = [(quant.body, target, 0)]
+    while stack:
+        a, t, depth = stack.pop()
+        if loose(a) <= depth:  # the bound variable does not occur here
+            if a != t:
+                return None
+        elif isinstance(a, TBound):  # an occurrence: t is its instance
+            if loose(t) or (hit is not None and hit != t):
+                return None
+            hit = t
+        elif type(a) is not type(t):
+            return None
+        else:
+            stack += [(x, y, depth + b)
+                      for x, y, b in zip(a.children(), t.children(), a.binds)]
+    return (True, hit)
 
 
 # -- macros -------------------------------------------------------------------
 
 def unit_type() -> Type:
     """1, i.e. forall a. a -o a."""
-    return Forall("a", Lolli(TVar("a"), TVar("a")))
+    a = TBound(0)
+    return Forall("a", Lolli(a, a), True)
 
 
 def tensor_type(a: Type, b: Type) -> Type:
-    """A * B, i.e. forall g. (A -o B -o g) -o g with g fresh."""
-    g = fresh_type_var("g", free_type_vars(a) | free_type_vars(b))
-    return Forall(g, Lolli(Lolli(a, Lolli(b, TVar(g))), TVar(g)))
+    """A * B, i.e. forall g. (A -o B -o g) -o g.  Indices of A and B that
+    point past them are shifted past the new binder."""
+    g = TBound(0)
+    return Forall("g", Lolli(Lolli(shift(a, 1), Lolli(shift(b, 1), g)), g), True)
 
 
 def bool_type() -> Type:
     """B, i.e. forall a. a -o a -o a * a."""
-    a = TVar("a")
-    return Forall("a", Lolli(a, Lolli(a, tensor_type(a, a))))
+    a = TBound(0)
+    return Forall("a", Lolli(a, Lolli(a, tensor_type(a, a))), True)
 
 
 def match_tensor_type(a: Type):
-    """Return (L, R) when a is alpha-equal to tensor_type(L, R), else None."""
-    if not isinstance(a, Forall):
+    """Return (L, R) when a is tensor_type(L, R), else None: read L and R
+    off the shape, then rebuild it."""
+    try:
+        l, r = a.body.dom.dom, a.body.dom.cod.dom
+    except AttributeError:
         return None
-    g, body = a.var, a.body
-    if not (
-        isinstance(body, Lolli)
-        and isinstance(body.cod, TVar)
-        and body.cod.name == g
-        and isinstance(body.dom, Lolli)
-        and isinstance(body.dom.cod, Lolli)
-        and isinstance(body.dom.cod.cod, TVar)
-        and body.dom.cod.cod.name == g
-    ):
+    if references(l, 0) or references(r, 0):
         return None
-    l, r = body.dom.dom, body.dom.cod.dom
-    if g in free_type_vars(l) or g in free_type_vars(r):
-        return None
-    return l, r
+    l, r = shift(l, -1), shift(r, -1)
+    return (l, r) if tensor_type(l, r) == a else None
 
 
 def is_unit_type(a: Type) -> bool:
@@ -224,22 +211,19 @@ POS = "+"
 NEG = "-"
 
 
-def _flip(p: str) -> str:
-    return NEG if p == POS else POS
-
-
 def polarity_occurrences(a: Type, connective: str):
     """All occurrences of the given connective ('forall', 'with', 'lolli',
     'var') in a, paired with their polarity.  The type itself is a positive
     occurrence of its own head."""
     out = []
-    kind = {TVar: "var", Lolli: "lolli", With: "with", Forall: "forall"}
+    kind = {TVar: "var", TBound: "var", Lolli: "lolli", With: "with",
+            Forall: "forall"}
 
     def go(t: Type, pol: str):
         if kind[type(t)] == connective:
             out.append((t, pol))
         if isinstance(t, Lolli):
-            go(t.dom, _flip(pol))
+            go(t.dom, NEG if pol == POS else POS)
             go(t.cod, pol)
         elif isinstance(t, With):
             go(t.left, pol)
@@ -272,16 +256,9 @@ def is_pi1(a: Type) -> bool:
 
 
 def classify_type(a: Type) -> frozenset:
-    tags = set()
-    if is_closed(a):
-        tags.add("closed")
-    if is_forall_lazy(a):
-        tags.add("forall_lazy")
-    if is_lazy(a):
-        tags.add("lazy")
-    if is_pi1(a):
-        tags.add("pi1")
-    return frozenset(tags)
+    return frozenset(tag for tag, holds in (
+        ("closed", is_closed), ("forall_lazy", is_forall_lazy),
+        ("lazy", is_lazy), ("pi1", is_pi1)) if holds(a))
 
 
 def judgement_is_forall_lazy(context_types, goal: Type) -> bool:

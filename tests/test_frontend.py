@@ -7,8 +7,10 @@ from linadd.frontend import (
     print_derivation, print_term, print_type, tokenize,
 )
 from linadd.derivation import Derivation, Judgement, check
-from linadd.terms import Abs, App, Copy, Pair, Proj, Var, alpha_equal, identity_term
-from linadd.typesys import Forall, Lolli, TVar, With, tensor_type, unit_type
+from linadd.terms import (
+    Abs, App, Bound, Copy, Pair, Proj, Var, alpha_equal, free_vars, identity_term,
+)
+from linadd.typesys import Forall, Lolli, TBound, TVar, With, tensor_type, unit_type
 
 
 # -- concrete syntax ----------------------------------------------------------
@@ -165,7 +167,7 @@ def test_deep_binder_prefix_parses():
     for i in range(DEEP):
         assert isinstance(t, Abs) and t.var == "v%d" % i
         t = t.body
-    assert isinstance(t, Var) and t.name == "v0"
+    assert t == Bound(DEEP - 1)  # the outermost binder, v0
 
 
 def test_deep_forall_prefix_parses():
@@ -175,7 +177,7 @@ def test_deep_forall_prefix_parses():
     for i in range(DEEP):
         assert isinstance(a, Forall) and a.var == "a%d" % i
         a = a.body
-    assert a == TVar("a0")
+    assert a == TBound(DEEP - 1)  # the outermost binder, a0
 
 
 def test_long_lolli_chain_parses():
@@ -187,6 +189,36 @@ def test_long_lolli_chain_parses():
         assert isinstance(a, Lolli) and a.dom == TVar("a")
         a = a.cod
     assert a == TVar("a")
+
+
+def test_deep_prefixes_compare_and_hash():
+    src = "".join("forall a%d. " % i for i in range(DEEP)) + "a0"
+    a, b = parse_type(src), parse_type(src)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_type(src[:-2] + "a1")
+    src = "".join("\\v%d. " % i for i in range(DEEP)) + "v0"
+    t, u = parse_term(src), parse_term(src)
+    assert alpha_equal(t, u) and hash(t) == hash(u)
+    assert not alpha_equal(t, parse_term(src[:-2] + "v1"))
+    assert free_vars(t) == frozenset()
+    assert free_vars(parse_term(src[:-2] + "w")) == {"w"}
+
+
+def test_deep_application_spine_prints():
+    src = "f " + " ".join("x%d" % i for i in range(DEEP))
+    t = parse_term(src)
+    assert print_term(t) == src
+    assert free_vars(t) == {"f"} | {"x%d" % i for i in range(DEEP)}
+
+
+def test_left_nested_with_chain_prints_each_level_once():
+    a = TVar("a")
+    t = a
+    for _ in range(40):
+        t = With(t, a)
+    src = "(" * 39 + "a & a" + ") & a" * 39
+    assert print_type(t) == src
+    assert parse_type(src) == t
 
 
 @pytest.mark.parametrize("parse, src", [
@@ -245,6 +277,77 @@ def test_term_round_trip(t):
 @given(_types())
 def test_type_round_trip(a):
     assert parse_type(print_type(a)) == a
+
+
+def test_printed_names_do_not_depend_on_earlier_calls():
+    assert print_type(parse_type("a * b")) == "forall g. (a -o b -o g) -o g"
+    assert print_type(parse_type("a * b")) == "forall g. (a -o b -o g) -o g"
+    assert print_term(parse_term("x * y")) == "\\z. z x y"
+    assert print_term(parse_term("x * y")) == "\\z. z x y"
+
+
+def test_printer_renames_only_a_capturing_hint():
+    # the tensor's hint g would capture the free g; the inner x would
+    # capture the outer x, which its body uses
+    assert print_type(parse_type("g * b")) == "forall g0. (g -o b -o g0) -o g0"
+    t = Abs("x", Abs("x", App(Bound(0), Bound(1)), True), True)
+    assert print_term(t) == "\\x. \\x0. x0 x"
+    assert print_term(Abs("x", Abs("x", Var("x")))) == "\\x. \\x. x"
+
+
+# Binder hints and free names drawn from one small pool, so that hints
+# collide with each other, with free names and with the printer's own
+# renamings; bodies refer to any enclosing binder by index.
+_hints = st.sampled_from(["x", "y", "x0"])
+
+
+def _nameless_term(draw, depth, fuel):
+    kinds = ["var"] + ["bound"] * (depth > 0)
+    if fuel > 0:
+        kinds += ["abs", "app", "pair", "proj", "copy"]
+    kind = draw(st.sampled_from(kinds))
+    sub = lambda extra: _nameless_term(draw, depth + extra, fuel // 2)
+    if kind == "var":
+        return Var(draw(_hints))
+    if kind == "bound":
+        return Bound(draw(st.integers(0, depth - 1)))
+    if kind == "abs":
+        return Abs(draw(_hints), _nameless_term(draw, depth + 1, fuel - 1), True)
+    if kind == "app":
+        return App(sub(0), sub(0))
+    if kind == "pair":
+        return Pair(sub(0), sub(0))
+    if kind == "proj":
+        return Proj(draw(st.sampled_from([1, 2])), sub(0))
+    return Copy(sub(0), sub(0), draw(_hints), draw(_hints), sub(1), sub(1), True)
+
+
+def _nameless_type(draw, depth, fuel):
+    kinds = ["var"] + ["bound"] * (depth > 0)
+    if fuel > 0:
+        kinds += ["lolli", "with", "forall"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        return TVar(draw(_hints))
+    if kind == "bound":
+        return TBound(draw(st.integers(0, depth - 1)))
+    if kind == "forall":
+        return Forall(draw(_hints), _nameless_type(draw, depth + 1, fuel - 1), True)
+    sub = [_nameless_type(draw, depth, fuel // 2) for _ in range(2)]
+    return Lolli(*sub) if kind == "lolli" else With(*sub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_printed_names_round_trip(data):
+    t = _nameless_term(data.draw, 0, 16)
+    text = print_term(t)
+    assert parse_term(text) == t
+    assert print_term(parse_term(text)) == text
+    a = _nameless_type(data.draw, 0, 16)
+    text = print_type(a)
+    assert parse_type(text) == a
+    assert print_type(parse_type(text)) == text
 
 
 def _judgement_types(d):

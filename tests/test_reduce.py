@@ -13,7 +13,7 @@ from linadd.reduce import (
     reduction_graph_confluent, redex_free, step,
 )
 from linadd.terms import (
-    Abs, App, Copy, Pair, Proj, Var,
+    Abs, App, Bound, Copy, Pair, Proj, Var,
     alpha_equal, free_vars, identity_term, is_value, subst, term_size,
 )
 from linadd.translate import GadgetLibrary, identity_derivation, translate_derivation
@@ -130,15 +130,20 @@ def test_ladd_steps_and_sizes(n, strategy):
 # -- the cached flags and the descent against uncached references ------------
 
 def _ref_free(t):
+    """The free names of t, and as ints the bound indices that point past
+    t, counted from t."""
     if isinstance(t, Var):
         return {t.name}
-    if isinstance(t, Abs):
-        return _ref_free(t.body) - {t.var}
-    if isinstance(t, Copy):
-        return (_ref_free(t.guard) | _ref_free(t.scrutinee)
-                | (_ref_free(t.left_branch) - {t.left_var})
-                | (_ref_free(t.right_branch) - {t.right_var}))
-    return set().union(*map(_ref_free, t.children()))
+    if isinstance(t, Bound):
+        return {t.index}
+    out = set()
+    for c, b in zip(t.children(), t.binds):
+        for v in _ref_free(c):
+            if not isinstance(v, int):
+                out.add(v)
+            elif v >= b:
+                out.add(v - b)
+    return out
 
 
 def _ref_shaped(t):
@@ -259,7 +264,7 @@ def test_deep_redex_takes_one_step():
     body = res.term
     for _ in range(DEEP):
         body = body.body
-    assert isinstance(body, Var) and body.name == "v0"
+    assert body == Bound(DEEP - 1)  # the outermost binder, v0
 
 
 def test_normalize_costs_local_work(monkeypatch):

@@ -97,3 +97,21 @@ def test_equality_of_shared_towers_walks_each_level_once():
     assert Lolli(ONE, ONE) != Lolli(B, B)
     assert Lolli(ONE, ONE) != Lolli(one, B)
     assert time.perf_counter() - started < 1.0
+
+
+def test_hash_of_a_shared_tower_visits_each_node_once(monkeypatch):
+    # a type's hash is computed once per node, from its children's, when the
+    # node is built; hash() then walks nothing, so a shared with_tower(t, n)
+    # costs n steps, not 2^n
+    from linadd.families import with_tower
+    started = time.perf_counter()
+    tower, again = with_tower(unit_type(), 30), with_tower(unit_type(), 30)
+
+    def walked(self):
+        raise AssertionError("hash() walked the type")
+
+    for kind in (Forall, Lolli, With):
+        monkeypatch.setattr(kind, "children", walked)
+    assert hash(tower) == hash(again)
+    assert hash(tower) != hash(with_tower(bool_type(), 30))
+    assert time.perf_counter() - started < 0.5
