@@ -212,14 +212,13 @@ def cmd_translate(args) -> int:
     report = Report("translate", {"file": args.file})
     with report.timed("parse_s"):
         d = load_derivation(args.file)
-    lib = GadgetLibrary()
     try:
         with report.timed("work_s"):
-            out = translate_derivation(d, lib)
+            out = translate_derivation(d, GadgetLibrary())
     except GadgetError as e:
         report.fail(str(e))
         return _emit(report, args)
-    report.measurements = compression_report(d, lib)
+    report.measurements = compression_report(d, out)
     report.passed()
     return _emit(report, args, [print_derivation(out)])
 

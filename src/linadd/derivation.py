@@ -113,7 +113,8 @@ class Derivation:
     """A rule instance; `params` is None when the node was built without its
     rule's parameters (see `rule_params`)."""
 
-    __slots__ = ("rule", "conclusion", "premises", "params", "_stats")
+    __slots__ = ("rule", "conclusion", "premises", "params", "_stats",
+                 "__weakref__")
     rule: str
     conclusion: Judgement
     premises: tuple
@@ -425,6 +426,12 @@ def _nodes(d: Derivation):
             seen.add(id(d))
             todo += d.premises
             yield d
+
+
+def dag_size(d: Derivation) -> int:
+    """The number of distinct nodes of d: its size with every shared
+    subderivation counted once."""
+    return sum(1 for _ in _nodes(d))
 
 
 def is_eta_expanded(d: Derivation) -> bool:

@@ -7,11 +7,19 @@ the guarded-copy rule becomes a duplicator gadget (selection among all
 possible outcomes, erasing the rest), following the Mairson–Terui linear
 erasure/duplication discipline.  Every translated derivation is rebuilt as a
 full derivation in the multiplicative fragment, so the output re-checks.
+
+A `GadgetLibrary` owns the closed gadgets: each eraser (those nested in a
+generator too), each duplicator, the unit derivation and the two boolean
+values is built once per library and then shared wherever it is needed, so
+translations are DAGs (hash-consing, Filliâtre & Conchon 2006, applied to
+closed gadgets).  Sharing is sound because a closed gadget has an empty
+context: no assumption name of it can meet another.  Sizes stay tree sizes:
+`metrics(out).size` counts a shared subderivation once per occurrence, as if
+nothing were shared, and `compression_report` puts `translated_dag_size`, the
+distinct nodes, beside it.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .terms import fresh_name, free_vars, term_size
 from .typesys import (
@@ -20,7 +28,7 @@ from .typesys import (
     open_type, subst_type, tensor_type, unit_type,
 )
 from .derivation import (
-    CONSTRUCTORS, Derivation, context_names, metrics, rule_params,
+    CONSTRUCTORS, Derivation, context_names, dag_size, metrics, rule_params,
     d_app, d_ax, d_forallR, d_inst, d_lolliL, d_lolliR,
 )
 
@@ -83,7 +91,7 @@ def d_let_unit(scrut: Derivation, body: Derivation) -> Derivation:
 # abstracts its own arguments, consumes each with the matching eraser, and
 # chains the units onto I.  Both are linear in the type size.
 
-def _eraser_body(s: Type, env: frozenset, d: Derivation) -> Derivation:
+def _eraser_body(s: Type, env: frozenset, d: Derivation, lib) -> Derivation:
     while True:
         if isinstance(s, TVar):
             if s.name not in env:
@@ -95,13 +103,13 @@ def _eraser_body(s: Type, env: frozenset, d: Derivation) -> Derivation:
             s = open_type(s.body, TVar(m))
             d = d_inst(d, unit_type())
         elif isinstance(s, Lolli):
-            d = d_app(d, _generator(s.dom, env))
+            d = d_app(d, _generator(s.dom, env, lib))
             s = s.cod
         else:
             raise GadgetError("eraser does not support conjunction types")
 
 
-def _generator(s: Type, env: frozenset) -> Derivation:
+def _generator(s: Type, env: frozenset, lib) -> Derivation:
     doms = []
     while isinstance(s, Lolli):
         doms.append(s.dom)
@@ -109,11 +117,11 @@ def _generator(s: Type, env: frozenset) -> Derivation:
     if not (isinstance(s, TVar) and s.name in env):
         raise GadgetError("generator head is not an instantiated variable"
                           " (negative quantifier in the erased type)")
-    d = identity_derivation()
+    d = lib.unit()
     names = [fresh_name("g", set()) for _ in doms]
     for x, dom in zip(reversed(names), reversed(doms)):
-        real = _realize(dom, env)
-        e = d_app(_eraser(real, env), d_ax(x, real))
+        real = _realize(dom, env)  # closed, so its eraser is the library's
+        e = d_app(lib.eraser(real), d_ax(x, real))
         d = d_app(d_inst(e, d.conclusion.goal), d)
     for x in reversed(names):
         d = d_lolliR(d, x)
@@ -126,9 +134,9 @@ def _realize(s: Type, env: frozenset) -> Type:
     return s
 
 
-def _eraser(a: Type, env: frozenset) -> Derivation:
+def _eraser(a: Type, lib) -> Derivation:
     z = fresh_name("z", set())
-    body = _eraser_body(a, env, d_ax(z, a))
+    body = _eraser_body(a, frozenset(), d_ax(z, a), lib)
     return d_lolliR(body, z)
 
 
@@ -136,7 +144,6 @@ def _eraser(a: Type, env: frozenset) -> Derivation:
 
 BOOL = bool_type()
 
-@cache
 def _bool_values():
     """Derivations of the two eta-long boolean inhabitants; the one pairing
     its first argument first represents true."""
@@ -174,16 +181,16 @@ def _shape_bools(shape) -> int:
     return 1 if shape[0] == "bool" else 0
 
 
-def _value_for(shape, assignment: list) -> Derivation:
+def _value_for(shape, assignment: list, lib) -> Derivation:
     """Closed derivation of the inhabitant selected by the boolean
     assignment, consuming it left to right."""
     if shape[0] == "unit":
-        return identity_derivation()
+        return lib.unit()
     if shape[0] == "bool":
-        tt, ff = _bool_values()
+        tt, ff = lib.bools()
         return tt if assignment.pop(0) else ff
-    l = _value_for(shape[1], assignment)
-    r = _value_for(shape[2], assignment)
+    l = _value_for(shape[1], assignment, lib)
+    r = _value_for(shape[2], assignment, lib)
     return d_tensor_pair(l, r)
 
 
@@ -198,13 +205,13 @@ def _proj1(r: Type, lib) -> Derivation:
 def _flat_select(bools: list, shape, lib) -> Derivation:
     """Selection by table: a closed balanced tuple holds the outcome pair for
     every boolean assignment (true half first); each selector then takes the
-    current table apart, keeps its half, and erases the other."""
+    current table apart, keeps its half, and erases the other.  Each entry
+    is built once and paired with itself."""
 
     def table(k, assignment):
         if k == len(bools):
-            v = _value_for(shape, list(assignment))
-            w = _value_for(shape, list(assignment))
-            return d_tensor_pair(v, w)
+            v = _value_for(shape, list(assignment), lib)
+            return d_tensor_pair(v, v)
         return d_tensor_pair(table(k + 1, assignment + [True]),
                              table(k + 1, assignment + [False]))
 
@@ -222,11 +229,29 @@ _FLAT_LIMIT = 256
 
 
 class GadgetLibrary:
-    """Cache of eraser and duplicator derivations keyed by the type."""
+    """The owner of the closed gadgets of a translation: erasers and
+    duplicators keyed by type, the unit derivation and the two boolean
+    values.  Each is built once per library and shared wherever it is
+    needed, inside other gadgets too, so outputs are DAGs.  The memo lives
+    and dies with the library; nothing is cached per module."""
 
     def __init__(self):
         self._erasers: dict = {}
         self._dups: dict = {}
+        self._unit = None
+        self._bools = None
+
+    def unit(self) -> Derivation:
+        """|- I : 1, eta-long."""
+        if self._unit is None:
+            self._unit = identity_derivation()
+        return self._unit
+
+    def bools(self) -> tuple:
+        """The derivations of true and false (see `_bool_values`)."""
+        if self._bools is None:
+            self._bools = _bool_values()
+        return self._bools
 
     def eraser(self, a: Type) -> Derivation:
         """Closed derivation of |- E : A -o 1 with E M normalizing to I for
@@ -234,7 +259,7 @@ class GadgetLibrary:
         if a not in self._erasers:
             if not is_closed(a):
                 raise GadgetError("eraser requires a closed type")
-            self._erasers[a] = _eraser(a, frozenset())
+            self._erasers[a] = _eraser(a, self)
         return self._erasers[a]
 
     def duplicator(self, a: Type) -> Derivation:
@@ -370,11 +395,14 @@ def check_soundness(before: Derivation, after: Derivation,
     return beta_eta_equal(t1, t2)
 
 
-def compression_report(d: Derivation, lib: GadgetLibrary | None = None) -> dict:
-    out = translate_derivation(d, lib or GadgetLibrary())
+def compression_report(d: Derivation, out: Derivation) -> dict:
+    """Sizes of d and of its translation out.  The derivation sizes count
+    a shared subderivation once per occurrence (tree size);
+    `translated_dag_size` counts each distinct node of out once."""
     return {
         "derivation_size": metrics(d).size,
         "subject_size": term_size(d.conclusion.subject),
         "translated_size": term_size(out.conclusion.subject),
         "translated_derivation_size": metrics(out).size,
+        "translated_dag_size": dag_size(out),
     }

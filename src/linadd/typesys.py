@@ -19,6 +19,15 @@ by & and forall.  The classifier predicates defined from polarity:
     forall_lazy  no negative occurrence of forall
     lazy         forall_lazy and no positive occurrence of &
     pi1          forall_lazy and no occurrence of & at all
+
+`closed` reads the stored free names.  The other three read a 4-bit
+polarity summary (forall+, forall-, with+, with-) that each node computes
+once from its children's, on the first query (`nameless.cache_up`): -o
+swaps the signs of its domain's bits, & adds with+, forall adds forall+.  So
+a query costs the nodes not yet summarized, a shared subtree such as
+`with_tower(t, n)` is summarized once, and no depth recurses.
+`polarity_occurrences` lists the occurrences themselves by walking the type
+as a tree; it is the reference that the summaries are tested against.
 """
 
 from __future__ import annotations
@@ -26,13 +35,13 @@ from __future__ import annotations
 from functools import partial
 
 from .nameless import (
-    Node, bind, free_names, fresh, index_leaf, instantiate, loose, name_leaf,
-    over, references, shift, size, substitute,
+    Node, bind, cache_up, children, free_names, fresh, index_leaf, instantiate,
+    loose, name_leaf, over, references, shift, size, substitute,
 )
 
 
 class Type(Node):
-    __slots__ = ("_fv", "_loose", "_hash")
+    __slots__ = ("_fv", "_loose", "_hash", "_pol")
 
     def __eq__(self, other):
         # Node.__eq__ with the kinds spelled out: types are compared at
@@ -213,30 +222,47 @@ NEG = "-"
 
 def polarity_occurrences(a: Type, connective: str):
     """All occurrences of the given connective ('forall', 'with', 'lolli',
-    'var') in a, paired with their polarity.  The type itself is a positive
-    occurrence of its own head."""
+    'var') in a, paired with their polarity, in pre-order.  The type itself
+    is a positive occurrence of its own head.  A walk of a as a tree, with
+    its own stack: the reference for the summaries below."""
     out = []
     kind = {TVar: "var", TBound: "var", Lolli: "lolli", With: "with",
             Forall: "forall"}
-
-    def go(t: Type, pol: str):
+    stack = [(a, POS)]
+    while stack:
+        t, pol = stack.pop()
         if kind[type(t)] == connective:
             out.append((t, pol))
         if isinstance(t, Lolli):
-            go(t.dom, NEG if pol == POS else POS)
-            go(t.cod, pol)
+            stack += ((t.cod, pol), (t.dom, NEG if pol == POS else POS))
         elif isinstance(t, With):
-            go(t.left, pol)
-            go(t.right, pol)
+            stack += ((t.right, pol), (t.left, pol))
         elif isinstance(t, Forall):
-            go(t.body, pol)
-
-    go(a, POS)
+            stack.append((t.body, pol))
     return out
 
 
-def _has_occurrence(a: Type, connective: str, pol: str) -> bool:
-    return any(p == pol for _, p in polarity_occurrences(a, connective))
+# The polarity summary of a type: which of these occur in it.  Each
+# negative bit is its positive bit shifted left by one.
+FORALL_POS, FORALL_NEG, WITH_POS, WITH_NEG = 1, 2, 4, 8
+_POSITIVE = FORALL_POS | WITH_POS
+
+
+def _polarity_here(t: Type, kids: list) -> int:
+    kind = t.__class__
+    if kind is Lolli:
+        dom = kids[0]  # its polarities flip
+        return (dom & _POSITIVE) << 1 | (dom >> 1) & _POSITIVE | kids[1]
+    if kind is With:
+        return kids[0] | kids[1] | WITH_POS
+    if kind is Forall:
+        return kids[0] | FORALL_POS
+    return 0
+
+
+def _polarity(a: Type) -> int:
+    """The polarity summary of a, stored in every node on the way."""
+    return cache_up(a, "_pol", children, _polarity_here)
 
 
 def is_closed(a: Type) -> bool:
@@ -244,15 +270,15 @@ def is_closed(a: Type) -> bool:
 
 
 def is_forall_lazy(a: Type) -> bool:
-    return not _has_occurrence(a, "forall", NEG)
+    return not _polarity(a) & FORALL_NEG
 
 
 def is_lazy(a: Type) -> bool:
-    return is_forall_lazy(a) and not _has_occurrence(a, "with", POS)
+    return not _polarity(a) & (FORALL_NEG | WITH_POS)
 
 
 def is_pi1(a: Type) -> bool:
-    return is_forall_lazy(a) and not polarity_occurrences(a, "with")
+    return not _polarity(a) & (FORALL_NEG | WITH_POS | WITH_NEG)
 
 
 def classify_type(a: Type) -> frozenset:
@@ -265,6 +291,6 @@ def judgement_is_forall_lazy(context_types, goal: Type) -> bool:
     """A sequent A1,...,An |- B counts as forall-lazy when the folded type
     A1 -o ... -o An -o B is: no context type may contain a positive forall,
     and the goal no negative one."""
-    if _has_occurrence(goal, "forall", NEG):
+    if _polarity(goal) & FORALL_NEG:
         return False
-    return not any(_has_occurrence(t, "forall", POS) for t in context_types)
+    return not any(_polarity(t) & FORALL_POS for t in context_types)

@@ -141,9 +141,9 @@ def test_criterion_09_translation_soundness(corpus, gadgets):
 
 
 def test_criterion_10_compression():
-    # a library of its own: the gadgets for ladd(B, 5) hold millions of
-    # objects, which the session library would keep alive (and every later
-    # full garbage collection would walk) until the session ends
+    # a library of its own, dropped with the test: the gadgets it builds for
+    # ladd(B, 5) are about 0.12M objects, which the session library would
+    # keep alive until the session ends
     gadgets = GadgetLibrary()
     ratios = []
     at_largest = None

@@ -98,6 +98,7 @@ def test_translate_reports_compression(tmp_path, capsys):
     assert code == 0
     m = rep["measurements"]
     assert m["translated_derivation_size"] > m["derivation_size"]
+    assert 0 < m["translated_dag_size"] < m["translated_derivation_size"]
 
 
 def test_suite_blowup(capsys):

@@ -1,7 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
+import linadd.translate
 from linadd.cutelim import eliminate
-from linadd.derivation import check, check_ok, d_app, metrics
+from linadd.derivation import check, check_ok, d_app, dag_size, metrics
+from linadd.families import gen_ladd
 from linadd.inhabit import enumerate_inhabitants
 from linadd.reduce import beta_eta_equal, normalize
 from linadd.terms import alpha_equal, identity_term, term_size
@@ -109,13 +114,57 @@ def test_check_soundness_across_one_elimination(gadgets):
 
 def test_compression_report_keys(gadgets):
     from linadd.corpus import copy_first_enclosure
-    rep = compression_report(copy_first_enclosure(), gadgets)
+    d = copy_first_enclosure()
+    out = translate_derivation(d, gadgets)
+    rep = compression_report(d, out)
     assert set(rep) == {"derivation_size", "subject_size",
-                        "translated_size", "translated_derivation_size"}
+                        "translated_size", "translated_derivation_size",
+                        "translated_dag_size"}
     assert rep["translated_size"] > 0
+    assert rep["translated_dag_size"] == dag_size(out)
+    assert 0 < rep["translated_dag_size"] <= rep["translated_derivation_size"]
 
 
 def test_eraser_growth_is_linear(gadgets):
     ratios = [term_size(gadgets.eraser(a).conclusion.subject) / type_size(a)
               for a in TYPES.values()]
     assert max(ratios) < 3.0
+
+
+# A library builds each closed gadget once and the translation shares it,
+# so outputs are DAGs whose tree sizes are those of the unshared build.
+@pytest.mark.parametrize("n, tree_size", [(2, 1824), (3, 16194)])
+def test_translation_shares_closed_gadgets(n, tree_size):
+    _, d = gen_ladd(n, B)
+    out = translate_derivation(d, GadgetLibrary())
+    assert metrics(out).size == tree_size
+    assert check(out, "imll2") == []
+    # unshared, ladd(B, 2) and ladd(B, 3) had 1,644 and 13,943 distinct
+    # nodes; shared, 421 and 1,133
+    assert dag_size(out) * 4 < tree_size
+
+
+def test_each_closed_eraser_is_built_once(monkeypatch):
+    built = []
+    build = linadd.translate._eraser
+
+    def counted(a, lib):
+        built.append(a)
+        return build(a, lib)
+
+    monkeypatch.setattr(linadd.translate, "_eraser", counted)
+    _, d = gen_ladd(3, B)
+    translate_derivation(d, GadgetLibrary())
+    # unshared, the 8 distinct types took 498 builds
+    assert 0 < len(built) <= len(set(built))
+
+
+def test_gadgets_die_with_their_library():
+    lib = GadgetLibrary()
+    _, d = gen_ladd(2, B)
+    out = translate_derivation(d, lib)
+    eraser = weakref.ref(lib.eraser(B))
+    unit = weakref.ref(lib.unit())
+    del lib, out
+    gc.collect()
+    assert eraser() is None and unit() is None

@@ -1,5 +1,9 @@
 import time
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from linadd.derivation import _nodes
 from linadd.typesys import (
     Forall, Lolli, TVar, With,
     bool_type, classify_type, free_type_vars, is_closed, is_forall_lazy,
@@ -115,3 +119,88 @@ def test_hash_of_a_shared_tower_visits_each_node_once(monkeypatch):
     assert hash(tower) == hash(again)
     assert hash(tower) != hash(with_tower(bool_type(), 30))
     assert time.perf_counter() - started < 0.5
+
+
+# -- polarity summaries against the occurrence walk ---------------------------
+
+def _has(a, connective, pol):
+    return any(p == pol for _, p in polarity_occurrences(a, connective))
+
+
+def _reference(a):
+    """(forall_lazy, lazy, pi1) from the listed occurrences."""
+    forall_lazy = not _has(a, "forall", "-")
+    return (forall_lazy,
+            forall_lazy and not _has(a, "with", "+"),
+            forall_lazy and not polarity_occurrences(a, "with"))
+
+
+def _classified(a):
+    return (is_forall_lazy(a), is_lazy(a), is_pi1(a))
+
+
+def _judgement_reference(context_types, goal):
+    return (not _has(goal, "forall", "-")
+            and not any(_has(t, "forall", "+") for t in context_types))
+
+
+def test_classifiers_agree_with_occurrences_on_the_corpus(corpus):
+    judgements = {}
+    for e in corpus:
+        for n in _nodes(e.derivation):
+            j = n.conclusion
+            judgements[id(j)] = (j.context_types(), j.goal)
+    types = {t for ctx, goal in judgements.values() for t in (*ctx, goal)}
+    assert len(types) > 100
+    for a in types:
+        assert _classified(a) == _reference(a), a
+    for ctx, goal in judgements.values():
+        assert (judgement_is_forall_lazy(ctx, goal)
+                == _judgement_reference(ctx, goal))
+
+
+def _types():
+    leaves = st.one_of(st.builds(TVar, st.sampled_from(["a", "b"])),
+                       st.just(unit_type()), st.just(bool_type()))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Lolli, sub, sub),
+            st.builds(With, sub, sub),
+            st.builds(Forall, st.sampled_from(["a", "b"]), sub),
+            st.builds(tensor_type, sub, sub),
+        ),
+        max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_types(), st.lists(_types(), max_size=3))
+def test_classifiers_agree_with_occurrences_on_drawn_types(a, context):
+    assert _classified(a) == _reference(a)
+    assert classify_type(a) - {"closed"} == {
+        tag for tag, holds in zip(("forall_lazy", "lazy", "pi1"),
+                                  _reference(a)) if holds}
+    assert (judgement_is_forall_lazy(context, a)
+            == _judgement_reference(context, a))
+
+
+def test_classifiers_on_deep_and_shared_types():
+    # a summary is computed once per node, so a shared with_tower(t, n)
+    # costs n, and no depth of -o chain recurses
+    from linadd.families import with_tower
+    started = time.perf_counter()
+    assert is_forall_lazy(with_tower(ONE, 60))
+    assert not is_lazy(with_tower(ONE, 60)) and not is_pi1(with_tower(ONE, 60))
+    assert not is_forall_lazy(Lolli(with_tower(B, 60), ONE))
+    assert time.perf_counter() - started < 1.0
+    a = TVar("a")
+    right = a
+    for _ in range(1500):  # a -o a -o ... -o a
+        right = Lolli(a, right)
+    assert _classified(right) == (True, True, True) == _reference(right)
+    left = Forall("a", a)
+    for _ in range(1500):  # ((forall a. a) -o a) -o a ..., 1500 deep
+        left = Lolli(left, a)
+    assert _classified(left) == _reference(left) == (True, True, True)
+    left = Lolli(left, a)
+    assert _classified(left) == _reference(left) == (False, False, False)
