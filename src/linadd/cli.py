@@ -3,8 +3,10 @@
 Subcommands mirror the library operations one-to-one: ``check``,
 ``normalize``, ``cutelim``, ``eta-expand``, ``inhabitants``, ``translate``,
 ``gen``, and ``suite``.  Every subcommand can emit a JSON report with the
-schema {command, inputs, measurements, verdict, details[]}; the process exits
-0 exactly when every executed verdict is pass (or info).
+schema {command, inputs, measurements, verdict, details[]}.  The exit code
+is 0 when every executed verdict is pass (or info) and 1 when one fails; an
+input that cannot be read or parsed exits 2 and an internal error 3, both
+with verdict ``error`` and the message in ``details``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 
 from .terms import term_size
@@ -20,6 +23,7 @@ from .typesys import bool_type, unit_type
 from .derivation import LAM, CheckError, check, metrics
 from .reduce import BudgetExceeded, normalize
 from .cutelim import CutElimError, eliminate
+from .steps import ElimStepError
 from .inhabit import InhabitError, enumerate_inhabitants, eta_expand
 from .translate import (
     GadgetError, GadgetLibrary, compression_report, translate_derivation,
@@ -31,6 +35,14 @@ from .frontend import (
 )
 from . import corpus as corpus_mod
 from . import suites
+
+EXIT_INPUT_ERROR = 2     # the input cannot be read or parsed
+EXIT_INTERNAL_ERROR = 3  # any other exception: a defect of linadd
+
+# The library's own errors.  A suite that raises one fails and the next
+# suite runs; any other exception is an internal error.
+LIBRARY_ERRORS = (ParseError, CheckError, BudgetExceeded, CutElimError,
+                  ElimStepError, InhabitError, GadgetError, corpus_mod.CorpusError)
 
 
 class Report:
@@ -277,7 +289,7 @@ def cmd_suite(args) -> int:
             report.measurements = res.measurements
             for message in res.failures:
                 report.fail(message)
-        except Exception as e:  # suite failures never abort the process
+        except LIBRARY_ERRORS as e:
             report.fail("%s: %s" % (type(e).__name__, e))
         report.passed()
         code |= _emit(report, args)
@@ -356,13 +368,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error(args, message: str, code: int) -> int:
+    """Report an error that stopped the command, as JSON under --json."""
+    inputs = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("cmd", "fn", "json")}
+    report = Report(args.cmd, inputs)
+    report.verdict = "error"
+    report.details.append(message)
+    if args.json:
+        _emit(report, args)
+    print("error: %s" % message, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        return _error(args, str(e), EXIT_INPUT_ERROR)
+    except Exception as e:  # the last boundary: report it, with its traceback
+        traceback.print_exc()
+        return _error(args, "internal error: %s: %s" % (type(e).__name__, e),
+                      EXIT_INTERNAL_ERROR)
 
 
 if __name__ == "__main__":

@@ -17,14 +17,27 @@ Derivations are s-expressions
 with terms and types embedded as double-quoted strings in the syntax above.
 `;` starts a line comment in every format.
 
+Each parser reads its input in one pass and builds every node once.  One
+regex `findall` yields the token texts (a string keeps its quotes), and the
+parsers walk that list by index.  No span is computed on the way: a parser
+that fails names the index of the failing token, and only then does
+`tokenize`, which reads the same grammar and keeps spans, locate it.  If
+`tokenize` raises, that lexical error is the error, as it would be had
+lexing run first.  `parse_derivation` likewise reports the errors of the
+s-expression before those of its content, and those in pre-order.
+
+The type and term parsers keep the names of the enclosing binders,
+innermost first, and emit an identifier bound there as its index, so every
+binder is built over a body that already refers to it (see `nameless`) and
+no body is rebound.
+
 Every judgement restates its whole context, and many rules keep the subject
 of their premise, so one file names the same type and term many times.
 `parse_derivation` therefore parses each distinct type or term text once per
 call, and equal texts share one object (safe, since both are immutable and
-compare structurally).  `print_derivation` likewise prints each Type object
-once per call.  Neither memo outlives the call.
+compare structurally).  `print_derivation` likewise prints each type and
+term object once per call.  Neither memo outlives the call.
 
-Each binder the parsers read closes its name in its body (see `nameless`).
 The printers choose the names of binders: each keeps its hint unless the
 hint would capture.
 """
@@ -33,7 +46,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import takewhile
 from typing import NamedTuple
 
@@ -48,6 +60,10 @@ from .typesys import (
 from .derivation import Derivation, Judgement
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
+
+# How many rules deep a derivation file may nest: `check` and the other
+# walks over derivations recurse once per level.
+MAX_DERIVATION_DEPTH = 900
 
 
 @dataclass(frozen=True)
@@ -76,21 +92,26 @@ class Token(NamedTuple):
         return SourceSpan(self.start, self.end)
 
 
-# Layout and comments, then one token: a group per token class.  A comment
-# runs to the end of its line, so that backtracking cannot end it early and
-# read a token inside it; every layout character has one reading, so a
-# failed match backtracks in linear time.  A word is a maximal run of
-# identifier characters (str.isalnum, `_`, `'`), which `\w` matches exactly.
-# Whether it is an identifier, a number or an error depends on its first
-# character under str.isalpha/str.isdigit, which no regex class expresses,
-# so the loop decides that.
+# Layout and comments, then one token.  A comment runs to the end of its
+# line, so that backtracking cannot end it early and read a token inside it;
+# every layout character has one reading, so a failed match backtracks in
+# linear time.  A word is a maximal run of identifier characters
+# (str.isalnum, `_`, `'`), which `\w` matches exactly.  Whether it is an
+# identifier, a number or an error depends on its first character under
+# str.isalpha/str.isdigit, which no regex class expresses, so `tokenize`
+# decides that.
 _LAYOUT = r"[ \t\r\n]*(?:;[^\n]*(?![^\n])[ \t\r\n]*)*"
 _SKIP = re.compile(_LAYOUT)
-_TOKEN = re.compile(_LAYOUT + r"""(?:
-    (?P<string>"[^"]*")
-  | (?P<word>\w[\w']*)
-  | (?P<punct>-o|[()<>,.\\\[\]&*])
-  | (?P<eof>\Z))""", re.VERBOSE)
+_STRING, _WORD, _PUNCT = r'"[^"]*"', r"\w[\w']*", r"-o|[()<>,.\\\[\]&*]"
+_TOKEN = re.compile(_LAYOUT + r"(?:(?P<string>%s)|(?P<word>%s)|(?P<punct>%s)|(?P<eof>\Z))"
+                    % (_STRING, _WORD, _PUNCT))
+# The texts alone, for ASCII sources, where str.isdigit is [0-9]: the same
+# alternatives with a number split off the front of a word, as `tokenize`
+# splits it, and any other character a token of its own, so that none is
+# skipped.  `\Z` yields "" at the end, which no parser accepts; after
+# trailing layout, findall yields it twice.
+_TEXTS = re.compile(_LAYOUT + r"(%s|[0-9]+|%s|%s|\Z|.)"
+                    % (_STRING, _WORD, _PUNCT)).findall
 
 
 def tokenize(src: str) -> list:
@@ -127,95 +148,121 @@ def tokenize(src: str) -> list:
         i = j
 
 
-class _Cursor:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+def _texts(src: str) -> list:
+    """The text of each token of src, "" for the end; a string keeps its
+    quotes.  Beyond ASCII, \\d and str.isdigit part ways (`²` is a digit
+    only to the latter), so such a source is read through `tokenize`."""
+    if src.isascii():
+        texts = _TEXTS(src)
+        if len(texts) > 1 and not texts[-2]:
+            texts.pop()
+        return texts
+    return ['"%s"' % t.text if t.kind == "string" else t.text
+            for t in tokenize(src)]
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+class _Fail(Exception):
+    """A parse failure at the token of index args[0], with args[1] its
+    message (None: "unexpected <token>") and args[2] what was expected."""
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "string":
-            raise ParseError("unexpected %r" % (t.text or "end of input"),
-                             t.span, expected=[repr(text)])
-        return self.next()
+    def __init__(self, at: int, message=None, expected=()):
+        super().__init__(at, message, expected)
 
-    def ident(self, what="identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError("unexpected %r" % (t.text or "end of input"),
-                             t.span, expected=[what])
-        return self.next()
+
+def _locate(src: str, at: int, message, expected) -> ParseError:
+    """The error of a parse of src that failed at its token `at`."""
+    try:
+        tok = tokenize(src)[at]
+    except ParseError as e:  # a lexical error comes first
+        return e
+    if message is None:
+        message = "unexpected %r" % (tok.text or "end of input")
+    return ParseError(message, tok.span, expected)
+
+
+def _ident(t: str) -> bool:
+    c = t[:1]
+    return (c.isalpha() or c == "_") and t not in KEYWORDS
+
+
+def _expect(toks: list, i: int, text: str) -> None:
+    if toks[i] != text:
+        raise _Fail(i, None, (repr(text),))
+
+
+def _name(toks: list, i: int, what: str) -> str:
+    t = toks[i]
+    if not _ident(t):
+        raise _Fail(i, None, (what,))
+    return t
 
 
 def _parse_all(parse, src: str):
-    """Run `parse` over the whole of `src`.  Binder prefixes, `-o` chains and
-    s-expressions parse in loops; bracketed forms recurse, and running out of
-    stack there is reported as a ParseError."""
-    c = _Cursor(tokenize(src))
+    """Run `parse` over the whole of `src`.  Each parser takes the token
+    texts, an index and the enclosing binders' names, innermost first, and
+    returns a tree and the index after it.  Binder prefixes and `-o` chains
+    parse in loops; bracketed forms recurse, and running out of stack there
+    is reported as a ParseError."""
+    toks = _texts(src)
     try:
-        out = parse(c)
-    except RecursionError:
-        raise ParseError("nesting too deep", c.peek().span) from None
-    if c.peek().kind != "eof":
-        raise ParseError("trailing input", c.peek().span)
+        out, i = parse(toks, 0, [])
+        if toks[i]:
+            raise _Fail(i, "trailing input")
+    except _Fail as e:
+        raise _locate(src, *e.args) from None
     return out
 
 
 # -- types --------------------------------------------------------------------
 
-def _parse_type(c: _Cursor) -> Type:
+def _parse_type(toks: list, i: int, env: list):
     # `forall a.` prefixes and the right-nested `-o` chain, innermost last
-    wrap = []
-    while True:
-        if c.peek().text == "forall":
-            c.next()
-            v = c.ident("type variable").text
-            c.expect(".")
-            wrap.append(partial(Forall, v))
-            continue
-        out = _parse_type_tensor(c)
-        if c.peek().text != "-o":
-            break
-        c.next()
-        wrap.append(partial(Lolli, out))
+    wrap = []  # binder hints and `-o` domains
+    try:
+        while True:
+            if toks[i] == "forall":
+                v = _name(toks, i + 1, "type variable")
+                _expect(toks, i + 2, ".")
+                env.insert(0, v)
+                wrap.append(v)
+                i += 3
+                continue
+            out, i = _parse_type_atom(toks, i, env)
+            t = toks[i]
+            while t == "&" or t == "*":
+                rhs, i = _parse_type_atom(toks, i + 1, env)
+                out = With(out, rhs) if t == "&" else tensor_type(out, rhs)
+                t = toks[i]
+            if t != "-o":
+                break
+            wrap.append(out)
+            i += 1
+    except RecursionError:
+        raise _Fail(i, "nesting too deep") from None
     for w in reversed(wrap):
-        out = w(out)
-    return out
+        if w.__class__ is str:
+            del env[0]
+            out = Forall(w, out, True)
+        else:
+            out = Lolli(w, out)
+    return out, i
 
 
-def _parse_type_tensor(c: _Cursor) -> Type:
-    out = _parse_type_atom(c)
-    while c.peek().text in ("&", "*") and c.peek().kind == "punct":
-        op = c.next().text
-        rhs = _parse_type_atom(c)
-        out = With(out, rhs) if op == "&" else tensor_type(out, rhs)
-    return out
-
-
-def _parse_type_atom(c: _Cursor) -> Type:
-    t = c.peek()
-    if t.text == "(":
-        c.next()
-        a = _parse_type(c)
-        c.expect(")")
-        return a
-    if t.kind == "number" and t.text == "1":
-        c.next()
-        return unit_type()
-    if t.text == "forall":
-        return _parse_type(c)
-    if t.kind == "ident":
-        return TVar(c.next().text)
-    raise ParseError("unexpected %r" % (t.text or "end of input"), t.span,
-                     expected=["type"])
+def _parse_type_atom(toks: list, i: int, env: list):
+    t = toks[i]
+    if t in env:
+        return TBound(env.index(t)), i + 1
+    if t == "(":
+        a, i = _parse_type(toks, i + 1, env)
+        _expect(toks, i, ")")
+        return a, i + 1
+    if t == "1":
+        return unit_type(), i + 1
+    if t == "forall":
+        return _parse_type(toks, i, env)
+    if _ident(t):
+        return TVar(t), i + 1
+    raise _Fail(i, None, ("type",))
 
 
 def parse_type(src: str) -> Type:
@@ -274,110 +321,116 @@ def print_type(a: Type) -> str:
 
 # -- terms --------------------------------------------------------------------
 
-def _parse_term(c: _Cursor) -> Term:
+def _parse_term(toks: list, i: int, env: list):
     # `\x.` and `let ... in` prefixes, innermost last
-    wrap = []
-    while True:
-        t = c.peek()
-        if t.text == "\\":
-            c.next()
-            v = c.ident("variable").text
-            c.expect(".")
-            wrap.append(partial(Abs, v))
-        elif t.text == "let":
-            c.next()
-            m = _parse_term_tensor(c)
-            c.expect("be")
-            if c.peek().text == "I":
-                c.next()
-                c.expect("in")
-                wrap.append(partial(let_unit, m))
-                continue
-            x = c.ident("variable").text
-            c.expect("*")
-            y = c.ident("variable").text
-            c.expect("in")
-            wrap.append(partial(let_tensor, m, x, y))
-        else:
-            break
-    out = _parse_term_tensor(c)
+    wrap = []  # binder hints and the heads of lets
+    try:
+        while True:
+            t = toks[i]
+            if t == "\\":
+                v = _name(toks, i + 1, "variable")
+                _expect(toks, i + 2, ".")
+                env.insert(0, v)
+                wrap.append(v)
+                i += 3
+            elif t == "let":
+                m, i = _parse_term_tensor(toks, i + 1, env)
+                _expect(toks, i, "be")
+                if toks[i + 1] == "I":
+                    _expect(toks, i + 2, "in")
+                    wrap.append((m,))
+                    i += 3
+                    continue
+                x = _name(toks, i + 1, "variable")
+                _expect(toks, i + 2, "*")
+                y = _name(toks, i + 3, "variable")
+                _expect(toks, i + 4, "in")
+                env[:0] = (y, x)
+                wrap.append((m, x, y))
+                i += 5
+            else:
+                break
+        out, i = _parse_term_tensor(toks, i, env)
+    except RecursionError:
+        raise _Fail(i, "nesting too deep") from None
     for w in reversed(wrap):
-        out = w(out)
-    return out
+        if w.__class__ is str:
+            del env[0]
+            out = Abs(w, out, True)
+        elif len(w) == 1:
+            out = let_unit(w[0], out)
+        else:
+            del env[:2]
+            out = let_tensor(*w, out, scoped=True)
+    return out, i
 
 
-def _parse_term_tensor(c: _Cursor) -> Term:
-    out = _parse_term_app(c)
-    while c.peek().kind == "punct" and c.peek().text == "*":
-        c.next()
-        out = tensor_term(out, _parse_term_app(c))
-    return out
+def _parse_term_tensor(toks: list, i: int, env: list):
+    out, i = _parse_term_app(toks, i, env)
+    while toks[i] == "*":
+        n, i = _parse_term_app(toks, i + 1, env)
+        out = tensor_term(out, n)
+    return out, i
 
 
-_ATOM_STARTS = {"(", "<", "\\"}
+_ATOM_STARTS = {"(", "<", "\\", "p1", "p2", "copy", "I", "let"}
 
 
-def _starts_atom(t: Token) -> bool:
-    if t.kind == "ident":
-        return True
-    if t.kind == "keyword" and t.text in ("p1", "p2", "copy", "I", "let"):
-        return True
-    return t.kind == "punct" and t.text in _ATOM_STARTS
+def _parse_term_app(toks: list, i: int, env: list):
+    out, i = _parse_term_atom(toks, i, env)
+    while True:
+        t = toks[i]
+        if not (t in env or t in _ATOM_STARTS or _ident(t)):
+            return out, i
+        arg, i = _parse_term_atom(toks, i, env)
+        out = App(out, arg)
 
 
-def _parse_term_app(c: _Cursor) -> Term:
-    out = _parse_term_atom(c)
-    while _starts_atom(c.peek()):
-        out = App(out, _parse_term_atom(c))
-    return out
-
-
-def _parse_term_atom(c: _Cursor) -> Term:
-    t = c.peek()
-    if t.text == "(":
-        c.next()
-        m = _parse_term(c)
-        c.expect(")")
-        return m
-    if t.text == "<":
-        c.next()
-        l = _parse_term(c)
-        c.expect(",")
-        r = _parse_term(c)
-        c.expect(">")
-        return Pair(l, r)
-    if t.text in ("p1", "p2"):
-        c.next()
-        c.expect("(")
-        m = _parse_term(c)
-        c.expect(")")
-        return Proj(1 if t.text == "p1" else 2, m)
-    if t.text == "copy":
-        c.next()
-        c.expect("[")
-        guard = _parse_term(c)
-        c.expect("]")
-        scrut = _parse_term_app(c)
-        c.expect("as")
-        x = c.ident("variable").text
-        c.expect(",")
-        y = c.ident("variable").text
-        c.expect("in")
-        c.expect("<")
-        l = _parse_term(c)
-        c.expect(",")
-        r = _parse_term(c)
-        c.expect(">")
-        return Copy(guard, scrut, x, y, l, r)
-    if t.text == "I":
-        c.next()
-        return identity_term()
-    if t.text in ("\\", "let"):
-        return _parse_term(c)
-    if t.kind == "ident":
-        return Var(c.next().text)
-    raise ParseError("unexpected %r" % (t.text or "end of input"), t.span,
-                     expected=["term"])
+def _parse_term_atom(toks: list, i: int, env: list):
+    t = toks[i]
+    if t in env:
+        return Bound(env.index(t)), i + 1
+    if t == "(":
+        m, i = _parse_term(toks, i + 1, env)
+        _expect(toks, i, ")")
+        return m, i + 1
+    if t == "<":
+        l, i = _parse_term(toks, i + 1, env)
+        _expect(toks, i, ",")
+        r, i = _parse_term(toks, i + 1, env)
+        _expect(toks, i, ">")
+        return Pair(l, r), i + 1
+    if t == "p1" or t == "p2":
+        _expect(toks, i + 1, "(")
+        m, i = _parse_term(toks, i + 2, env)
+        _expect(toks, i, ")")
+        return Proj(1 if t == "p1" else 2, m), i + 1
+    if t == "copy":
+        _expect(toks, i + 1, "[")
+        guard, i = _parse_term(toks, i + 2, env)
+        _expect(toks, i, "]")
+        scrut, i = _parse_term_app(toks, i + 1, env)
+        _expect(toks, i, "as")
+        x = _name(toks, i + 1, "variable")
+        _expect(toks, i + 2, ",")
+        y = _name(toks, i + 3, "variable")
+        _expect(toks, i + 4, "in")
+        _expect(toks, i + 5, "<")
+        env.insert(0, x)
+        l, i = _parse_term(toks, i + 6, env)
+        env[0] = y
+        _expect(toks, i, ",")
+        r, i = _parse_term(toks, i + 1, env)
+        del env[0]
+        _expect(toks, i, ">")
+        return Copy(guard, scrut, x, y, l, r, True), i + 1
+    if t == "I":
+        return identity_term(), i + 1
+    if t == "\\" or t == "let":
+        return _parse_term(toks, i, env)
+    if _ident(t):
+        return Var(t), i + 1
+    raise _Fail(i, None, ("term",))
 
 
 def parse_term(src: str) -> Term:
@@ -434,111 +487,166 @@ def print_term(m: Term) -> str:
 
 # -- derivations --------------------------------------------------------------
 
-class _List(list):
-    """An s-expression list; `start` is the offset of its parenthesis."""
-
-    __slots__ = ("start",)
-
-
-def _parse_sexp(c: _Cursor):
-    """Lists are `_List`s; atoms and strings are ("atom" | "str", text,
-    offset of the token)."""
-    open_lists = []  # (opening token, items so far) of each unclosed list
-    while True:
-        t = c.next()
-        kind = t.kind
-        if kind == "punct" and t.text == "(":
-            items = _List()
-            items.start = t.start
-            open_lists.append((t, items))
-            continue
-        if kind == "string":
-            item = ("str", t.text, t.start)
-        elif kind in ("ident", "keyword", "number"):
-            item = ("atom", t.text, t.start)
-        elif kind == "punct" and t.text == ")" and open_lists:
-            item = open_lists.pop()[1]
-        elif kind == "eof" and open_lists:
-            raise ParseError("unclosed parenthesis", open_lists[-1][0].span)
-        else:
-            raise ParseError("unexpected %r" % (t.text or "end of input"), t.span,
-                             expected=["s-expression"])
-        if not open_lists:
-            return item
-        open_lists[-1][1].append(item)
-
-
-def _in_string(parse, item):
-    """parse(text) of a ("str", text, start) item, with the span of a
-    ParseError moved from the start of the text to the start of the file."""
-    try:
-        return parse(item[1])
-    except ParseError as e:
-        at = item[2] + 1  # past the opening quote
-        raise ParseError(e.message, SourceSpan(e.span.start + at, e.span.end + at),
-                         e.expected) from None
-
-
-def _sexp_to_derivation(s, type_of, term_of) -> Derivation:
-    def fail(msg, item):
-        # the first character of the offending item
-        at = item.start if isinstance(item, _List) else item[2]
-        raise ParseError(msg, SourceSpan(at, at + 1))
-
-    if not (isinstance(s, list) and len(s) >= 3 and s[0][:2] == ("atom", "rule")):
-        fail("derivation must be (rule NAME (seq ...) PREMISE...)", s)
-    name = s[1]
-    if not (isinstance(name, tuple) and name[0] == "atom"):
-        fail("rule name must be an atom", name)
-    seq = s[2]
-    if not (isinstance(seq, list) and len(seq) == 4 and seq[0][:2] == ("atom", "seq")):
-        fail("judgement must be (seq ((x \"A\") ...) \"TERM\" \"TYPE\")", seq)
-    ctx_s, term_s, type_s = seq[1], seq[2], seq[3]
-    if not isinstance(ctx_s, list):
-        fail("context must be a list of bindings", ctx_s)
-    ctx = []
-    for b in ctx_s:
-        if not (isinstance(b, list) and len(b) == 2
-                and isinstance(b[0], tuple) and b[0][0] == "atom"
-                and isinstance(b[1], tuple) and b[1][0] == "str"):
-            fail("binding must be (name \"TYPE\")", b)
-        ctx.append((b[0][1], _in_string(type_of, b[1])))
-    for item in (term_s, type_s):
-        if not (isinstance(item, tuple) and item[0] == "str"):
-            fail("subject and goal must be quoted strings", item)
-    j = Judgement(tuple(ctx), _in_string(term_of, term_s),
-                  _in_string(type_of, type_s))
-    prems = []
-    for p in s[3:]:  # a loop, not a generator: one frame per level
-        prems.append(_sexp_to_derivation(p, type_of, term_of))
-    return Derivation(name[1], j, tuple(prems))
+def _atom(t: str) -> bool:
+    """Whether t is the text of an atom: a word or a number."""
+    c = t[:1]
+    return c.isalpha() or c == "_" or c.isdigit()
 
 
 def parse_derivation(src: str) -> Derivation:
     """Parse a derivation file.  Equal type or term texts within the file
     are parsed once and share one object."""
-    s = _parse_all(_parse_sexp, src)
+    toks = _texts(src)
+    types: dict = {}  # quoted text -> Type
+    terms: dict = {}  # quoted text -> Term
+    open_nodes: list = []  # (rule, judgement, premises) of each unclosed node
+    i = node = 0
     try:
-        return _sexp_to_derivation(s, cache(parse_type), cache(parse_term))
-    except RecursionError:
-        raise ParseError("nesting too deep", SourceSpan(0, 0)) from None
+        while True:
+            node = i  # the item read next is a derivation
+            if len(open_nodes) == MAX_DERIVATION_DEPTH:
+                raise _Fail(node, "nesting too deep")
+            # `and` reads a token only after the tokens before it, none of
+            # them the end
+            if not (toks[i] == "(" and toks[i + 1] == "rule" and _atom(toks[i + 2])
+                    and toks[i + 3] == "(" and toks[i + 4] == "seq"
+                    and toks[i + 5] == "("):
+                raise _Fail(node)
+            rule = toks[i + 2]
+            i += 6
+            ctx = []
+            while toks[i] == "(":
+                if not (_atom(toks[i + 1]) and toks[i + 2][:1] == '"'
+                        and toks[i + 3] == ")"):
+                    raise _Fail(node)
+                s = toks[i + 2]
+                a = types.get(s) or types.setdefault(s, parse_type(s[1:-1]))
+                ctx.append((toks[i + 1], a))
+                i += 4
+            if not (toks[i] == ")" and toks[i + 1][:1] == '"'
+                    and toks[i + 2][:1] == '"' and toks[i + 3] == ")"):
+                raise _Fail(node)
+            s, g = toks[i + 1], toks[i + 2]
+            m = terms.get(s) or terms.setdefault(s, parse_term(s[1:-1]))
+            a = types.get(g) or types.setdefault(g, parse_type(g[1:-1]))
+            open_nodes.append((rule, Judgement(tuple(ctx), m, a), []))
+            i += 4
+            while toks[i] == ")":
+                rule, j, prems = open_nodes.pop()
+                d = Derivation(rule, j, tuple(prems))
+                if not open_nodes:
+                    if toks[i + 1]:
+                        raise _Fail(i + 1)
+                    return d
+                open_nodes[-1][2].append(d)
+                i += 1
+    except (_Fail, ParseError) as e:
+        message = e.args[1] if isinstance(e, _Fail) else None
+        raise _derivation_error(src, node, message) from None
+
+
+def _derivation_error(src: str, at: int, message) -> ParseError:
+    """The error of a file that `parse_derivation` stopped reading at the
+    item starting at token `at`: the lexical error, else the first error of
+    the s-expression, else `message`, else the item's own first error.  The
+    items before it in pre-order are well-formed."""
+    try:
+        toks = tokenize(src)
+    except ParseError as e:
+        return e
+    lists: dict = {}  # token index of each "(" -> where its items start
+    opened: list = []  # the token indices of the unclosed "("
+    for k, t in enumerate(toks):
+        paren = t.text if t.kind == "punct" else None
+        if paren == ")" and opened:
+            opened.pop()
+        elif paren == "(" or t.kind in ("ident", "keyword", "number", "string"):
+            if opened:
+                lists[opened[-1]].append(k)
+            if paren == "(":
+                opened.append(k)
+                lists[k] = []
+                continue
+        elif t.kind == "eof" and opened:
+            return ParseError("unclosed parenthesis", toks[opened[-1]].span)
+        else:
+            return ParseError("unexpected %r" % (t.text or "end of input"),
+                              t.span, ("s-expression",))
+        if not opened:
+            if toks[k + 1].kind != "eof":
+                return ParseError("trailing input", toks[k + 1].span)
+            break
+    if message is not None:
+        return ParseError(message, SourceSpan(0, 0))
+    return _item_error(toks, lists.get, at)
+
+
+def _item_error(toks: list, items, at: int) -> ParseError:
+    """The first error of the derivation whose item starts at toks[at],
+    before its premises; items(k) is where the items of the list opened at
+    toks[k] start, or None.  A structural error spans the first character
+    of the offending item."""
+    def atom(k, text=None):
+        return toks[k].kind in ("ident", "keyword", "number") and (
+            text is None or toks[k].text == text)
+
+    def fail(message, k):
+        return ParseError(message, SourceSpan(toks[k].start, toks[k].start + 1))
+
+    def in_string(parse, k):
+        # parse's error on the text of string k, spanned in the file
+        try:
+            parse(toks[k].text)
+        except ParseError as e:
+            at = toks[k].start + 1  # past the opening quote
+            return ParseError(e.message, SourceSpan(e.span.start + at, e.span.end + at),
+                              e.expected)
+        return None
+
+    s = items(at)
+    if not (s and len(s) >= 3 and atom(s[0], "rule")):
+        return fail("derivation must be (rule NAME (seq ...) PREMISE...)", at)
+    if not atom(s[1]):
+        return fail("rule name must be an atom", s[1])
+    seq = items(s[2])
+    if not (seq and len(seq) == 4 and atom(seq[0], "seq")):
+        return fail('judgement must be (seq ((x "A") ...) "TERM" "TYPE")', s[2])
+    ctx = items(seq[1])
+    if ctx is None:
+        return fail("context must be a list of bindings", seq[1])
+    for b in ctx:
+        pair = items(b)
+        if not (pair and len(pair) == 2 and atom(pair[0])
+                and toks[pair[1]].kind == "string"):
+            return fail('binding must be (name "TYPE")', b)
+        e = in_string(parse_type, pair[1])
+        if e:
+            return e
+    for k in seq[2:]:
+        if toks[k].kind != "string":
+            return fail("subject and goal must be quoted strings", k)
+    e = in_string(parse_term, seq[2]) or in_string(parse_type, seq[3])
+    if e:
+        return e
+    raise AssertionError("parse_derivation stopped at token %d, which is well-formed" % at)
 
 
 def print_derivation(d: Derivation) -> str:
-    printed: dict = {}  # id(type) -> text; d keeps every key's type alive
+    printed: dict = {}  # id(type or term) -> text; d keeps every key alive
     out: list = []
 
-    def ty(a):
-        s = printed.get(id(a))
+    def text(x, printer):
+        s = printed.get(id(x))
         if s is None:
-            s = printed[id(a)] = print_type(a)
+            s = printed[id(x)] = printer(x)
         return s
 
     def go(d, indent):
         j = d.conclusion
-        ctx = " ".join('(%s "%s")' % (n, ty(a)) for n, a in j.context)
+        ctx = " ".join('(%s "%s")' % (n, text(a, print_type)) for n, a in j.context)
         out.append('%s(rule %s (seq (%s) "%s" "%s")' % (
-            "  " * indent, d.rule, ctx, print_term(j.subject), ty(j.goal)))
+            "  " * indent, d.rule, ctx, text(j.subject, print_term),
+            text(j.goal, print_type)))
         for p in d.premises:
             out.append("\n")
             go(p, indent + 1)
@@ -549,15 +657,32 @@ def print_derivation(d: Derivation) -> str:
 
 
 def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
-    j1, j2 = d1.conclusion, d2.conclusion
-    return (
-        d1.rule == d2.rule
-        and j1.context == j2.context
-        and j1.subject == j2.subject
-        and j1.goal == j2.goal
-        and len(d1.premises) == len(d2.premises)
-        and all(derivations_equal(p, q) for p, q in zip(d1.premises, d2.premises))
-    )
+    """Whether d1 and d2 have the same rules and judgements, node for node:
+    one walk with its own stack, in which a pair of subjects or goals is
+    compared once."""
+    same: set = set()  # (id, id) of subject and goal pairs found equal
+
+    def equal(a, b):
+        if a is not b and (id(a), id(b)) not in same:
+            if a != b:
+                return False
+            same.add((id(a), id(b)))
+        return True
+
+    stack = [(d1, d2)]
+    while stack:
+        d1, d2 = stack.pop()
+        if d1 is d2:
+            continue
+        j1, j2 = d1.conclusion, d2.conclusion
+        if not (d1.rule == d2.rule
+                and j1.context == j2.context
+                and equal(j1.subject, j2.subject)
+                and equal(j1.goal, j2.goal)
+                and len(d1.premises) == len(d2.premises)):
+            return False
+        stack.extend(zip(d1.premises, d2.premises))
+    return True
 
 
 def load_term(path: str) -> Term:

@@ -164,7 +164,7 @@ fresh_name = fresh
 # -- macro constructors -------------------------------------------------------
 
 def identity_term() -> Term:
-    return Abs("x", Var("x"))
+    return Abs("x", Bound(0), True)
 
 
 def tensor_term(m: Term, n: Term) -> Term:
@@ -178,9 +178,10 @@ def let_unit(m: Term, n: Term) -> Term:
     return App(m, n)
 
 
-def let_tensor(m: Term, x: str, y: str, n: Term) -> Term:
-    """let M be x*y in N expands to M (\\x.\\y. N)."""
-    return App(m, Abs(x, Abs(y, n)))
+def let_tensor(m: Term, x: str, y: str, n: Term, scoped: bool = False) -> Term:
+    """let M be x*y in N expands to M (\\x.\\y. N).  With `scoped`, N
+    already refers to y as Bound(0) and to x as Bound(1)."""
+    return App(m, Abs(x, Abs(y, n, scoped), scoped))
 
 
 def match_tensor_term(t: Term):

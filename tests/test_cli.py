@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from linadd import cli, suites
 from linadd.cli import main
+from linadd.inhabit import InhabitError
 
 
 def run(capsys, *argv):
@@ -129,3 +131,59 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code():
     assert main(["check", "/nonexistent/q.lamd"]) == 2
+
+
+_DEEP_LAMD = ('(rule ax (seq ((x "a")) "x" "a") ' * 3000
+              + '(rule ax (seq ((x "a")) "x" "a"))' + ")" * 3000)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('(rule ax (seq () "x" "a -o"))\n', "unexpected 'end of input'"),
+    (_DEEP_LAMD, "nesting too deep"),
+], ids=["malformed", "deep"])
+def test_input_error_reports_json(tmp_path, capsys, text, message):
+    f = tmp_path / "in.lamd"
+    f.write_text(text)
+    code, rep = run_json(capsys, "check", str(f))
+    assert code == 2
+    assert rep["command"] == "check" and rep["verdict"] == "error"
+    assert rep["inputs"]["file"] == str(f)
+    assert len(rep["details"]) == 1 and message in rep["details"][0]
+
+
+def test_missing_file_reports_json(capsys):
+    code, rep = run_json(capsys, "check", "/nonexistent/q.lamd")
+    assert code == 2 and rep["verdict"] == "error" and rep["details"]
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "in.lamd"
+    f.write_text('(rule ax (seq ((x "a")) "x" "a"))\n')
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check", broken)
+    code, rep = run_json(capsys, "check", str(f))
+    assert code == 3
+    assert rep["verdict"] == "error"
+    assert rep["details"] == ["internal error: RuntimeError: boom"]
+    assert main(["check", str(f)]) == 3
+    assert "RuntimeError: boom" in capsys.readouterr().err  # the traceback
+
+
+def test_suite_failures_are_the_library_errors(capsys, monkeypatch):
+    def refuses(corpus, gadgets):
+        raise InhabitError("no inhabitant")
+
+    def breaks(corpus, gadgets):
+        raise KeyError("oops")
+
+    monkeypatch.setitem(suites.SUITES, "blowup", refuses)
+    code, rep = run_json(capsys, "suite", "blowup")
+    assert code == 1 and rep["verdict"] == "fail"
+    assert rep["details"] == ["InhabitError: no inhabitant"]
+    monkeypatch.setitem(suites.SUITES, "blowup", breaks)
+    code, rep = run_json(capsys, "suite", "blowup")
+    assert code == 3 and rep["verdict"] == "error"
+    assert rep["details"] == ["internal error: KeyError: 'oops'"]

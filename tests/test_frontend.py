@@ -2,13 +2,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from linadd import frontend
 from linadd.frontend import (
-    ParseError, derivations_equal, parse_derivation, parse_term, parse_type,
-    print_derivation, print_term, print_type, tokenize,
+    MAX_DERIVATION_DEPTH, ParseError, _texts, derivations_equal,
+    parse_derivation, parse_term, parse_type, print_derivation, print_term,
+    print_type, tokenize,
 )
-from linadd.derivation import Derivation, Judgement, check
+from linadd.derivation import Derivation, Judgement, _nodes, check
 from linadd.terms import (
-    Abs, App, Bound, Copy, Pair, Proj, Var, alpha_equal, free_vars, identity_term,
+    Abs, App, Bound, Copy, Pair, Proj, Var, alpha_equal, free_vars,
+    identity_term, let_tensor, tensor_term,
 )
 from linadd.typesys import Forall, Lolli, TBound, TVar, With, tensor_type, unit_type
 
@@ -153,6 +156,7 @@ def test_tokens_golden(src, tokens):
     toks = tokenize(src)
     got = [(t.kind, t.text, t.span.start, t.span.end) for t in toks]
     assert got == tokens + [("eof", "", len(src), len(src))]
+    assert _texts(src) == _token_texts(src)
 
 
 # -- deep inputs --------------------------------------------------------------
@@ -381,3 +385,186 @@ def test_derivation_round_trip_on_corpus(corpus):
         bad = check(swapped, e.system)
         back = parse_derivation(print_derivation(swapped))
         assert bad and check(back, e.system) == bad, e.name
+
+
+# -- the token texts ----------------------------------------------------------
+
+def _token_texts(src):
+    """The token texts as the parsers read them: a string keeps its quotes."""
+    return ['"%s"' % t.text if t.kind == "string" else t.text for t in tokenize(src)]
+
+
+_CHARS = 'ax1_\'"();.\\<>,[]&*-o \t\né²Ⅻ$\f'
+_PIECES = ["forall", "copy", "as", "in", "let", "be", "p1", "p2", "I", "-o",
+           "x'", "12", "1x", "x1", "é", "²x", "; c\n", '"a -o a"']
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_CHARS, max_size=30)
+       | st.lists(st.sampled_from(_PIECES) | st.text(_CHARS, max_size=2),
+                  max_size=12).map(" ".join))
+def test_texts_match_tokenize(src):
+    try:
+        want = _token_texts(src)
+    except ParseError:
+        return
+    assert _texts(src) == want
+
+
+def test_quoted_punctuation_is_not_syntax():
+    # a string inside a type or term is no token of their grammar, whatever
+    # it spells
+    with pytest.raises(ParseError, match=r"unexpected '\(' at 0..3 \(expected type\)"):
+        parse_type('"(" a )')
+    with pytest.raises(ParseError, match="trailing input at 2..6"):
+        parse_type('a "-o" b')
+
+
+# -- binders resolved while parsing -------------------------------------------
+
+@pytest.mark.parametrize("parse, printer, src, built", [
+    (parse_term, print_term, "\\x. \\x. x", Abs("x", Abs("x", Var("x")))),
+    (parse_term, print_term, "\\x. x x'", Abs("x", App(Var("x"), Var("x'")))),
+    (parse_term, print_term, "(\\x. x) x", App(Abs("x", Var("x")), Var("x"))),
+    (parse_type, print_type, "forall a. a -o forall a. a",
+     Forall("a", Lolli(TVar("a"), Forall("a", TVar("a"))))),
+    (parse_term, print_term, "copy[v] m as x,x in <x, x>",
+     Copy(Var("v"), Var("m"), "x", "x", Var("x"), Var("x"))),
+    (parse_term, print_term, "let m be x * x in x",
+     let_tensor(Var("m"), "x", "x", Var("x"))),
+    (parse_type, print_type, "forall a. forall b. a * (b -o a) -o c",
+     Forall("a", Forall("b", Lolli(
+         tensor_type(TVar("a"), Lolli(TVar("b"), TVar("a"))), TVar("c"))))),
+    (parse_term, print_term, "\\x. \\y. x * (y z)",
+     Abs("x", Abs("y", tensor_term(Var("x"), App(Var("y"), Var("z")))))),
+], ids=["shadow", "primed", "free-after-scope", "forall-shadow", "copy-branches",
+        "let-tensor", "tensor-type-operands", "tensor-term-operands"])
+def test_binders_resolve_while_parsing(parse, printer, src, built):
+    t = parse(src)
+    assert t == built and hash(t) == hash(built)
+    assert parse(printer(t)) == t
+    assert printer(parse(printer(t))) == printer(t)
+
+
+def test_shadowing_resolves_to_the_innermost_binder():
+    assert parse_term("\\x. \\x. x").body.body == Bound(0)
+    assert parse_term("\\x. \\y. \\x. y x").body.body.body == App(Bound(1), Bound(0))
+    assert parse_type("forall a. a -o forall a. a").body.cod.body == TBound(0)
+    t = parse_term("\\x. copy[v] x as x,y in <x, x>").body
+    assert (t.left_branch, t.right_branch) == (Bound(0), Bound(1))
+    # let m be x * y in N is m (\\x. \\y. N)
+    t = parse_term("\\y. let y be x * y in x y")
+    assert t.body.fun == Bound(0)
+    assert t.body.arg.body.body == App(Bound(1), Bound(0))
+
+
+# -- derivations --------------------------------------------------------------
+
+def _nested(depth):
+    """A derivation text `depth` rules deep, each with one premise."""
+    node = '(rule ax (seq ((x "a")) "x" "a")'
+    return (node + " ") * (depth - 1) + node + ")" * depth
+
+
+def test_derivation_nesting_limit():
+    d = parse_derivation(_nested(MAX_DERIVATION_DEPTH))
+    assert check(d)  # `check` recurses per level, within the limit
+    with pytest.raises(ParseError) as info:
+        parse_derivation(_nested(MAX_DERIVATION_DEPTH + 1))
+    assert (info.value.message, info.value.span.start, info.value.span.end) == (
+        "nesting too deep", 0, 0)
+
+
+def _chain(depth):
+    j = Judgement((("x", TVar("a")),), Abs("y", Var("x")), Lolli(TVar("b"), TVar("a")))
+    d = Derivation("ax", j, ())
+    for _ in range(depth):
+        d = Derivation("cut", j, (d,))
+    return d
+
+
+def test_deep_derivations_compare():
+    d, e = _chain(5000), _chain(5000)
+    assert derivations_equal(d, e)
+    assert not derivations_equal(d, _chain(4999))
+    bottom = e
+    while bottom.premises:
+        bottom = bottom.premises[0]
+    object.__setattr__(bottom, "rule", "withL1")
+    assert not derivations_equal(d, e)
+
+
+def test_print_derivation_prints_each_term_once(corpus, monkeypatch):
+    d = max(corpus, key=lambda e: e.size).derivation
+    want = print_derivation(d)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return print_term(m)
+
+    monkeypatch.setattr(frontend, "print_term", counted)
+    assert print_derivation(d) == want
+    nodes = list(_nodes(d))
+    assert len(calls) == len({id(n.conclusion.subject) for n in nodes}) < len(nodes)
+
+
+# -- fuzzing: the parsers raise ParseError and nothing else ---------------------
+
+_PARSERS = (parse_type, parse_term, parse_derivation)
+
+
+def _parses_or_fails(parse, src):
+    try:
+        parse(src)
+    except ParseError as e:
+        assert 0 <= e.span.start <= e.span.end <= len(src), (src, e)
+
+
+_SYNTAX = _PIECES + ["(", ")", "<", ">", ",", ".", "\\", "[", "]", "&", "*",
+                     "(rule", "(seq", "ax", "()", '((x "a"))', '"x"', '"\\x. x"',
+                     "$", '"', "'"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(_CHARS, max_size=40)
+       | st.lists(st.sampled_from(_SYNTAX), max_size=20).map(" ".join))
+def test_parsers_raise_only_parse_error(src):
+    for parse in _PARSERS:
+        _parses_or_fails(parse, src)
+
+
+def _mutants(src):
+    """src with one token dropped, duplicated, or swapped with the next."""
+    toks = tokenize(src)[:-1]
+    for k, t in enumerate(toks):
+        yield src[:t.start] + src[t.end:]
+        yield src[:t.end] + " " + src[t.start:]
+        if k + 1 < len(toks):
+            u = toks[k + 1]
+            yield (src[:t.start] + src[u.start:u.end] + src[t.end:u.start]
+                   + src[t.start:t.end] + src[u.end:])
+
+
+def test_mutated_corpus_files_raise_only_parse_error(corpus):
+    for e in sorted(corpus, key=lambda e: e.size)[:12]:
+        text = print_derivation(e.derivation)
+        for src in _mutants(text):
+            _parses_or_fails(parse_derivation, src)
+        j = e.derivation.conclusion
+        for parse, text in ((parse_term, print_term(j.subject)),
+                            (parse_type, print_type(j.goal))):
+            for src in _mutants(text):
+                _parses_or_fails(parse, src)
+
+
+def test_truncated_input_raises_parse_error(corpus):
+    text = print_derivation(min(corpus, key=lambda e: e.size).derivation)
+    for n in range(len(text)):
+        with pytest.raises(ParseError):
+            parse_derivation(text[:n])
+    for parse, src in ((parse_term, "copy[\\x. x] let m be a * b in p1(<a, b>) as x,y in <x, y>"),
+                       (parse_type, "forall a. (a -o 1) & (a * a) -o a")):
+        parse(src)
+        for n in range(len(src)):
+            _parses_or_fails(parse, src[:n])
