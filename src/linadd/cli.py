@@ -185,7 +185,7 @@ def cmd_cutelim(args) -> int:
         report.measurements["rounds_detail"] = [
             {"round": r, **v} for r, v in sorted(per_round.items())]
     report.passed()
-    return _emit(report, args, [print_derivation(out)])
+    return _emit(report, args, () if args.json else [print_derivation(out)])
 
 
 def cmd_eta_expand(args) -> int:
@@ -202,14 +202,15 @@ def cmd_eta_expand(args) -> int:
         "input_size": metrics(d).size, "output_size": metrics(out).size,
     }
     report.passed()
-    return _emit(report, args, [print_derivation(out)])
+    return _emit(report, args, () if args.json else [print_derivation(out)])
 
 
 def cmd_inhabitants(args) -> int:
     a = _parse_type_arg(args.type)
     report = Report("inhabitants", {"type": print_type(a)})
     try:
-        found = enumerate_inhabitants(a)
+        with report.timed("work_s"):
+            found = enumerate_inhabitants(a)
     except InhabitError as e:
         report.fail(str(e))
         return _emit(report, args)
@@ -232,7 +233,7 @@ def cmd_translate(args) -> int:
         return _emit(report, args)
     report.measurements = compression_report(d, out)
     report.passed()
-    return _emit(report, args, [print_derivation(out)])
+    return _emit(report, args, () if args.json else [print_derivation(out)])
 
 
 def cmd_gen(args) -> int:
@@ -240,19 +241,20 @@ def cmd_gen(args) -> int:
     report = Report("gen", {"family": args.family, "n": args.n,
                             "base": print_type(a), "apply": args.apply})
     try:
-        if args.family == "add":
-            term, d = gen_add(args.n, a)
-            system = "imall2"
-        else:
-            term, d = gen_ladd(args.n, a)
-            system = LAM
-        if args.apply:
-            from .inhabit import maximal_value
-            mv = maximal_value(a)
-            if mv is None:
-                raise InhabitError("base type is uninhabited")
-            d = gen_applied(d, mv[1])
-            term = d.conclusion.subject
+        with report.timed("work_s"):
+            if args.family == "add":
+                term, d = gen_add(args.n, a)
+                system = "imall2"
+            else:
+                term, d = gen_ladd(args.n, a)
+                system = LAM
+            if args.apply:
+                from .inhabit import maximal_value
+                mv = maximal_value(a)
+                if mv is None:
+                    raise InhabitError("base type is uninhabited")
+                d = gen_applied(d, mv[1])
+                term = d.conclusion.subject
     except (InhabitError, ValueError) as e:
         report.fail(str(e))
         return _emit(report, args)
@@ -266,6 +268,8 @@ def cmd_gen(args) -> int:
         report.fail(str(bad[0]))
         return _emit(report, args)
     report.passed()
+    if args.json and not args.output:  # the report leaves the text out
+        return _emit(report, args)
     text = print_derivation(d) if args.derivation else print_term(term)
     if args.output:
         with open(args.output, "w") as f:

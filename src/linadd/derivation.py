@@ -1,7 +1,9 @@
 """Sequent derivations and the proof checker.
 
 A derivation node records its rule name, its full conclusion judgement, its
-premise subderivations, and the parameters its rule was built with:
+premise subderivations, and the parameters its rule was built with, in the
+order of this table, which is also the order of their arguments in a
+version 2 `.lamd` file (see `frontend`):
 
     rule            parameters      premises
     ax              x, A            -
@@ -26,9 +28,10 @@ beyond that it checks only what a constructor cannot see: the rule set of
 the system, arity, duplicate names, the context split of cut and lolliL,
 closure and laziness, the withR1 guard, and in lam linearity (which rejects
 nothing the rest accepts, but names every node that a bad premise made
-non-linear).  Nodes built without parameters, as the parser builds them, get
-theirs from `rule_params`, which recovers them from the conclusion and
-premises.  The three systems:
+non-linear).  Nodes built without parameters, as the parser builds the nodes
+of a version 1 file and those of a version 2 file that state their judgement
+without arguments, get theirs from `rule_params`, which recovers them from
+the conclusion and premises.  The three systems:
 
     imll2   ax, cut, lolliR, lolliL, forallR, forallL
     imall2  imll2 plus withR (shared-context pair), withL1/withL2
@@ -73,12 +76,12 @@ LAM = "lam"
 IMALL2 = "imall2"
 IMLL2 = "imll2"
 
-_ARITY = {
+ARITY = {
     "ax": 0, "cut": 2, "lolliR": 1, "lolliL": 2,
     "withR": 2, "withR0": 2, "withR1": 3, "withL1": 1, "withL2": 1,
     "forallR": 1, "forallL": 1,
 }
-RULES = tuple(_ARITY)
+RULES = tuple(ARITY)
 
 _SYSTEM_RULES = {
     IMLL2: {"ax", "cut", "lolliR", "lolliL", "forallR", "forallL"},
@@ -229,9 +232,9 @@ def _check_node(d, params, path, system, bad, eigens):
     """Rebuild d with its rule's constructor, compare the conclusions, then
     check the side conditions no constructor sees."""
     rule = d.rule
-    if len(d.premises) != _ARITY[rule]:
+    if len(d.premises) != ARITY[rule]:
         bad(path, d, "arity", "expected %d premises, got %d"
-            % (_ARITY[rule], len(d.premises)))
+            % (ARITY[rule], len(d.premises)))
         return
     if params is None:
         bad(path, d, rule, "cannot identify the %s" % _PARAM_NAMES[rule])
@@ -324,7 +327,7 @@ def _one(names):
 
 def _recover_params(d: Derivation):
     rule, j, prems = d.rule, d.conclusion, d.premises
-    if len(prems) != _ARITY.get(rule):
+    if len(prems) != ARITY.get(rule):
         return None
     if rule == "ax":
         return j.context[0] if len(j.context) == 1 else None

@@ -10,12 +10,20 @@ Types:   a | A -o B | A & B | forall a. A | 1 | A * B          (macros)
 application is left-associative.  Macros are expanded while parsing and are
 never represented in the AST; the printers emit the expanded form.
 
-Derivations are s-expressions
+Derivation files (`.lamd`) are s-expressions, with terms and types embedded
+as double-quoted strings in the syntax above; `;` starts a line comment in
+every format.  `print_derivation` writes version 2,
 
-    (rule NAME (seq ((x "TYPE") ...) "TERM" "TYPE") PREMISE ...)
+    (lamd 2 NODE)
+    NODE = (rule NAME ARG... [(seq ((x "TYPE") ...) "TERM" "TYPE")] NODE...)
 
-with terms and types embedded as double-quoted strings in the syntax above.
-`;` starts a line comment in every format.
+whose ARGs are all or none of the rule's parameters, in the order of the
+table in `linadd.derivation`, a name bare and a type quoted.  A node without
+a `seq` is built by its rule's constructor.  The writer writes the `seq` at
+the root and wherever the constructor does not recompute the judgement
+exactly, so any derivation, well-formed or not, reads back node for node.
+A file without the header is version 1, `(rule NAME (seq ...) PREMISE ...)`
+with no ARGs, and reads as before.
 
 Each parser reads its input in one pass and builds every node once.  One
 regex `findall` yields the token texts (a string keeps its quotes), and the
@@ -23,20 +31,21 @@ parsers walk that list by index.  No span is computed on the way: a parser
 that fails names the index of the failing token, and only then does
 `tokenize`, which reads the same grammar and keeps spans, locate it.  If
 `tokenize` raises, that lexical error is the error, as it would be had
-lexing run first.  `parse_derivation` likewise reports the errors of the
-s-expression before those of its content, and those in pre-order.
+lexing run first.  In a version 2 file the error is at the first token the
+reader cannot accept, and a rule's refusal at its node's `(`; in a version 1
+file the errors of the s-expression come before those of its content, and
+those in pre-order.
 
 The type and term parsers keep the names of the enclosing binders,
 innermost first, and emit an identifier bound there as its index, so every
 binder is built over a body that already refers to it (see `nameless`) and
 no body is rebound.
 
-Every judgement restates its whole context, and many rules keep the subject
-of their premise, so one file names the same type and term many times.
-`parse_derivation` therefore parses each distinct type or term text once per
-call, and equal texts share one object (safe, since both are immutable and
-compare structurally).  `print_derivation` likewise prints each type and
-term object once per call.  Neither memo outlives the call.
+One file names the same type many times.  `parse_derivation` therefore
+parses each distinct type or term text once per call, and equal texts share
+one object (safe, since both are immutable and compare structurally).
+`print_derivation` likewise prints each type and term object once per call.
+Neither memo outlives the call.
 
 The printers choose the names of binders: each keeps its hint unless the
 hint would capture.
@@ -57,13 +66,18 @@ from .terms import (
 from .typesys import (
     Forall, Lolli, TBound, TVar, Type, With, tensor_type, unit_type,
 )
-from .derivation import Derivation, Judgement
+from .derivation import ARITY, CONSTRUCTORS, Derivation, Judgement, rule_params
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
 
 # How many rules deep a derivation file may nest: `check` and the other
 # walks over derivations recurse once per level.
 MAX_DERIVATION_DEPTH = 900
+# How deep the recursive forms of a type or term may nest (a bracket, a
+# `forall` or `\x.` in operand position, a `let` head, a `copy` scrutinee):
+# their parsers recurse, a term at most four frames per level, so a text
+# within the limit parses however deep the caller's stack already is.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -163,7 +177,8 @@ def _texts(src: str) -> list:
 
 class _Fail(Exception):
     """A parse failure at the token of index args[0], with args[1] its
-    message (None: "unexpected <token>") and args[2] what was expected."""
+    message (None: "unexpected <token>"; a ParseError: the error inside that
+    token, a string) and args[2] what was expected."""
 
     def __init__(self, at: int, message=None, expected=()):
         super().__init__(at, message, expected)
@@ -175,6 +190,8 @@ def _locate(src: str, at: int, message, expected) -> ParseError:
         tok = tokenize(src)[at]
     except ParseError as e:  # a lexical error comes first
         return e
+    if isinstance(message, ParseError):
+        return _shifted(message, tok.start + 1)  # past the opening quote
     if message is None:
         message = "unexpected %r" % (tok.text or "end of input")
     return ParseError(message, tok.span, expected)
@@ -201,8 +218,8 @@ def _parse_all(parse, src: str):
     """Run `parse` over the whole of `src`.  Each parser takes the token
     texts, an index and the enclosing binders' names, innermost first, and
     returns a tree and the index after it.  Binder prefixes and `-o` chains
-    parse in loops; bracketed forms recurse, and running out of stack there
-    is reported as a ParseError."""
+    parse in loops; the other nested forms recurse, at most MAX_NESTING
+    deep."""
     toks = _texts(src)
     try:
         out, i = parse(toks, 0, [])
@@ -215,30 +232,29 @@ def _parse_all(parse, src: str):
 
 # -- types --------------------------------------------------------------------
 
-def _parse_type(toks: list, i: int, env: list):
+def _parse_type(toks: list, i: int, env: list, depth: int = 0):
     # `forall a.` prefixes and the right-nested `-o` chain, innermost last
+    if depth > MAX_NESTING:
+        raise _Fail(i, "nesting too deep")
     wrap = []  # binder hints and `-o` domains
-    try:
-        while True:
-            if toks[i] == "forall":
-                v = _name(toks, i + 1, "type variable")
-                _expect(toks, i + 2, ".")
-                env.insert(0, v)
-                wrap.append(v)
-                i += 3
-                continue
-            out, i = _parse_type_atom(toks, i, env)
+    while True:
+        if toks[i] == "forall":
+            v = _name(toks, i + 1, "type variable")
+            _expect(toks, i + 2, ".")
+            env.insert(0, v)
+            wrap.append(v)
+            i += 3
+            continue
+        out, i = _parse_type_atom(toks, i, env, depth)
+        t = toks[i]
+        while t == "&" or t == "*":
+            rhs, i = _parse_type_atom(toks, i + 1, env, depth)
+            out = With(out, rhs) if t == "&" else tensor_type(out, rhs)
             t = toks[i]
-            while t == "&" or t == "*":
-                rhs, i = _parse_type_atom(toks, i + 1, env)
-                out = With(out, rhs) if t == "&" else tensor_type(out, rhs)
-                t = toks[i]
-            if t != "-o":
-                break
-            wrap.append(out)
-            i += 1
-    except RecursionError:
-        raise _Fail(i, "nesting too deep") from None
+        if t != "-o":
+            break
+        wrap.append(out)
+        i += 1
     for w in reversed(wrap):
         if w.__class__ is str:
             del env[0]
@@ -248,18 +264,18 @@ def _parse_type(toks: list, i: int, env: list):
     return out, i
 
 
-def _parse_type_atom(toks: list, i: int, env: list):
+def _parse_type_atom(toks: list, i: int, env: list, depth: int):
     t = toks[i]
     if t in env:
         return TBound(env.index(t)), i + 1
     if t == "(":
-        a, i = _parse_type(toks, i + 1, env)
+        a, i = _parse_type(toks, i + 1, env, depth + 1)
         _expect(toks, i, ")")
         return a, i + 1
     if t == "1":
         return unit_type(), i + 1
     if t == "forall":
-        return _parse_type(toks, i, env)
+        return _parse_type(toks, i, env, depth + 1)
     if _ident(t):
         return TVar(t), i + 1
     raise _Fail(i, None, ("type",))
@@ -321,38 +337,37 @@ def print_type(a: Type) -> str:
 
 # -- terms --------------------------------------------------------------------
 
-def _parse_term(toks: list, i: int, env: list):
+def _parse_term(toks: list, i: int, env: list, depth: int = 0):
     # `\x.` and `let ... in` prefixes, innermost last
+    if depth > MAX_NESTING:
+        raise _Fail(i, "nesting too deep")
     wrap = []  # binder hints and the heads of lets
-    try:
-        while True:
-            t = toks[i]
-            if t == "\\":
-                v = _name(toks, i + 1, "variable")
-                _expect(toks, i + 2, ".")
-                env.insert(0, v)
-                wrap.append(v)
+    while True:
+        t = toks[i]
+        if t == "\\":
+            v = _name(toks, i + 1, "variable")
+            _expect(toks, i + 2, ".")
+            env.insert(0, v)
+            wrap.append(v)
+            i += 3
+        elif t == "let":
+            m, i = _parse_term_tensor(toks, i + 1, env, depth)
+            _expect(toks, i, "be")
+            if toks[i + 1] == "I":
+                _expect(toks, i + 2, "in")
+                wrap.append((m,))
                 i += 3
-            elif t == "let":
-                m, i = _parse_term_tensor(toks, i + 1, env)
-                _expect(toks, i, "be")
-                if toks[i + 1] == "I":
-                    _expect(toks, i + 2, "in")
-                    wrap.append((m,))
-                    i += 3
-                    continue
-                x = _name(toks, i + 1, "variable")
-                _expect(toks, i + 2, "*")
-                y = _name(toks, i + 3, "variable")
-                _expect(toks, i + 4, "in")
-                env[:0] = (y, x)
-                wrap.append((m, x, y))
-                i += 5
-            else:
-                break
-        out, i = _parse_term_tensor(toks, i, env)
-    except RecursionError:
-        raise _Fail(i, "nesting too deep") from None
+                continue
+            x = _name(toks, i + 1, "variable")
+            _expect(toks, i + 2, "*")
+            y = _name(toks, i + 3, "variable")
+            _expect(toks, i + 4, "in")
+            env[:0] = (y, x)
+            wrap.append((m, x, y))
+            i += 5
+        else:
+            break
+    out, i = _parse_term_tensor(toks, i, env, depth)
     for w in reversed(wrap):
         if w.__class__ is str:
             del env[0]
@@ -365,10 +380,10 @@ def _parse_term(toks: list, i: int, env: list):
     return out, i
 
 
-def _parse_term_tensor(toks: list, i: int, env: list):
-    out, i = _parse_term_app(toks, i, env)
+def _parse_term_tensor(toks: list, i: int, env: list, depth: int):
+    out, i = _parse_term_app(toks, i, env, depth)
     while toks[i] == "*":
-        n, i = _parse_term_app(toks, i + 1, env)
+        n, i = _parse_term_app(toks, i + 1, env, depth)
         out = tensor_term(out, n)
     return out, i
 
@@ -376,40 +391,40 @@ def _parse_term_tensor(toks: list, i: int, env: list):
 _ATOM_STARTS = {"(", "<", "\\", "p1", "p2", "copy", "I", "let"}
 
 
-def _parse_term_app(toks: list, i: int, env: list):
-    out, i = _parse_term_atom(toks, i, env)
+def _parse_term_app(toks: list, i: int, env: list, depth: int):
+    out, i = _parse_term_atom(toks, i, env, depth)
     while True:
         t = toks[i]
         if not (t in env or t in _ATOM_STARTS or _ident(t)):
             return out, i
-        arg, i = _parse_term_atom(toks, i, env)
+        arg, i = _parse_term_atom(toks, i, env, depth)
         out = App(out, arg)
 
 
-def _parse_term_atom(toks: list, i: int, env: list):
+def _parse_term_atom(toks: list, i: int, env: list, depth: int):
     t = toks[i]
     if t in env:
         return Bound(env.index(t)), i + 1
     if t == "(":
-        m, i = _parse_term(toks, i + 1, env)
+        m, i = _parse_term(toks, i + 1, env, depth + 1)
         _expect(toks, i, ")")
         return m, i + 1
     if t == "<":
-        l, i = _parse_term(toks, i + 1, env)
+        l, i = _parse_term(toks, i + 1, env, depth + 1)
         _expect(toks, i, ",")
-        r, i = _parse_term(toks, i + 1, env)
+        r, i = _parse_term(toks, i + 1, env, depth + 1)
         _expect(toks, i, ">")
         return Pair(l, r), i + 1
     if t == "p1" or t == "p2":
         _expect(toks, i + 1, "(")
-        m, i = _parse_term(toks, i + 2, env)
+        m, i = _parse_term(toks, i + 2, env, depth + 1)
         _expect(toks, i, ")")
         return Proj(1 if t == "p1" else 2, m), i + 1
     if t == "copy":
         _expect(toks, i + 1, "[")
-        guard, i = _parse_term(toks, i + 2, env)
+        guard, i = _parse_term(toks, i + 2, env, depth + 1)
         _expect(toks, i, "]")
-        scrut, i = _parse_term_app(toks, i + 1, env)
+        scrut, i = _parse_term_app(toks, i + 1, env, depth + 1)
         _expect(toks, i, "as")
         x = _name(toks, i + 1, "variable")
         _expect(toks, i + 2, ",")
@@ -417,17 +432,17 @@ def _parse_term_atom(toks: list, i: int, env: list):
         _expect(toks, i + 4, "in")
         _expect(toks, i + 5, "<")
         env.insert(0, x)
-        l, i = _parse_term(toks, i + 6, env)
+        l, i = _parse_term(toks, i + 6, env, depth + 1)
         env[0] = y
         _expect(toks, i, ",")
-        r, i = _parse_term(toks, i + 1, env)
+        r, i = _parse_term(toks, i + 1, env, depth + 1)
         del env[0]
         _expect(toks, i, ">")
         return Copy(guard, scrut, x, y, l, r, True), i + 1
     if t == "I":
         return identity_term(), i + 1
     if t == "\\" or t == "let":
-        return _parse_term(toks, i, env)
+        return _parse_term(toks, i, env, depth + 1)
     if _ident(t):
         return Var(t), i + 1
     raise _Fail(i, None, ("term",))
@@ -487,62 +502,131 @@ def print_term(m: Term) -> str:
 
 # -- derivations --------------------------------------------------------------
 
+# The kinds of each rule's arguments in a version 2 file, in the order of
+# its `d_*` constructor's parameters: n a name, t a quoted type.
+_ARGS = {
+    "ax": "nt", "cut": "n", "lolliR": "n", "lolliL": "nn", "withR": "",
+    "withR0": "", "withR1": "n", "withL1": "nnt", "withL2": "nnt",
+    "forallR": "nn", "forallL": "nt",
+}
+
+
 def _atom(t: str) -> bool:
     """Whether t is the text of an atom: a word or a number."""
     c = t[:1]
     return c.isalpha() or c == "_" or c.isdigit()
 
 
+def _shifted(e: ParseError, offset: int) -> ParseError:
+    """e, raised on a text that starts at `offset` in a file, spanned in the
+    file."""
+    return ParseError(e.message, SourceSpan(e.span.start + offset, e.span.end + offset),
+                      e.expected)
+
+
 def parse_derivation(src: str) -> Derivation:
-    """Parse a derivation file.  Equal type or term texts within the file
-    are parsed once and share one object."""
+    """Parse a derivation file of either version.  Equal type or term texts
+    within the file are parsed once and share one object."""
     toks = _texts(src)
+    v2 = toks[:2] == ["(", "lamd"]
     types: dict = {}  # quoted text -> Type
     terms: dict = {}  # quoted text -> Term
-    open_nodes: list = []  # (rule, judgement, premises) of each unclosed node
+    # (token index, rule, parameters, judgement, premises) of each unclosed node
+    open_nodes: list = []
+
+    def quoted(k, memo, parse, what):
+        # the Type or Term that the quoted text toks[k] spells
+        s = toks[k]
+        x = memo.get(s)
+        if x is None:
+            if s[:1] != '"':
+                raise _Fail(k, None, (what,))
+            try:
+                x = memo[s] = parse(s[1:-1])
+            except ParseError as e:
+                raise _Fail(k, e) from None
+        return x
+
     i = node = 0
     try:
+        if v2:
+            if toks[2] != "2":
+                raise _Fail(2, "unsupported .lamd version", ("2",))
+            i = 3
         while True:
             node = i  # the item read next is a derivation
             if len(open_nodes) == MAX_DERIVATION_DEPTH:
                 raise _Fail(node, "nesting too deep")
-            # `and` reads a token only after the tokens before it, none of
-            # them the end
-            if not (toks[i] == "(" and toks[i + 1] == "rule" and _atom(toks[i + 2])
-                    and toks[i + 3] == "(" and toks[i + 4] == "seq"
-                    and toks[i + 5] == "("):
-                raise _Fail(node)
+            _expect(toks, i, "(")
+            _expect(toks, i + 1, "rule")
             rule = toks[i + 2]
-            i += 6
-            ctx = []
-            while toks[i] == "(":
-                if not (_atom(toks[i + 1]) and toks[i + 2][:1] == '"'
-                        and toks[i + 3] == ")"):
-                    raise _Fail(node)
-                s = toks[i + 2]
-                a = types.get(s) or types.setdefault(s, parse_type(s[1:-1]))
-                ctx.append((toks[i + 1], a))
-                i += 4
-            if not (toks[i] == ")" and toks[i + 1][:1] == '"'
-                    and toks[i + 2][:1] == '"' and toks[i + 3] == ")"):
-                raise _Fail(node)
-            s, g = toks[i + 1], toks[i + 2]
-            m = terms.get(s) or terms.setdefault(s, parse_term(s[1:-1]))
-            a = types.get(g) or types.setdefault(g, parse_type(g[1:-1]))
-            open_nodes.append((rule, Judgement(tuple(ctx), m, a), []))
-            i += 4
-            while toks[i] == ")":
-                rule, j, prems = open_nodes.pop()
-                d = Derivation(rule, j, tuple(prems))
-                if not open_nodes:
-                    if toks[i + 1]:
-                        raise _Fail(i + 1)
-                    return d
-                open_nodes[-1][2].append(d)
+            if not _atom(rule):
+                raise _Fail(i + 2, None, ("rule name",))
+            i += 3
+            kinds = _ARGS.get(rule, "") if v2 else ""
+            args = []
+            while v2 and (_atom(toks[i]) or toks[i][:1] == '"'):
+                if len(args) == len(kinds):
+                    raise _Fail(i, "too many arguments for %s" % rule)
+                if kinds[len(args)] == "t":
+                    args.append(quoted(i, types, parse_type, "quoted type"))
+                elif _atom(toks[i]):
+                    args.append(toks[i])
+                else:
+                    raise _Fail(i, "unexpected string", ("name",))
                 i += 1
-    except (_Fail, ParseError) as e:
-        message = e.args[1] if isinstance(e, _Fail) else None
-        raise _derivation_error(src, node, message) from None
+            seq = toks[i] == "(" and toks[i + 1] == "seq"
+            if len(args) < len(kinds) and (args or not seq):
+                raise _Fail(i, "too few arguments for %s" % rule)
+            j = None
+            if seq:
+                _expect(toks, i + 2, "(")
+                i += 3
+                ctx = []
+                while toks[i] == "(":
+                    if not _atom(toks[i + 1]):
+                        raise _Fail(i + 1, None, ("name",))
+                    ctx.append((toks[i + 1], quoted(i + 2, types, parse_type, "quoted type")))
+                    _expect(toks, i + 3, ")")
+                    i += 4
+                _expect(toks, i, ")")
+                j = Judgement(tuple(ctx), quoted(i + 1, terms, parse_term, "quoted term"),
+                              quoted(i + 2, types, parse_type, "quoted type"))
+                _expect(toks, i + 3, ")")
+                i += 4
+            elif not v2:
+                raise _Fail(i)
+            elif rule not in CONSTRUCTORS:
+                raise _Fail(node + 2, "unknown rule %r" % rule)
+            open_nodes.append((node, rule, tuple(args) if args else None, j, []))
+            while toks[i] == ")":
+                at, rule, params, j, prems = open_nodes.pop()
+                if j is not None:
+                    d = Derivation(rule, j, tuple(prems), params)
+                elif len(prems) != ARITY[rule]:
+                    raise _Fail(at, "%s takes %d premises, got %d"
+                                % (rule, ARITY[rule], len(prems)))
+                else:
+                    try:
+                        d = CONSTRUCTORS[rule](*prems, *(params or ()))
+                    except ValueError as e:
+                        raise _Fail(at, str(e)) from None
+                if not open_nodes:
+                    if v2:
+                        i += 1
+                        _expect(toks, i, ")")
+                    if toks[i + 1]:
+                        raise _Fail(i + 1, "trailing input")
+                    return d
+                open_nodes[-1][4].append(d)
+                i += 1
+    except _Fail as e:
+        if v2:
+            raise _locate(src, *e.args) from None
+        # a version 1 file is read again to find its error, which the
+        # replay meets before it falls back on the message: the depth limit
+        message = e.args[1]
+        raise _derivation_error(src, node, message if message.__class__ is str else None) from None
 
 
 def _derivation_error(src: str, at: int, message) -> ParseError:
@@ -598,9 +682,7 @@ def _item_error(toks: list, items, at: int) -> ParseError:
         try:
             parse(toks[k].text)
         except ParseError as e:
-            at = toks[k].start + 1  # past the opening quote
-            return ParseError(e.message, SourceSpan(e.span.start + at, e.span.end + at),
-                              e.expected)
+            return _shifted(e, toks[k].start + 1)  # past the opening quote
         return None
 
     s = items(at)
@@ -631,9 +713,26 @@ def _item_error(toks: list, items, at: int) -> ParseError:
     raise AssertionError("parse_derivation stopped at token %d, which is well-formed" % at)
 
 
+def _recomputed(d: Derivation, params) -> bool:
+    """Whether d's constructor, given d's premises and `params`, concludes
+    exactly d's conclusion: the same context in the same order, an equal
+    subject and an equal goal."""
+    if params is None or len(d.premises) != ARITY.get(d.rule):
+        return False
+    try:
+        built = CONSTRUCTORS[d.rule](*d.premises, *params).conclusion
+    except ValueError:
+        return False
+    j = d.conclusion
+    return (built.context == j.context and built.subject == j.subject
+            and built.goal == j.goal)
+
+
 def print_derivation(d: Derivation) -> str:
+    """The version 2 text of d: every node with its rule's parameters, and
+    with its judgement at the root and wherever `_recomputed` fails."""
     printed: dict = {}  # id(type or term) -> text; d keeps every key alive
-    out: list = []
+    heads: dict = {}  # id(node) -> its text up to its premises
 
     def text(x, printer):
         s = printed.get(id(x))
@@ -641,18 +740,32 @@ def print_derivation(d: Derivation) -> str:
             s = printed[id(x)] = printer(x)
         return s
 
-    def go(d, indent):
-        j = d.conclusion
-        ctx = " ".join('(%s "%s")' % (n, text(a, print_type)) for n, a in j.context)
-        out.append('%s(rule %s (seq (%s) "%s" "%s")' % (
-            "  " * indent, d.rule, ctx, text(j.subject, print_term),
-            text(j.goal, print_type)))
-        for p in d.premises:
-            out.append("\n")
-            go(p, indent + 1)
-        out.append(")")
+    def head(d, root):
+        params = rule_params(d)
+        out = ["(rule ", d.rule]
+        for p in params or ():
+            out.append(" " + p if p.__class__ is str else ' "%s"' % text(p, print_type))
+        if root or not _recomputed(d, params):
+            j = d.conclusion
+            ctx = " ".join('(%s "%s")' % (n, text(a, print_type)) for n, a in j.context)
+            out.append(' (seq (%s) "%s" "%s")' % (
+                ctx, text(j.subject, print_term), text(j.goal, print_type)))
+        return "".join(out)
 
-    go(d, 0)
+    out = ["(lamd 2 "]
+    todo = [(d, 0)]  # a node and its depth, or (None, 0) for a ")"
+    while todo:
+        d, depth = todo.pop()
+        if d is None:
+            out.append(")")
+            continue
+        s = heads.get(id(d))
+        if s is None:
+            s = heads[id(d)] = head(d, depth == 0)
+        out.append("\n%s%s" % ("  " * depth, s) if depth else s)
+        todo.append((None, 0))
+        todo.extend((p, depth + 1) for p in reversed(d.premises))
+    out.append(")")
     return "".join(out)
 
 

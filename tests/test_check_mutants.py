@@ -16,6 +16,7 @@ import random
 from pathlib import Path
 
 from linadd.derivation import RULES, Derivation, Judgement, check
+from linadd.frontend import derivations_equal, parse_derivation, print_derivation
 
 GOLDEN = Path(__file__).with_name("data") / "check_mutants.json"
 SEED = 0
@@ -114,6 +115,18 @@ def test_check_verdicts_on_mutants_are_pinned(corpus):
     assert not diff, "%d verdicts changed, first: %r" % (len(diff), diff[0])
     rejected = sum(bool(w["violations"]) for w in want)
     assert 0 < rejected < len(want)
+
+
+def test_mutants_round_trip_through_files(corpus):
+    # the writer states every judgement that its rule cannot recompute, so
+    # a file holds the mutant, mistakes and all
+    for name, system, path, kind, _, m in mutants(corpus):
+        text = print_derivation(m)
+        back = parse_derivation(text)
+        where = (name, path, kind)
+        assert derivations_equal(m, back), where
+        assert check(back, system) == check(m, system), where
+        assert print_derivation(back) == text, where
 
 
 if __name__ == "__main__":

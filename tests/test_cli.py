@@ -103,6 +103,28 @@ def test_translate_reports_compression(tmp_path, capsys):
     assert 0 < m["translated_dag_size"] < m["translated_derivation_size"]
 
 
+def test_json_reports_leave_the_text_unprinted(tmp_path, capsys, monkeypatch):
+    src, cutfree = tmp_path / "in.lamd", tmp_path / "cutfree.lamd"
+    run(capsys, "gen", "ladd", "-n", "1", "--base", "bool", "--apply",
+        "--derivation", "-o", str(src))
+    code, out = run(capsys, "cutelim", str(src))
+    cutfree.write_text(out)
+
+    def refuses(d):
+        raise AssertionError("printed a derivation that the report leaves out")
+
+    monkeypatch.setattr(cli, "print_derivation", refuses)
+    for argv, phases in ((["cutelim", str(src)], {"parse_s", "work_s"}),
+                         (["eta-expand", str(cutfree)], {"parse_s", "work_s"}),
+                         (["translate", str(src)], {"parse_s", "work_s"}),
+                         (["gen", "ladd", "-n", "2", "--derivation"], {"work_s"}),
+                         (["inhabitants", "bool"], {"work_s"})):
+        code, rep = run_json(capsys, *argv)
+        assert code == 0 and rep["verdict"] == "pass", argv
+        timings = rep["measurements"]["timings"]
+        assert set(timings) == phases and min(timings.values()) >= 0, argv
+
+
 def test_suite_blowup(capsys):
     code, rep = run_json(capsys, "suite", "blowup")
     assert code == 0 and rep["verdict"] == "pass"

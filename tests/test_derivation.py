@@ -177,12 +177,11 @@ def test_malformed_forallR_is_a_violation(text):
     assert bad and bad[0].rule == "forallR"
 
 
-def test_recovered_parameters_match_the_stored_ones(corpus):
+def test_recovered_parameters_match_the_stored_ones(corpus, print_v1):
     from linadd.derivation import rule_params
-    from linadd.frontend import print_derivation
     from linadd.typesys import free_type_vars
     for e in corpus:
-        todo = [(e.derivation, parse_derivation(print_derivation(e.derivation)))]
+        todo = [(e.derivation, parse_derivation(print_v1(e.derivation)))]
         while todo:
             d, back = todo.pop()
             assert back.params is None

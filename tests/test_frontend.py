@@ -4,11 +4,15 @@ import hypothesis.strategies as st
 
 from linadd import frontend
 from linadd.frontend import (
-    MAX_DERIVATION_DEPTH, ParseError, _texts, derivations_equal,
-    parse_derivation, parse_term, parse_type, print_derivation, print_term,
-    print_type, tokenize,
+    MAX_DERIVATION_DEPTH, MAX_NESTING, ParseError, _recomputed, _texts,
+    derivations_equal, parse_derivation, parse_term, parse_type,
+    print_derivation, print_term, print_type, tokenize,
 )
-from linadd.derivation import Derivation, Judgement, _nodes, check
+from linadd.derivation import (
+    Derivation, Judgement, _nodes, check, d_ax, d_cut, d_forallL, d_forallR,
+    d_lolliL, d_lolliR, d_withL, d_withR, rule_params,
+)
+from linadd.families import gen_ladd
 from linadd.terms import (
     Abs, App, Bound, Copy, Pair, Proj, Var, alpha_equal, free_vars,
     identity_term, let_tensor, tensor_term,
@@ -127,6 +131,35 @@ def test_parse_error_golden(parse, src, message, span, expected):
     assert str(e) == "%s at %d..%d%s" % (message, span[0], span[1], detail)
 
 
+# The same for malformed version 2 files.  An error spans the first token
+# the reader cannot accept, and a rule's own error the "(" of its node.
+_V2_ERRORS = [
+    ('(lamd 2 (rule ax x (seq ((x "a")) "x" "a")))',
+     "too few arguments for ax", (19, 20), ()),
+    ('(lamd 2 (rule ax x))', "too few arguments for ax", (18, 19), ()),
+    ('(lamd 2 (rule cut x y (seq () "x" "a")))',
+     "too many arguments for cut", (20, 21), ()),
+    ('(lamd 2 (rule ax "x" "a"))', "unexpected string", (17, 20), ("name",)),
+    ('(lamd 2 (rule ax x a))', "unexpected 'a'", (19, 20), ("quoted type",)),
+    ('(lamd 2 (rule ax x "a -o"))', "unexpected 'end of input'", (24, 24),
+     ("type",)),
+    ('(lamd 2 (rule cut x (rule ax y "a") (rule ax x "b")))',
+     "cut type mismatch on x", (8, 9), ()),
+    ('(lamd 2 (rule cut x (rule ax x "a")))',
+     "cut takes 2 premises, got 1", (8, 9), ()),
+    ('(lamd 2 (rule foo))', "unknown rule 'foo'", (14, 17), ()),
+    ('(lamd 2 (rule ax x "a")', "unexpected 'end of input'", (23, 23), ("')'",)),
+    ('(lamd 2 (rule ax x "a")) x', "trailing input", (25, 26), ()),
+    ('(lamd 2 (rule ax x "a") $', "unexpected character '$'", (24, 25), ()),
+    ('(lamd 3 (rule ax x "a"))', "unsupported .lamd version", (6, 7), ("2",)),
+]
+
+
+@pytest.mark.parametrize("src, message, span, expected", _V2_ERRORS)
+def test_v2_parse_error_golden(src, message, span, expected):
+    test_parse_error_golden(parse_derivation, src, message, span, expected)
+
+
 _TOKENS = [
     ("x' _y \u00e9_1 a1'b", [("ident", "x'", 0, 2), ("ident", "_y", 3, 5),
                          ("ident", "\u00e9_1", 6, 9), ("ident", "a1'b", 10, 14)]),
@@ -234,6 +267,30 @@ def test_left_nested_with_chain_prints_each_level_once():
 def test_deep_parentheses_raise_parse_error(parse, src):
     with pytest.raises(ParseError, match="nesting too deep"):
         parse(src)
+
+
+def _outcome(parse, src):
+    try:
+        return parse(src)
+    except ParseError as e:
+        return e.message, (e.span.start, e.span.end)
+
+
+def _frames_deeper(n, fn, *args):
+    return fn(*args) if n == 0 else _frames_deeper(n - 1, fn, *args)
+
+
+@pytest.mark.parametrize("parse, atom", [(parse_type, "a"), (parse_term, "x")],
+                         ids=["type", "term"])
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 450])
+def test_nesting_limit_does_not_depend_on_the_caller(parse, atom, depth):
+    src = "(" * depth + atom + ")" * depth
+    top = _outcome(parse, src)
+    assert top == _frames_deeper(300, _outcome, parse, src)
+    if depth <= MAX_NESTING:
+        assert top == parse(atom)
+    else:
+        assert top == ("nesting too deep", (MAX_NESTING + 1, MAX_NESTING + 2))
 
 
 # -- generated round trips ----------------------------------------------------
@@ -365,7 +422,7 @@ def _judgement_types(d):
     return out
 
 
-def test_derivation_round_trip_on_corpus(corpus):
+def test_derivation_round_trip_on_corpus(corpus, print_v1):
     goals = [e.derivation.conclusion.goal for e in corpus]
     for k, e in enumerate(corpus):
         d = e.derivation
@@ -374,7 +431,10 @@ def test_derivation_round_trip_on_corpus(corpus):
         assert derivations_equal(d, back), e.name
         assert print_derivation(back) == text, e.name
         assert check(back, e.system) == [], e.name
-        # equal type texts within one file parse to one shared object
+        # a version 1 file reads to the same tree, and equal type texts
+        # within it parse to one shared object
+        back = parse_derivation(print_v1(d))
+        assert derivations_equal(d, back), e.name
         shared = {}
         for a in _judgement_types(back):
             assert shared.setdefault(print_type(a), a) is a, e.name
@@ -495,8 +555,10 @@ def test_deep_derivations_compare():
 
 
 def test_print_derivation_prints_each_term_once(corpus, monkeypatch):
-    d = max(corpus, key=lambda e: e.size).derivation
-    want = print_derivation(d)
+    # in the chain, every node states its judgement (a cut with one premise
+    # cannot be rebuilt), and all of them one subject
+    ds = [max(corpus, key=lambda e: e.size).derivation, _chain(50)]
+    wants = [print_derivation(d) for d in ds]
     calls = []
 
     def counted(m):
@@ -504,9 +566,68 @@ def test_print_derivation_prints_each_term_once(corpus, monkeypatch):
         return print_term(m)
 
     monkeypatch.setattr(frontend, "print_term", counted)
-    assert print_derivation(d) == want
-    nodes = list(_nodes(d))
-    assert len(calls) == len({id(n.conclusion.subject) for n in nodes}) < len(nodes)
+    for d, want in zip(ds, wants):
+        calls.clear()
+        assert print_derivation(d) == want
+        stated = [n for n in _nodes(d) if n is d or not _recomputed(n, rule_params(n))]
+        assert want.count("(seq ") == len(stated)
+        assert len(calls) == len({id(n.conclusion.subject) for n in stated})
+    assert len(calls) == 1 < len(stated)
+
+
+_A, _B, _G = TVar("a"), TVar("b"), TVar("g")
+
+# Derivations and their version 2 texts: every node with its rule's
+# parameters, and the root alone with its judgement.
+_V2_TEXTS = [
+    (lambda: d_forallR(d_lolliR(d_ax("x", _G), "x"), "g", "a"),
+     '(lamd 2 (rule forallR g a (seq () "\\x. x" "forall a. a -o a")\n'
+     '  (rule lolliR x\n'
+     '    (rule ax x "g"))))'),
+    (lambda: d_lolliL(d_ax("u", _A), d_ax("w", _B), "f", "w"),
+     '(lamd 2 (rule lolliL f w (seq ((u "a") (f "a -o b")) "f u" "b")\n'
+     '  (rule ax u "a")\n'
+     '  (rule ax w "b")))'),
+    (lambda: d_withL(1, d_ax("x", _A), "y", "x", _B),
+     '(lamd 2 (rule withL1 y x "b" (seq ((y "a & b")) "p1(y)" "a")\n'
+     '  (rule ax x "a")))'),
+    (lambda: d_forallL(d_ax("x", _A), "x", parse_type("forall b. b")),
+     '(lamd 2 (rule forallL x "forall b. b" (seq ((x "forall b. b")) "x" "a")\n'
+     '  (rule ax x "a")))'),
+    (lambda: d_cut(d_ax("y", _A), d_withR(d_ax("x", _A), d_ax("x", _A)), "x"),
+     '(lamd 2 (rule cut x (seq ((y "a")) "<y, y>" "a & a")\n'
+     '  (rule ax y "a")\n'
+     '  (rule withR\n'
+     '    (rule ax x "a")\n'
+     '    (rule ax x "a"))))'),
+]
+
+
+@pytest.mark.parametrize("build, text", _V2_TEXTS,
+                         ids=["forallR", "lolliL", "withL1", "forallL", "cut-withR"])
+def test_v2_text_golden(build, text):
+    d = build()
+    assert print_derivation(d) == text
+    todo = [(d, parse_derivation(text))]
+    while todo:
+        d, back = todo.pop()
+        assert back.rule == d.rule and back.params == d.params
+        assert derivations_equal(d, back)
+        todo.extend(zip(d.premises, back.premises))
+
+
+def test_largest_generated_family_member_reads_back():
+    # its types and terms nest well within MAX_NESTING
+    _, d = gen_ladd(12, unit_type())
+    text = print_derivation(d)
+    assert derivations_equal(d, parse_derivation(text))
+
+
+def test_deep_derivation_prints_and_reads_back_refused():
+    text = print_derivation(_chain(2000))
+    assert text.count("(rule ") == 2001
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_derivation(text)
 
 
 # -- fuzzing: the parsers raise ParseError and nothing else ---------------------
@@ -546,11 +667,11 @@ def _mutants(src):
                    + src[t.start:t.end] + src[u.end:])
 
 
-def test_mutated_corpus_files_raise_only_parse_error(corpus):
+def test_mutated_corpus_files_raise_only_parse_error(corpus, print_v1):
     for e in sorted(corpus, key=lambda e: e.size)[:12]:
-        text = print_derivation(e.derivation)
-        for src in _mutants(text):
-            _parses_or_fails(parse_derivation, src)
+        for text in (print_v1(e.derivation), print_derivation(e.derivation)):
+            for src in _mutants(text):
+                _parses_or_fails(parse_derivation, src)
         j = e.derivation.conclusion
         for parse, text in ((parse_term, print_term(j.subject)),
                             (parse_type, print_type(j.goal))):
@@ -558,11 +679,12 @@ def test_mutated_corpus_files_raise_only_parse_error(corpus):
                 _parses_or_fails(parse, src)
 
 
-def test_truncated_input_raises_parse_error(corpus):
-    text = print_derivation(min(corpus, key=lambda e: e.size).derivation)
-    for n in range(len(text)):
-        with pytest.raises(ParseError):
-            parse_derivation(text[:n])
+def test_truncated_input_raises_parse_error(corpus, print_v1):
+    d = min(corpus, key=lambda e: e.size).derivation
+    for text in (print_v1(d), print_derivation(d)):
+        for n in range(len(text)):
+            with pytest.raises(ParseError):
+                parse_derivation(text[:n])
     for parse, src in ((parse_term, "copy[\\x. x] let m be a * b in p1(<a, b>) as x,y in <x, y>"),
                        (parse_type, "forall a. (a -o 1) & (a * a) -o a")):
         parse(src)
