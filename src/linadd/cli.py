@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 from .terms import term_size
 from .typesys import bool_type, unit_type
-from .derivation import LAM, CheckError, check, metrics
+from .derivation import LAM, CheckError, check, check_ok, metrics
 from .reduce import BudgetExceeded, normalize
 from .cutelim import CutElimError, eliminate
 from .steps import ElimStepError
@@ -227,8 +227,9 @@ def cmd_translate(args) -> int:
         d = load_derivation(args.file)
     try:
         with report.timed("work_s"):
+            check_ok(d, LAM)
             out = translate_derivation(d, GadgetLibrary())
-    except GadgetError as e:
+    except (GadgetError, CheckError) as e:
         report.fail(str(e))
         return _emit(report, args)
     report.measurements = compression_report(d, out)

@@ -25,13 +25,13 @@ each rule: each computes the conclusion from its premises and parameters and
 raises ValueError on a schema mismatch.  `check` rebuilds every node with
 its rule's constructor and compares the result with the stated conclusion;
 beyond that it checks only what a constructor cannot see: the rule set of
-the system, arity, duplicate names, the context split of cut and lolliL,
-closure and laziness, the withR1 guard, and in lam linearity (which rejects
-nothing the rest accepts, but names every node that a bad premise made
-non-linear).  Nodes built without parameters, as the parser builds the nodes
-of a version 1 file and those of a version 2 file that state their judgement
-without arguments, get theirs from `rule_params`, which recovers them from
-the conclusion and premises.  The three systems:
+the system, arity, the stored parameters, duplicate names, the context split
+of cut and lolliL, closure and laziness, the withR1 guard, and in lam
+linearity (which rejects nothing the rest accepts, but names every node that
+a bad premise made non-linear).  A node's parameters are the ones it stores, which must be of
+the number and kinds in `PARAMS`; a node built without them (`params` None,
+as when a file states a judgement without its rule's arguments) is a
+violation at that node.  The three systems:
 
     imll2   ax, cut, lolliR, lolliL, forallR, forallL
     imall2  imll2 plus withR (shared-context pair), withL1/withL2
@@ -68,8 +68,8 @@ from .terms import (
 )
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
-    close_type, free_type_vars, fresh_type_var, is_closed, is_forall_lazy,
-    match_instantiation, open_type, type_size,
+    close_type, is_closed, is_forall_lazy, match_instantiation, open_type,
+    type_size,
 )
 
 LAM = "lam"
@@ -82,6 +82,14 @@ ARITY = {
     "forallR": 1, "forallL": 1,
 }
 RULES = tuple(ARITY)
+# The kinds of each rule's parameters, in the order of the table in the
+# module docstring and of its `d_*` constructor's arguments: str for a name,
+# Type for a type.
+PARAMS = {
+    "ax": (str, Type), "cut": (str,), "lolliR": (str,), "lolliL": (str, str),
+    "withR": (), "withR0": (), "withR1": (str,), "withL1": (str, str, Type),
+    "withL2": (str, str, Type), "forallR": (str, str), "forallL": (str, Type),
+}
 
 _SYSTEM_RULES = {
     IMLL2: {"ax", "cut", "lolliR", "lolliL", "forallR", "forallL"},
@@ -114,7 +122,7 @@ class Judgement:
 @dataclass(frozen=True, eq=False, init=False)
 class Derivation:
     """A rule instance; `params` is None when the node was built without its
-    rule's parameters (see `rule_params`)."""
+    rule's parameters, which `check` reports, and () when its rule has none."""
 
     __slots__ = ("rule", "conclusion", "premises", "params", "_stats",
                  "__weakref__")
@@ -128,6 +136,8 @@ class Derivation:
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "conclusion", conclusion)
         object.__setattr__(self, "premises", premises)
+        if params is None and PARAMS.get(rule) == ():
+            params = ()  # stating none of no parameters states them all
         object.__setattr__(self, "params", params)
 
 
@@ -205,13 +215,13 @@ def check(d: Derivation, system: str = LAM):
         if len(set(names)) != len(names):
             bad(path, d, "context", "duplicate assumption names")
             return
-        params = rule_params(d)
+        wrong = params_error(d)
         up = eigens
-        if d.rule == "forallR" and params is not None:
-            up = eigens | {params[0]}
+        if d.rule == "forallR" and wrong is None:
+            up = eigens | {d.params[0]}
         for i, p in enumerate(d.premises):
             go(p, path + (i,), up)
-        _check_node(d, params, path, system, bad, eigens)
+        _check_node(d, wrong, path, system, bad, eigens)
         if system == LAM:
             lin = _linearity(j)
             if lin:
@@ -228,30 +238,56 @@ def check_ok(d: Derivation, system: str = LAM) -> None:
         raise CheckError(vs)
 
 
-def _check_node(d, params, path, system, bad, eigens):
+def params_error(d: Derivation):
+    """What is wrong with the parameters d stores for its known rule, or
+    None."""
+    kinds, params = PARAMS[d.rule], d.params
+    if params is None:
+        return "parameters not stated"
+    if len(params) != len(kinds):
+        return "expected %d parameters, got %d" % (len(kinds), len(params))
+    if all(map(isinstance, params, kinds)):
+        return None
+    i = next(i for i, (p, k) in enumerate(zip(params, kinds)) if not isinstance(p, k))
+    return "parameter %d is not a %s" % (i + 1, "name" if kinds[i] is str else "type")
+
+
+def rebuild_error(d: Derivation, ordered: bool = False):
+    """Why d's rule's constructor, over d's premises and with d's parameters
+    (of the right number and kinds), does not conclude d's conclusion: its
+    ValueError, or the parts that differ.  None when it does.  Contexts are
+    compared as multisets, or as sequences when `ordered`."""
+    try:
+        built = CONSTRUCTORS[d.rule](*d.premises, *d.params).conclusion
+    except ValueError as e:
+        return str(e)
+    j = d.conclusion
+    same_context = (j.context == built.context if ordered
+                    else _same_context(j.context, built.context))
+    differ = [part for part, same in (
+        ("context", same_context),
+        ("goal", j.goal == built.goal),
+        ("subject", j.subject == built.subject)) if not same]
+    return "the rule concludes a different %s" % " and ".join(differ) if differ else None
+
+
+def _check_node(d, wrong, path, system, bad, eigens):
     """Rebuild d with its rule's constructor, compare the conclusions, then
-    check the side conditions no constructor sees."""
+    check the side conditions no constructor sees; `wrong` is what is wrong
+    with d's parameters."""
     rule = d.rule
     if len(d.premises) != ARITY[rule]:
         bad(path, d, "arity", "expected %d premises, got %d"
             % (ARITY[rule], len(d.premises)))
         return
-    if params is None:
-        bad(path, d, rule, "cannot identify the %s" % _PARAM_NAMES[rule])
+    if wrong is not None:
+        bad(path, d, "params", wrong)
         return
-    try:
-        built = CONSTRUCTORS[rule](*d.premises, *params).conclusion
-    except ValueError as e:
-        bad(path, d, rule, str(e))
+    why = rebuild_error(d)
+    if why is not None:
+        bad(path, d, rule, why)
         return
-    j = d.conclusion
-    differ = [part for part, same in (
-        ("context", _same_context(j.context, built.context)),
-        ("goal", j.goal == built.goal),
-        ("subject", j.subject == built.subject)) if not same]
-    if differ:
-        bad(path, d, rule, "the rule concludes a different %s" % " and ".join(differ))
-        return
+    j, params = d.conclusion, d.params
     if rule in ("cut", "lolliL"):
         _split_linear(d, path, bad, eigens)
     if system != LAM:
@@ -296,101 +332,6 @@ def _split_linear(d, path, bad, eigens):
     if shared:
         bad(path, d, "linear-constraint",
             "premise contexts share free type variables: %s" % sorted(shared))
-
-
-def rule_params(d: Derivation):
-    """The parameters of d's rule: the stored ones, or else those recovered
-    from its conclusion and premises, which are then stored; None when they
-    cannot be recovered."""
-    params = d.params
-    if params is None:
-        params = _recover_params(d)
-        if params is not None:
-            object.__setattr__(d, "params", params)
-    return params
-
-
-# What `_recover_params` looks for, for the rules where it can fail.
-_PARAM_NAMES = {
-    "ax": "single assumption", "withR1": "single assumption",
-    "cut": "cut assumption", "lolliR": "abstracted assumption",
-    "lolliL": "introduced and consumed assumptions",
-    "withL1": "introduced and consumed assumptions",
-    "withL2": "introduced and consumed assumptions",
-    "forallR": "eigenvariable", "forallL": "instantiated assumption",
-}
-
-
-def _one(names):
-    return next(iter(names)) if len(names) == 1 else None
-
-
-def _recover_params(d: Derivation):
-    rule, j, prems = d.rule, d.conclusion, d.premises
-    if len(prems) != ARITY.get(rule):
-        return None
-    if rule == "ax":
-        return j.context[0] if len(j.context) == 1 else None
-    if rule in ("withR", "withR0"):
-        return ()
-    if rule == "withR1":
-        return (j.context[0][0],) if len(j.context) == 1 else None
-    names = context_names(j.context)
-    last = prems[-1].conclusion  # the right or only premise
-    if rule == "forallR":
-        g = _eigenvariable(j, last.goal)
-        return None if g is None else (g, j.goal.var)
-    if rule == "forallL":
-        x = _instantiated(j, last)
-        return None if x is None else (x, j.lookup(x))
-    x = _one(context_names(last.context) - names)  # the consumed assumption
-    if x is None:
-        return None
-    if rule in ("cut", "lolliR"):
-        return (x,)
-    y = _one(names - context_names(last.context)
-             - context_names(prems[0].conclusion.context))
-    if y is None:
-        return None
-    if rule == "lolliL":
-        return (y, x)
-    ab = j.lookup(y)
-    if not isinstance(ab, With):
-        return None
-    return (y, x, ab.right if rule == "withL1" else ab.left)
-
-
-def _eigenvariable(j: Judgement, premise_goal: Type):
-    """The eigenvariable at which the premise goal instantiates the
-    quantified goal (a fresh name when the bound variable does not occur)."""
-    if not isinstance(j.goal, Forall):
-        return None
-    m = match_instantiation(j.goal, premise_goal)
-    if m is None:
-        return None
-    _, b = m
-    if b is None:
-        return fresh_type_var("g", context_free_type_vars(j.context)
-                              | free_type_vars(j.goal))
-    return b.name if isinstance(b, TVar) else None
-
-
-def _instantiated(j: Judgement, pj: Judgement):
-    """The forallL assumption: the one whose type differs in the premise,
-    else any quantified one (its instance may equal it), whose premise type
-    instantiates it."""
-    xs = [n for n, a in j.context
-          if pj.lookup(n) is not None and pj.lookup(n) != a]
-    xs += [n for n, _ in j.context if pj.lookup(n) is None]
-    if len(xs) != 1:
-        xs = [n for n, a in j.context if isinstance(a, Forall)
-              and pj.lookup(n) is not None]
-    for x in xs:
-        a, inst = j.lookup(x), pj.lookup(x)
-        if (isinstance(a, Forall) and inst is not None
-                and match_instantiation(a, inst) is not None):
-            return x
-    return None
 
 
 # -- derived judgements about whole derivations -------------------------------
@@ -614,7 +555,7 @@ CONSTRUCTORS = {
 
 def rebuild(d: Derivation, prems: tuple) -> Derivation:
     """d's rule with d's parameters over replacement premises."""
-    return CONSTRUCTORS[d.rule](*prems, *rule_params(d))
+    return CONSTRUCTORS[d.rule](*prems, *d.params)
 
 
 def d_app(fun: Derivation, arg: Derivation) -> Derivation:

@@ -12,18 +12,20 @@ never represented in the AST; the printers emit the expanded form.
 
 Derivation files (`.lamd`) are s-expressions, with terms and types embedded
 as double-quoted strings in the syntax above; `;` starts a line comment in
-every format.  `print_derivation` writes version 2,
+every format.  A derivation file is version 2, the only version:
 
     (lamd 2 NODE)
     NODE = (rule NAME ARG... [(seq ((x "TYPE") ...) "TERM" "TYPE")] NODE...)
 
-whose ARGs are all or none of the rule's parameters, in the order of the
-table in `linadd.derivation`, a name bare and a type quoted.  A node without
-a `seq` is built by its rule's constructor.  The writer writes the `seq` at
-the root and wherever the constructor does not recompute the judgement
-exactly, so any derivation, well-formed or not, reads back node for node.
-A file without the header is version 1, `(rule NAME (seq ...) PREMISE ...)`
-with no ARGs, and reads as before.
+whose ARGs are all or none of the rule's parameters, of the kinds in
+`derivation.PARAMS`, a name bare and a type quoted.  A node that states
+none is built without them, which `check` reports unless its rule has none.
+A node without a `seq` is built by its rule's constructor.  The writer writes
+each node's stored parameters, and the `seq` at the root and wherever the
+constructor does not recompute the judgement exactly, so any derivation
+whose parameters are of its rules' kinds, well-formed or not, reads back
+node for node.  A file without the `(lamd 2` header is refused at its
+first token.
 
 Each parser reads its input in one pass and builds every node once.  One
 regex `findall` yields the token texts (a string keeps its quotes), and the
@@ -31,10 +33,8 @@ parsers walk that list by index.  No span is computed on the way: a parser
 that fails names the index of the failing token, and only then does
 `tokenize`, which reads the same grammar and keeps spans, locate it.  If
 `tokenize` raises, that lexical error is the error, as it would be had
-lexing run first.  In a version 2 file the error is at the first token the
-reader cannot accept, and a rule's refusal at its node's `(`; in a version 1
-file the errors of the s-expression come before those of its content, and
-those in pre-order.
+lexing run first.  Otherwise the error is at the first token the reader
+cannot accept, and a rule's refusal at its node's `(`.
 
 The type and term parsers keep the names of the enclosing binders,
 innermost first, and emit an identifier bound there as its index, so every
@@ -66,7 +66,9 @@ from .terms import (
 from .typesys import (
     Forall, Lolli, TBound, TVar, Type, With, tensor_type, unit_type,
 )
-from .derivation import ARITY, CONSTRUCTORS, Derivation, Judgement, rule_params
+from .derivation import (
+    ARITY, CONSTRUCTORS, PARAMS, Derivation, Judgement, params_error, rebuild_error,
+)
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
 
@@ -190,8 +192,12 @@ def _locate(src: str, at: int, message, expected) -> ParseError:
         tok = tokenize(src)[at]
     except ParseError as e:  # a lexical error comes first
         return e
-    if isinstance(message, ParseError):
-        return _shifted(message, tok.start + 1)  # past the opening quote
+    if isinstance(message, ParseError):  # raised inside the string
+        offset = tok.start + 1  # past the opening quote
+        span = message.span
+        return ParseError(message.message,
+                          SourceSpan(span.start + offset, span.end + offset),
+                          message.expected)
     if message is None:
         message = "unexpected %r" % (tok.text or "end of input")
     return ParseError(message, tok.span, expected)
@@ -502,33 +508,16 @@ def print_term(m: Term) -> str:
 
 # -- derivations --------------------------------------------------------------
 
-# The kinds of each rule's arguments in a version 2 file, in the order of
-# its `d_*` constructor's parameters: n a name, t a quoted type.
-_ARGS = {
-    "ax": "nt", "cut": "n", "lolliR": "n", "lolliL": "nn", "withR": "",
-    "withR0": "", "withR1": "n", "withL1": "nnt", "withL2": "nnt",
-    "forallR": "nn", "forallL": "nt",
-}
-
-
 def _atom(t: str) -> bool:
     """Whether t is the text of an atom: a word or a number."""
     c = t[:1]
     return c.isalpha() or c == "_" or c.isdigit()
 
 
-def _shifted(e: ParseError, offset: int) -> ParseError:
-    """e, raised on a text that starts at `offset` in a file, spanned in the
-    file."""
-    return ParseError(e.message, SourceSpan(e.span.start + offset, e.span.end + offset),
-                      e.expected)
-
-
 def parse_derivation(src: str) -> Derivation:
-    """Parse a derivation file of either version.  Equal type or term texts
-    within the file are parsed once and share one object."""
+    """Parse a version 2 derivation file.  Equal type or term texts within
+    the file are parsed once and share one object."""
     toks = _texts(src)
-    v2 = toks[:2] == ["(", "lamd"]
     types: dict = {}  # quoted text -> Type
     terms: dict = {}  # quoted text -> Term
     # (token index, rule, parameters, judgement, premises) of each unclosed node
@@ -547,12 +536,12 @@ def parse_derivation(src: str) -> Derivation:
                 raise _Fail(k, e) from None
         return x
 
-    i = node = 0
     try:
-        if v2:
-            if toks[2] != "2":
-                raise _Fail(2, "unsupported .lamd version", ("2",))
-            i = 3
+        if toks[:2] != ["(", "lamd"]:
+            raise _Fail(0, 'missing header "(lamd 2"')
+        if toks[2] != "2":
+            raise _Fail(2, "unsupported .lamd version", ("2",))
+        i = 3
         while True:
             node = i  # the item read next is a derivation
             if len(open_nodes) == MAX_DERIVATION_DEPTH:
@@ -563,12 +552,12 @@ def parse_derivation(src: str) -> Derivation:
             if not _atom(rule):
                 raise _Fail(i + 2, None, ("rule name",))
             i += 3
-            kinds = _ARGS.get(rule, "") if v2 else ""
+            kinds = PARAMS.get(rule, ())
             args = []
-            while v2 and (_atom(toks[i]) or toks[i][:1] == '"'):
+            while _atom(toks[i]) or toks[i][:1] == '"':
                 if len(args) == len(kinds):
                     raise _Fail(i, "too many arguments for %s" % rule)
-                if kinds[len(args)] == "t":
+                if kinds[len(args)] is Type:
                     args.append(quoted(i, types, parse_type, "quoted type"))
                 elif _atom(toks[i]):
                     args.append(toks[i])
@@ -594,8 +583,6 @@ def parse_derivation(src: str) -> Derivation:
                               quoted(i + 2, types, parse_type, "quoted type"))
                 _expect(toks, i + 3, ")")
                 i += 4
-            elif not v2:
-                raise _Fail(i)
             elif rule not in CONSTRUCTORS:
                 raise _Fail(node + 2, "unknown rule %r" % rule)
             open_nodes.append((node, rule, tuple(args) if args else None, j, []))
@@ -612,124 +599,26 @@ def parse_derivation(src: str) -> Derivation:
                     except ValueError as e:
                         raise _Fail(at, str(e)) from None
                 if not open_nodes:
-                    if v2:
-                        i += 1
-                        _expect(toks, i, ")")
-                    if toks[i + 1]:
-                        raise _Fail(i + 1, "trailing input")
+                    _expect(toks, i + 1, ")")
+                    if toks[i + 2]:
+                        raise _Fail(i + 2, "trailing input")
                     return d
                 open_nodes[-1][4].append(d)
                 i += 1
     except _Fail as e:
-        if v2:
-            raise _locate(src, *e.args) from None
-        # a version 1 file is read again to find its error, which the
-        # replay meets before it falls back on the message: the depth limit
-        message = e.args[1]
-        raise _derivation_error(src, node, message if message.__class__ is str else None) from None
+        raise _locate(src, *e.args) from None
 
 
-def _derivation_error(src: str, at: int, message) -> ParseError:
-    """The error of a file that `parse_derivation` stopped reading at the
-    item starting at token `at`: the lexical error, else the first error of
-    the s-expression, else `message`, else the item's own first error.  The
-    items before it in pre-order are well-formed."""
-    try:
-        toks = tokenize(src)
-    except ParseError as e:
-        return e
-    lists: dict = {}  # token index of each "(" -> where its items start
-    opened: list = []  # the token indices of the unclosed "("
-    for k, t in enumerate(toks):
-        paren = t.text if t.kind == "punct" else None
-        if paren == ")" and opened:
-            opened.pop()
-        elif paren == "(" or t.kind in ("ident", "keyword", "number", "string"):
-            if opened:
-                lists[opened[-1]].append(k)
-            if paren == "(":
-                opened.append(k)
-                lists[k] = []
-                continue
-        elif t.kind == "eof" and opened:
-            return ParseError("unclosed parenthesis", toks[opened[-1]].span)
-        else:
-            return ParseError("unexpected %r" % (t.text or "end of input"),
-                              t.span, ("s-expression",))
-        if not opened:
-            if toks[k + 1].kind != "eof":
-                return ParseError("trailing input", toks[k + 1].span)
-            break
-    if message is not None:
-        return ParseError(message, SourceSpan(0, 0))
-    return _item_error(toks, lists.get, at)
-
-
-def _item_error(toks: list, items, at: int) -> ParseError:
-    """The first error of the derivation whose item starts at toks[at],
-    before its premises; items(k) is where the items of the list opened at
-    toks[k] start, or None.  A structural error spans the first character
-    of the offending item."""
-    def atom(k, text=None):
-        return toks[k].kind in ("ident", "keyword", "number") and (
-            text is None or toks[k].text == text)
-
-    def fail(message, k):
-        return ParseError(message, SourceSpan(toks[k].start, toks[k].start + 1))
-
-    def in_string(parse, k):
-        # parse's error on the text of string k, spanned in the file
-        try:
-            parse(toks[k].text)
-        except ParseError as e:
-            return _shifted(e, toks[k].start + 1)  # past the opening quote
-        return None
-
-    s = items(at)
-    if not (s and len(s) >= 3 and atom(s[0], "rule")):
-        return fail("derivation must be (rule NAME (seq ...) PREMISE...)", at)
-    if not atom(s[1]):
-        return fail("rule name must be an atom", s[1])
-    seq = items(s[2])
-    if not (seq and len(seq) == 4 and atom(seq[0], "seq")):
-        return fail('judgement must be (seq ((x "A") ...) "TERM" "TYPE")', s[2])
-    ctx = items(seq[1])
-    if ctx is None:
-        return fail("context must be a list of bindings", seq[1])
-    for b in ctx:
-        pair = items(b)
-        if not (pair and len(pair) == 2 and atom(pair[0])
-                and toks[pair[1]].kind == "string"):
-            return fail('binding must be (name "TYPE")', b)
-        e = in_string(parse_type, pair[1])
-        if e:
-            return e
-    for k in seq[2:]:
-        if toks[k].kind != "string":
-            return fail("subject and goal must be quoted strings", k)
-    e = in_string(parse_term, seq[2]) or in_string(parse_type, seq[3])
-    if e:
-        return e
-    raise AssertionError("parse_derivation stopped at token %d, which is well-formed" % at)
-
-
-def _recomputed(d: Derivation, params) -> bool:
-    """Whether d's constructor, given d's premises and `params`, concludes
-    exactly d's conclusion: the same context in the same order, an equal
-    subject and an equal goal."""
-    if params is None or len(d.premises) != ARITY.get(d.rule):
-        return False
-    try:
-        built = CONSTRUCTORS[d.rule](*d.premises, *params).conclusion
-    except ValueError:
-        return False
-    j = d.conclusion
-    return (built.context == j.context and built.subject == j.subject
-            and built.goal == j.goal)
+def _recomputed(d: Derivation) -> bool:
+    """Whether d's constructor, over d's premises with d's parameters,
+    concludes exactly d's conclusion: the same context in the same order,
+    an equal subject and an equal goal."""
+    return (len(d.premises) == ARITY.get(d.rule) and params_error(d) is None
+            and rebuild_error(d, ordered=True) is None)
 
 
 def print_derivation(d: Derivation) -> str:
-    """The version 2 text of d: every node with its rule's parameters, and
+    """The version 2 text of d: every node with its stored parameters, and
     with its judgement at the root and wherever `_recomputed` fails."""
     printed: dict = {}  # id(type or term) -> text; d keeps every key alive
     heads: dict = {}  # id(node) -> its text up to its premises
@@ -741,11 +630,10 @@ def print_derivation(d: Derivation) -> str:
         return s
 
     def head(d, root):
-        params = rule_params(d)
         out = ["(rule ", d.rule]
-        for p in params or ():
+        for p in d.params or ():
             out.append(" " + p if p.__class__ is str else ' "%s"' % text(p, print_type))
-        if root or not _recomputed(d, params):
+        if root or not _recomputed(d):
             j = d.conclusion
             ctx = " ".join('(%s "%s")' % (n, text(a, print_type)) for n, a in j.context)
             out.append(' (seq (%s) "%s" "%s")' % (

@@ -33,7 +33,7 @@ from .terms import (
     Abs, App, Bound, Copy, Pair, Proj, Term, Var,
     alpha_equal, free_vars, is_value, open_term,
 )
-from .derivation import metrics, rebuild, rule_params
+from .derivation import metrics, rebuild
 
 @dataclass(frozen=True)
 class Redex:
@@ -282,14 +282,14 @@ def _locate(d, path: tuple):
         return (0, path)
     if rule == "lolliL":
         rj = d.premises[1].conclusion
-        _, x = rule_params(d)
+        _, x = d.params
         px = _var_path(rj.subject, x)
         if path[:len(px) + 1] == px + (1,):
             return (0, path[len(px) + 1:])
         return (1, path)
     if rule == "cut":
         rj = d.premises[1].conclusion
-        x, = rule_params(d)
+        x, = d.params
         px = _var_path(rj.subject, x)
         if path[:len(px)] == px:
             return (0, path[len(px):])

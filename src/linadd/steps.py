@@ -11,8 +11,8 @@ Everything cut elimination (and subject reduction, which reuses it) needs:
 * the principal firings, each of which performs at most one reduction step
   on the subject.
 
-Every step reads the parameters of the rules it moves with `rule_params` and
-builds through the rules' constructors.
+Every step reads the parameters that the rules it moves store and builds
+through the rules' constructors.
 
 A critical cut is `safe` when the left premise proves a closed sequent and
 `ready` when additionally the left subderivation is cut-free; only ready
@@ -32,7 +32,7 @@ from .typesys import (
 )
 from .derivation import (
     CONSTRUCTORS, Derivation,
-    context_free_type_vars, context_names, is_cut_free, rule_params,
+    context_free_type_vars, context_names, is_cut_free,
     d_cut, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withR0,
 )
 
@@ -57,7 +57,7 @@ _PRINCIPAL = frozenset({"ax", "lolliL", "withL1", "withL2", "forallL", "withR1"}
 def principal_var(d: Derivation):
     """The context variable the last rule of d acts on, if any: the first
     parameter of each left rule, the axiom and the guarded duplication."""
-    return rule_params(d)[0] if d.rule in _PRINCIPAL else None
+    return d.params[0] if d.rule in _PRINCIPAL else None
 
 
 # -- renaming -----------------------------------------------------------------
@@ -68,7 +68,7 @@ def rename_assumption(d: Derivation, old: str, new: str) -> Derivation:
     if old == new or d.conclusion.lookup(old) is None:
         return d
     prems = tuple(rename_assumption(p, old, new) for p in d.premises)
-    params = rule_params(d)
+    params = d.params
     if d.rule != "forallR":  # its parameters name type variables
         params = tuple(new if p == old else p for p in params)
     return CONSTRUCTORS[d.rule](*prems, *params)
@@ -79,14 +79,14 @@ def subst_type_deriv(d: Derivation, x: str, b: Type) -> Derivation:
     renaming inner eigenvariables that would capture."""
     prems = d.premises
     if d.rule == "forallR":
-        g, alpha = rule_params(d)
+        g, alpha = d.params
         if g == x or g in free_type_vars(b):
             g2 = fresh_type_var(g)
             prems = (subst_type_deriv(prems[0], g, TVar(g2)),)
             g = g2
         return d_forallR(subst_type_deriv(prems[0], x, b), g, alpha)
     params = tuple(subst_type(p, x, b) if isinstance(p, Type) else p
-                   for p in rule_params(d))
+                   for p in d.params)
     prems = tuple(subst_type_deriv(p, x, b) for p in prems)
     return CONSTRUCTORS[d.rule](*prems, *params)
 
@@ -113,7 +113,7 @@ def classify_cut(d: Derivation) -> CutInfo:
     if d.rule != "cut":
         raise ValueError("not a cut")
     l, r = d.premises
-    x, = rule_params(d)
+    x, = d.params
     info = lambda kind, status=None: CutInfo(kind, status, l.rule, r.rule)
     if l.rule == "ax" or r.rule == "ax":
         return info(SYMMETRIC)
@@ -159,7 +159,7 @@ def classify_cuts(d: Derivation):
 def commute_once(d: Derivation) -> Derivation:
     """Push the cut one rule upward (subject and judgement are preserved)."""
     l, r = d.premises
-    x, = rule_params(d)
+    x, = d.params
     if principal_var(r) != x and r.rule != "withR1":
         return _commute_right(d, l, r, x)
     return _commute_left(d, l, r, x)
@@ -168,24 +168,24 @@ def commute_once(d: Derivation) -> Derivation:
 def _commute_right(d, l, r, x):
     lnames = context_names(l.conclusion.context)
     if r.rule == "lolliR":
-        z, = rule_params(r)
+        z, = r.params
         r1, z = _ensure_fresh(r.premises[0], z, lnames)
         return d_lolliR(d_cut(l, r1, x), z)
     if r.rule == "lolliL":
-        y, w = rule_params(r)
+        y, w = r.params
         r1, r2 = r.premises
         if r1.conclusion.lookup(x) is not None:
             return d_lolliL(d_cut(l, r1, x), r2, y, w)
         r2, w = _ensure_fresh(r2, w, lnames)
         return d_lolliL(r1, d_cut(l, r2, x), y, w)
     if r.rule in ("withL1", "withL2"):
-        y, w, other = rule_params(r)
+        y, w, other = r.params
         r1, w = _ensure_fresh(r.premises[0], w, lnames)
         return CONSTRUCTORS[r.rule](d_cut(l, r1, x), y, w, other)
     if r.rule == "forallL":
-        return d_forallL(d_cut(l, r.premises[0], x), *rule_params(r))
+        return d_forallL(d_cut(l, r.premises[0], x), *r.params)
     if r.rule == "forallR":
-        g, alpha = rule_params(r)
+        g, alpha = r.params
         r1 = r.premises[0]
         if g in context_free_type_vars(l.conclusion.context):
             g2 = fresh_type_var(g)
@@ -193,7 +193,7 @@ def _commute_right(d, l, r, x):
             g = g2
         return d_forallR(d_cut(l, r1, x), g, alpha)
     if r.rule == "cut":
-        w, = rule_params(r)
+        w, = r.params
         r1, r2 = r.premises
         if r1.conclusion.lookup(x) is not None:
             return d_cut(d_cut(l, r1, x), r2, w)
@@ -205,15 +205,15 @@ def _commute_right(d, l, r, x):
 def _commute_left(d, l, r, x):
     rnames = context_names(r.conclusion.context)
     if l.rule == "lolliL":
-        y, w = rule_params(l)
+        y, w = l.params
         l2, w = _ensure_fresh(l.premises[1], w, rnames)
         return d_lolliL(l.premises[0], d_cut(l2, r, x), y, w)
     if l.rule in ("withL1", "withL2"):
-        y, w, other = rule_params(l)
+        y, w, other = l.params
         l1, w = _ensure_fresh(l.premises[0], w, rnames)
         return CONSTRUCTORS[l.rule](d_cut(l1, r, x), y, w, other)
     if l.rule == "forallL":
-        return d_forallL(d_cut(l.premises[0], r, x), *rule_params(l))
+        return d_forallL(d_cut(l.premises[0], r, x), *l.params)
     raise ElimStepError("cannot commute past %s on the left" % l.rule)
 
 
@@ -224,30 +224,30 @@ def reassociate_blocked(d: Derivation) -> Derivation:
     instead waits for the inner cut (the opposite reassociation would undo
     this one, so pairing them loops)."""
     l, r = d.premises
-    x, = rule_params(d)
+    x, = d.params
     if l.rule != "cut":
         raise ElimStepError("left premise is not a cut")
-    w, = rule_params(l)
+    w, = l.params
     l2, w = _ensure_fresh(l.premises[1], w, context_names(r.conclusion.context))
     return d_cut(l.premises[0], d_cut(l2, r, x), w)
 
 
 def fire_symmetric(d: Derivation) -> Derivation:
     l, r = d.premises
-    x, = rule_params(d)
+    x, = d.params
     if r.rule == "ax":
         return l
     if l.rule == "ax":
         y = l.conclusion.context[0][0]
         return rename_assumption(r, x, y)
     if l.rule == "lolliR" and r.rule == "lolliL":
-        z, = rule_params(l)
+        z, = l.params
         r1, r2 = r.premises
-        _, w = rule_params(r)
+        _, w = r.params
         l1, z = _ensure_fresh(l.premises[0], z, context_names(r1.conclusion.context))
         return d_cut(d_cut(r1, l1, z), r2, w)
     if l.rule == "forallR" and r.rule == "forallL":
-        g, _ = rule_params(l)
+        g, _ = l.params
         quant = l.conclusion.goal
         inst = r.premises[0].conclusion.lookup(x)
         m = match_instantiation(quant, inst)
@@ -261,7 +261,7 @@ def fire_symmetric(d: Derivation) -> Derivation:
             l1 = subst_type_deriv(l1, g, b)
         return d_cut(l1, r.premises[0], x)
     if l.rule == "withR0" and r.rule in ("withL1", "withL2"):
-        _, w, _ = rule_params(r)
+        _, w, _ = r.params
         comp = l.premises[0] if r.rule == "withL1" else l.premises[1]
         return d_cut(comp, r.premises[0], w)
     raise ElimStepError("cut (%s, %s) is not symmetric" % (l.rule, r.rule))

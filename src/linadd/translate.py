@@ -28,7 +28,7 @@ from .typesys import (
     open_type, subst_type, tensor_type, unit_type,
 )
 from .derivation import (
-    CONSTRUCTORS, Derivation, context_names, dag_size, metrics, rule_params,
+    CONSTRUCTORS, Derivation, context_names, dag_size, metrics,
     d_app, d_ax, d_forallR, d_inst, d_lolliL, d_lolliR,
 )
 
@@ -353,7 +353,7 @@ def translate_derivation(d: Derivation, lib: GadgetLibrary | None = None) -> Der
 
 def _translate_node(d: Derivation, go, lib: GadgetLibrary) -> Derivation:
     rule = d.rule
-    params = rule_params(d)
+    params = d.params
     if rule in ("ax", "forallL"):
         x, a = params
         return CONSTRUCTORS[rule](*map(go, d.premises), x, translate_type(a))

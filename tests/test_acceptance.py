@@ -72,6 +72,19 @@ def test_criterion_04_unique_normal_forms(corpus, confluence):
     assert confluence.measurements["entries"] == len(corpus)
 
 
+def test_criterion_04_strategies_reach_the_known_normal_form():
+    # the corpus projects only pairs of equal components, and the suite
+    # compares strategies only with each other; here the normal form is
+    # known, and so is the redex each strategy contracts first
+    t = parse_term("p1(<a, b>) ((\\x. x) p2(<c, d>))")
+    first = {}
+    for strategy, seed in (("leftmost", None), ("rightmost", None), ("random", 0)):
+        res = normalize(t, strategy, seed=seed, keep_trace=True)
+        assert res.term == parse_term("a d") and res.steps == 3, strategy
+        first[strategy] = res.trace[0][0].path
+    assert (first["leftmost"], first["rightmost"]) == ((0,), (1, 1))
+
+
 def test_criterion_05_cut_elimination(corpus, gadgets):
     res = suites.cutelim_cubic(corpus, gadgets)
     assert res.failures == []

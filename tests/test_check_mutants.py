@@ -4,19 +4,26 @@ A fixed-seed set of mutants of the seed-0 corpus: at one node, the rule is
 swapped, the last premise dropped, the goal swapped for another node's, or
 one context entry dropped.  Unchanged copies ("copy") are drawn the same way
 and must still be accepted.  Every node on the path from the root to the
-mutated one is rebuilt with the three-argument `Derivation`, as a parser
-builds it.  For each mutant the golden file holds the set of violation paths
-(empty when `check` accepts it).  It was recorded from the handler-per-rule
-checker; regenerate it with `python tests/test_check_mutants.py` only when a
-verdict is meant to change.
+mutated one is rebuilt with `Derivation` and keeps its parameters; a node
+whose rule was swapped carries none.  For each mutant the golden file holds
+the set of violation paths (empty when `check` accepts it).  It was recorded
+from the handler-per-rule checker; regenerate it with
+`python tests/test_check_mutants.py` only when a verdict is meant to change.
+
+A second, multi-mutation set applies two to four mutations to two copies of
+each corpus derivation, parameter mutations among them, and asserts only that `check`
+returns Violations in every system and never raises.
 """
 
 import json
 import random
 from pathlib import Path
 
-from linadd.derivation import RULES, Derivation, Judgement, check
+from linadd.derivation import (
+    IMALL2, IMLL2, LAM, RULES, Derivation, Judgement, Violation, check,
+)
 from linadd.frontend import derivations_equal, parse_derivation, print_derivation
+from linadd.typesys import TVar
 
 GOLDEN = Path(__file__).with_name("data") / "check_mutants.json"
 SEED = 0
@@ -45,31 +52,32 @@ def _replace(d, path, new):
         return new
     prems = list(d.premises)
     prems[path[0]] = _replace(prems[path[0]], path[1:], new)
-    return Derivation(d.rule, d.conclusion, tuple(prems))
+    return Derivation(d.rule, d.conclusion, tuple(prems), d.params)
 
 
 def _mutate(rng, kind, n, goals):
     """The mutated copy of node n and a note on what changed, or None."""
     j = n.conclusion
     if kind == "copy":
-        return Derivation(n.rule, j, n.premises), None
+        return Derivation(n.rule, j, n.premises, n.params), None
     if kind == "rule":
         rule = rng.choice([r for r in RULES if r != n.rule])
         return Derivation(rule, j, n.premises), rule
     if kind == "drop_premise":
         if not n.premises:
             return None
-        return Derivation(n.rule, j, n.premises[:-1]), None
+        return Derivation(n.rule, j, n.premises[:-1], n.params), None
     if kind == "goal":
         goal = rng.choice(goals)
         if goal == j.goal:
             return None
-        return Derivation(n.rule, Judgement(j.context, j.subject, goal), n.premises), None
+        return Derivation(n.rule, Judgement(j.context, j.subject, goal),
+                          n.premises, n.params), None
     if not j.context:
         return None
     k = rng.randrange(len(j.context))
     ctx = j.context[:k] + j.context[k + 1:]
-    return Derivation(n.rule, Judgement(ctx, j.subject, j.goal), n.premises), k
+    return Derivation(n.rule, Judgement(ctx, j.subject, j.goal), n.premises, n.params), k
 
 
 def mutants(corpus):
@@ -117,6 +125,17 @@ def test_check_verdicts_on_mutants_are_pinned(corpus):
     assert 0 < rejected < len(want)
 
 
+def _same_params(d, back):
+    """Whether the two trees store the same parameters, node for node."""
+    todo = [(d, back)]
+    while todo:
+        d, back = todo.pop()
+        if d.params != back.params:
+            return False
+        todo.extend(zip(d.premises, back.premises))
+    return True
+
+
 def test_mutants_round_trip_through_files(corpus):
     # the writer states every judgement that its rule cannot recompute, so
     # a file holds the mutant, mistakes and all
@@ -124,9 +143,56 @@ def test_mutants_round_trip_through_files(corpus):
         text = print_derivation(m)
         back = parse_derivation(text)
         where = (name, path, kind)
-        assert derivations_equal(m, back), where
+        assert derivations_equal(m, back) and _same_params(m, back), where
         assert check(back, system) == check(m, system), where
         assert print_derivation(back) == text, where
+
+
+# -- multi-mutation fuzzing -----------------------------------------------------
+
+FUZZ_SEED = 1
+
+
+def _mutate_params(rng, n, goals):
+    """n with one parameter dropped, added or replaced by a name or a type."""
+    params = list(n.params or ())
+    new = rng.choice(["z", "x", "g"] + [x for x, _ in n.conclusion.context]
+                     + [rng.choice(goals), TVar("a")])
+    how = rng.choice(("drop", "add", "replace") if params else ("add",))
+    k = rng.randrange(len(params) + (how == "add"))
+    if how == "drop":
+        del params[k]
+    elif how == "add":
+        params.insert(k, new)
+    else:
+        params[k] = new
+    return Derivation(n.rule, n.conclusion, n.premises, tuple(params))
+
+
+def _mutate_more(rng, n, goals):
+    """n after one mutation of any kind; a swapped rule keeps n's parameters."""
+    kind = rng.choice(KINDS[1:] + ("params",))
+    if kind == "params":
+        return _mutate_params(rng, n, goals)
+    if kind == "rule":
+        rule = rng.choice([r for r in RULES if r != n.rule])
+        return Derivation(rule, n.conclusion, n.premises, n.params)
+    m = _mutate(rng, kind, n, goals)
+    return n if m is None else m[0]
+
+
+def test_check_is_total_on_multiple_mutations(corpus):
+    rng = random.Random(FUZZ_SEED)
+    goals = [e.derivation.conclusion.goal for e in corpus]
+    for e in corpus + corpus:
+        d = e.derivation
+        for _ in range(rng.randint(2, 4)):
+            path = rng.choice(_paths(d))
+            d = _replace(d, path, _mutate_more(rng, _node(d, path), goals))
+        for system in (LAM, IMALL2, IMLL2):
+            vs = check(d, system)  # never raises
+            assert isinstance(vs, list), e.name
+            assert all(isinstance(v, Violation) for v in vs), e.name
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ def test_gen_and_check_round_trip(tmp_path, capsys):
 
 def test_check_reports_failures(tmp_path, capsys):
     bad = tmp_path / "bad.lamd"
-    bad.write_text('(rule ax (seq () "x" "1"))\n')
+    bad.write_text('(lamd 2 (rule ax x "1" (seq () "x" "1")))\n')
     code, rep = run_json(capsys, "check", str(bad))
     assert code == 1
     assert rep["verdict"] == "fail" and rep["details"]
@@ -58,10 +58,10 @@ def test_check_reports_failures(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     # fails check: an axiom with no assumption
-    '(rule ax (seq () "x" "forall a. a -o a"))',
+    '(lamd 2 (rule ax x "forall a. a -o a" (seq () "x" "forall a. a -o a")))',
     # checks, but the conclusion has a negative forall
-    '(rule lolliR (seq () "\\x. x" "(forall a. a) -o forall a. a")'
-    ' (rule ax (seq ((x "forall a. a")) "x" "forall a. a")))',
+    '(lamd 2 (rule lolliR x (seq () "\\x. x" "(forall a. a) -o forall a. a")'
+    ' (rule ax x "forall a. a")))',
 ], ids=["fails-check", "not-forall-lazy"])
 def test_cutelim_rejects_input(tmp_path, capsys, text):
     f = tmp_path / "in.lamd"
@@ -155,12 +155,12 @@ def test_missing_file_exit_code():
     assert main(["check", "/nonexistent/q.lamd"]) == 2
 
 
-_DEEP_LAMD = ('(rule ax (seq ((x "a")) "x" "a") ' * 3000
-              + '(rule ax (seq ((x "a")) "x" "a"))' + ")" * 3000)
+_DEEP_LAMD = ('(lamd 2 ' + '(rule lolliR x ' * 3000
+              + '(rule ax x "a")' + ")" * 3001)
 
 
 @pytest.mark.parametrize("text, message", [
-    ('(rule ax (seq () "x" "a -o"))\n', "unexpected 'end of input'"),
+    ('(lamd 2 (rule ax x "a -o"))\n', "unexpected 'end of input'"),
     (_DEEP_LAMD, "nesting too deep"),
 ], ids=["malformed", "deep"])
 def test_input_error_reports_json(tmp_path, capsys, text, message):
@@ -173,6 +173,24 @@ def test_input_error_reports_json(tmp_path, capsys, text, message):
     assert len(rep["details"]) == 1 and message in rep["details"][0]
 
 
+def test_file_without_header_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "in.lamd"
+    f.write_text('(rule ax (seq ((x "a")) "x" "a"))\n')
+    code, rep = run_json(capsys, "check", str(f))
+    assert code == 2 and rep["verdict"] == "error"
+    assert rep["details"] == ['missing header "(lamd 2" at 0..1']
+
+
+def test_translate_rejects_input_that_fails_check(tmp_path, capsys):
+    # the cut states its judgement but not its parameters
+    f = tmp_path / "in.lamd"
+    f.write_text('(lamd 2 (rule cut (seq ((x "a")) "x" "a")'
+                 ' (rule ax x "a") (rule ax x "a")))\n')
+    code, rep = run_json(capsys, "translate", str(f))
+    assert code == 1 and rep["verdict"] == "fail"
+    assert rep["details"] == ["params [cut at root]: parameters not stated"]
+
+
 def test_missing_file_reports_json(capsys):
     code, rep = run_json(capsys, "check", "/nonexistent/q.lamd")
     assert code == 2 and rep["verdict"] == "error" and rep["details"]
@@ -180,7 +198,7 @@ def test_missing_file_reports_json(capsys):
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     f = tmp_path / "in.lamd"
-    f.write_text('(rule ax (seq ((x "a")) "x" "a"))\n')
+    f.write_text('(lamd 2 (rule ax x "a"))\n')
 
     def broken(*args):
         raise RuntimeError("boom")

@@ -1,7 +1,7 @@
 import pytest
 
 from linadd.derivation import (
-    CheckError, check, check_lazy_propagation, check_ok, check_size_bounds,
+    CheckError, Derivation, check, check_lazy_propagation, check_ok, check_size_bounds,
     d_app, d_ax, d_cut, d_forallL, d_forallR, d_inst, d_lolliL, d_lolliR,
     d_withL, d_withR, d_withR0, d_withR1, is_cut_free, is_eta_expanded,
     metrics, uses_rules,
@@ -171,26 +171,35 @@ def test_subject_size_at_most_twice_derivation_size(corpus):
     '(rule forallR (seq () "\\x. x" "a -o a")'
     ' (rule lolliR (seq () "\\x. x" "a -o a")'
     ' (rule ax (seq ((x "a")) "x" "a"))))',
+    # the same with every parameter stated
+    '(rule forallR g a (seq () "\\x. x" "forall a. a -o a"))',
+    '(rule forallR g a (seq () "\\x. x" "a -o a") (rule lolliR x (rule ax x "g")))',
 ])
 def test_malformed_forallR_is_a_violation(text):
-    bad = check(parse_derivation(text))
-    assert bad and bad[0].rule == "forallR"
+    bad = check(parse_derivation("(lamd 2 %s)" % text))
+    assert [v.rule for v in bad if v.path == ()] == ["forallR"]
 
 
-def test_recovered_parameters_match_the_stored_ones(corpus, print_v1):
-    from linadd.derivation import rule_params
-    from linadd.typesys import free_type_vars
-    for e in corpus:
-        todo = [(e.derivation, parse_derivation(print_v1(e.derivation)))]
-        while todo:
-            d, back = todo.pop()
-            assert back.params is None
-            got, want = rule_params(back), d.params
-            if d.rule == "forallR" and want[0] not in free_type_vars(
-                    d.premises[0].conclusion.goal):
-                got, want = got[1:], want[1:]  # vacuous: any fresh eigenvariable
-            assert got == want, (e.name, d.rule)
-            todo.extend(zip(d.premises, back.premises))
+def test_bad_stored_parameters_are_violations():
+    # a wrong count or kind of parameters is reported at its node, and
+    # check does not raise
+    a, b = d_ax("x", ONE), d_ax("y", ONE)
+    j = d_cut(a, d_ax("x", ONE), "x").conclusion
+    for rule, prems, params, message in (
+            ("cut", (a, b), ("x", "y"), "expected 1 parameters, got 2"),
+            ("ax", (), ("x",), "expected 2 parameters, got 1"),
+            ("ax", (), ("x", "y"), "parameter 2 is not a type"),
+            ("lolliR", (a,), (ONE,), "parameter 1 is not a name"),
+            ("forallR", (a,), None, "parameters not stated")):
+        bad = check(Derivation(rule, j, prems, params))
+        assert [(v.path, v.condition, v.message) for v in bad][:1] == [
+            ((), "params", message)], rule
+
+
+def test_parameter_free_rules_state_no_parameters():
+    d = d_withR0(ID, ID)
+    assert Derivation("withR0", d.conclusion, d.premises).params == ()
+    check_ok(Derivation("withR0", d.conclusion, d.premises))
 
 
 @pytest.mark.parametrize("build", [

@@ -10,7 +10,7 @@ from linadd.frontend import (
 )
 from linadd.derivation import (
     Derivation, Judgement, _nodes, check, d_ax, d_cut, d_forallL, d_forallR,
-    d_lolliL, d_lolliR, d_withL, d_withR, rule_params,
+    d_lolliL, d_lolliR, d_withL, d_withR,
 )
 from linadd.families import gen_ladd
 from linadd.terms import (
@@ -69,9 +69,9 @@ def test_parse_error_is_located():
 
 
 # Message, span and `expected` of the error on each malformed input.  Spans
-# count from the start of the input, also inside a quoted string; a
-# structural error in a derivation spans the first character of the
-# offending item.
+# count from the start of the input, also inside a quoted string; an error
+# in a derivation file spans the first token the reader cannot accept, and a
+# file without the `(lamd 2` header fails at its first token.
 _PARSE_ERRORS = [
     (parse_derivation, '(rule ax (seq () "x',
      "unterminated string", (17, 19), ()),
@@ -84,39 +84,36 @@ _PARSE_ERRORS = [
     (parse_type, "\u216b", "unexpected character '\u216b'", (0, 1), ()),
     (parse_term, "x y)", "trailing input", (3, 4), ()),
     (parse_type, "a \u00e9 b", "trailing input", (2, 3), ()),
-    (parse_derivation, '(rule ax (seq () "x" "a")) extra',
-     "trailing input", (27, 32), ()),
-    (parse_derivation, '(rule ax (seq () "x y)" "a"))',
+    (parse_derivation, '(rule ax x "a")',
+     'missing header "(lamd 2"', (0, 1), ()),
+    (parse_derivation, '(lamd 2 (rule ax x "a)"))',
      "trailing input", (21, 22), ()),
-    (parse_derivation, '(rule ax (seq () "x" "a")',
-     "unclosed parenthesis", (0, 1), ()),
-    (parse_derivation, '(rule ax (seq ((x "a -o")) "x" "a"))',
-     "unexpected 'end of input'", (23, 23), ("type",)),
-    (parse_derivation, '(rule ax (seq () "x" "a -o"))',
-     "unexpected 'end of input'", (26, 26), ("type",)),
-    (parse_derivation, "(foo)",
-     "derivation must be (rule NAME (seq ...) PREMISE...)", (0, 1), ()),
-    (parse_derivation, "", "unexpected 'end of input'", (0, 0),
-     ("s-expression",)),
+    (parse_derivation, '(lamd 2 (rule lolliR x (rule ax x "a"))',
+     "unexpected 'end of input'", (39, 39), ("')'",)),
+    (parse_derivation, '(lamd 2 (rule ax x "a" (seq ((x "a -o")) "x" "a")))',
+     "unexpected 'end of input'", (37, 37), ("type",)),
+    (parse_derivation, '(lamd 2 (rule ax x "a" (seq () "x" "a -o")))',
+     "unexpected 'end of input'", (40, 40), ("type",)),
+    (parse_derivation, "(lamd 2 (foo))", "unexpected 'foo'", (9, 12), ("'rule'",)),
+    (parse_derivation, "", 'missing header "(lamd 2"', (0, 0), ()),
     (parse_type, "a -o", "unexpected 'end of input'", (4, 4), ("type",)),
     (parse_type, "", "unexpected 'end of input'", (0, 0), ("type",)),
     (parse_type, "forall . a", "unexpected '.'", (7, 8), ("type variable",)),
     (parse_term, "\\x.", "unexpected 'end of input'", (3, 3), ("term",)),
     (parse_term, "copy[x] y as a b", "unexpected 'b'", (15, 16), ("','",)),
-    (parse_derivation, " foo",
-     "derivation must be (rule NAME (seq ...) PREMISE...)", (1, 2), ()),
-    (parse_derivation, '(rule ax (seq () "x" "a") foo)',
-     "derivation must be (rule NAME (seq ...) PREMISE...)", (26, 27), ()),
-    (parse_derivation, '(rule (ax) (seq () "x" "a"))',
-     "rule name must be an atom", (6, 7), ()),
-    (parse_derivation, "(rule ax (foo))",
-     'judgement must be (seq ((x "A") ...) "TERM" "TYPE")', (9, 10), ()),
-    (parse_derivation, '(rule ax (seq x "x" "a"))',
-     "context must be a list of bindings", (14, 15), ()),
-    (parse_derivation, '(rule ax (seq ((x)) "x" "a"))',
-     'binding must be (name "TYPE")', (15, 16), ()),
-    (parse_derivation, '(rule ax (seq () "x" a))',
-     "subject and goal must be quoted strings", (21, 22), ()),
+    (parse_derivation, "(lamd 2 foo)", "unexpected 'foo'", (8, 11), ("'('",)),
+    (parse_derivation, '(lamd 2 (rule cut y (rule ax x "a") foo))',
+     "unexpected 'foo'", (36, 39), ("'('",)),
+    (parse_derivation, '(lamd 2 (rule (ax) x "a"))',
+     "unexpected '('", (14, 15), ("rule name",)),
+    (parse_derivation, '(lamd 2 (rule ax x "a" (foo)))',
+     "unexpected 'foo'", (24, 27), ("'rule'",)),
+    (parse_derivation, '(lamd 2 (rule ax x "a" (seq x "x" "a")))',
+     "unexpected 'x'", (28, 29), ("'('",)),
+    (parse_derivation, '(lamd 2 (rule ax x "a" (seq ((x)) "x" "a")))',
+     "unexpected ')'", (31, 32), ("quoted type",)),
+    (parse_derivation, '(lamd 2 (rule ax x "a" (seq () "x" a)))',
+     "unexpected 'a'", (35, 36), ("quoted type",)),
 ]
 
 
@@ -131,8 +128,8 @@ def test_parse_error_golden(parse, src, message, span, expected):
     assert str(e) == "%s at %d..%d%s" % (message, span[0], span[1], detail)
 
 
-# The same for malformed version 2 files.  An error spans the first token
-# the reader cannot accept, and a rule's own error the "(" of its node.
+# The same for more malformed derivation files.  A rule's own error spans
+# the "(" of its node.
 _V2_ERRORS = [
     ('(lamd 2 (rule ax x (seq ((x "a")) "x" "a")))',
      "too few arguments for ax", (19, 20), ()),
@@ -262,7 +259,7 @@ def test_left_nested_with_chain_prints_each_level_once():
     (parse_term, "(" * DEEP + "x" + ")" * DEEP),
     (parse_type, "(" * DEEP + "a" + ")" * DEEP),
     (parse_derivation,
-     '(rule ax (seq ((x "a")) "%sx%s" "a"))' % ("(" * DEEP, ")" * DEEP)),
+     '(lamd 2 (rule ax x "a" (seq ((x "a")) "%sx%s" "a")))' % ("(" * DEEP, ")" * DEEP)),
 ], ids=["term", "type", "derivation"])
 def test_deep_parentheses_raise_parse_error(parse, src):
     with pytest.raises(ParseError, match="nesting too deep"):
@@ -411,32 +408,41 @@ def test_printed_names_round_trip(data):
     assert print_type(parse_type(text)) == text
 
 
-def _judgement_types(d):
-    """Every context and goal type of every node of d."""
-    out, todo = [], [d]
-    while todo:
-        d = todo.pop()
-        out.extend(a for _, a in d.conclusion.context)
-        out.append(d.conclusion.goal)
-        todo.extend(d.premises)
+def _file_types(d):
+    """The types that the file of d spells out: the type parameters, and the
+    context and goal types of the judgements it states."""
+    out = []
+    for n in _nodes(d):
+        out.extend(p for p in n.params if not isinstance(p, str))
+        if n is d or not _recomputed(n):
+            out.extend(a for _, a in n.conclusion.context)
+            out.append(n.conclusion.goal)
     return out
 
 
-def test_derivation_round_trip_on_corpus(corpus, print_v1):
+def _params(d):
+    """The stored parameters of every node of d, pre-order."""
+    out, todo = [], [d]
+    while todo:
+        d = todo.pop()
+        out.append(d.params)
+        todo.extend(reversed(d.premises))
+    return out
+
+
+def test_derivation_round_trip_on_corpus(corpus):
     goals = [e.derivation.conclusion.goal for e in corpus]
     for k, e in enumerate(corpus):
         d = e.derivation
         text = print_derivation(d)
         back = parse_derivation(text)
         assert derivations_equal(d, back), e.name
+        assert _params(back) == _params(d), e.name
         assert print_derivation(back) == text, e.name
         assert check(back, e.system) == [], e.name
-        # a version 1 file reads to the same tree, and equal type texts
-        # within it parse to one shared object
-        back = parse_derivation(print_v1(d))
-        assert derivations_equal(d, back), e.name
+        # equal type texts within the file parse to one shared object
         shared = {}
-        for a in _judgement_types(back):
+        for a in _file_types(back):
             assert shared.setdefault(print_type(a), a) is a, e.name
         # a known-bad copy fails the same way before and after the round trip
         goal = next(g for g in goals[k + 1:] + goals[:k] if not g == d.conclusion.goal)
@@ -520,10 +526,12 @@ def test_shadowing_resolves_to_the_innermost_binder():
 
 # -- derivations --------------------------------------------------------------
 
+_NODE = '(rule ax x "a" (seq ((x "a")) "x" "a")'
+
+
 def _nested(depth):
     """A derivation text `depth` rules deep, each with one premise."""
-    node = '(rule ax (seq ((x "a")) "x" "a")'
-    return (node + " ") * (depth - 1) + node + ")" * depth
+    return "(lamd 2 %s%s)" % ((_NODE + " ") * (depth - 1) + _NODE, ")" * depth)
 
 
 def test_derivation_nesting_limit():
@@ -531,8 +539,9 @@ def test_derivation_nesting_limit():
     assert check(d)  # `check` recurses per level, within the limit
     with pytest.raises(ParseError) as info:
         parse_derivation(_nested(MAX_DERIVATION_DEPTH + 1))
+    at = len("(lamd 2 ") + MAX_DERIVATION_DEPTH * len(_NODE + " ")
     assert (info.value.message, info.value.span.start, info.value.span.end) == (
-        "nesting too deep", 0, 0)
+        "nesting too deep", at, at + 1)
 
 
 def _chain(depth):
@@ -569,7 +578,7 @@ def test_print_derivation_prints_each_term_once(corpus, monkeypatch):
     for d, want in zip(ds, wants):
         calls.clear()
         assert print_derivation(d) == want
-        stated = [n for n in _nodes(d) if n is d or not _recomputed(n, rule_params(n))]
+        stated = [n for n in _nodes(d) if n is d or not _recomputed(n)]
         assert want.count("(seq ") == len(stated)
         assert len(calls) == len({id(n.conclusion.subject) for n in stated})
     assert len(calls) == 1 < len(stated)
@@ -667,11 +676,10 @@ def _mutants(src):
                    + src[t.start:t.end] + src[u.end:])
 
 
-def test_mutated_corpus_files_raise_only_parse_error(corpus, print_v1):
+def test_mutated_corpus_files_raise_only_parse_error(corpus):
     for e in sorted(corpus, key=lambda e: e.size)[:12]:
-        for text in (print_v1(e.derivation), print_derivation(e.derivation)):
-            for src in _mutants(text):
-                _parses_or_fails(parse_derivation, src)
+        for src in _mutants(print_derivation(e.derivation)):
+            _parses_or_fails(parse_derivation, src)
         j = e.derivation.conclusion
         for parse, text in ((parse_term, print_term(j.subject)),
                             (parse_type, print_type(j.goal))):
@@ -679,12 +687,11 @@ def test_mutated_corpus_files_raise_only_parse_error(corpus, print_v1):
                 _parses_or_fails(parse, src)
 
 
-def test_truncated_input_raises_parse_error(corpus, print_v1):
-    d = min(corpus, key=lambda e: e.size).derivation
-    for text in (print_v1(d), print_derivation(d)):
-        for n in range(len(text)):
-            with pytest.raises(ParseError):
-                parse_derivation(text[:n])
+def test_truncated_input_raises_parse_error(corpus):
+    text = print_derivation(min(corpus, key=lambda e: e.size).derivation)
+    for n in range(len(text)):
+        with pytest.raises(ParseError):
+            parse_derivation(text[:n])
     for parse, src in ((parse_term, "copy[\\x. x] let m be a * b in p1(<a, b>) as x,y in <x, y>"),
                        (parse_type, "forall a. (a -o 1) & (a * a) -o a")):
         parse(src)
