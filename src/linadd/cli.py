@@ -189,13 +189,14 @@ def cmd_cutelim(args) -> int:
 
 
 def cmd_eta_expand(args) -> int:
-    report = Report("eta-expand", {"file": args.file})
+    report = Report("eta-expand", {"file": args.file, "system": args.system})
     with report.timed("parse_s"):
         d = load_derivation(args.file)
     try:
         with report.timed("work_s"):
+            check_ok(d, args.system)
             out = eta_expand(d)
-    except InhabitError as e:
+    except (InhabitError, CheckError) as e:
         report.fail(str(e))
         return _emit(report, args)
     report.measurements = {
@@ -337,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eta-expand", help="eta-expand a cut-free derivation")
     sp.add_argument("file")
+    sp.add_argument("--system", choices=("lam", "imall2"), default="lam")
     common(sp)
     sp.set_defaults(fn=cmd_eta_expand)
 

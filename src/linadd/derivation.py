@@ -21,17 +21,28 @@ version 2 `.lamd` file (see `frontend`):
                                     instance)
 
 The `d_*` constructors at the end of this module are the one definition of
-each rule: each computes the conclusion from its premises and parameters and
-raises ValueError on a schema mismatch.  `check` rebuilds every node with
-its rule's constructor and compares the result with the stated conclusion;
-beyond that it checks only what a constructor cannot see: the rule set of
-the system, arity, the stored parameters, duplicate names, the context split
-of cut and lolliL, closure and laziness, the withR1 guard, and in lam
-linearity (which rejects nothing the rest accepts, but names every node that
-a bad premise made non-linear).  A node's parameters are the ones it stores, which must be of
-the number and kinds in `PARAMS`; a node built without them (`params` None,
-as when a file states a judgement without its rule's arguments) is a
-violation at that node.  The three systems:
+each rule: each computes the conclusion from its premises and parameters,
+raises ValueError on a schema mismatch, and marks the node it built as
+derived.  A node made any other way (`Derivation(...)`, `dataclasses.replace`,
+a parsed node that states its judgement) is not derived.  `check` rebuilds
+each node that is not derived with its rule's constructor and compares the
+result with the stated conclusion; a derived node it does not rebuild.  That
+is sound because the constructors are pure functions of their premises and
+parameters, and nodes, judgements, types and terms are immutable, so a
+rebuild of a derived node would reproduce its conclusion exactly: the mark
+caches that fact for its one node, as an LCF kernel's theorems carry the
+checking of their inference (Gordon, Milner & Wadsworth, 1979).  It is
+never trusted for the node's premises, which are nodes of their own.
+
+Beyond the rebuild, `check` checks on every node, derived or not, what a
+constructor cannot see: the rule set of the system, arity, the stored
+parameters, duplicate names, the context split of cut and lolliL, closure
+and laziness, the withR1 guard, and in lam linearity (which rejects nothing
+the rest accepts, but names every node that a bad premise made non-linear).
+A node's parameters are the ones it stores, which must be of the number and
+kinds in `PARAMS`; a node built without them (`params` None, as when a file
+states a judgement without its rule's arguments) is a violation at that
+node.  The three systems:
 
     imll2   ax, cut, lolliR, lolliL, forallR, forallL
     imall2  imll2 plus withR (shared-context pair), withL1/withL2
@@ -45,8 +56,9 @@ no rule renames, and none can capture).  Contexts are multisets of named,
 typed assumptions; cut and lolliL additionally demand that the free type
 variables of the two premise contexts be disjoint.
 
-Checking memoizes on node identity, so derivations that share subderivations
-(a DAG) are checked once per distinct node.
+Checking memoizes on the pair (node, eigenvariables generalized above it),
+so a subderivation shared within a DAG is checked once per distinct set of
+eigenvariables over its uses, not once per use.
 
 Each node caches its size, weight, height, summed cut heights and cut count
 in one lazily filled slot (see `nameless.cache_up`), so `metrics` and
@@ -64,12 +76,11 @@ from operator import attrgetter
 from .nameless import cache_up
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
-    free_vars, fresh_name, is_value, subst, term_size,
+    free_vars, fresh_name, is_value, subst,
 )
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
     close_type, is_closed, is_forall_lazy, match_instantiation, open_type,
-    type_size,
 )
 
 LAM = "lam"
@@ -122,10 +133,12 @@ class Judgement:
 @dataclass(frozen=True, eq=False, init=False)
 class Derivation:
     """A rule instance; `params` is None when the node was built without its
-    rule's parameters, which `check` reports, and () when its rule has none."""
+    rule's parameters, which `check` reports, and () when its rule has none.
+    `_derived` is True only for a node that its rule's `d_*` constructor
+    built (see the module docstring)."""
 
     __slots__ = ("rule", "conclusion", "premises", "params", "_stats",
-                 "__weakref__")
+                 "_derived", "__weakref__")
     rule: str
     conclusion: Judgement
     premises: tuple
@@ -139,6 +152,7 @@ class Derivation:
         if params is None and PARAMS.get(rule) == ():
             params = ()  # stating none of no parameters states them all
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_derived", False)
 
 
 @dataclass
@@ -256,7 +270,10 @@ def rebuild_error(d: Derivation, ordered: bool = False):
     """Why d's rule's constructor, over d's premises and with d's parameters
     (of the right number and kinds), does not conclude d's conclusion: its
     ValueError, or the parts that differ.  None when it does.  Contexts are
-    compared as multisets, or as sequences when `ordered`."""
+    compared as multisets, or as sequences when `ordered`.  None at once
+    for a derived node, whose constructor built exactly its conclusion."""
+    if d._derived:
+        return None
     try:
         built = CONSTRUCTORS[d.rule](*d.premises, *d.params).conclusion
     except ValueError as e:
@@ -272,9 +289,9 @@ def rebuild_error(d: Derivation, ordered: bool = False):
 
 
 def _check_node(d, wrong, path, system, bad, eigens):
-    """Rebuild d with its rule's constructor, compare the conclusions, then
-    check the side conditions no constructor sees; `wrong` is what is wrong
-    with d's parameters."""
+    """Rebuild d with its rule's constructor unless it is derived, compare
+    the conclusions, then check the side conditions no constructor sees;
+    `wrong` is what is wrong with d's parameters."""
     rule = d.rule
     if len(d.premises) != ARITY[rule]:
         bad(path, d, "arity", "expected %d premises, got %d"
@@ -402,36 +419,23 @@ def metrics(d: Derivation) -> ProofMetrics:
                         max_height=height - 1)
 
 
-def check_size_bounds(d: Derivation) -> dict:
-    """For eta-expanded derivations: |M| <= |ctx|+|goal| <= 2|D|."""
-    j = d.conclusion
-    m = term_size(j.subject)
-    seq = sum(type_size(a) for a in j.context_types()) + type_size(j.goal)
-    two_d = 2 * metrics(d).size
-    return {
-        "subject_size": m,
-        "sequent_size": seq,
-        "twice_derivation_size": two_d,
-        "holds": m <= seq <= two_d,
-    }
-
-
-def check_lazy_propagation(d: Derivation) -> bool:
-    """Cut-free derivations of forall-lazy sequents avoid withR1, withL, and
-    forallL throughout (which forces copy/projection-free subjects)."""
-    banned = {"withR1", "withL1", "withL2", "forallL", "cut"}
-    return not (uses_rules(d) & banned)
-
-
 # -- construction combinators -------------------------------------------------
 #
 # One constructor per rule, used by generators, gadget builders, the
 # translator, cut elimination and `check`.  Each computes the conclusion from
-# its premises and parameters and stores the parameters; it raises
-# ValueError on a schema mismatch rather than producing an unsound node.
+# its premises and parameters and builds its node with `_derive`, which
+# stores the parameters and marks the node derived; it raises ValueError on a
+# schema mismatch rather than producing an unsound node.
+
+def _derive(rule: str, conclusion: Judgement, premises: tuple,
+            params: tuple) -> Derivation:
+    d = Derivation(rule, conclusion, premises, params)
+    object.__setattr__(d, "_derived", True)
+    return d
+
 
 def d_ax(x: str, a: Type) -> Derivation:
-    return Derivation("ax", Judgement(((x, a),), Var(x), a), (), (x, a))
+    return _derive("ax", Judgement(((x, a),), Var(x), a), (), (x, a))
 
 
 def d_cut(left: Derivation, right: Derivation, x: str) -> Derivation:
@@ -439,7 +443,7 @@ def d_cut(left: Derivation, right: Derivation, x: str) -> Derivation:
     if rj.lookup(x) != lj.goal:
         raise ValueError("cut type mismatch on %s" % x)
     ctx = lj.context + _ctx_remove(rj.context, x)
-    return Derivation(
+    return _derive(
         "cut",
         Judgement(ctx, subst(rj.subject, x, lj.subject), rj.goal),
         (left, right), (x,),
@@ -451,7 +455,7 @@ def d_lolliR(d: Derivation, x: str) -> Derivation:
     a = j.lookup(x)
     if a is None:
         raise ValueError("no assumption %s to abstract" % x)
-    return Derivation(
+    return _derive(
         "lolliR",
         Judgement(_ctx_remove(j.context, x), Abs(x, j.subject), Lolli(a, j.goal)),
         (d,), (x,),
@@ -465,7 +469,7 @@ def d_lolliL(left: Derivation, right: Derivation, y: str, x: str) -> Derivation:
         raise ValueError("no assumption %s to consume" % x)
     ab = Lolli(lj.goal, b)
     ctx = lj.context + ((y, ab),) + _ctx_remove(rj.context, x)
-    return Derivation(
+    return _derive(
         "lolliL",
         Judgement(ctx, subst(rj.subject, x, App(Var(y), lj.subject)), rj.goal),
         (left, right), (y, x),
@@ -476,7 +480,7 @@ def d_withR(left: Derivation, right: Derivation) -> Derivation:
     lj, rj = left.conclusion, right.conclusion
     if not _same_context(lj.context, rj.context):
         raise ValueError("withR premises must share one context")
-    return Derivation(
+    return _derive(
         "withR",
         Judgement(lj.context, Pair(lj.subject, rj.subject), With(lj.goal, rj.goal)),
         (left, right), (),
@@ -487,7 +491,7 @@ def d_withR0(left: Derivation, right: Derivation) -> Derivation:
     lj, rj = left.conclusion, right.conclusion
     if lj.context or rj.context:
         raise ValueError("withR0 premises must be closed")
-    return Derivation(
+    return _derive(
         "withR0",
         Judgement((), Pair(lj.subject, rj.subject), With(lj.goal, rj.goal)),
         (left, right), (),
@@ -498,6 +502,8 @@ def d_withR1(b1: Derivation, b2: Derivation, guard: Derivation, x: str) -> Deriv
     a = guard.conclusion.goal
     if guard.conclusion.context:
         raise ValueError("withR1 guard premise must be closed")
+    if len(b1.conclusion.context) != 1 or len(b2.conclusion.context) != 1:
+        raise ValueError("withR1 branches must have exactly one assumption")
     (x1, a1), = b1.conclusion.context
     (x2, a2), = b2.conclusion.context
     if not a1 == a2 == a:
@@ -505,7 +511,7 @@ def d_withR1(b1: Derivation, b2: Derivation, guard: Derivation, x: str) -> Deriv
     sub = Copy(guard.conclusion.subject, Var(x), x1, x2,
                b1.conclusion.subject, b2.conclusion.subject)
     goal = With(b1.conclusion.goal, b2.conclusion.goal)
-    return Derivation("withR1", Judgement(((x, a),), sub, goal), (b1, b2, guard), (x,))
+    return _derive("withR1", Judgement(((x, a),), sub, goal), (b1, b2, guard), (x,))
 
 
 def d_withL(i: int, d: Derivation, y: str, x: str, other: Type) -> Derivation:
@@ -515,7 +521,7 @@ def d_withL(i: int, d: Derivation, y: str, x: str, other: Type) -> Derivation:
         raise ValueError("no assumption %s to consume" % x)
     ab = With(comp, other) if i == 1 else With(other, comp)
     ctx = ((y, ab),) + _ctx_remove(j.context, x)
-    return Derivation(
+    return _derive(
         "withL%d" % i,
         Judgement(ctx, subst(j.subject, x, Proj(i, Var(y))), j.goal),
         (d,), (y, x, other),
@@ -529,7 +535,7 @@ def d_forallR(d: Derivation, gamma: str, alpha: str) -> Derivation:
     if gamma in context_free_type_vars(j.context):
         raise ValueError("eigenvariable %s free in context" % gamma)
     goal = Forall(alpha, close_type(j.goal, gamma), True)
-    return Derivation("forallR", Judgement(j.context, j.subject, goal), (d,),
+    return _derive("forallR", Judgement(j.context, j.subject, goal), (d,),
                       (gamma, alpha))
 
 
@@ -541,7 +547,7 @@ def d_forallL(d: Derivation, x: str, quant: Type) -> Derivation:
     if not isinstance(quant, Forall) or match_instantiation(quant, inst) is None:
         raise ValueError("assumption type is not an instance of %r" % (quant,))
     ctx = tuple((n, quant if n == x else a) for n, a in j.context)
-    return Derivation("forallL", Judgement(ctx, j.subject, j.goal), (d,), (x, quant))
+    return _derive("forallL", Judgement(ctx, j.subject, j.goal), (d,), (x, quant))
 
 
 # Each rule's constructor, called as CONSTRUCTORS[rule](*premises, *params).

@@ -20,12 +20,13 @@ every format.  A derivation file is version 2, the only version:
 whose ARGs are all or none of the rule's parameters, of the kinds in
 `derivation.PARAMS`, a name bare and a type quoted.  A node that states
 none is built without them, which `check` reports unless its rule has none.
-A node without a `seq` is built by its rule's constructor.  The writer writes
-each node's stored parameters, and the `seq` at the root and wherever the
-constructor does not recompute the judgement exactly, so any derivation
-whose parameters are of its rules' kinds, well-formed or not, reads back
-node for node.  A file without the `(lamd 2` header is refused at its
-first token.
+A node without a `seq` is built by its rule's constructor, so it is derived
+(see `derivation`) and neither `check` nor the writer rebuilds it; a node
+with a `seq` is not.  The writer writes each node's stored parameters, and
+the `seq` at the root and wherever the constructor does not recompute the
+judgement exactly, so any derivation whose parameters are of its rules'
+kinds, well-formed or not, reads back node for node.  A file without the
+`(lamd 2` header is refused at its first token.
 
 Each parser reads its input in one pass and builds every node once.  One
 regex `findall` yields the token texts (a string keeps its quotes), and the

@@ -13,16 +13,23 @@ from the handler-per-rule checker; regenerate it with
 A second, multi-mutation set applies two to four mutations to two copies of
 each corpus derivation, parameter mutations among them, and asserts only that `check`
 returns Violations in every system and never raises.
+
+A differential test compares each corpus derivation and each multi-mutant
+with its raw copy, in which no node is derived, so `check` rebuilds every
+node: the violations in every system and the printed text must not differ.
 """
 
+import dataclasses
 import json
 import random
 from pathlib import Path
 
 from linadd.derivation import (
-    IMALL2, IMLL2, LAM, RULES, Derivation, Judgement, Violation, check,
+    IMALL2, IMLL2, LAM, RULES, Derivation, Judgement, Violation, check, d_ax,
 )
-from linadd.frontend import derivations_equal, parse_derivation, print_derivation
+from linadd.frontend import (
+    derivations_equal, parse_derivation, parse_type, print_derivation,
+)
 from linadd.typesys import TVar
 
 GOLDEN = Path(__file__).with_name("data") / "check_mutants.json"
@@ -181,18 +188,107 @@ def _mutate_more(rng, n, goals):
     return n if m is None else m[0]
 
 
-def test_check_is_total_on_multiple_mutations(corpus):
+def multi_mutants(corpus):
+    """(entry name, derivation after two to four mutations) for two copies
+    of each corpus entry, drawn from a fixed seed."""
     rng = random.Random(FUZZ_SEED)
     goals = [e.derivation.conclusion.goal for e in corpus]
+    out = []
     for e in corpus + corpus:
         d = e.derivation
         for _ in range(rng.randint(2, 4)):
             path = rng.choice(_paths(d))
             d = _replace(d, path, _mutate_more(rng, _node(d, path), goals))
+        out.append((e.name, d))
+    return out
+
+
+def test_check_is_total_on_multiple_mutations(corpus):
+    for name, d in multi_mutants(corpus):
         for system in (LAM, IMALL2, IMLL2):
             vs = check(d, system)  # never raises
-            assert isinstance(vs, list), e.name
-            assert all(isinstance(v, Violation) for v in vs), e.name
+            assert isinstance(vs, list), name
+            assert all(isinstance(v, Violation) for v in vs), name
+
+
+# -- differential test of derived nodes -----------------------------------------
+#
+# A node built by its rule's constructor is derived, and `check` and the
+# writer do not rebuild it.  A raw copy rebuilds every node with
+# `Derivation(...)`, so none of its nodes is derived and every one is
+# rebuilt: both must give the same violations and the same text.
+
+def raw_copy(d):
+    """d rebuilt bottom-up with `Derivation`, sharing kept, no node derived."""
+    done: dict = {}  # id(node) -> its copy
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        if id(n) in done:
+            continue
+        todo = [p for p in n.premises if id(p) not in done]
+        if todo:
+            stack.append(n)
+            stack += todo
+        else:
+            done[id(n)] = Derivation(n.rule, n.conclusion,
+                                     tuple(done[id(p)] for p in n.premises), n.params)
+    return done[id(d)]
+
+
+def _derived_nodes(d):
+    """How many distinct nodes of d are derived."""
+    seen, todo, derived = set(), [d], 0
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            todo += n.premises
+            derived += n._derived
+    return derived
+
+
+def _same_as_raw(name, d):
+    raw = raw_copy(d)
+    assert _derived_nodes(raw) == 0, name
+    for system in (LAM, IMALL2, IMLL2):
+        assert check(d, system) == check(raw, system), (name, system)
+    assert print_derivation(d) == print_derivation(raw), name
+
+
+def test_derived_and_raw_corpus_entries_agree(corpus):
+    assert sum(_derived_nodes(e.derivation) for e in corpus) > 0
+    for e in corpus:
+        _same_as_raw(e.name, e.derivation)
+
+
+def test_derived_and_raw_multi_mutants_agree(corpus):
+    for name, d in multi_mutants(corpus):
+        _same_as_raw(name, d)
+
+
+def test_only_constructors_derive():
+    d = d_ax("x", parse_type("forall a. a -o a"))
+    assert d._derived
+    assert not Derivation(d.rule, d.conclusion, d.premises, d.params)._derived
+    wrong = Judgement(d.conclusion.context, d.conclusion.subject, TVar("a"))
+    swapped = dataclasses.replace(d, conclusion=wrong)
+    assert not swapped._derived
+    assert [v.message for v in check(swapped)] == [
+        "the rule concludes a different goal"]
+    # a parsed node that states its judgement is not derived; one that
+    # does not is
+    parsed = parse_derivation('(lamd 2 (rule ax x "a" (seq ((x "a")) "x" "a")))')
+    assert not parsed._derived
+    assert parse_derivation('(lamd 2 (rule lolliR x (seq () "\\x. x" "a -o a")'
+                            ' (rule ax x "a")))').premises[0]._derived
+
+
+def test_derived_node_with_wrong_kinded_parameter_is_reported():
+    d = d_ax("x", "a")  # a name where the type belongs
+    assert d._derived
+    assert [(v.path, v.condition, v.message) for v in check(d)] == [
+        ((), "params", "parameter 2 is not a type")]
 
 
 if __name__ == "__main__":

@@ -191,6 +191,17 @@ def test_translate_rejects_input_that_fails_check(tmp_path, capsys):
     assert rep["details"] == ["params [cut at root]: parameters not stated"]
 
 
+def test_eta_expand_rejects_input_that_fails_check(tmp_path, capsys):
+    # the lolliR states its judgement but not its parameter
+    f = tmp_path / "in.lamd"
+    f.write_text('(lamd 2 (rule lolliR (seq () "\\x. x" "a -o a") (rule ax x "a")))\n')
+    for system in ("lam", "imall2"):
+        code, rep = run_json(capsys, "eta-expand", str(f), "--system", system)
+        assert code == 1 and rep["verdict"] == "fail", system
+        assert rep["inputs"]["system"] == system
+        assert rep["details"] == ["params [lolliR at root]: parameters not stated"]
+
+
 def test_missing_file_reports_json(capsys):
     code, rep = run_json(capsys, "check", "/nonexistent/q.lamd")
     assert code == 2 and rep["verdict"] == "error" and rep["details"]

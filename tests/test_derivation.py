@@ -1,7 +1,7 @@
 import pytest
 
 from linadd.derivation import (
-    CheckError, Derivation, check, check_lazy_propagation, check_ok, check_size_bounds,
+    CheckError, Derivation, Judgement, check, check_ok,
     d_app, d_ax, d_cut, d_forallL, d_forallR, d_inst, d_lolliL, d_lolliR,
     d_withL, d_withR, d_withR0, d_withR1, is_cut_free, is_eta_expanded,
     metrics, uses_rules,
@@ -9,13 +9,35 @@ from linadd.derivation import (
 from linadd.frontend import parse_derivation, parse_type
 from linadd.inhabit import enumerate_inhabitants, maximal_value
 from linadd.translate import identity_derivation
-from linadd.typesys import Lolli, TVar, With, bool_type, unit_type
-from linadd.terms import term_size
+from linadd.typesys import Lolli, TVar, With, bool_type, type_size, unit_type
+from linadd.terms import Var, term_size
 
 
 ONE = unit_type()
 B = bool_type()
 ID = identity_derivation()
+
+
+def check_size_bounds(d: Derivation) -> dict:
+    """Oracle for eta-expanded derivations: |M| <= |ctx|+|goal| <= 2|D|."""
+    j = d.conclusion
+    m = term_size(j.subject)
+    seq = sum(type_size(a) for a in j.context_types()) + type_size(j.goal)
+    two_d = 2 * metrics(d).size
+    return {
+        "subject_size": m,
+        "sequent_size": seq,
+        "twice_derivation_size": two_d,
+        "holds": m <= seq <= two_d,
+    }
+
+
+def check_lazy_propagation(d: Derivation) -> bool:
+    """Oracle: cut-free derivations of forall-lazy sequents avoid withR1,
+    withL, and forallL throughout (which forces copy/projection-free
+    subjects)."""
+    banned = {"withR1", "withL1", "withL2", "forallL", "cut"}
+    return not (uses_rules(d) & banned)
 
 
 def test_identity_checks_in_all_systems():
@@ -209,6 +231,18 @@ def test_parameter_free_rules_state_no_parameters():
 def test_constructors_reject_unsound_instances(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("branches", [
+    (), (("x1", ONE), ("y1", ONE)),
+], ids=["no-assumption", "two-assumptions"])
+def test_withR1_branches_need_exactly_one_assumption(branches):
+    # check reports the constructor's refusal, a message about the rule
+    b1 = Derivation("ax", Judgement(branches, Var("x1"), ONE), (), ("x1", ONE))
+    good = d_withR1(d_ax("x1", ONE), d_ax("x2", ONE), ID, "x")
+    bad = Derivation("withR1", good.conclusion, (b1,) + good.premises[1:], ("x",))
+    assert [(v.path, v.message) for v in check(bad) if v.path == ()] == [
+        ((), "withR1 branches must have exactly one assumption")]
 
 
 def test_forallR_binds_apart_from_a_free_namesake_of_its_hint():
