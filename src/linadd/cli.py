@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 from .terms import term_size
 from .typesys import bool_type, unit_type
-from .derivation import LAM, CheckError, check, check_ok, metrics
+from .derivation import IMALL2, LAM, CheckError, check, check_ok, metrics
 from .reduce import BudgetExceeded, normalize
 from .cutelim import CutElimError, eliminate
 from .steps import ElimStepError
@@ -189,12 +189,15 @@ def cmd_cutelim(args) -> int:
 
 
 def cmd_eta_expand(args) -> int:
-    report = Report("eta-expand", {"file": args.file, "system": args.system})
+    report = Report("eta-expand", {"file": args.file})
     with report.timed("parse_s"):
         d = load_derivation(args.file)
     try:
         with report.timed("work_s"):
-            check_ok(d, args.system)
+            # eta_expand serves lam and imall2 derivations alike
+            vs = check(d, LAM)
+            if vs and check(d, IMALL2):
+                raise CheckError(vs)
             out = eta_expand(d)
     except (InhabitError, CheckError) as e:
         report.fail(str(e))
@@ -338,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eta-expand", help="eta-expand a cut-free derivation")
     sp.add_argument("file")
-    sp.add_argument("--system", choices=("lam", "imall2"), default="lam")
     common(sp)
     sp.set_defaults(fn=cmd_eta_expand)
 

@@ -4,6 +4,8 @@ import pytest
 
 from linadd import cli, suites
 from linadd.cli import main
+from linadd.derivation import IMALL2, check, d_ax, d_withR, is_eta_expanded
+from linadd.frontend import parse_derivation, parse_type, print_derivation
 from linadd.inhabit import InhabitError
 
 
@@ -195,11 +197,20 @@ def test_eta_expand_rejects_input_that_fails_check(tmp_path, capsys):
     # the lolliR states its judgement but not its parameter
     f = tmp_path / "in.lamd"
     f.write_text('(lamd 2 (rule lolliR (seq () "\\x. x" "a -o a") (rule ax x "a")))\n')
-    for system in ("lam", "imall2"):
-        code, rep = run_json(capsys, "eta-expand", str(f), "--system", system)
-        assert code == 1 and rep["verdict"] == "fail", system
-        assert rep["inputs"]["system"] == system
-        assert rep["details"] == ["params [lolliR at root]: parameters not stated"]
+    code, rep = run_json(capsys, "eta-expand", str(f))
+    assert code == 1 and rep["verdict"] == "fail"
+    assert rep["details"] == ["params [lolliR at root]: parameters not stated"]
+
+
+def test_eta_expand_accepts_imall2_input(tmp_path, capsys):
+    # withR is an imall2 rule, not a lam one
+    ax = d_ax("x", parse_type("forall a. a -o a"))
+    f = tmp_path / "in.lamd"
+    f.write_text(print_derivation(d_withR(ax, ax)))
+    code, out = run(capsys, "eta-expand", str(f))
+    assert code == 0
+    out = parse_derivation(out)
+    assert is_eta_expanded(out) and not check(out, IMALL2)
 
 
 def test_missing_file_reports_json(capsys):
