@@ -17,6 +17,7 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
+from functools import cache
 
 from .terms import term_size
 from .typesys import bool_type, unit_type
@@ -307,7 +308,10 @@ def cmd_suite(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` keeps no state in it, and
+    building it costs more than most commands."""
     p = argparse.ArgumentParser(
         prog="linadd",
         description="Check, reduce, and translate linear-additive derivations.")

@@ -212,13 +212,6 @@ def lam_entries(corpus) -> list:
     return [e for e in corpus if e.system == LAM]
 
 
-def elimination_entries(corpus, max_size: int = 150) -> list:
-    """Entries whose root judgement is forall-lazy and small enough to run
-    cut elimination on during tests."""
-    return [e for e in corpus
-            if "forall-lazy" in e.tags and e.size <= max_size]
-
-
 def soundness_entries(corpus, max_size: int = 60) -> list:
     """A modest forall-lazy subset for per-step translation soundness checks:
     the translation of each snapshot is beta-eta compared, which is expensive,

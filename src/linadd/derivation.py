@@ -56,9 +56,17 @@ no rule renames, and none can capture).  Contexts are multisets of named,
 typed assumptions; cut and lolliL additionally demand that the free type
 variables of the two premise contexts be disjoint.
 
-Checking memoizes on the pair (node, eigenvariables generalized above it),
-so a subderivation shared within a DAG is checked once per distinct set of
-eigenvariables over its uses, not once per use.
+`check` walks with its own stack, in the order of a recursive walk: a
+node's pre-checks, its premises left to right, then its own checks and
+linearity.  A node's path is a chain of links to its parent's, turned into
+a tuple only for a violation.  The eigenvariables generalized above a node
+matter only to the context splits at or below it (`_split_linear`), so a
+node reached again is visited again only when those eigenvariables differ
+on R(node), the variables that some split below it tests (`_split_vars`,
+computed on the first revisit).  A subderivation shared within a DAG is
+therefore checked once, however many uses it has, unless its uses differ on
+what its splits test; a violation in it is reported at the path of the
+first use, not again at the paths of uses that agree on what it tests.
 
 Each node caches its size, weight, height, summed cut heights and cut count
 in one lazily filled slot (see `nameless.cache_up`), so `metrics` and
@@ -193,6 +201,8 @@ def context_free_type_vars(ctx):
 def _linearity(j: Judgement):
     """The context names that do not occur free in the subject exactly once,
     with their counts."""
+    if not j.context:
+        return []
     counts: dict = {}
     stack = [j.subject]
     while stack:
@@ -204,45 +214,109 @@ def _linearity(j: Judgement):
     return [(n, counts.get(n, 0)) for n, _ in j.context if counts.get(n) != 1]
 
 
+def _split_vars(d: Derivation, cache: dict) -> frozenset:
+    """R(d): the type variables that some cut or lolliL at or below d finds
+    in both of its premise contexts, less those that a forallR between it
+    and d binds.  Only these of the eigenvariables above d can change what
+    `check` reports below d.  Fills `cache` (id -> R) for every node below
+    d, in one walk with its own stack."""
+    todo = [d]
+    while todo:
+        n = todo[-1]
+        if id(n) in cache:
+            todo.pop()
+            continue
+        missing = [p for p in n.premises if id(p) not in cache]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        r = frozenset().union(*(cache[id(p)] for p in n.premises))
+        if n.rule == "forallR" and params_error(n) is None:
+            r -= {n.params[0]}
+        elif n.rule in ("cut", "lolliL") and len(n.premises) == 2:
+            left, right = (p.conclusion.context for p in n.premises)
+            r |= context_free_type_vars(left) & context_free_type_vars(right)
+        cache[id(n)] = r
+    return cache[id(d)]
+
+
+_ENTER = object()  # marks a stack entry of `check` that enters its node
+
+
 def check(d: Derivation, system: str = LAM):
     """Return a list of Violations; empty means the derivation is correct."""
     if system not in _SYSTEM_RULES:
         raise ValueError("unknown system: %r" % (system,))
+    rules = _SYSTEM_RULES[system]
     out: list[Violation] = []
-    seen: set = set()
+    first: dict = {}   # id(node) -> the eigenvariables of its first visit
+    again: dict = {}   # id(node) -> {eigenvariables & R(node) visited}
+    split: dict = {}   # id(node) -> R(node), filled on the first revisit
 
-    def bad(path, d, cond, msg):
-        out.append(Violation(path, d.rule, cond, msg))
+    def bad(at, d, cond, msg):
+        # `at` links to the parent's link: (parent_at, i), None at the root
+        path = []
+        while at is not None:
+            at, i = at
+            path.append(i)
+        out.append(Violation(tuple(reversed(path)), d.rule, cond, msg))
 
-    def go(d: Derivation, path: tuple, eigens: frozenset):
-        if (id(d), eigens) in seen:
-            return
-        seen.add((id(d), eigens))
-        j = d.conclusion
+    def leave(d, at, eigens, wrong):
+        # the checks of d that follow those of its premises
+        _check_node(d, wrong, at, system, bad, eigens)
+        if system == LAM:
+            lin = _linearity(d.conclusion)
+            if lin:
+                bad(at, d, "linearity",
+                    "assumptions not used exactly once: %s" % (lin,))
+
+    # Entries (node, link, eigenvariables above it, _ENTER) enter a node;
+    # (node, link, eigenvariables, what is wrong with its parameters) leave
+    # it once its premises are done, as a recursive walk would return.  A
+    # node without premises is left as soon as it is entered.
+    todo = [(d, None, frozenset(), _ENTER)]
+    while todo:
+        d, at, eigens, wrong = todo.pop()
+        if wrong is not _ENTER:
+            leave(d, at, eigens, wrong)
+            continue
+        seen = first.get(id(d))
+        if seen is None:
+            first[id(d)] = eigens
+        elif seen == eigens:
+            continue
+        else:
+            r = _split_vars(d, split)
+            keys = again.get(id(d))
+            if keys is None:
+                keys = again[id(d)] = {seen & r}
+            if eigens & r in keys:
+                continue
+            keys.add(eigens & r)
         if d.rule not in RULES:
-            bad(path, d, "rule", "unknown rule %r" % (d.rule,))
-            return
-        if d.rule not in _SYSTEM_RULES[system]:
-            bad(path, d, "system", "rule %s not available in %s" % (d.rule, system))
-            return
-        names = [n for n, _ in j.context]
-        if len(set(names)) != len(names):
-            bad(path, d, "context", "duplicate assumption names")
-            return
+            bad(at, d, "rule", "unknown rule %r" % (d.rule,))
+            continue
+        if d.rule not in rules:
+            bad(at, d, "system", "rule %s not available in %s" % (d.rule, system))
+            continue
+        ctx = d.conclusion.context
+        if len(ctx) > 1 and len({n for n, _ in ctx}) != len(ctx):
+            bad(at, d, "context", "duplicate assumption names")
+            continue
         wrong = params_error(d)
         up = eigens
         if d.rule == "forallR" and wrong is None:
             up = eigens | {d.params[0]}
-        for i, p in enumerate(d.premises):
-            go(p, path + (i,), up)
-        _check_node(d, wrong, path, system, bad, eigens)
-        if system == LAM:
-            lin = _linearity(j)
-            if lin:
-                bad(path, d, "linearity",
-                    "assumptions not used exactly once: %s" % (lin,))
-
-    go(d, (), frozenset())
+        ps = d.premises
+        if not ps:
+            leave(d, at, eigens, wrong)
+            continue
+        todo.append((d, at, eigens, wrong))
+        if len(ps) == 1:
+            todo.append((ps[0], (at, 0), up, _ENTER))
+        else:
+            todo += [(ps[i], (at, i), up, _ENTER) for i in range(len(ps) - 1, -1, -1)]
     return out
 
 
@@ -288,36 +362,36 @@ def rebuild_error(d: Derivation, ordered: bool = False):
     return "the rule concludes a different %s" % " and ".join(differ) if differ else None
 
 
-def _check_node(d, wrong, path, system, bad, eigens):
+def _check_node(d, wrong, at, system, bad, eigens):
     """Rebuild d with its rule's constructor unless it is derived, compare
     the conclusions, then check the side conditions no constructor sees;
     `wrong` is what is wrong with d's parameters."""
     rule = d.rule
     if len(d.premises) != ARITY[rule]:
-        bad(path, d, "arity", "expected %d premises, got %d"
+        bad(at, d, "arity", "expected %d premises, got %d"
             % (ARITY[rule], len(d.premises)))
         return
     if wrong is not None:
-        bad(path, d, "params", wrong)
+        bad(at, d, "params", wrong)
         return
     why = rebuild_error(d)
     if why is not None:
-        bad(path, d, rule, why)
+        bad(at, d, rule, why)
         return
     j, params = d.conclusion, d.params
     if rule in ("cut", "lolliL"):
-        _split_linear(d, path, bad, eigens)
+        _split_linear(d, at, bad, eigens)
     if system != LAM:
         return
     lazy = ()
     if rule == "lolliL":
         ab = j.lookup(params[0])
         if is_closed(ab.cod) and not is_closed(ab.dom):
-            bad(path, d, "closure",
+            bad(at, d, "closure",
                 "implication-left with closed codomain but open domain")
     elif rule == "forallR":
         if is_closed(j.goal) and context_free_type_vars(j.context):
-            bad(path, d, "closure",
+            bad(at, d, "closure",
                 "closed forall introduced over a context with free type variables")
     elif rule in ("withL1", "withL2"):
         lazy = (j.lookup(params[0]),)
@@ -326,15 +400,15 @@ def _check_node(d, wrong, path, system, bad, eigens):
     elif rule == "withR1":
         guard = d.premises[2]
         if not is_value(guard.conclusion.subject):
-            bad(path, d, "withR1", "guard must be a value")
+            bad(at, d, "withR1", "guard must be a value")
         if not is_eta_expanded(guard):
-            bad(path, d, "withR1", "guard subderivation must be eta-expanded")
+            bad(at, d, "withR1", "guard subderivation must be eta-expanded")
         lazy = (j.context[0][1], j.goal.left, j.goal.right)
-    if not all(is_closed(a) and is_forall_lazy(a) for a in lazy):
-        bad(path, d, "laziness", "%s types must be closed forall-lazy" % rule)
+    if lazy and not all(is_closed(a) and is_forall_lazy(a) for a in lazy):
+        bad(at, d, "laziness", "%s types must be closed forall-lazy" % rule)
 
 
-def _split_linear(d, path, bad, eigens):
+def _split_linear(d, at, bad, eigens):
     """Common context side conditions of cut and lolliL.
 
     The two premise contexts may not share free type variables.  Variables
@@ -344,10 +418,10 @@ def _split_linear(d, path, bad, eigens):
     """
     left, right = (p.conclusion.context for p in d.premises)
     if context_names(left) & context_names(right):
-        bad(path, d, "context", "premise contexts share assumption names")
+        bad(at, d, "context", "premise contexts share assumption names")
     shared = (context_free_type_vars(left) & context_free_type_vars(right)) - eigens
     if shared:
-        bad(path, d, "linear-constraint",
+        bad(at, d, "linear-constraint",
             "premise contexts share free type variables: %s" % sorted(shared))
 
 

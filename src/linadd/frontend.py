@@ -21,11 +21,13 @@ whose ARGs are all or none of the rule's parameters, of the kinds in
 `derivation.PARAMS`, a name bare and a type quoted.  A node that states
 none is built without them, which `check` reports unless its rule has none.
 A node without a `seq` is built by its rule's constructor, so it is derived
-(see `derivation`) and neither `check` nor the writer rebuilds it; a node
-with a `seq` is not.  The writer writes each node's stored parameters, and
-the `seq` at the root and wherever the constructor does not recompute the
-judgement exactly, so any derivation whose parameters are of its rules'
-kinds, well-formed or not, reads back node for node.  A file without the
+(see `derivation`): neither `check` nor the writer rebuilds it, and
+`derivations_equal` does not compare the conclusions of two derived nodes
+with equal parameters.  A node with a `seq` is not derived.  The writer
+writes each node's stored parameters, and the `seq` at the root and
+wherever the constructor does not recompute the judgement exactly, so any
+derivation whose parameters are of its rules' kinds, well-formed or not,
+reads back node for node.  A file without the
 `(lamd 2` header is refused at its first token.
 
 Each parser reads its input in one pass and builds every node once.  One
@@ -73,8 +75,10 @@ from .derivation import (
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
 
-# How many rules deep a derivation file may nest: `check` and the other
-# walks over derivations recurse once per level.
+# How many rules deep a derivation file may nest: `translate_derivation`,
+# `inhabit.eta_expand`, `cutelim._apply_at` and the rewrites of `steps`
+# recurse once per level (`check`, the printer and `derivations_equal` keep
+# their own stacks).
 MAX_DERIVATION_DEPTH = 900
 # How deep the recursive forms of a type or term may nest (a bracket, a
 # `forall` or `\x.` in operand position, a `let` head, a `copy` scrutinee):
@@ -661,7 +665,18 @@ def print_derivation(d: Derivation) -> str:
 def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
     """Whether d1 and d2 have the same rules and judgements, node for node:
     one walk with its own stack, in which a pair of subjects or goals is
-    compared once."""
+    compared once.
+
+    The walk compares every pair's rules and premise counts, and pushes
+    every premise pair.  It does not compare the conclusions of a pair of
+    derived nodes (see `derivation`) with equal parameters: their rule's
+    constructor is pure and respects `==`, so over premises with equal
+    conclusions it built equal conclusions, and the walk checks every
+    premise pair before it answers True.  This is the argument by which
+    `rebuild_error` trusts one derived node.  Any other pair, such as a
+    parsed root, a node built with `Derivation(...)`, or two forallR nodes
+    that differ only in the print hint `alpha`, has its conclusions
+    compared."""
     same: set = set()  # (id, id) of subject and goal pairs found equal
 
     def equal(a, b):
@@ -676,13 +691,14 @@ def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
         d1, d2 = stack.pop()
         if d1 is d2:
             continue
-        j1, j2 = d1.conclusion, d2.conclusion
-        if not (d1.rule == d2.rule
-                and j1.context == j2.context
-                and equal(j1.subject, j2.subject)
-                and equal(j1.goal, j2.goal)
-                and len(d1.premises) == len(d2.premises)):
+        if d1.rule != d2.rule or len(d1.premises) != len(d2.premises):
             return False
+        if not (d1._derived and d2._derived and d1.params == d2.params):
+            j1, j2 = d1.conclusion, d2.conclusion
+            if not (j1.context == j2.context
+                    and equal(j1.subject, j2.subject)
+                    and equal(j1.goal, j2.goal)):
+                return False
         stack.extend(zip(d1.premises, d2.premises))
     return True
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .nameless import (
     Node, bind, cache_up, children, free_names, fresh, index_leaf, instantiate,
-    loose, name_leaf, over, references, shift, size, substitute,
+    loose, name_leaf, over, shift, size, substitute,
 )
 
 
@@ -184,19 +184,6 @@ def let_tensor(m: Term, x: str, y: str, n: Term, scoped: bool = False) -> Term:
     return App(m, Abs(x, Abs(y, n, scoped), scoped))
 
 
-def match_tensor_term(t: Term):
-    """Return (M, N) when t is tensor_term(M, N), else None: read M and N
-    off the shape, then rebuild it."""
-    try:
-        m, n = t.body.fun.arg, t.body.arg
-    except AttributeError:
-        return None
-    if references(m, 0) or references(n, 0):
-        return None
-    m, n = shift(m, -1), shift(n, -1)
-    return (m, n) if tensor_term(m, n) == t else None
-
-
 # Node count with |x| = 1, unary constructs +1, binary constructs +1; the
 # copy construct counts guard, scrutinee, and its branch pair.
 term_size = size
@@ -208,10 +195,6 @@ open_term = instantiate
 def close_term(t: Term, x: str) -> Term:
     """The body of a binder over the free x of t."""
     return bind(t, x, Bound)
-
-
-def rename_var(t: Term, old: str, new: str) -> Term:
-    return subst(t, old, Var(new))
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
@@ -231,10 +214,3 @@ def is_value(t: Term) -> bool:
     lazy fragment."""
     return (not free_vars(t) and not loose(t)
             and cache_up(t, "_value_shaped", children, _value_shaped_here))
-
-
-def is_term(t: Term) -> bool:
-    """Raw terms qualify as terms proper when every copy guard is a value."""
-    if isinstance(t, Copy) and not is_value(t.guard):
-        return False
-    return all(is_term(c) for c in t.children())

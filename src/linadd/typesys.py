@@ -210,10 +210,6 @@ def match_tensor_type(a: Type):
     return (l, r) if tensor_type(l, r) == a else None
 
 
-def is_unit_type(a: Type) -> bool:
-    return a == unit_type()
-
-
 # -- polarity and classifiers -------------------------------------------------
 
 POS = "+"
@@ -279,12 +275,6 @@ def is_lazy(a: Type) -> bool:
 
 def is_pi1(a: Type) -> bool:
     return not _polarity(a) & (FORALL_NEG | WITH_POS | WITH_NEG)
-
-
-def classify_type(a: Type) -> frozenset:
-    return frozenset(tag for tag, holds in (
-        ("closed", is_closed), ("forall_lazy", is_forall_lazy),
-        ("lazy", is_lazy), ("pi1", is_pi1)) if holds(a))
 
 
 def judgement_is_forall_lazy(context_types, goal: Type) -> bool:

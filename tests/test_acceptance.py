@@ -16,7 +16,7 @@ import pytest
 from linadd import suites
 from linadd.corpus import (
     copy_first_enclosure, copy_first_example, deadlock_enclosure,
-    deadlock_example, elimination_entries,
+    deadlock_example,
 )
 from linadd.cutelim import CutElimError, elim_step, eliminate
 from linadd.derivation import check_ok, is_cut_free, metrics
@@ -85,13 +85,13 @@ def test_criterion_04_strategies_reach_the_known_normal_form():
     assert (first["leftmost"], first["rightmost"]) == ((0,), (1, 1))
 
 
-def test_criterion_05_cut_elimination(corpus, gadgets):
+def test_criterion_05_cut_elimination(corpus, gadgets, elimination_entries):
     res = suites.cutelim_cubic(corpus, gadgets)
     assert res.failures == []
     print("\n  cubic constant fitted on n=1..3: C = %.3g"
           % res.measurements["constant"])
 
-    for e in elimination_entries(corpus):
+    for e in elimination_entries:
         d = e.derivation
         out, _ = eliminate(d)
         assert is_cut_free(out), e.name

@@ -17,6 +17,8 @@ returns Violations in every system and never raises.
 A differential test compares each corpus derivation and each multi-mutant
 with its raw copy, in which no node is derived, so `check` rebuilds every
 node: the violations in every system and the printed text must not differ.
+Another compares the answers of `derivations_equal` with a reference that
+compares every conclusion.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from pathlib import Path
 
 from linadd.derivation import (
     IMALL2, IMLL2, LAM, RULES, Derivation, Judgement, Violation, check, d_ax,
+    d_forallR, d_lolliR,
 )
 from linadd.frontend import (
     derivations_equal, parse_derivation, parse_type, print_derivation,
@@ -277,6 +280,57 @@ def test_only_constructors_derive():
     assert not parsed._derived
     assert parse_derivation('(lamd 2 (rule lolliR x (seq () "\\x. x" "a -o a")'
                             ' (rule ax x "a")))').premises[0]._derived
+
+
+# -- differential test of `derivations_equal` -------------------------------------
+#
+# `derivations_equal` does not compare the conclusions of two derived nodes
+# with equal parameters.  The reference compares every conclusion.
+
+def _derivations_equal_reference(d1, d2):
+    stack = [(d1, d2)]
+    while stack:
+        d1, d2 = stack.pop()
+        j1, j2 = d1.conclusion, d2.conclusion
+        if not (d1.rule == d2.rule and j1.context == j2.context
+                and j1.subject == j2.subject and j1.goal == j2.goal
+                and len(d1.premises) == len(d2.premises)):
+            return False
+        stack.extend(zip(d1.premises, d2.premises))
+    return True
+
+
+def _same_answer(d1, d2):
+    want = _derivations_equal_reference(d1, d2)
+    assert derivations_equal(d1, d2) == want
+    return want
+
+
+def test_derivations_equal_agrees_with_reference(corpus):
+    for e in corpus:
+        d = e.derivation
+        assert _same_answer(d, parse_derivation(print_derivation(d))), e.name
+        assert _same_answer(d, raw_copy(d)), e.name
+        assert _same_answer(raw_copy(d), d), e.name
+    entries = {e.name: e.derivation for e in corpus}
+    answers = {_same_answer(entries[name], m) for name, m in multi_mutants(corpus)}
+    assert answers == {False, True}
+
+
+def test_derivations_equal_compares_what_is_not_derived():
+    d = d_ax("x", parse_type("forall a. a -o a"))
+    j = d.conclusion
+    swapped = Derivation(d.rule, Judgement(j.context, j.subject, TVar("a")),
+                         d.premises, d.params)
+    assert not _same_answer(d, swapped) and not _same_answer(swapped, d)
+    # derived nodes with unequal parameters are compared
+    assert not _same_answer(d, d_ax("y", parse_type("forall a. a -o a")))
+    # two derived forallR nodes that differ only in the hint of the binder
+    # have unequal parameters, so their equal conclusions are compared
+    body = d_lolliR(d_ax("x", TVar("g")), "x")
+    a, b = d_forallR(body, "g", "a"), d_forallR(body, "g", "b")
+    assert a._derived and b._derived and a.params != b.params
+    assert _same_answer(a, b)
 
 
 def test_derived_node_with_wrong_kinded_parameter_is_reported():

@@ -50,6 +50,20 @@ def test_gen_and_check_round_trip(tmp_path, capsys):
     assert all(v >= 0 for v in timings.values())
 
 
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; what one call parses does not
+    # reach the next
+    f = tmp_path / "ax.lamd"
+    f.write_text(print_derivation(d_ax("x", parse_type("a"))))
+    code, rep = run_json(capsys, "check", str(f), "--system", "imll2")
+    assert code == 0 and rep["inputs"]["system"] == "imll2"
+    code, rep = run_json(capsys, "check", str(f))
+    assert code == 0 and rep["inputs"]["system"] == "lam"
+    code, out = run(capsys, "check", str(f))
+    assert code == 0 and not out.startswith("{")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_check_reports_failures(tmp_path, capsys):
     bad = tmp_path / "bad.lamd"
     bad.write_text('(lamd 2 (rule ax x "1" (seq () "x" "1")))\n')

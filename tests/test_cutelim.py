@@ -2,7 +2,7 @@ import pytest
 
 from linadd.corpus import (
     copy_first_enclosure, copy_first_example, deadlock_enclosure,
-    deadlock_example, cubic_family, elimination_entries,
+    deadlock_example, cubic_family,
 )
 from linadd.cutelim import CutElimError, elim_step, eliminate, verify_simulation
 from linadd import steps
@@ -158,9 +158,9 @@ def _assert_stats(d):
         assert is_cut_free(n) == all(k.rule != "cut" for k in _ref_nodes(n))
 
 
-def test_stats_match_reference_along_elimination(corpus):
+def test_stats_match_reference_along_elimination(elimination_entries):
     _, ladd6 = gen_ladd(6, ONE)
-    inputs = [e.derivation for e in elimination_entries(corpus)]
+    inputs = [e.derivation for e in elimination_entries]
     inputs += [d for _, d in cubic_family(3)]
     inputs.append(gen_applied(ladd6, maximal_value(ONE)[1]))
     for d in inputs:

@@ -3,8 +3,8 @@ import pytest
 from linadd.derivation import (
     CheckError, Derivation, Judgement, check, check_ok,
     d_app, d_ax, d_cut, d_forallL, d_forallR, d_inst, d_lolliL, d_lolliR,
-    d_withL, d_withR, d_withR0, d_withR1, is_cut_free, is_eta_expanded,
-    metrics, uses_rules,
+    d_withL, d_withR, d_withR0, d_withR1, dag_size, is_cut_free,
+    is_eta_expanded, metrics, uses_rules,
 )
 from linadd.frontend import parse_derivation, parse_type
 from linadd.inhabit import enumerate_inhabitants, maximal_value
@@ -252,3 +252,58 @@ def test_forallR_binds_apart_from_a_free_namesake_of_its_hint():
     assert d.conclusion.goal == parse_type("forall b. (b -o a) -o b -o a")
     assert check(d) == []
 
+
+
+# -- the walk of `check` ----------------------------------------------------------
+
+def test_check_visits_each_distinct_node_once(monkeypatch):
+    # the translated ladd(B,2) shares its gadgets under several sets of
+    # eigenvariables, none of which a split below a gadget tests
+    from linadd import derivation
+    from linadd.families import gen_ladd
+    from linadd.translate import GadgetLibrary, translate_derivation
+    d = translate_derivation(gen_ladd(2, B)[1], GadgetLibrary())
+    visits = []
+    node_check = derivation._check_node
+    monkeypatch.setattr(derivation, "_check_node",
+                        lambda d, *rest: visits.append(d) or node_check(d, *rest))
+    assert check(d, "imll2") == []
+    assert len(visits) == len({id(n) for n in visits}) == dag_size(d)
+
+
+def _shared_split():
+    """A lolliL whose premise contexts share the type variable a, and two
+    lolliR chains over it."""
+    a = TVar("a")
+    use = d_lolliL(d_ax("y", a), d_ax("w", a), "f", "w")
+    return use, (lambda: d_lolliR(d_lolliR(use, "y"), "f"))
+
+
+def test_shared_node_is_revisited_when_its_split_variables_differ():
+    # under the a-generalization the split is exempt, in the other branch
+    # it is not: a shared node is checked again when the eigenvariables
+    # above it differ on a variable that a split below it tests
+    _, above = _shared_split()
+    d = d_withR(d_forallR(above(), "a", "a"), above())
+    assert [(v.path, v.condition) for v in check(d, "imall2")] == [
+        ((1, 0, 0), "linear-constraint")]
+
+
+def test_shared_node_is_not_revisited_for_untested_eigenvariables():
+    # b is tested by no split below the shared node, so its second use
+    # under other eigenvariables would only repeat the same violation
+    _, above = _shared_split()
+    d = d_withR(d_forallR(above(), "b", "b"), above())
+    assert [(v.path, v.condition) for v in check(d, "imall2")] == [
+        ((0, 0, 0, 0), "linear-constraint")]
+
+
+def test_check_walks_a_deep_derivation():
+    # 5,000 cuts, each on the axiom of its right premise, over an axiom
+    # that states a wrong goal: one violation, at the bottom
+    d = Derivation("ax", Judgement((("x0", ONE),), Var("x0"), B), (), ("x0", ONE))
+    for k in range(5000):
+        d = d_cut(d_ax("x%d" % (k + 1), ONE), d, "x%d" % k)
+    for system in ("lam", "imall2", "imll2"):
+        assert [(v.path, v.message) for v in check(d, system)] == [
+            ((1,) * 5000, "the rule concludes a different goal")], system

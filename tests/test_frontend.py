@@ -536,7 +536,7 @@ def _nested(depth):
 
 def test_derivation_nesting_limit():
     d = parse_derivation(_nested(MAX_DERIVATION_DEPTH))
-    assert check(d)  # `check` recurses per level, within the limit
+    assert check(d)  # the walks that recurse per level stay within the limit
     with pytest.raises(ParseError) as info:
         parse_derivation(_nested(MAX_DERIVATION_DEPTH + 1))
     at = len("(lamd 2 ") + MAX_DERIVATION_DEPTH * len(_NODE + " ")

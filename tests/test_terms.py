@@ -1,12 +1,37 @@
+from linadd.nameless import references, shift
 from linadd.terms import (
     Abs, App, Copy, Pair, Proj, Var,
     alpha_equal, free_vars, fresh_name, identity_term,
-    is_term, is_value, let_tensor, let_unit, match_tensor_term, rename_var,
-    subst, tensor_term, term_size,
+    is_value, let_tensor, let_unit, subst, tensor_term, term_size,
 )
 
 
 I = identity_term()
+
+
+def match_tensor_term(t):
+    """Oracle: (M, N) when t is tensor_term(M, N), else None, read off the
+    shape and then rebuilt."""
+    try:
+        m, n = t.body.fun.arg, t.body.arg
+    except AttributeError:
+        return None
+    if references(m, 0) or references(n, 0):
+        return None
+    m, n = shift(m, -1), shift(n, -1)
+    return (m, n) if tensor_term(m, n) == t else None
+
+
+def is_term(t) -> bool:
+    """Oracle: a raw term is a term proper when every copy guard is a
+    value."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Copy) and not is_value(t.guard):
+            return False
+        todo += t.children()
+    return True
 
 
 def test_identity_size():
@@ -76,7 +101,8 @@ def test_alpha_equivalent_terms_are_equal_and_hash_alike():
 
 
 def test_rename_var():
-    assert alpha_equal(rename_var(App(Var("x"), I), "x", "y"), App(Var("y"), I))
+    # renaming a free variable is substituting a variable for it
+    assert alpha_equal(subst(App(Var("x"), I), "x", Var("y")), App(Var("y"), I))
 
 
 def test_fresh_name_avoids():

@@ -6,8 +6,8 @@ import hypothesis.strategies as st
 from linadd.derivation import _nodes
 from linadd.typesys import (
     Forall, Lolli, TVar, With,
-    bool_type, classify_type, free_type_vars, is_closed, is_forall_lazy,
-    is_lazy, is_pi1, is_unit_type, judgement_is_forall_lazy,
+    bool_type, free_type_vars, is_closed, is_forall_lazy,
+    is_lazy, is_pi1, judgement_is_forall_lazy,
     match_tensor_type, polarity_occurrences, subst_type, tensor_type,
     type_size, unit_type,
 )
@@ -17,9 +17,15 @@ ONE = unit_type()
 B = bool_type()
 
 
+def classify_type(a) -> frozenset:
+    """Oracle: the names of the classes a belongs to."""
+    return frozenset(tag for tag, holds in (
+        ("closed", is_closed), ("forall_lazy", is_forall_lazy),
+        ("lazy", is_lazy), ("pi1", is_pi1)) if holds(a))
+
+
 def test_unit_is_forall_identity():
     assert ONE == Forall("a", Lolli(TVar("a"), TVar("a")))
-    assert is_unit_type(ONE)
 
 
 def test_alpha_equality_of_types():
