@@ -12,13 +12,27 @@ Deadlocked critical cuts and copy-first cuts are never fired; on derivations
 with a forall-lazy conclusion the strategy always finds a ready cut when only
 critical ones remain, so elimination completes with a cut-free derivation
 whose subject is the normal form of the original subject.
+
+A step costs its local work, not a rescan of the whole derivation.  Each
+step scans for cuts once: the scan after which {1} finds no commuting cut
+is the one {2} chooses from.  The scan descends only into subderivations
+that hold a cut, and each cut node's class is computed once per node object
+and cached on it (`steps.classify_cuts`), so a scan classifies only the cuts
+the last step built.  `derivation.replace_at` rebuilds the spine above a
+step in a loop; when the step kept its judgement, as a commuting step does,
+every derived ancestor keeps its own conclusion over the new premise and no
+constructor runs for it.  That is sound by the argument of
+`rebuild_error` and `frontend.derivations_equal`: the constructors are pure
+and respect `==`, so over premises with equal conclusions they build equal
+conclusions.  A kept conclusion may differ from a rebuilt one only in the
+print hints of its binders, which `==` ignores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derivation import Derivation, check_ok, is_cut_free, metrics, rebuild
+from .derivation import Derivation, check_ok, is_cut_free, metrics, replace_at
 from .typesys import judgement_is_forall_lazy
 from .terms import alpha_equal
 from . import steps as st
@@ -68,18 +82,10 @@ def _node_at(d: Derivation, path: tuple) -> Derivation:
     return d
 
 
-def _apply_at(d: Derivation, path: tuple, fn) -> Derivation:
-    if not path:
-        return fn(d)
-    prems = list(d.premises)
-    prems[path[0]] = _apply_at(prems[path[0]], path[1:], fn)
-    return rebuild(d, tuple(prems))
-
-
 def _step_at(d: Derivation, path: tuple, fn) -> Derivation:
-    """_apply_at, with a failed step reported as a CutElimError."""
+    """replace_at, with a failed step reported as a CutElimError."""
     try:
-        return _apply_at(d, path, fn)
+        return replace_at(d, path, fn)
     except ElimStepError as e:
         raise CutElimError(str(e)) from e
 
@@ -135,17 +141,17 @@ def eliminate(d: Derivation, budget: int | None = None,
         trace.rounds += 1
         # {1} all commuting cuts, deepest first
         while True:
-            cuts = [(p, i) for p, i in classify_cuts(cur) if i.kind == COMMUTING]
-            if not cuts:
+            cuts = classify_cuts(cur)
+            commuting = [p for p, i in cuts if i.kind == COMMUTING]
+            if not commuting:
                 break
-            path, _ = max(cuts, key=lambda pi: (len(pi[0]), [-x for x in pi[0]]))
+            path = max(commuting, key=lambda p: (len(p), [-x for x in p]))
             spent += 1
             if spent > budget:
                 raise CutElimError("elimination budget exhausted")
             cur = _step_at(cur, path, st.commute_once)
             record(path, "commuting")
-        # {2} one principal firing
-        cuts = classify_cuts(cur)
+        # {2} one principal firing, chosen from the scan that ended {1}
         if not cuts:
             break
         sym = [p for p, i in cuts if i.kind == SYMMETRIC]

@@ -23,16 +23,20 @@ version 2 `.lamd` file (see `frontend`):
 The `d_*` constructors at the end of this module are the one definition of
 each rule: each computes the conclusion from its premises and parameters,
 raises ValueError on a schema mismatch, and marks the node it built as
-derived.  A node made any other way (`Derivation(...)`, `dataclasses.replace`,
-a parsed node that states its judgement) is not derived.  `check` rebuilds
-each node that is not derived with its rule's constructor and compares the
-result with the stated conclusion; a derived node it does not rebuild.  That
-is sound because the constructors are pure functions of their premises and
-parameters, and nodes, judgements, types and terms are immutable, so a
-rebuild of a derived node would reproduce its conclusion exactly: the mark
-caches that fact for its one node, as an LCF kernel's theorems carry the
-checking of their inference (Gordon, Milner & Wadsworth, 1979).  It is
-never trusted for the node's premises, which are nodes of their own.
+derived.  A derived node may also come from a spine rebuild (`replace_at`)
+that kept a derived node's conclusion over a premise with an equal one.  A
+node made any other way (`Derivation(...)`, `dataclasses.replace`, a parsed
+node that states its judgement) is not derived.  `check` rebuilds each node
+that is not derived with its rule's constructor and compares the result
+with the stated conclusion; a derived node it does not rebuild.  That is
+sound because the constructors are pure functions of their premises and
+parameters that respect `==`, and nodes, judgements, types and terms are
+immutable, so a rebuild of a derived node would reproduce its conclusion,
+exactly or, for a kept one, up to the print hints of binders, which `==`
+ignores: the mark caches that fact for its one node, as an LCF kernel's
+theorems carry the checking of their inference (Gordon, Milner &
+Wadsworth, 1979).  It is never trusted for the node's premises, which are
+nodes of their own.
 
 Beyond the rebuild, `check` checks on every node, derived or not, what a
 constructor cannot see: the rule set of the system, arity, the stored
@@ -72,7 +76,9 @@ Each node caches its size, weight, height, summed cut heights and cut count
 in one lazily filled slot (see `nameless.cache_up`), so `metrics` and
 `is_cut_free` cost only the nodes built since the last query, and a search
 for cuts skips every cut-free subderivation.  The counts are taken with tree
-multiplicity: a shared subderivation counts once per occurrence.
+multiplicity: a shared subderivation counts once per occurrence.  A cut
+node caches its class for cut elimination in another slot (see
+`steps.classify_cuts`).
 """
 
 from __future__ import annotations
@@ -146,7 +152,7 @@ class Derivation:
     built (see the module docstring)."""
 
     __slots__ = ("rule", "conclusion", "premises", "params", "_stats",
-                 "_derived", "__weakref__")
+                 "_cut", "_derived", "__weakref__")
     rule: str
     conclusion: Judgement
     premises: tuple
@@ -636,6 +642,37 @@ CONSTRUCTORS = {
 def rebuild(d: Derivation, prems: tuple) -> Derivation:
     """d's rule with d's parameters over replacement premises."""
     return CONSTRUCTORS[d.rule](*prems, *d.params)
+
+
+def replace_at(d: Derivation, path: tuple, fn) -> Derivation:
+    """d with its subderivation n at premise path `path` replaced by fn(n),
+    and the ancestors of n on the path rebuilt bottom-up in a loop.
+
+    When fn(n) concludes the judgement of n (the same ordered context, an
+    `==` subject and an `==` goal), each derived ancestor keeps its own
+    conclusion object over its new premise and no constructor runs for it:
+    its constructor is pure and respects `==`, so over premises with equal
+    conclusions it would build an equal conclusion, and the new node is
+    derived as the old one was.  A node that is not derived, and every
+    ancestor once the judgements may differ, goes through `rebuild`."""
+    spine = []
+    for i in path:
+        spine.append(d)
+        d = d.premises[i]
+    new = fn(d)
+    if not spine:
+        return new
+    old, got = d.conclusion, new.conclusion
+    keep = got is old or (got.context == old.context and got.subject == old.subject
+                          and got.goal == old.goal)
+    for node, i in zip(reversed(spine), reversed(path)):
+        prems = node.premises[:i] + (new,) + node.premises[i + 1:]
+        if keep and node._derived:
+            new = _derive(node.rule, node.conclusion, prems, node.params)
+        else:
+            new = rebuild(node, prems)
+            keep = False
+    return new
 
 
 def d_app(fun: Derivation, arg: Derivation) -> Derivation:

@@ -76,9 +76,9 @@ from .derivation import (
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
 
 # How many rules deep a derivation file may nest: `translate_derivation`,
-# `inhabit.eta_expand`, `cutelim._apply_at` and the rewrites of `steps`
-# recurse once per level (`check`, the printer and `derivations_equal` keep
-# their own stacks).
+# `inhabit.eta_expand` and the rewrites of `steps` recurse once per level
+# (`check`, the printer and `derivations_equal` keep their own stacks, and
+# `derivation.replace_at` rebuilds a spine in a loop).
 MAX_DERIVATION_DEPTH = 900
 # How deep the recursive forms of a type or term may nest (a bracket, a
 # `forall` or `\x.` in operand position, a `let` head, a `copy` scrutinee):
@@ -664,19 +664,22 @@ def print_derivation(d: Derivation) -> str:
 
 def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
     """Whether d1 and d2 have the same rules and judgements, node for node:
-    one walk with its own stack, in which a pair of subjects or goals is
-    compared once.
+    one walk with its own stack, in which a pair of nodes is visited once
+    and a pair of subjects or goals is compared once, so two DAGs cost the
+    node pairs they reach, not their tree sizes.
 
     The walk compares every pair's rules and premise counts, and pushes
-    every premise pair.  It does not compare the conclusions of a pair of
-    derived nodes (see `derivation`) with equal parameters: their rule's
-    constructor is pure and respects `==`, so over premises with equal
-    conclusions it built equal conclusions, and the walk checks every
-    premise pair before it answers True.  This is the argument by which
-    `rebuild_error` trusts one derived node.  Any other pair, such as a
-    parsed root, a node built with `Derivation(...)`, or two forallR nodes
-    that differ only in the print hint `alpha`, has its conclusions
-    compared."""
+    every premise pair that is not one object and was not pushed before:
+    the answer is the conjunction over the pairs reached, so a pair is
+    answered once however many paths reach it.  It does not compare the
+    conclusions of a pair of derived nodes (see `derivation`) with equal
+    parameters: their rule's constructor is pure and respects `==`, so over
+    premises with equal conclusions their conclusions are equal, and the
+    walk checks every premise pair before it answers True.  This is the
+    argument by which `rebuild_error` trusts one derived node.  Any other
+    pair, such as a parsed root, a node built with `Derivation(...)`, or two
+    forallR nodes that differ only in the print hint `alpha`, has its
+    conclusions compared."""
     same: set = set()  # (id, id) of subject and goal pairs found equal
 
     def equal(a, b):
@@ -686,11 +689,10 @@ def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
             same.add((id(a), id(b)))
         return True
 
-    stack = [(d1, d2)]
+    pushed = {(id(d1), id(d2))}  # node pairs already on the stack once
+    stack = [(d1, d2)] if d1 is not d2 else []
     while stack:
         d1, d2 = stack.pop()
-        if d1 is d2:
-            continue
         if d1.rule != d2.rule or len(d1.premises) != len(d2.premises):
             return False
         if not (d1._derived and d2._derived and d1.params == d2.params):
@@ -699,7 +701,10 @@ def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
                     and equal(j1.subject, j2.subject)
                     and equal(j1.goal, j2.goal)):
                 return False
-        stack.extend(zip(d1.premises, d2.premises))
+        for a, b in zip(d1.premises, d2.premises):
+            if a is not b and (id(a), id(b)) not in pushed:
+                pushed.add((id(a), id(b)))
+                stack.append((a, b))
     return True
 
 

@@ -33,7 +33,7 @@ from .terms import (
     Abs, App, Bound, Copy, Pair, Proj, Term, Var,
     alpha_equal, free_vars, is_value, open_term,
 )
-from .derivation import metrics, rebuild
+from .derivation import metrics, replace_at
 
 @dataclass(frozen=True)
 class Redex:
@@ -239,15 +239,16 @@ def push_reduction(d, r: Redex):
 
 def _advance(d, path: tuple, st):
     """Move the derivation one localized elimination step toward contracting
-    the subject redex at `path`."""
-    loc = _locate(d, path)
-    if loc == "interface":
-        return st.eliminate_cut_once(d)
-    i, sub_path = loc
-    new_prem = _advance(d.premises[i], sub_path, st)
-    prems = list(d.premises)
-    prems[i] = new_prem
-    return rebuild(d, tuple(prems))
+    the subject redex at `path`: find the premise path to the node where it
+    is an interface redex, then step there and rebuild the spine above."""
+    at = []
+    node, loc = d, _locate(d, path)
+    while loc != "interface":
+        i, path = loc
+        at.append(i)
+        node = node.premises[i]
+        loc = _locate(node, path)
+    return replace_at(d, tuple(at), st.eliminate_cut_once)
 
 
 def _var_path(t: Term, x: str):

@@ -139,18 +139,24 @@ def classify_cut(d: Derivation) -> CutInfo:
 
 
 def classify_cuts(d: Derivation):
-    """All cut nodes with their tree paths, pre-order.  Cut-free
-    subderivations are skipped."""
+    """All cut nodes with their tree paths and `classify_cut` results,
+    pre-order.  Cut-free subderivations are skipped.  A cut node's result
+    depends only on the node and its premises, which are immutable, so it is
+    computed once per node object and kept in the node's `_cut` slot."""
     out = []
-    stack = [(d, ())]
+    stack = [] if is_cut_free(d) else [(d, ())]
     while stack:
         d, path = stack.pop()
-        if is_cut_free(d):
-            continue
         if d.rule == "cut":
-            out.append((path, classify_cut(d)))
-        for i in reversed(range(len(d.premises))):
-            stack.append((d.premises[i], path + (i,)))
+            info = getattr(d, "_cut", None)
+            if info is None:
+                info = classify_cut(d)
+                object.__setattr__(d, "_cut", info)
+            out.append((path, info))
+        ps = d.premises
+        for i in range(len(ps) - 1, -1, -1):
+            if not is_cut_free(ps[i]):
+                stack.append((ps[i], path + (i,)))
     return out
 
 

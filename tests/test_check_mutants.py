@@ -333,6 +333,26 @@ def test_derivations_equal_compares_what_is_not_derived():
     assert _same_answer(a, b)
 
 
+def test_derivations_equal_visits_each_node_pair_once(monkeypatch):
+    # the translated ladd(B,3) shares its gadgets, and its raw copy keeps
+    # that sharing: walked as two trees it takes 16,194 node pairs
+    from linadd.derivation import dag_size
+    from linadd.families import gen_ladd
+    from linadd.translate import GadgetLibrary, translate_derivation
+    from linadd.typesys import bool_type
+    d = translate_derivation(gen_ladd(3, bool_type())[1], GadgetLibrary())
+    raw = raw_copy(d)
+    reads = []
+    real_rule = Derivation.__dict__["rule"]
+    monkeypatch.setattr(Derivation, "rule", property(
+        lambda node: reads.append(1) or real_rule.__get__(node, Derivation),
+        lambda node, v: real_rule.__set__(node, v)))
+    assert derivations_equal(d, raw)
+    visits = len(reads) // 2  # each visited pair reads its two rules once
+    monkeypatch.undo()
+    assert 0 < visits <= dag_size(d) == 1133
+
+
 def test_derived_node_with_wrong_kinded_parameter_is_reported():
     d = d_ax("x", "a")  # a name where the type belongs
     assert d._derived

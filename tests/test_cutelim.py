@@ -1,18 +1,23 @@
+import itertools
+
 import pytest
 
 from linadd.corpus import (
     copy_first_enclosure, copy_first_example, deadlock_enclosure,
     deadlock_example, cubic_family,
 )
-from linadd.cutelim import CutElimError, elim_step, eliminate, verify_simulation
-from linadd import steps
-from linadd.derivation import (
-    Derivation, check_ok, d_ax, d_cut, is_cut_free, metrics,
+from linadd.cutelim import (
+    CutElimError, ElimStep, elim_step, eliminate, verify_simulation,
 )
+from linadd import derivation, nameless, steps
+from linadd.derivation import (
+    Derivation, check_ok, d_ax, d_cut, is_cut_free, metrics, rebuild,
+)
+from linadd.frontend import derivations_equal
 from linadd.families import gen_applied, gen_ladd
 from linadd.inhabit import maximal_value
 from linadd.steps import (
-    BLOCKED, COPY_FIRST, CRITICAL, DEADLOCK, READY, SYMMETRIC,
+    BLOCKED, COMMUTING, COPY_FIRST, CRITICAL, DEADLOCK, READY, SYMMETRIC,
     classify_cut, classify_cuts,
 )
 from linadd.terms import alpha_equal, is_value
@@ -170,28 +175,117 @@ def test_stats_match_reference_along_elimination(elimination_entries):
 
 
 def test_eliminate_costs_local_work(monkeypatch):
-    # eliminate(ladd(1,8)) takes 59 steps on |D| = 1,076 and classifies 752
-    # cuts.  Rescanning all of D at every step for cuts and for the trace
-    # metrics reads about 181k premise tuples.
+    # eliminate(ladd(1,8)) takes 59 steps on |D| = 1,076.  Scanning for cuts
+    # twice a round, classifying every cut at every scan and rebuilding the
+    # whole spine above each step classifies 752 cuts and reads 4,379
+    # premise tuples; one scan per step, cached cut classes and spines that
+    # keep unchanged conclusions take 175 classifications, 1,842 reads and
+    # 28 constructor rebuilds.
     _, d = gen_ladd(8, ONE)
     d = gen_applied(d, maximal_value(ONE)[1])
     size = metrics(d).size
-    calls = {"classify_cut": 0, "premises": 0}
+    calls = {"classify_cut": 0, "premises": 0, "rebuild": 0}
     real_classify = steps.classify_cut
+    real_rebuild = derivation.rebuild
     real_premises = Derivation.__dict__["premises"]
 
     def classify(x):
         calls["classify_cut"] += 1
         return real_classify(x)
 
+    def counted_rebuild(*args):
+        calls["rebuild"] += 1
+        return real_rebuild(*args)
+
     def premises(node):
         calls["premises"] += 1
         return real_premises.__get__(node, Derivation)
 
     monkeypatch.setattr(steps, "classify_cut", classify)
+    monkeypatch.setattr(derivation, "rebuild", counted_rebuild)
     monkeypatch.setattr(Derivation, "premises", property(
         premises, lambda node, v: real_premises.__set__(node, v)))
     _, trace = eliminate(d, recheck=False)
     assert trace.total_steps == 59
-    assert calls["classify_cut"] <= size
-    assert calls["premises"] <= 10 * size
+    assert calls["classify_cut"] <= 200
+    assert calls["premises"] <= 2 * size
+    assert calls["rebuild"] <= 40
+
+
+# -- differential test against the strategy as first written -----------------
+#
+# The oracle scans with `_ref_cuts`, which classifies every cut afresh, twice
+# a round, and rebuilds every ancestor of a step through its constructor.
+
+def _oracle_apply_at(d, path, fn):
+    if not path:
+        return fn(d)
+    prems = list(d.premises)
+    prems[path[0]] = _oracle_apply_at(prems[path[0]], path[1:], fn)
+    return rebuild(d, tuple(prems))
+
+
+def _oracle_eliminate(d):
+    """(output, ElimStep list, rounds) of the round strategy."""
+    out, rounds, cur = [], 0, d
+
+    def step(path, kind, fn):
+        nonlocal cur
+        cur = _oracle_apply_at(cur, path, fn)
+        m = metrics(cur)
+        out.append(ElimStep(rounds, path, kind, m.size, m.weight,
+                            m.size + 2 * m.weight, m.height_sum))
+
+    while not is_cut_free(cur):
+        rounds += 1
+        while True:
+            cuts = [p for p, i in _ref_cuts(cur) if i.kind == COMMUTING]
+            if not cuts:
+                break
+            step(max(cuts, key=lambda p: (len(p), [-x for x in p])),
+                 "commuting", steps.commute_once)
+        cuts = _ref_cuts(cur)
+        sym = [p for p, i in cuts if i.kind == SYMMETRIC]
+        if sym:
+            step(sym[0], "symmetric", steps.fire_symmetric)
+        else:
+            ready = [p for p, i in cuts if i.kind == CRITICAL and i.status == READY]
+            step(max(ready, key=len), "ready", steps.fire_critical)
+    return cur, out, rounds
+
+
+def _assert_conclusions_rebuild(snapshots):
+    """Every derived node's constructor, over its premises, concludes a
+    judgement equal to the node's own, context order included."""
+    seen = set()
+    for snap in snapshots:
+        todo = [snap]
+        while todo:
+            n = todo.pop()
+            if id(n) in seen:
+                continue
+            seen.add(id(n))
+            todo += n.premises
+            if n._derived:
+                got, j = rebuild(n, n.premises).conclusion, n.conclusion
+                assert (got.context == j.context and got.subject == j.subject
+                        and got.goal == j.goal), n.rule
+
+
+def test_eliminate_agrees_with_the_rebuild_everything_oracle(
+        elimination_entries, monkeypatch):
+    inputs = [e.derivation for e in elimination_entries]
+    inputs += [d for _, d in cubic_family(3)]
+    for n in range(1, 9):
+        inputs.append(gen_applied(gen_ladd(n, ONE)[1], maximal_value(ONE)[1]))
+    for d in inputs:
+        # both runs draw the same fresh names, none drawn before
+        start = next(nameless._fresh)
+        monkeypatch.setattr(nameless, "_fresh", itertools.count(start))
+        got, trace = eliminate(d, recheck=False, keep_derivations=True)
+        monkeypatch.setattr(nameless, "_fresh", itertools.count(start))
+        want, want_steps, want_rounds = _oracle_eliminate(d)
+        assert trace.steps == want_steps
+        assert trace.rounds == want_rounds
+        assert derivations_equal(got, want)
+        _assert_conclusions_rebuild(trace.snapshots)
