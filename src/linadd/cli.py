@@ -320,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of plain text")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--trace", action="store_true")
 
     sp = sub.add_parser("check", help="check a .lamd derivation file")
     sp.add_argument("file")
@@ -335,11 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--strategy", choices=("leftmost", "rightmost", "random"),
                     default="leftmost")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--trace", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_normalize)
 
     sp = sub.add_parser("cutelim", help="eliminate cuts from a derivation")
     sp.add_argument("file")
+    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--trace", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_cutelim)
 
@@ -375,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("suite", help="run a verification suite")
     sp.add_argument("name", choices=tuple(suites.SUITES) + ("all",))
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(fn=cmd_suite)
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 from .derivation import Derivation, check_ok, is_cut_free, metrics, replace_at
 from .typesys import judgement_is_forall_lazy
-from .terms import alpha_equal
 from . import steps as st
 from .steps import (
     BLOCKED, COMMUTING, COPY_FIRST, CRITICAL, READY, SYMMETRIC,
@@ -177,27 +176,3 @@ def eliminate(d: Derivation, budget: int | None = None,
     if recheck:
         check_ok(cur)
     return cur, trace
-
-
-def verify_simulation(before: Derivation, after: Derivation,
-                      budget: int = 10000) -> bool:
-    """True iff the subject of `before` reduces (in zero or more steps) to the
-    subject of `after`.  Every elimination step performs at most one
-    reduction, so a small search suffices."""
-    from .reduce import find_redexes, step
-    src = before.conclusion.subject
-    dst = after.conclusion.subject
-    frontier = [src]
-    seen = 0
-    for _ in range(3):  # steps per elimination are 0 or 1; allow slack
-        nxt = []
-        for t in frontier:
-            if alpha_equal(t, dst):
-                return True
-            for r in find_redexes(t):
-                seen += 1
-                if seen > budget:
-                    return False
-                nxt.append(step(t, r))
-        frontier = nxt
-    return any(alpha_equal(t, dst) for t in frontier)

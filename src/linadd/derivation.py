@@ -87,7 +87,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
-from .nameless import cache_up
+from .nameless import cache_up, fold
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
     free_vars, fresh_name, is_value, subst,
@@ -96,6 +96,8 @@ from .typesys import (
     Forall, Lolli, TVar, Type, With,
     close_type, is_closed, is_forall_lazy, match_instantiation, open_type,
 )
+
+premises = attrgetter("premises")  # the kids of a node, for `fold` and `cache_up`
 
 LAM = "lam"
 IMALL2 = "imall2"
@@ -225,26 +227,17 @@ def _split_vars(d: Derivation, cache: dict) -> frozenset:
     in both of its premise contexts, less those that a forallR between it
     and d binds.  Only these of the eigenvariables above d can change what
     `check` reports below d.  Fills `cache` (id -> R) for every node below
-    d, in one walk with its own stack."""
-    todo = [d]
-    while todo:
-        n = todo[-1]
-        if id(n) in cache:
-            todo.pop()
-            continue
-        missing = [p for p in n.premises if id(p) not in cache]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        r = frozenset().union(*(cache[id(p)] for p in n.premises))
+    d."""
+    def here(n, below):
+        r = frozenset().union(*below)
         if n.rule == "forallR" and params_error(n) is None:
-            r -= {n.params[0]}
-        elif n.rule in ("cut", "lolliL") and len(n.premises) == 2:
+            return r - {n.params[0]}
+        if n.rule in ("cut", "lolliL") and len(n.premises) == 2:
             left, right = (p.conclusion.context for p in n.premises)
             r |= context_free_type_vars(left) & context_free_type_vars(right)
-        cache[id(n)] = r
-    return cache[id(d)]
+        return r
+
+    return fold(d, premises, here, cache)
 
 
 _ENTER = object()  # marks a stack entry of `check` that enters its node
@@ -433,8 +426,6 @@ def _split_linear(d, at, bad, eigens):
 
 # -- derived judgements about whole derivations -------------------------------
 
-_premises = attrgetter("premises")
-
 
 def _stats_here(d: Derivation, kids: list) -> tuple:
     """(size, weight, height, height_sum, cuts) of d from its premises'."""
@@ -451,7 +442,7 @@ def _stats_here(d: Derivation, kids: list) -> tuple:
 
 
 def _stats(d: Derivation) -> tuple:
-    return cache_up(d, "_stats", _premises, _stats_here)
+    return cache_up(d, "_stats", premises, _stats_here)
 
 
 def is_cut_free(d: Derivation) -> bool:
@@ -479,10 +470,6 @@ def is_eta_expanded(d: Derivation) -> bool:
     """Cut-free with every axiom at an atomic type."""
     return all(n.rule != "cut" and (
         n.rule != "ax" or isinstance(n.conclusion.goal, TVar)) for n in _nodes(d))
-
-
-def uses_rules(d: Derivation) -> frozenset:
-    return frozenset(n.rule for n in _nodes(d))
 
 
 @dataclass

@@ -9,7 +9,7 @@ the single-assumption pair rule, and reduction strictly shrinks the term.
 
 from __future__ import annotations
 
-from .terms import Abs, App, Copy, Pair, Var, Term
+from .terms import Pair, Term
 from .typesys import Type, With
 from .derivation import (
     Derivation, d_app, d_ax, d_lolliR, d_withR, d_withR0, d_withR1,
@@ -31,31 +31,28 @@ def pair_tower(m: Term, n: int) -> Term:
     return m
 
 
-def add_term(n: int, x: str = "x") -> Term:
-    """x when n = 0, else (\\y. add_{n-1}) <x, x>."""
-    if n == 0:
-        return Var(x)
-    y = "y%d" % n
-    return App(Abs(y, add_term(n - 1, y)), Pair(Var(x), Var(x)))
+def _nest(n: int, a: Type, arg):
+    """(term, derivation) of |- \\x. M : A -o A_[n]: at depth j < n, with
+    x_j : A_[j] the variable of that depth (x_0 = x), M is (\\x_{j+1}. [M at
+    depth j + 1]) arg(j, x_j, A_[j]), and at depth n it is x_n.  Built from
+    the innermost level out, in a loop."""
+    towers = [a]  # towers[j] = A_[j]
+    for _ in range(n):
+        towers.append(With(towers[-1], towers[-1]))
+    names = ["x"] + ["y%d" % k for k in range(n, 0, -1)]  # by depth
+    d = d_ax(names[n], towers[n])
+    for j in range(n - 1, -1, -1):
+        d = d_app(d_lolliR(d, names[j + 1]), arg(j, names[j], towers[j]))
+    d = d_lolliR(d, "x")
+    return d.conclusion.subject, d
 
 
 def gen_add(n: int, a: Type):
     """(term, derivation) for the nested additive pairs family:
-    |- \\x. add_n : A -o A_[n], derivable with the shared-context pair rule
+    |- \\x. add_n : A -o A_[n], with add_0 = x and add_n =
+    (\\y. add_{n-1}) <x, x>, derivable with the shared-context pair rule
     (so outside the linear fragment for n > 0).  |add_n| = 5n + 1."""
-
-    def go(n, x, a):
-        # derivation of x : A_[k] |- add_n : A_[k+n]
-        if n == 0:
-            return d_ax(x, a)
-        pair = d_withR(d_ax(x, a), d_ax(x, a))
-        y = "y%d" % n
-        body = d_lolliR(go(n - 1, y, With(a, a)), y)
-        return d_app(body, pair)
-
-    x = "x"
-    d = d_lolliR(go(n, x, a), x)
-    return d.conclusion.subject, d
+    return _nest(n, a, lambda j, x, aj: d_withR(d_ax(x, aj), d_ax(x, aj)))
 
 
 def value_tower_derivation(base: Derivation, k: int) -> Derivation:
@@ -66,39 +63,21 @@ def value_tower_derivation(base: Derivation, k: int) -> Derivation:
     return base
 
 
-def ladd_term(n: int, x: str, guard_tower) -> Term:
-    """x when n = 0, else (\\y. ladd_{n-1})(copy[V_[k]] x as x1,x2 in <x1,x2>)."""
-    if n == 0:
-        return Var(x)
-    y = "y%d" % n
-    cp = Copy(guard_tower(0), Var(x), "x1", "x2", Var("x1"), Var("x2"))
-    return App(Abs(y, ladd_term(n - 1, y, lambda i: guard_tower(i + 1))), cp)
-
-
 def gen_ladd(n: int, a: Type):
     """(term, derivation) for the linear-additive family:
-    |- \\x. ladd_n : A -o A_[n] with level-k copies guarded by V_[k], where V
+    |- \\x. ladd_n : A -o A_[n], with ladd_0 = x and ladd_n =
+    (\\y. ladd_{n-1})(copy[V_[k]] x as x1,x2 in <x1,x2>) at depth k, where V
     is the size-maximal value of the closed forall-lazy base type.
     |ladd_n| = 7n + sum of the guard sizes + 1; reduction takes 2n+1 steps
     on a value argument and shrinks the term at every step."""
     mv = maximal_value(a)
     if mv is None:
         raise ValueError("base type is uninhabited")
-    _, vd = mv
-
-    def go(n, x, k, a):
-        # derivation of x : A_[k] |- ladd_n : A_[k+n]
-        if n == 0:
-            return d_ax(x, a)
-        guard = value_tower_derivation(vd, k)
-        cp = d_withR1(d_ax("x1", a), d_ax("x2", a), guard, x)
-        y = "y%d" % n
-        body = d_lolliR(go(n - 1, y, k + 1, With(a, a)), y)
-        return d_app(body, cp)
-
-    x = "x"
-    d = d_lolliR(go(n, x, 0, a), x)
-    return d.conclusion.subject, d
+    guards = [mv[1]]  # guards[k] derives V_[k]
+    for _ in range(n):
+        guards.append(d_withR0(guards[-1], guards[-1]))
+    return _nest(n, a, lambda k, x, ak: d_withR1(
+        d_ax("x1", ak), d_ax("x2", ak), guards[k], x))
 
 
 def ladd_size_formula(n: int, guard_size: int) -> int:

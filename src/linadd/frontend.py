@@ -28,7 +28,9 @@ writes each node's stored parameters, and the `seq` at the root and
 wherever the constructor does not recompute the judgement exactly, so any
 derivation whose parameters are of its rules' kinds, well-formed or not,
 reads back node for node.  A file without the
-`(lamd 2` header is refused at its first token.
+`(lamd 2` header is refused at its first token.  Rules may nest to any
+depth: the reader keeps a stack of its open nodes, and no pass over a
+derivation recurses once per level.
 
 Each parser reads its input in one pass and builds every node once.  One
 regex `findall` yields the token texts (a string keeps its quotes), and the
@@ -75,11 +77,6 @@ from .derivation import (
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
 
-# How many rules deep a derivation file may nest: `translate_derivation`,
-# `inhabit.eta_expand` and the rewrites of `steps` recurse once per level
-# (`check`, the printer and `derivations_equal` keep their own stacks, and
-# `derivation.replace_at` rebuilds a spine in a loop).
-MAX_DERIVATION_DEPTH = 900
 # How deep the recursive forms of a type or term may nest (a bracket, a
 # `forall` or `\x.` in operand position, a `let` head, a `copy` scrutinee):
 # their parsers recurse, a term at most four frames per level, so a text
@@ -336,7 +333,13 @@ def print_type(a: Type) -> str:
                 parts.append(names[-1 - t.index])
                 break
             elif isinstance(t, With):
-                parts.append("%s & %s" % (atom(t.left), atom(t.right)))
+                # `&` associates left: its left spine, printed in a loop
+                ops = []
+                while isinstance(t, With):
+                    ops.append(atom(t.right))
+                    t = t.left
+                ops.append(atom(t))
+                parts.append(" & ".join(reversed(ops)))
                 break
             else:
                 raise TypeError(t)
@@ -549,8 +552,6 @@ def parse_derivation(src: str) -> Derivation:
         i = 3
         while True:
             node = i  # the item read next is a derivation
-            if len(open_nodes) == MAX_DERIVATION_DEPTH:
-                raise _Fail(node, "nesting too deep")
             _expect(toks, i, "(")
             _expect(toks, i + 1, "rule")
             rule = toks[i + 2]

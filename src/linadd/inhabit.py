@@ -24,8 +24,9 @@ from .typesys import (
     free_type_vars, fresh_type_var, is_closed, is_forall_lazy,
     match_tensor_type, open_type,
 )
+from .nameless import fold
 from .derivation import (
-    Derivation, context_free_type_vars, is_cut_free, rebuild,
+    Derivation, context_free_type_vars, is_cut_free, premises, rebuild,
     d_ax, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withR0,
 )
 from .frontend import print_term
@@ -153,35 +154,44 @@ def maximal_value(a: Type):
 # -- eta expansion ------------------------------------------------------------
 
 def eta_expansion_derivation(x: str, a: Type) -> Derivation:
-    """Cut-free derivation of x:A |- M:A with M the eta-long form of x."""
-    if isinstance(a, TVar):
-        return d_ax(x, a)
-    if isinstance(a, Lolli):
-        z, w = x + "l", x + "r"
-        left = eta_expansion_derivation(z, a.dom)
-        mid = eta_expansion_derivation(w, a.cod)
-        return d_lolliR(d_lolliL(left, mid, x, w), z)
-    if isinstance(a, Forall):
-        g = fresh_type_var("e", free_type_vars(a))
-        inst = open_type(a.body, TVar(g))
-        return d_forallR(d_forallL(eta_expansion_derivation(x, inst), x, a), g, a.var)
+    """Cut-free derivation of x:A |- M:A with M the eta-long form of x.  The
+    `-o` codomains and `forall` bodies of A are walked in a loop; only a
+    domain recurses, and the parser bounds its nesting by MAX_NESTING."""
+    spine = []  # (x, z, w, domain's expansion) per -o, (x, forall, g) per forall
+    while isinstance(a, (Lolli, Forall)):
+        if isinstance(a, Lolli):
+            spine.append((x, x + "l", x + "r", eta_expansion_derivation(x + "l", a.dom)))
+            x, a = x + "r", a.cod
+        else:
+            g = fresh_type_var("e", free_type_vars(a))
+            spine.append((x, a, g))
+            a = open_type(a.body, TVar(g))
     if isinstance(a, With):
         raise InhabitError("cannot eta-expand an assumption of conjunction type")
-    raise TypeError(a)
+    if not isinstance(a, TVar):
+        raise TypeError(a)
+    d = d_ax(x, a)
+    for step in reversed(spine):
+        if len(step) == 4:
+            y, z, w, left = step
+            d = d_lolliR(d_lolliL(left, d, y, w), z)
+        else:
+            y, quant, g = step
+            d = d_forallR(d_forallL(d, y, quant), g, quant.var)
+    return d
 
 
 def eta_expand(d: Derivation) -> Derivation:
     """Replace every axiom at a non-atomic type by its eta-long derivation;
-    the result proves the same sequent with an eta-expanded subject."""
+    the result proves the same sequent with an eta-expanded subject.  A
+    shared subderivation is expanded once."""
     if not is_cut_free(d):
         raise InhabitError("eta-expansion requires a cut-free derivation")
 
-    def go(d):
-        if d.rule == "ax" and not isinstance(d.conclusion.goal, TVar):
-            return eta_expansion_derivation(d.conclusion.context[0][0],
-                                            d.conclusion.goal)
-        if not d.premises:
-            return d
-        return rebuild(d, tuple(go(p) for p in d.premises))
+    def expand(n, ps):
+        if n.rule == "ax" and not isinstance(n.conclusion.goal, TVar):
+            return eta_expansion_derivation(n.conclusion.context[0][0],
+                                            n.conclusion.goal)
+        return rebuild(n, tuple(ps)) if ps else n
 
-    return go(d)
+    return fold(d, premises, expand, {})

@@ -138,6 +138,27 @@ def cache_up(root, slot: str, kids, combine):
     return getattr(root, slot)
 
 
+def fold(root, kids, combine, memo: dict):
+    """The value `combine(n, [value of each of kids(n)])` at `root`, kept in
+    `memo` under id(n) for every node on the way: a post-order walk with its
+    own stack, so each node is combined once per call and no depth recurses.
+    A bottom-up rewrite of a tree or DAG is one call.  Unlike `cache_up`,
+    whose values live in the nodes and outlast the call, it suits a value
+    that depends on the call's arguments."""
+    todo = [root]
+    while todo:
+        n = todo.pop()
+        if n is None:  # the kids below are done: combine their parent
+            ks = todo.pop()
+            n = todo.pop()
+            memo[id(n)] = combine(n, [memo[id(k)] for k in ks])
+        elif id(n) not in memo:
+            ks = kids(n)
+            todo += (n, ks, None)
+            todo += ks[::-1]  # the first done first
+    return memo[id(root)]
+
+
 def rewrite(root, name, leaf):
     """root with leaves replaced: with a name, every free variable of that
     name, else every index that points past the binders above it; leaf n

@@ -197,15 +197,6 @@ def beta_eta_equal(m: Term, n: Term, budget: int | None = None) -> bool:
     return alpha_equal(beta_eta_normal_form(m, budget), beta_eta_normal_form(n, budget))
 
 
-def reduction_graph_confluent(t: Term, budget: int = 10000) -> bool:
-    """All strategies agree on the normal form (checked on a few strategies)."""
-    ref = normalize(t, "leftmost", budget=budget).term
-    for strat, seed in (("rightmost", None), ("random", 0), ("random", 1), ("random", 2)):
-        if not alpha_equal(normalize(t, strat, budget=budget, seed=seed).term, ref):
-            return False
-    return True
-
-
 # -- subject reduction --------------------------------------------------------
 
 def push_reduction(d, r: Redex):

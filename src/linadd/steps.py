@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .nameless import fold
 from .terms import fresh_name, is_value
 from .typesys import (
     TVar, Type, free_type_vars, fresh_type_var, match_instantiation, subst_type,
@@ -64,31 +65,55 @@ def principal_var(d: Derivation):
 
 def rename_assumption(d: Derivation, old: str, new: str) -> Derivation:
     """Rename a free assumption throughout a derivation (contexts and
-    subjects)."""
-    if old == new or d.conclusion.lookup(old) is None:
+    subjects), keeping each node whose conclusion lacks it; a shared node is
+    renamed once."""
+    if old == new:
         return d
-    prems = tuple(rename_assumption(p, old, new) for p in d.premises)
-    params = d.params
-    if d.rule != "forallR":  # its parameters name type variables
-        params = tuple(new if p == old else p for p in params)
-    return CONSTRUCTORS[d.rule](*prems, *params)
+
+    def rename(n, ps):
+        if n.conclusion.lookup(old) is None:
+            return n
+        params = n.params
+        if n.rule != "forallR":  # its parameters name type variables
+            params = tuple(new if p == old else p for p in params)
+        return CONSTRUCTORS[n.rule](*ps, *params)
+
+    return fold(d, lambda n: () if n.conclusion.lookup(old) is None else n.premises,
+                rename, {})
 
 
 def subst_type_deriv(d: Derivation, x: str, b: Type) -> Derivation:
-    """Substitute a type for a free type variable throughout a derivation,
-    renaming inner eigenvariables that would capture."""
-    prems = d.premises
-    if d.rule == "forallR":
-        g, alpha = d.params
-        if g == x or g in free_type_vars(b):
-            g2 = fresh_type_var(g)
-            prems = (subst_type_deriv(prems[0], g, TVar(g2)),)
-            g = g2
-        return d_forallR(subst_type_deriv(prems[0], x, b), g, alpha)
-    params = tuple(subst_type(p, x, b) if isinstance(p, Type) else p
-                   for p in d.params)
-    prems = tuple(subst_type_deriv(p, x, b) for p in prems)
-    return CONSTRUCTORS[d.rule](*prems, *params)
+    """Substitute a type for a free type variable throughout a derivation:
+    one fold over the pairs (node, env), env the simultaneous substitution
+    at the node, {x: b} at the root.  At a forallR, its eigenvariable g
+    leaves env, and if g is free in a type left in env, the forallR binds a
+    fresh name instead and env renames g to it below."""
+    pairs: dict = {}  # (id(node), id(env)) -> (node, env), keeping both alive
+    eigen: dict = {}  # id(forallR pair) -> its eigenvariable in the result
+
+    def kids(p):
+        n, env = p
+        if n.rule == "forallR":
+            g = n.params[0]
+            inner = {y: s for y, s in env.items() if y != g}
+            if any(g in free_type_vars(s) for s in inner.values()):
+                inner[g] = TVar(fresh_type_var(g))
+            eigen[id(p)] = inner[g].name if g in inner else g
+            env = env if inner == env else inner
+            if not env:  # nothing to substitute below
+                return ()
+        return [pairs.setdefault((id(q), id(env)), (q, env)) for q in n.premises]
+
+    def subst(p, ps):
+        n, env = p
+        if n.rule == "forallR":
+            return d_forallR(ps[0], eigen[id(p)], n.params[1]) if ps else n
+        params = n.params
+        for y, s in reversed(env.items()):  # renamings first: b keeps its names
+            params = [subst_type(q, y, s) if isinstance(q, Type) else q for q in params]
+        return CONSTRUCTORS[n.rule](*ps, *params)
+
+    return fold((d, {x: b}), kids, subst, {})
 
 
 def _ensure_fresh(d: Derivation, var: str, avoid) -> tuple:

@@ -21,11 +21,12 @@ distinct nodes, beside it.
 
 from __future__ import annotations
 
+from .nameless import fold
 from .terms import fresh_name, free_vars, term_size
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
-    bool_type, free_type_vars, fresh_type_var, is_closed, match_tensor_type,
-    open_type, subst_type, tensor_type, unit_type,
+    bool_type, free_type_vars, fresh_type_var, has_with, is_closed,
+    match_tensor_type, open_type, subst_type, tensor_type, unit_type,
 )
 from .derivation import (
     CONSTRUCTORS, Derivation, context_names, dag_size, metrics,
@@ -39,11 +40,15 @@ class GadgetError(Exception):
 
 # -- type translation ---------------------------------------------------------
 
+def _tensor_here(a: Type, kids: list) -> Type:
+    if not kids:  # a has no &
+        return a
+    return tensor_type(*kids) if isinstance(a, With) else a.with_children(kids)
+
+
 def translate_type(a: Type) -> Type:
-    if isinstance(a, With):
-        return tensor_type(translate_type(a.left), translate_type(a.right))
-    kids = a.children()
-    return a.with_children([translate_type(k) for k in kids]) if kids else a
+    """a with every & a tensor; a itself when it has no &."""
+    return fold(a, lambda t: t.children() if has_with(t) else (), _tensor_here, {})
 
 
 # -- small derivation combinators --------------------------------------------
@@ -339,35 +344,32 @@ def translate_derivation(d: Derivation, lib: GadgetLibrary | None = None) -> Der
     applied to the shared assumption."""
     if lib is None:
         lib = GadgetLibrary()
-    memo: dict = {}
-
-    def go(d: Derivation) -> Derivation:
-        if id(d) in memo:
-            return memo[id(d)]
-        r = _translate_node(d, go, lib)
-        memo[id(d)] = r
-        return r
-
-    return go(d)
+    return fold(d, _translated_premises, lambda n, ps: _translate_node(n, ps, lib), {})
 
 
-def _translate_node(d: Derivation, go, lib: GadgetLibrary) -> Derivation:
+def _translated_premises(d: Derivation) -> tuple:
+    # a withR1's guard is dropped, not translated
+    return d.premises[:2] if d.rule == "withR1" else d.premises
+
+
+def _translate_node(d: Derivation, ps: list, lib: GadgetLibrary) -> Derivation:
+    """The translation of d, given the translations `ps` of its premises."""
     rule = d.rule
     params = d.params
     if rule in ("ax", "forallL"):
         x, a = params
-        return CONSTRUCTORS[rule](*map(go, d.premises), x, translate_type(a))
+        return CONSTRUCTORS[rule](*ps, x, translate_type(a))
     if rule in ("cut", "lolliR", "lolliL", "forallR"):
-        return CONSTRUCTORS[rule](*map(go, d.premises), *params)
+        return CONSTRUCTORS[rule](*ps, *params)
     if rule == "withR0":
-        return d_tensor_pair(go(d.premises[0]), go(d.premises[1]))
+        return d_tensor_pair(*ps)
     if rule in ("withL1", "withL2"):
         y, x, other = params
         drop = translate_type(other)
         z = fresh_name("d", free_vars(d.conclusion.subject)
                        | context_names(d.conclusion.context) | {x})
         e = d_app(lib.eraser(drop), d_ax(z, drop))
-        body = d_let_unit(e, go(d.premises[0]))
+        body = d_let_unit(e, ps[0])
         x1, x2 = (x, z) if rule == "withL1" else (z, x)
         ab = translate_type(d.conclusion.lookup(y))
         return d_let_tensor(d_ax(y, ab), body, x1, x2)
@@ -377,7 +379,7 @@ def _translate_node(d: Derivation, go, lib: GadgetLibrary) -> Derivation:
         (x2, _), = d.premises[1].conclusion.context
         a = translate_type(a)
         dup = lib.duplicator(a)
-        pair = d_tensor_pair(go(d.premises[0]), go(d.premises[1]))
+        pair = d_tensor_pair(*ps)
         return d_let_tensor(d_app(dup, d_ax(x, a)), pair, x1, x2)
     raise ValueError("cannot translate rule %r" % (rule,))
 

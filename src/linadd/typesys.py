@@ -277,6 +277,10 @@ def is_pi1(a: Type) -> bool:
     return not _polarity(a) & (FORALL_NEG | WITH_POS | WITH_NEG)
 
 
+def has_with(a: Type) -> bool:
+    return bool(_polarity(a) & (WITH_POS | WITH_NEG))
+
+
 def judgement_is_forall_lazy(context_types, goal: Type) -> bool:
     """A sequent A1,...,An |- B counts as forall-lazy when the folded type
     A1 -o ... -o An -o B is: no context type may contain a positive forall,

@@ -171,14 +171,9 @@ def test_missing_file_exit_code():
     assert main(["check", "/nonexistent/q.lamd"]) == 2
 
 
-_DEEP_LAMD = ('(lamd 2 ' + '(rule lolliR x ' * 3000
-              + '(rule ax x "a")' + ")" * 3001)
-
-
 @pytest.mark.parametrize("text, message", [
     ('(lamd 2 (rule ax x "a -o"))\n', "unexpected 'end of input'"),
-    (_DEEP_LAMD, "nesting too deep"),
-], ids=["malformed", "deep"])
+], ids=["malformed"])
 def test_input_error_reports_json(tmp_path, capsys, text, message):
     f = tmp_path / "in.lamd"
     f.write_text(text)
@@ -187,6 +182,52 @@ def test_input_error_reports_json(tmp_path, capsys, text, message):
     assert rep["command"] == "check" and rep["verdict"] == "error"
     assert rep["inputs"]["file"] == str(f)
     assert len(rep["details"]) == 1 and message in rep["details"][0]
+
+
+def test_deep_derivation_file_checks_and_translates(tmp_path, capsys, cut_chain):
+    f = tmp_path / "deep.lamd"
+    f.write_text(print_derivation(cut_chain(3000)))
+    for cmd in ("check", "translate"):
+        code, rep = run_json(capsys, cmd, str(f))
+        assert (code, rep["verdict"]) == (0, "pass"), cmd
+    assert rep["measurements"]["derivation_size"] == 2 * 3000 + 3
+
+
+def _arrows(tmp_path, n):
+    f = tmp_path / ("arrows%d.lamd" % n)
+    f.write_text('(lamd 2 (rule ax x "%s"))\n' % " -o ".join(["a"] * (n + 1)))
+    return str(f)
+
+
+def _frames_deeper(n, fn, *args):
+    return fn(*args) if n == 0 else _frames_deeper(n - 1, fn, *args)
+
+
+def test_long_arrow_axiom_translates_and_eta_expands(tmp_path, capsys):
+    code, rep = run_json(capsys, "translate", _arrows(tmp_path, 1500))
+    assert (code, rep["verdict"]) == (0, "pass")
+    # The eta-long derivation of n arrows holds about n^2/2 subject nodes,
+    # so a long spine is tried from deep in the stack instead: a walk that
+    # recursed once per arrow would pass the interpreter's limit.
+    code, rep = _frames_deeper(750, run_json, capsys, "eta-expand", _arrows(tmp_path, 300))
+    assert (code, rep["verdict"]) == (0, "pass")
+    # an axiom and, per arrow, an axiom, a lolliL and a lolliR
+    assert rep["measurements"]["output_size"] == 1 + 3 * 300
+
+
+def test_gen_builds_deep_family_members(capsys):
+    for family in ("add", "ladd"):
+        code, rep = run_json(capsys, "gen", family, "-n", "1200")
+        assert (code, rep["verdict"]) == (0, "pass"), family
+
+
+def test_subcommands_take_only_the_options_they_read(tmp_path, capsys):
+    f = tmp_path / "in.lamd"
+    f.write_text('(lamd 2 (rule ax x "a"))\n')
+    with pytest.raises(SystemExit) as info:
+        main(["check", str(f), "--budget", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
 
 
 def test_file_without_header_is_an_input_error(tmp_path, capsys):

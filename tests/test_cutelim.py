@@ -7,11 +7,12 @@ from linadd.corpus import (
     deadlock_example, cubic_family,
 )
 from linadd.cutelim import (
-    CutElimError, ElimStep, elim_step, eliminate, verify_simulation,
+    CutElimError, ElimStep, elim_step, eliminate,
 )
-from linadd import derivation, nameless, steps
+from linadd import derivation, nameless, reduce, steps
 from linadd.derivation import (
-    Derivation, check_ok, d_ax, d_cut, is_cut_free, metrics, rebuild,
+    IMALL2, Derivation, check, check_ok, d_ax, d_cut, d_forallR, d_lolliL,
+    d_lolliR, d_withR, is_cut_free, metrics, rebuild,
 )
 from linadd.frontend import derivations_equal
 from linadd.families import gen_applied, gen_ladd
@@ -22,7 +23,7 @@ from linadd.steps import (
 )
 from linadd.terms import alpha_equal, is_value
 from linadd.translate import identity_derivation
-from linadd.typesys import unit_type
+from linadd.typesys import Lolli, TVar, subst_type, unit_type
 
 
 ONE = unit_type()
@@ -99,6 +100,28 @@ def test_trace_potential_never_increases():
         _, trace = eliminate(d)
         pots = [s.potential for s in trace.steps]
         assert all(b <= a for a, b in zip(pots, pots[1:]))
+
+
+def verify_simulation(before, after, budget: int = 10000) -> bool:
+    """Oracle: whether the subject of `before` reduces in at most three
+    steps to the subject of `after`.  Every elimination step performs at
+    most one reduction, so a small search suffices."""
+    src = before.conclusion.subject
+    dst = after.conclusion.subject
+    frontier = [src]
+    seen = 0
+    for _ in range(3):  # steps per elimination are 0 or 1; allow slack
+        nxt = []
+        for t in frontier:
+            if alpha_equal(t, dst):
+                return True
+            for r in reduce.find_redexes(t):
+                seen += 1
+                if seen > budget:
+                    return False
+                nxt.append(reduce.step(t, r))
+        frontier = nxt
+    return any(alpha_equal(t, dst) for t in frontier)
 
 
 def test_snapshots_chain_and_simulate():
@@ -289,3 +312,45 @@ def test_eliminate_agrees_with_the_rebuild_everything_oracle(
         assert trace.rounds == want_rounds
         assert derivations_equal(got, want)
         _assert_conclusions_rebuild(trace.snapshots)
+
+
+# -- the rewrites of steps ------------------------------------------------------
+
+def _counting_constructors(monkeypatch):
+    """The rules of the CONSTRUCTORS calls made from now on."""
+    calls = []
+    for rule, build in list(derivation.CONSTRUCTORS.items()):
+        def counted(*args, _rule=rule, _build=build):
+            calls.append(_rule)
+            return _build(*args)
+        monkeypatch.setitem(derivation.CONSTRUCTORS, rule, counted)
+    return calls
+
+
+def test_rename_assumption_renames_each_shared_node_once(monkeypatch):
+    a, b = TVar("a"), TVar("b")
+    # x : a -o b |- \z. x z : a -o b; x is in the conclusions of two nodes
+    d = d_lolliR(d_lolliL(d_ax("z", a), d_ax("w", b), "x", "w"), "z")
+    for _ in range(30):  # 2^30 uses of it, 34 distinct nodes
+        d = d_withR(d, d)
+    calls = _counting_constructors(monkeypatch)
+    out = steps.rename_assumption(d, "x", "y")
+    assert sorted(calls) == ["lolliL", "lolliR"] + ["withR"] * 30
+    monkeypatch.undo()
+    assert out.conclusion.context == (("y", Lolli(a, b)),)
+    assert check(out, IMALL2) == []
+
+
+def test_subst_type_deriv_renames_nested_captures_once_each():
+    x, g = TVar("x"), TVar("g")
+    # |- \y. y : (x -o g) -o x -o g under 1,200 forallR that each bind g:
+    # substituting g for x makes every one of them capture
+    d = d_lolliR(d_ax("y", Lolli(x, g)), "y")
+    for _ in range(1200):
+        d = d_forallR(d, "g", "g")
+    out = steps.subst_type_deriv(d, "x", g)
+    assert check(out) == []
+    assert out.conclusion.goal == subst_type(d.conclusion.goal, "x", g)
+    # below a forallR that binds x itself, x is not the free x
+    bound = d_forallR(d_lolliR(d_ax("y", x), "y"), "x", "x")
+    assert steps.subst_type_deriv(bound, "x", g) is bound

@@ -97,6 +97,24 @@ def test_eta_expand_rewrites_non_atomic_axioms():
     assert beta_eta_equal(out.conclusion.subject, d.conclusion.subject)
 
 
+def test_eta_expand_expands_each_shared_axiom_once(monkeypatch):
+    from linadd import derivation, inhabit
+    from linadd.derivation import IMALL2, check, d_ax, d_withR
+    d = d_ax("x", ONE)
+    for _ in range(30):  # 2^30 uses of one axiom, 31 distinct nodes
+        d = d_withR(d, d)
+    expanded, rebuilt = [], []
+    expand = inhabit.eta_expansion_derivation
+    monkeypatch.setattr(inhabit, "eta_expansion_derivation",
+                        lambda x, a: expanded.append(x) or expand(x, a))
+    monkeypatch.setitem(derivation.CONSTRUCTORS, "withR",
+                        lambda *args: rebuilt.append(1) or d_withR(*args))
+    out = eta_expand(d)
+    assert expanded.count("x") == 1 and len(rebuilt) == 30
+    monkeypatch.undo()
+    assert is_eta_expanded(out) and check(out, IMALL2) == []
+
+
 def test_enumeration_is_deterministic():
     a = tensor_type(B, B)
     first = enumerate_inhabitants(a).terms()

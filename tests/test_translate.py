@@ -6,6 +6,9 @@ import pytest
 import linadd.translate
 from linadd.cutelim import eliminate
 from linadd.derivation import check, check_ok, d_app, dag_size, metrics
+from linadd.frontend import (
+    derivations_equal, parse_derivation, parse_type, print_derivation,
+)
 from linadd.families import gen_ladd
 from linadd.inhabit import enumerate_inhabitants
 from linadd.reduce import beta_eta_equal, normalize
@@ -40,6 +43,22 @@ DUP_SIZES = {"unit": 11, "bool": 134, "unit*unit": 29, "bool*bool": 707}
 TYPES = {"unit": ONE, "bool": B,
          "unit*unit": tensor_type(ONE, ONE),
          "bool*bool": tensor_type(B, B)}
+
+
+def test_translate_type_of_long_chains():
+    # parsed in a loop, so no bracket limit bounds their length
+    a = parse_type(" -o ".join(["a"] * 3000))
+    assert translate_type(a) is a  # nothing to translate without &
+    w = parse_type(" -o ".join(["a & a"] * 3000))
+    assert translate_type(w) == parse_type(" -o ".join(["a * a"] * 3000))
+
+
+def test_deep_cut_chain_reads_back_and_translates(cut_chain):
+    d = cut_chain(3000)
+    assert derivations_equal(d, parse_derivation(print_derivation(d)))
+    out = translate_derivation(d)
+    assert check(out, "imll2") == []
+    assert metrics(out).size == metrics(d).size
 
 
 def test_eraser_sizes(gadgets):
