@@ -24,8 +24,7 @@ from .typesys import bool_type, unit_type
 from .derivation import IMALL2, LAM, CheckError, check, check_ok, metrics
 from .reduce import BudgetExceeded, normalize
 from .cutelim import CutElimError, eliminate
-from .steps import ElimStepError
-from .inhabit import InhabitError, enumerate_inhabitants, eta_expand
+from .inhabit import InhabitError, enumerate_inhabitants, eta_expand, maximal_value
 from .translate import (
     GadgetError, GadgetLibrary, compression_report, translate_derivation,
 )
@@ -43,7 +42,7 @@ EXIT_INTERNAL_ERROR = 3  # any other exception: a defect of linadd
 # The library's own errors.  A suite that raises one fails and the next
 # suite runs; any other exception is an internal error.
 LIBRARY_ERRORS = (ParseError, CheckError, BudgetExceeded, CutElimError,
-                  ElimStepError, InhabitError, GadgetError, corpus_mod.CorpusError)
+                  InhabitError, GadgetError, corpus_mod.CorpusError)
 
 
 class Report:
@@ -255,7 +254,6 @@ def cmd_gen(args) -> int:
                 term, d = gen_ladd(args.n, a)
                 system = LAM
             if args.apply:
-                from .inhabit import maximal_value
                 mv = maximal_value(a)
                 if mv is None:
                     raise InhabitError("base type is uninhabited")

@@ -56,7 +56,7 @@ def _entry(out, name, d, system=LAM, tags=()):
 # -- landmark derivations -----------------------------------------------------
 
 def deadlock_example() -> Derivation:
-    """A critical cut that can never fire: the copied argument y I is built
+    """A `deadlock` cut, which never fires: the copied argument y I is built
     from an assumption, so no amount of reduction turns it into a value."""
     one = unit_type()
     use = d_lolliL(identity_derivation(), d_ax("w", one), "y", "w")

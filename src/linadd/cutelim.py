@@ -1,23 +1,25 @@
 """Cut elimination for checked derivations of forall-lazy sequents.
 
-Strategy (round based):
+Strategy (round based), over the cut classes of `steps`:
 
-  round = { 1 } eliminate every commuting cut, deepest first, rescanning
+  round = { 1 } step every `commuting` cut, deepest first, rescanning
             after each movement (commuting steps preserve the subject and
             keep size + 2*weight constant while the summed cut heights drop);
-          { 2 } fire one symmetric cut if any exists, otherwise one ready
-            critical cut (both strictly decrease size + 2*weight).
+          { 2 } fire one `symmetric` cut if any exists, otherwise one
+            `ready` cut (both strictly decrease size + 2*weight).
 
-Deadlocked critical cuts and copy-first cuts are never fired; on derivations
+Every step goes through the one table `steps.STEP`.  Of the seven classes,
+`deadlock` and `copy_first` cuts have no step, and `safe` and `blocked`
+cuts are left for the steps of the other classes to resolve; on derivations
 with a forall-lazy conclusion the strategy always finds a ready cut when only
-critical ones remain, so elimination completes with a cut-free derivation
-whose subject is the normal form of the original subject.
+those remain, so elimination completes with a cut-free derivation whose
+subject is the normal form of the original subject.
 
 A step costs its local work, not a rescan of the whole derivation.  Each
 step scans for cuts once: the scan after which {1} finds no commuting cut
 is the one {2} chooses from.  The scan descends only into subderivations
 that hold a cut, and each cut node's class is computed once per node object
-and cached on it (`steps.classify_cuts`), so a scan classifies only the cuts
+and cached on it (`steps.cut_class`), so a scan classifies only the cuts
 the last step built.  `derivation.replace_at` rebuilds the spine above a
 step in a loop; when the step kept its judgement, as a commuting step does,
 every derived ancestor keeps its own conclusion over the new premise and no
@@ -32,17 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derivation import Derivation, check_ok, is_cut_free, metrics, replace_at
+from .derivation import Derivation, check_ok, metrics, replace_at
 from .typesys import judgement_is_forall_lazy
-from . import steps as st
 from .steps import (
-    BLOCKED, COMMUTING, COPY_FIRST, CRITICAL, READY, SYMMETRIC,
-    ElimStepError, classify_cut, classify_cuts, eliminate_cut_once,
+    COMMUTING, READY, STEP, SYMMETRIC, CutElimError, classify_cuts, cut_class,
 )
-
-
-class CutElimError(Exception):
-    pass
 
 
 @dataclass
@@ -75,34 +71,16 @@ class ElimTrace:
         return out
 
 
-def _node_at(d: Derivation, path: tuple) -> Derivation:
-    for i in path:
-        d = d.premises[i]
-    return d
-
-
-def _step_at(d: Derivation, path: tuple, fn) -> Derivation:
-    """replace_at, with a failed step reported as a CutElimError."""
-    try:
-        return replace_at(d, path, fn)
-    except ElimStepError as e:
-        raise CutElimError(str(e)) from e
-
-
 def elim_step(d: Derivation, path: tuple) -> Derivation:
-    """Apply the matching elimination rule at the cut at `path`.  Only
-    symmetric, commuting, and ready critical cuts may be fired."""
-    node = _node_at(d, path)
-    if node.rule != "cut":
-        raise CutElimError("no cut at %r" % (path,))
-    info = classify_cut(node)
-    if info.kind == COPY_FIRST:
-        raise CutElimError("copy-first cut has no elimination rule")
-    if info.kind == BLOCKED:
-        raise CutElimError("cut at %r is blocked on an inner cut" % (path,))
-    if info.kind == CRITICAL and info.status != READY:
-        raise CutElimError("critical cut at %r is %s, not ready" % (path, info.status))
-    return _step_at(d, path, lambda n: eliminate_cut_once(n, allow_unready=False))
+    """Step the cut at `path` through `steps.STEP`.  Only symmetric,
+    commuting and ready cuts may be stepped."""
+    def step(node):
+        c = cut_class(node) if node.rule == "cut" else "no"
+        if c not in (SYMMETRIC, COMMUTING, READY):
+            raise CutElimError("%s cut at %r: only symmetric, commuting and "
+                               "ready cuts are stepped" % (c, path))
+        return STEP[c](node)
+    return replace_at(d, path, step)
 
 
 def eliminate(d: Derivation, budget: int | None = None,
@@ -121,57 +99,37 @@ def eliminate(d: Derivation, budget: int | None = None,
         budget = 40 * n ** 3 + 1000
 
     trace = ElimTrace()
-    spent = 0
     if keep_derivations:
         trace.snapshots.append(d)
-
-    def record(path, kind):
+    cur = d
+    cuts = classify_cuts(cur)
+    while cuts:
+        commuting = [p for p, c in cuts if c == COMMUTING]
+        sym = [p for p, c in cuts if c == SYMMETRIC]
+        ready = [p for p, c in cuts if c == READY]
+        if commuting:  # {1} deepest first
+            kind = COMMUTING
+            path = max(commuting, key=lambda p: (len(p), [-x for x in p]))
+        elif sym:  # {2} from the scan that ended {1}
+            path, kind = sym[0], SYMMETRIC
+        elif ready:
+            path, kind = max(ready, key=len), READY
+        else:
+            raise CutElimError(
+                "no fireable cut remains (deadlock or copy-first only)")
+        if len(trace.steps) >= budget:
+            raise CutElimError("elimination budget exhausted")
+        cur = replace_at(cur, path, STEP[kind])
         m = metrics(cur)
         trace.steps.append(ElimStep(
-            round=trace.rounds, path=path, kind=kind,
+            round=trace.rounds + 1, path=path, kind=kind,
             size=m.size, weight=m.weight,
             potential=m.size + 2 * m.weight, height_sum=m.height_sum,
         ))
         if keep_derivations:
             trace.snapshots.append(cur)
-
-    cur = d
-    while not is_cut_free(cur):
-        trace.rounds += 1
-        # {1} all commuting cuts, deepest first
-        while True:
-            cuts = classify_cuts(cur)
-            commuting = [p for p, i in cuts if i.kind == COMMUTING]
-            if not commuting:
-                break
-            path = max(commuting, key=lambda p: (len(p), [-x for x in p]))
-            spent += 1
-            if spent > budget:
-                raise CutElimError("elimination budget exhausted")
-            cur = _step_at(cur, path, st.commute_once)
-            record(path, "commuting")
-        # {2} one principal firing, chosen from the scan that ended {1}
-        if not cuts:
-            break
-        sym = [p for p, i in cuts if i.kind == SYMMETRIC]
-        if sym:
-            path = sym[0]
-            kind = "symmetric"
-            fn = st.fire_symmetric
-        else:
-            ready = [p for p, i in cuts
-                     if i.kind == CRITICAL and i.status == READY]
-            if not ready:
-                raise CutElimError(
-                    "no fireable cut remains (deadlock or copy-first only)")
-            path = max(ready, key=len)
-            kind = "ready"
-            fn = st.fire_critical
-        spent += 1
-        if spent > budget:
-            raise CutElimError("elimination budget exhausted")
-        cur = _step_at(cur, path, fn)
-        record(path, kind)
+        trace.rounds += kind != COMMUTING  # a firing ends its round
+        cuts = classify_cuts(cur)
 
     if recheck:
         check_ok(cur)

@@ -17,17 +17,19 @@ every format.  A derivation file is version 2, the only version:
     (lamd 2 NODE)
     NODE = (rule NAME ARG... [(seq ((x "TYPE") ...) "TERM" "TYPE")] NODE...)
 
-whose ARGs are all or none of the rule's parameters, of the kinds in
-`derivation.PARAMS`, a name bare and a type quoted.  A node that states
-none is built without them, which `check` reports unless its rule has none.
-A node without a `seq` is built by its rule's constructor, so it is derived
-(see `derivation`): neither `check` nor the writer rebuilds it, and
-`derivations_equal` does not compare the conclusions of two derived nodes
-with equal parameters.  A node with a `seq` is not derived.  The writer
-writes each node's stored parameters, and the `seq` at the root and
-wherever the constructor does not recompute the judgement exactly, so any
-derivation whose parameters are of its rules' kinds, well-formed or not,
-reads back node for node.  A file without the
+whose ARGs are all or none of the rule's parameters, a name bare and a
+type quoted.  A node that states none is built without them, which `check`
+reports unless its rule has none.  A node without a `seq` is built by its
+rule's constructor, so its ARGs must be of the kinds in `derivation.PARAMS`,
+and it is derived (see `derivation`): neither `check` nor the writer
+rebuilds it, and `derivations_equal` does not compare the conclusions of
+two derived nodes with equal parameters.  A node with a `seq` is not
+derived, and it takes each ARG by its form, so it may store a parameter of
+the wrong kind, which `check` reports.  The writer writes each node's
+stored parameters, and the `seq` at the root and wherever the constructor
+does not recompute the judgement exactly, so any derivation whose nodes
+store names and types, none or as many as their rules take, reads back node
+for node, well-formed or not.  A file without the
 `(lamd 2` header is refused at its first token.  Rules may nest to any
 depth: the reader keeps a stack of its open nodes, and no pass over a
 derivation recurses once per level.
@@ -559,18 +561,22 @@ def parse_derivation(src: str) -> Derivation:
                 raise _Fail(i + 2, None, ("rule name",))
             i += 3
             kinds = PARAMS.get(rule, ())
-            args = []
+            start = i
             while _atom(toks[i]) or toks[i][:1] == '"':
-                if len(args) == len(kinds):
-                    raise _Fail(i, "too many arguments for %s" % rule)
-                if kinds[len(args)] is Type:
-                    args.append(quoted(i, types, parse_type, "quoted type"))
-                elif _atom(toks[i]):
-                    args.append(toks[i])
-                else:
-                    raise _Fail(i, "unexpected string", ("name",))
                 i += 1
             seq = toks[i] == "(" and toks[i + 1] == "seq"
+            args = []
+            for k in range(start, i):
+                if len(args) == len(kinds):
+                    raise _Fail(k, "too many arguments for %s" % rule)
+                # a node that states its judgement takes each argument by its
+                # form; one built by its constructor needs its rule's kinds
+                if (toks[k][:1] == '"') if seq else (kinds[len(args)] is Type):
+                    args.append(quoted(k, types, parse_type, "quoted type"))
+                elif _atom(toks[k]):
+                    args.append(toks[k])
+                else:
+                    raise _Fail(k, "unexpected string", ("name",))
             if len(args) < len(kinds) and (args or not seq):
                 raise _Fail(i, "too few arguments for %s" % rule)
             j = None

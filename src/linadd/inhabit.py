@@ -61,30 +61,47 @@ def _splits(items):
 
 
 def _search(ctx, goal, memo, counter):
-    key = (frozenset(ctx), goal)
-    if key in memo:
-        return memo[key]
-    memo[key] = []  # cycle guard; sequents shrink, so cycles cannot recur
-    counter[0] += 1
-    if counter[0] > 2_000_000:
-        raise InhabitError("enumeration budget exhausted")
-    out = []
-
-    if isinstance(goal, Forall):
-        ctx_ftv = context_free_type_vars(ctx)
-        if not (is_closed(goal) and ctx_ftv):
+    """The derivations of ctx |- goal, memoized on the sequent.  The goal's
+    `-o`/`forall` spine is walked in a loop: each level's right rule is
+    noted with its sequent, and wraps the results of the level above it, in
+    order, once those are known."""
+    spine = []  # (memo key, right rule's constructor, its parameters)
+    while True:
+        key = (frozenset(ctx), goal)
+        if key in memo:
+            out = memo[key]
+            break
+        memo[key] = []  # cycle guard; sequents shrink, so cycles cannot recur
+        counter[0] += 1
+        if counter[0] > 2_000_000:
+            raise InhabitError("enumeration budget exhausted")
+        if isinstance(goal, Forall):
+            ctx_ftv = context_free_type_vars(ctx)
+            if is_closed(goal) and ctx_ftv:
+                out = []
+                break
             g = fresh_type_var("e", ctx_ftv | free_type_vars(goal))
-            body = open_type(goal.body, TVar(g))
-            for sub in _search(ctx, body, memo, counter):
-                out.append(d_forallR(sub, g, goal.var))
-    elif isinstance(goal, Lolli):
-        x = "x%d" % len(ctx)
-        taken = {n for n, _ in ctx}
-        while x in taken:
-            x += "'"
-        for sub in _search(ctx + ((x, goal.dom),), goal.cod, memo, counter):
-            out.append(d_lolliR(sub, x))
-    elif isinstance(goal, With):
+            spine.append((key, d_forallR, (g, goal.var)))
+            goal = open_type(goal.body, TVar(g))
+        elif isinstance(goal, Lolli):
+            x = "x%d" % len(ctx)
+            taken = {n for n, _ in ctx}
+            while x in taken:
+                x += "'"
+            spine.append((key, d_lolliR, (x,)))
+            ctx, goal = ctx + ((x, goal.dom),), goal.cod
+        else:
+            out = memo[key] = _search_atomic(ctx, goal, memo, counter)
+            break
+    for key, rule, params in reversed(spine):
+        out = memo[key] = [rule(sub, *params) for sub in out]
+    return out
+
+
+def _search_atomic(ctx, goal, memo, counter):
+    """The derivations of ctx |- goal for a `&` or atomic goal."""
+    out = []
+    if isinstance(goal, With):
         if not ctx:
             for l in _search((), goal.left, memo, counter):
                 for r in _search((), goal.right, memo, counter):
@@ -110,8 +127,6 @@ def _search(ctx, goal, memo, counter):
                         out.append(d_lolliL(ld, rd, y, w))
     else:
         raise TypeError(goal)
-
-    memo[key] = out
     return out
 
 

@@ -34,6 +34,7 @@ from .terms import (
     alpha_equal, free_vars, is_value, open_term,
 )
 from .derivation import metrics, replace_at
+from .steps import eliminate_cut_once
 
 @dataclass(frozen=True)
 class Redex:
@@ -212,15 +213,13 @@ def push_reduction(d, r: Redex):
     subject, and the principal step performs exactly the requested
     contraction.
     """
-    from . import steps as st
-
     before = d.conclusion.subject
     target = step(before, r)
     fuel = 4 * (metrics(d).size ** 2) + 100
     cur = d
     while fuel > 0:
         fuel -= 1
-        cur = _advance(cur, r.path, st)
+        cur = _advance(cur, r.path)
         if cur.conclusion.subject != before:
             if cur.conclusion.subject != target:
                 raise AssertionError("push_reduction contracted the wrong redex")
@@ -228,7 +227,7 @@ def push_reduction(d, r: Redex):
     raise AssertionError("push_reduction did not converge")
 
 
-def _advance(d, path: tuple, st):
+def _advance(d, path: tuple):
     """Move the derivation one localized elimination step toward contracting
     the subject redex at `path`: find the premise path to the node where it
     is an interface redex, then step there and rebuild the spine above."""
@@ -239,7 +238,7 @@ def _advance(d, path: tuple, st):
         at.append(i)
         node = node.premises[i]
         loc = _locate(node, path)
-    return replace_at(d, tuple(at), st.eliminate_cut_once)
+    return replace_at(d, tuple(at), eliminate_cut_once)
 
 
 def _var_path(t: Term, x: str):

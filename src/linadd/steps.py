@@ -2,29 +2,34 @@
 
 Everything cut elimination (and subject reduction, which reuses it) needs:
 
-* classification of a cut by the last rules of its premises — `symmetric`
-  when both are principal for the cut type (including the axiom cases),
-  `critical` when the right premise is the guarded-duplication rule,
-  `copy_first` when a guarded duplication meets a principal left projection,
-  `commuting` otherwise;
-* one commuting movement (the cut is pushed past the non-principal rule);
-* the principal firings, each of which performs at most one reduction step
-  on the subject.
+* the class of a cut, one of seven names, read from the last rules of its
+  premises by `classify_cut`:
+  - `symmetric`: both premises are principal for the cut type (including
+    the axiom cases);
+  - `commuting`: the cut can be pushed past a non-principal rule;
+  - `ready`, `safe` and `deadlock`: the right premise is the guarded
+    duplication.  The cut is `deadlock` when the left premise has an open
+    context, `ready` when the left premise is closed and cut-free, and
+    `safe` when it is closed but still holds a cut;
+  - `copy_first`: a guarded duplication meets a principal left projection;
+  - `blocked`: the left premise is itself a cut that produces the cut
+    type;
+* the one table `STEP` from each class that has a step to its step
+  function: one commuting movement, one principal firing (each performs at
+  most one reduction step on the subject), or one reassociation of a
+  blocked cut.
+
+`deadlock` and `copy_first` cuts have no step.  The round strategy of
+`cutelim` fires only `symmetric`, `commuting` and `ready` cuts; subject
+reduction (`eliminate_cut_once`) steps every class in `STEP`, `safe` and
+`blocked` included (duplicating cuts is type-sound, it just voids the step
+bound).
 
 Every step reads the parameters that the rules it moves store and builds
 through the rules' constructors.
-
-A critical cut is `safe` when the left premise proves a closed sequent and
-`ready` when additionally the left subderivation is cut-free; only ready
-critical cuts may be fired by the public strategy, while subject reduction
-fires any safe one (duplicating cuts is type-sound, it just voids the step
-bound).  Deadlocked (non-safe) critical cuts and copy-first cuts have no
-firing rule at all.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .nameless import fold
 from .terms import fresh_name, is_value
@@ -39,17 +44,15 @@ from .derivation import (
 
 SYMMETRIC = "symmetric"
 COMMUTING = "commuting"
-CRITICAL = "critical"
+READY = "ready"
+SAFE = "safe"
+DEADLOCK = "deadlock"
 COPY_FIRST = "copy_first"
 BLOCKED = "blocked"
 
-SAFE = "safe"
-READY = "ready"
-DEADLOCK = "deadlock"
 
-
-class ElimStepError(Exception):
-    pass
+class CutElimError(Exception):
+    """A cut that has no step, or a strategy that cannot go on."""
 
 
 _PRINCIPAL = frozenset({"ax", "lolliL", "withL1", "withL2", "forallL", "withR1"})
@@ -126,58 +129,54 @@ def _ensure_fresh(d: Derivation, var: str, avoid) -> tuple:
 
 # -- classification -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutInfo:
-    kind: str            # symmetric | commuting | critical | copy_first
-    status: str | None   # for critical: safe | ready | deadlock
-    left_rule: str
-    right_rule: str
-
-
-def classify_cut(d: Derivation) -> CutInfo:
+def classify_cut(d: Derivation) -> str:
+    """The class of the cut d, one of the seven names above."""
     if d.rule != "cut":
         raise ValueError("not a cut")
     l, r = d.premises
     x, = d.params
-    info = lambda kind, status=None: CutInfo(kind, status, l.rule, r.rule)
     if l.rule == "ax" or r.rule == "ax":
-        return info(SYMMETRIC)
+        return SYMMETRIC
     if r.rule == "withR1":
         if context_names(l.conclusion.context):
-            return info(CRITICAL, DEADLOCK)
-        return info(CRITICAL, READY if is_cut_free(l) else SAFE)
-    right_principal = principal_var(r) == x
-    if right_principal:
+            return DEADLOCK
+        return READY if is_cut_free(l) else SAFE
+    if principal_var(r) == x:
         pairs = {
             ("lolliR", "lolliL"), ("forallR", "forallL"),
             ("withR0", "withL1"), ("withR0", "withL2"),
         }
         if (l.rule, r.rule) in pairs:
-            return info(SYMMETRIC)
+            return SYMMETRIC
         if l.rule == "withR1" and r.rule in ("withL1", "withL2"):
-            return info(COPY_FIRST)
+            return COPY_FIRST
         if l.rule == "cut":
             # nothing to commute: reassociating back and forth would loop, so
             # wait for the inner cut to be eliminated first
-            return info(BLOCKED)
-    return info(COMMUTING)
+            return BLOCKED
+    return COMMUTING
+
+
+def cut_class(d: Derivation) -> str:
+    """`classify_cut(d)`, computed once per node object: the class depends
+    only on the node and its premises, which are immutable, so it is kept in
+    the node's `_cut` slot."""
+    c = getattr(d, "_cut", None)
+    if c is None:
+        c = classify_cut(d)
+        object.__setattr__(d, "_cut", c)
+    return c
 
 
 def classify_cuts(d: Derivation):
-    """All cut nodes with their tree paths and `classify_cut` results,
-    pre-order.  Cut-free subderivations are skipped.  A cut node's result
-    depends only on the node and its premises, which are immutable, so it is
-    computed once per node object and kept in the node's `_cut` slot."""
+    """All cut nodes with their tree paths and classes, pre-order.
+    Cut-free subderivations are skipped."""
     out = []
     stack = [] if is_cut_free(d) else [(d, ())]
     while stack:
         d, path = stack.pop()
         if d.rule == "cut":
-            info = getattr(d, "_cut", None)
-            if info is None:
-                info = classify_cut(d)
-                object.__setattr__(d, "_cut", info)
-            out.append((path, info))
+            out.append((path, cut_class(d)))
         ps = d.premises
         for i in range(len(ps) - 1, -1, -1):
             if not is_cut_free(ps[i]):
@@ -191,7 +190,7 @@ def commute_once(d: Derivation) -> Derivation:
     """Push the cut one rule upward (subject and judgement are preserved)."""
     l, r = d.premises
     x, = d.params
-    if principal_var(r) != x and r.rule != "withR1":
+    if principal_var(r) != x:
         return _commute_right(d, l, r, x)
     return _commute_left(d, l, r, x)
 
@@ -230,7 +229,7 @@ def _commute_right(d, l, r, x):
             return d_cut(d_cut(l, r1, x), r2, w)
         r2, w2 = _ensure_fresh(r2, w, lnames)
         return d_cut(r1, d_cut(l, r2, x), w2)
-    raise ElimStepError("cannot commute past %s on the right" % r.rule)
+    raise CutElimError("cannot commute past %s on the right" % r.rule)
 
 
 def _commute_left(d, l, r, x):
@@ -245,7 +244,7 @@ def _commute_left(d, l, r, x):
         return CONSTRUCTORS[l.rule](d_cut(l1, r, x), y, w, other)
     if l.rule == "forallL":
         return d_forallL(d_cut(l.premises[0], r, x), *l.params)
-    raise ElimStepError("cannot commute past %s on the left" % l.rule)
+    raise CutElimError("cannot commute past %s on the left" % l.rule)
 
 
 def reassociate_blocked(d: Derivation) -> Derivation:
@@ -256,8 +255,6 @@ def reassociate_blocked(d: Derivation) -> Derivation:
     this one, so pairing them loops)."""
     l, r = d.premises
     x, = d.params
-    if l.rule != "cut":
-        raise ElimStepError("left premise is not a cut")
     w, = l.params
     l2, w = _ensure_fresh(l.premises[1], w, context_names(r.conclusion.context))
     return d_cut(l.premises[0], d_cut(l2, r, x), w)
@@ -283,11 +280,11 @@ def fire_symmetric(d: Derivation) -> Derivation:
         inst = r.premises[0].conclusion.lookup(x)
         m = match_instantiation(quant, inst)
         if m is None:
-            raise ElimStepError("quantifier instance does not match")
+            raise CutElimError("quantifier instance does not match")
         _, b = m
         l1 = l.premises[0]
         if b is not None and g in free_type_vars(quant):
-            raise ElimStepError("eigenvariable occurs in the cut type")
+            raise CutElimError("eigenvariable occurs in the cut type")
         if b is not None:
             l1 = subst_type_deriv(l1, g, b)
         return d_cut(l1, r.premises[0], x)
@@ -295,39 +292,34 @@ def fire_symmetric(d: Derivation) -> Derivation:
         _, w, _ = r.params
         comp = l.premises[0] if r.rule == "withL1" else l.premises[1]
         return d_cut(comp, r.premises[0], w)
-    raise ElimStepError("cut (%s, %s) is not symmetric" % (l.rule, r.rule))
+    raise CutElimError("cut (%s, %s) is not symmetric" % (l.rule, r.rule))
 
 
 def fire_critical(d: Derivation) -> Derivation:
-    """Fire a safe critical cut: the guarded duplication becomes an additive
-    pair over two copies of the left subderivation."""
+    """Fire a `ready` or `safe` cut: the guarded duplication becomes an
+    additive pair over two copies of the left subderivation."""
     l, r = d.premises
-    if r.rule != "withR1":
-        raise ElimStepError("right premise is not a guarded duplication")
-    if context_names(l.conclusion.context):
-        raise ElimStepError("deadlocked critical cut (open left premise)")
     if not is_value(l.conclusion.subject):
-        raise ElimStepError("left subject is not a value yet")
+        raise CutElimError("left subject is not a value yet")
     b1, b2, _guard = r.premises
     x1 = b1.conclusion.context[0][0]
     x2 = b2.conclusion.context[0][0]
     return d_withR0(d_cut(l, b1, x1), d_cut(l, b2, x2))
 
 
-def eliminate_cut_once(d: Derivation, allow_unready: bool = True) -> Derivation:
-    """One localized step at this cut: commute when non-principal, otherwise
-    fire.  Raises for deadlocked critical and copy-first cuts."""
-    info = classify_cut(d)
-    if info.kind == COMMUTING:
-        return commute_once(d)
-    if info.kind == SYMMETRIC:
-        return fire_symmetric(d)
-    if info.kind == CRITICAL:
-        if info.status == DEADLOCK:
-            raise ElimStepError("deadlocked critical cut cannot be fired")
-        if info.status == SAFE and not allow_unready:
-            raise ElimStepError("critical cut is safe but not ready")
-        return fire_critical(d)
-    if info.kind == BLOCKED:
-        return reassociate_blocked(d)
-    raise ElimStepError("copy-first cut has no elimination rule")
+STEP = {
+    COMMUTING: commute_once,
+    SYMMETRIC: fire_symmetric,
+    READY: fire_critical,
+    SAFE: fire_critical,
+    BLOCKED: reassociate_blocked,
+}
+
+
+def eliminate_cut_once(d: Derivation) -> Derivation:
+    """One localized step at the cut d through `STEP`, whatever its class.
+    Raises CutElimError for `deadlock` and `copy_first` cuts."""
+    c = cut_class(d)
+    if c not in STEP:
+        raise CutElimError("%s cut has no elimination rule" % c)
+    return STEP[c](d)

@@ -32,6 +32,7 @@ from .derivation import (
     CONSTRUCTORS, Derivation, context_names, dag_size, metrics,
     d_app, d_ax, d_forallR, d_inst, d_lolliL, d_lolliR,
 )
+from .reduce import beta_eta_equal
 
 
 class GadgetError(Exception):
@@ -390,7 +391,6 @@ def check_soundness(before: Derivation, after: Derivation,
                     lib: GadgetLibrary | None = None) -> bool:
     """An elimination step from `before` to `after` must leave the two
     translations beta-eta-equal."""
-    from .reduce import beta_eta_equal
     lib = lib or GadgetLibrary()
     t1 = translate_derivation(before, lib).conclusion.subject
     t2 = translate_derivation(after, lib).conclusion.subject

@@ -27,8 +27,8 @@ import random
 from pathlib import Path
 
 from linadd.derivation import (
-    IMALL2, IMLL2, LAM, RULES, Derivation, Judgement, Violation, check, d_ax,
-    d_forallR, d_lolliR,
+    IMALL2, IMLL2, LAM, PARAMS, RULES, Derivation, Judgement, Violation, _nodes,
+    check, d_ax, d_forallR, d_lolliR,
 )
 from linadd.frontend import (
     derivations_equal, parse_derivation, parse_type, print_derivation,
@@ -146,16 +146,20 @@ def _same_params(d, back):
     return True
 
 
+def _round_trips(m, systems, where):
+    text = print_derivation(m)
+    back = parse_derivation(text)
+    assert derivations_equal(m, back) and _same_params(m, back), where
+    for system in systems:
+        assert check(back, system) == check(m, system), (where, system)
+    assert print_derivation(back) == text, where
+
+
 def test_mutants_round_trip_through_files(corpus):
     # the writer states every judgement that its rule cannot recompute, so
     # a file holds the mutant, mistakes and all
     for name, system, path, kind, _, m in mutants(corpus):
-        text = print_derivation(m)
-        back = parse_derivation(text)
-        where = (name, path, kind)
-        assert derivations_equal(m, back) and _same_params(m, back), where
-        assert check(back, system) == check(m, system), where
-        assert print_derivation(back) == text, where
+        _round_trips(m, (system,), (name, path, kind))
 
 
 # -- multi-mutation fuzzing -----------------------------------------------------
@@ -204,6 +208,20 @@ def multi_mutants(corpus):
             d = _replace(d, path, _mutate_more(rng, _node(d, path), goals))
         out.append((e.name, d))
     return out
+
+
+def test_multi_mutants_round_trip_through_files(corpus):
+    # a node with a parameter of the wrong kind states its judgement, and
+    # the reader takes each parameter of such a node by its form; mutants
+    # with a node of the wrong number of parameters are left out, since the
+    # reader refuses too few or too many
+    stored = 0
+    for name, m in multi_mutants(corpus):
+        if all(n.params is None or len(n.params) == len(PARAMS[n.rule])
+               for n in _nodes(m)):
+            stored += 1
+            _round_trips(m, (LAM, IMALL2, IMLL2), name)
+    assert stored == 175
 
 
 # -- differential test of derived nodes -----------------------------------------
@@ -358,6 +376,15 @@ def test_derived_node_with_wrong_kinded_parameter_is_reported():
     assert d._derived
     assert [(v.path, v.condition, v.message) for v in check(d)] == [
         ((), "params", "parameter 2 is not a type")]
+    # with a well-formed judgement, the writer states it, so the reader
+    # takes "a" as a name
+    good = d_ax("x", TVar("a"))
+    d = Derivation("ax", good.conclusion, (), ("x", "a"))
+    text = print_derivation(d)
+    assert text == '(lamd 2 (rule ax x a (seq ((x "a")) "x" "a")))'
+    back = parse_derivation(text)
+    assert back.params == ("x", "a") and check(back) == check(d)
+    assert [v.message for v in check(back)] == ["parameter 2 is not a type"]
 
 
 if __name__ == "__main__":

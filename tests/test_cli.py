@@ -33,6 +33,12 @@ def test_inhabitants_type_literal(capsys):
     assert code == 0 and rep["measurements"]["count"] == 1
 
 
+def test_inhabitants_of_a_long_arrow_spine(capsys):
+    # the search walks the goal's -o/forall spine in a loop
+    code, rep = run_json(capsys, "inhabitants", "forall a. " + " -o ".join(["a"] * 1201))
+    assert (code, rep["measurements"]["count"]) == (0, 0)
+
+
 def test_report_schema(capsys):
     _, rep = run_json(capsys, "inhabitants", "unit")
     assert set(rep) == {"command", "inputs", "measurements", "verdict", "details"}

@@ -12,14 +12,14 @@ from linadd.cutelim import (
 from linadd import derivation, nameless, reduce, steps
 from linadd.derivation import (
     IMALL2, Derivation, check, check_ok, d_ax, d_cut, d_forallR, d_lolliL,
-    d_lolliR, d_withR, is_cut_free, metrics, rebuild,
+    d_lolliR, d_withL, d_withR, d_withR1, is_cut_free, metrics, rebuild,
 )
 from linadd.frontend import derivations_equal
 from linadd.families import gen_applied, gen_ladd
 from linadd.inhabit import maximal_value
 from linadd.steps import (
-    BLOCKED, COMMUTING, COPY_FIRST, CRITICAL, DEADLOCK, READY, SYMMETRIC,
-    classify_cut, classify_cuts,
+    BLOCKED, COMMUTING, COPY_FIRST, DEADLOCK, READY, SAFE, SYMMETRIC,
+    classify_cut, classify_cuts, eliminate_cut_once,
 )
 from linadd.terms import alpha_equal, is_value
 from linadd.translate import identity_derivation
@@ -31,13 +31,11 @@ ID = identity_derivation()
 
 
 def test_deadlock_example_classification():
-    info = classify_cut(deadlock_example())
-    assert info.kind == CRITICAL and info.status == DEADLOCK
+    assert classify_cut(deadlock_example()) == DEADLOCK
 
 
 def test_copy_first_example_classification():
-    info = classify_cut(copy_first_example())
-    assert info.kind == COPY_FIRST
+    assert classify_cut(copy_first_example()) == COPY_FIRST
 
 
 def test_elim_step_refuses_deadlock():
@@ -60,32 +58,44 @@ def test_enclosed_examples_eliminate_completely():
 
 def test_symmetric_axiom_cut():
     d = d_cut(ID, d_ax("x", ONE), "x")
-    assert classify_cut(d).kind == SYMMETRIC
+    assert classify_cut(d) == SYMMETRIC
     out = elim_step(d, ())
     assert is_cut_free(out)
     assert alpha_equal(out.conclusion.subject, ID.conclusion.subject)
 
 
 def test_ready_critical_cut_fires_to_a_value_pair():
-    from linadd.derivation import d_withR1
     right = d_withR1(d_ax("x1", ONE), d_ax("x2", ONE), ID, "x")
     d = d_cut(ID, right, "x")
-    info = classify_cut(d)
-    assert info.kind == CRITICAL and info.status == READY
+    assert classify_cut(d) == READY
     out = elim_step(d, ())
     assert out.rule == "withR0"
 
 
 def test_blocked_cut_waits_for_its_inner_cut():
-    from linadd.derivation import d_withL, d_withR1
     inner = d_cut(ID, d_withR1(d_ax("x1", ONE), d_ax("x2", ONE), ID, "x"), "x")
     outer = d_cut(inner, d_withL(1, d_ax("p", ONE), "y", "p", ONE), "y")
     check_ok(outer)
-    assert classify_cut(outer).kind == BLOCKED
+    assert classify_cut(outer) == BLOCKED
     with pytest.raises(CutElimError):
         elim_step(outer, ())
     d, _ = eliminate(outer)       # the strategy resolves the inner cut first
     assert is_cut_free(d)
+
+
+def test_safe_cut_is_stepped_only_by_eliminate_cut_once():
+    left = d_cut(ID, d_ax("x", ONE), "x")   # closed, but holds a cut
+    d = d_cut(left, d_withR1(d_ax("x1", ONE), d_ax("x2", ONE), ID, "x"), "x")
+    check_ok(d)
+    assert classify_cut(d) == SAFE
+    with pytest.raises(CutElimError):
+        elim_step(d, ())
+    out = eliminate_cut_once(d)
+    assert out.rule == "withR0"
+    check_ok(out)
+    for d in (deadlock_example(), copy_first_example()):
+        with pytest.raises(CutElimError):
+            eliminate_cut_once(d)
 
 
 def test_eliminate_requires_forall_lazy_conclusion():
@@ -262,17 +272,17 @@ def _oracle_eliminate(d):
     while not is_cut_free(cur):
         rounds += 1
         while True:
-            cuts = [p for p, i in _ref_cuts(cur) if i.kind == COMMUTING]
+            cuts = [p for p, c in _ref_cuts(cur) if c == COMMUTING]
             if not cuts:
                 break
             step(max(cuts, key=lambda p: (len(p), [-x for x in p])),
                  "commuting", steps.commute_once)
         cuts = _ref_cuts(cur)
-        sym = [p for p, i in cuts if i.kind == SYMMETRIC]
+        sym = [p for p, c in cuts if c == SYMMETRIC]
         if sym:
             step(sym[0], "symmetric", steps.fire_symmetric)
         else:
-            ready = [p for p, i in cuts if i.kind == CRITICAL and i.status == READY]
+            ready = [p for p, c in cuts if c == READY]
             step(max(ready, key=len), "ready", steps.fire_critical)
     return cur, out, rounds
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from linadd.derivation import check_ok, is_cut_free, is_eta_expanded, metrics
@@ -120,6 +122,23 @@ def test_enumeration_is_deterministic():
     first = enumerate_inhabitants(a).terms()
     second = enumerate_inhabitants(a).terms()
     assert first == second
+
+
+# The order of enumeration is pinned: the benchmark's contract job on B*B*B
+# checks only the first inhabitant.
+_TT, _FF = "\\x0. \\x1. \\x2. x2 x0 x1", "\\x0. \\x1. \\x2. x2 x1 x0"
+_BBB = ["\\x0. x0 (\\x0. x0 (%s) (%s)) (%s)" % bs
+        for bs in itertools.product((_TT, _FF), repeat=3)]
+
+
+def test_enumeration_order_is_pinned():
+    for fast in (True, False):
+        assert [print_term(t) for t in enumerate_inhabitants(B, fast).terms()] == [_TT, _FF]
+    bbb = tensor_type(tensor_type(B, B), B)
+    slow = enumerate_inhabitants(bbb, use_fast_paths=False).terms()
+    assert [print_term(t) for t in slow] == _BBB
+    # the fast path names its binders from the global supply of fresh names
+    assert enumerate_inhabitants(bbb).terms() == slow
 
 
 def test_size_bound_on_members():
