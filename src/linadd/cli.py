@@ -2,11 +2,13 @@
 
 Subcommands mirror the library operations one-to-one: ``check``,
 ``normalize``, ``cutelim``, ``eta-expand``, ``inhabitants``, ``translate``,
-``gen``, and ``suite``.  Every subcommand can emit a JSON report with the
-schema {command, inputs, measurements, verdict, details[]}.  The exit code
-is 0 when every executed verdict is pass (or info) and 1 when one fails; an
-input that cannot be read or parsed exits 2 and an internal error 3, both
-with verdict ``error`` and the message in ``details``.
+``gen``, and ``suite``.  `main` builds one report per invocation, {command,
+inputs (the subcommand's arguments as parsed), measurements, verdict,
+details[]}, and emits it once.  A command fills its measurements, records
+failures with `Report.fail` and returns the text that plain mode prints.
+`main` is the one error boundary and alone sets the verdict and exit code:
+0 ``pass``; 1 ``fail`` (a failure found, or a library error); 2 ``error``,
+an input that cannot be read or parsed; 3 ``error``, any other exception.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from . import suites
 EXIT_INPUT_ERROR = 2     # the input cannot be read or parsed
 EXIT_INTERNAL_ERROR = 3  # any other exception: a defect of linadd
 
-# The library's own errors.  A suite that raises one fails and the next
-# suite runs; any other exception is an internal error.
+# The library's own errors: the command fails.  In `suite` one fails only its
+# own suite, and the next suite runs.
 LIBRARY_ERRORS = (ParseError, CheckError, BudgetExceeded, CutElimError,
                   InhabitError, GadgetError, corpus_mod.CorpusError)
 
@@ -50,38 +52,28 @@ class Report:
         self.command = command
         self.inputs = inputs
         self.measurements: dict = {}
-        self.timings: dict = {}
-        self.verdict = "info"
+        self.failed = False
+        self.verdict = None  # set by `main` when the command ends
         self.details: list = []
 
     @contextmanager
     def timed(self, phase: str):
-        """Record the wall time of the block as timings[phase] seconds."""
+        """Record the block's wall time, also when it raises, in seconds as
+        measurements["timings"][phase]."""
         t0 = time.perf_counter()
         try:
             yield
         finally:
-            self.timings[phase] = time.perf_counter() - t0
+            self.measurements.setdefault("timings", {})[phase] = (
+                time.perf_counter() - t0)
 
     def fail(self, message: str):
-        self.verdict = "fail"
+        self.failed = True
         self.details.append(message)
 
-    def passed(self):
-        if self.verdict != "fail":
-            self.verdict = "pass"
-
     def as_dict(self) -> dict:
-        measurements = self.measurements
-        if self.timings:
-            measurements = {**measurements, "timings": self.timings}
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "measurements": measurements,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return {k: getattr(self, k) for k in
+                ("command", "inputs", "measurements", "verdict", "details")}
 
 
 def _emit(report: Report, args, text_lines=()):
@@ -89,13 +81,10 @@ def _emit(report: Report, args, text_lines=()):
         json.dump(report.as_dict(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
-        for line in text_lines:
+        for line in (*text_lines, *report.details):
             print(line)
-        for d in report.details:
-            print(d)
         # keep stdout clean for redirection; the verdict is diagnostic
         print("%s: %s" % (report.command, report.verdict), file=sys.stderr)
-    return 0 if report.verdict in ("pass", "info") else 1
 
 
 def _parse_type_arg(text: str):
@@ -107,47 +96,41 @@ def _parse_type_arg(text: str):
     return parse_type(text)
 
 
-# -- subcommands --------------------------------------------------------------
+def _natural(text: str) -> int:
+    """A command-line integer that is at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("%d is negative" % n)
+    return n
 
-def cmd_check(args) -> int:
-    report = Report("check", {"file": args.file, "system": args.system})
+
+# -- subcommands --------------------------------------------------------------
+# Each takes the parsed arguments and the report, and returns the lines that
+# plain mode prints; under --json it leaves out text the report does not hold.
+
+def cmd_check(args, report: Report):
     with report.timed("parse_s"):
         d = load_derivation(args.file)
     with report.timed("work_s"):
         bad = check(d, args.system)
     m = metrics(d)
-    report.measurements = {
-        "size": m.size, "weight": m.weight,
-        "subject_size": term_size(d.conclusion.subject),
-        "violations": len(bad),
-    }
-    if bad:
-        for v in bad:
-            report.fail(str(v))
-    else:
-        report.passed()
-    return _emit(report, args, ["checked %s: %d violations" % (args.file, len(bad))])
+    report.measurements.update(
+        size=m.size, weight=m.weight,
+        subject_size=term_size(d.conclusion.subject), violations=len(bad))
+    for v in bad:
+        report.fail(str(v))
+    return ["checked %s: %d violations" % (args.file, len(bad))]
 
 
-def cmd_normalize(args) -> int:
-    report = Report("normalize", {
-        "file": args.file, "strategy": args.strategy, "seed": args.seed,
-    })
+def cmd_normalize(args, report: Report):
     with report.timed("parse_s"):
         t = load_term(args.file)
-    try:
-        with report.timed("work_s"):
-            res = normalize(t, strategy=args.strategy, budget=args.budget,
-                            keep_trace=args.trace, seed=args.seed)
-    except BudgetExceeded:
-        report.fail("reduction budget exhausted")
-        return _emit(report, args)
-    report.measurements = {
-        "input_size": term_size(t),
-        "normal_form_size": term_size(res.term),
-        "steps": res.steps,
-    }
-    report.passed()
+    with report.timed("work_s"):
+        res = normalize(t, strategy=args.strategy, budget=args.budget,
+                        keep_trace=args.trace, seed=args.seed)
+    report.measurements.update(
+        input_size=term_size(t), normal_form_size=term_size(res.term),
+        steps=res.steps)
     lines = [print_term(res.term)]
     if args.trace and res.trace:
         for r, after in res.trace:
@@ -157,25 +140,18 @@ def cmd_normalize(args) -> int:
         report.measurements["trace"] = [
             {"kind": r.kind, "path": list(r.path), "size_after": term_size(a)}
             for r, a in res.trace]
-    return _emit(report, args, lines)
+    return lines
 
 
-def cmd_cutelim(args) -> int:
-    report = Report("cutelim", {"file": args.file, "budget": args.budget})
+def cmd_cutelim(args, report: Report):
     with report.timed("parse_s"):
         d = load_derivation(args.file)
-    try:
-        with report.timed("work_s"):
-            out, trace = eliminate(d, budget=args.budget)
-    except (CutElimError, CheckError) as e:
-        report.fail(str(e))
-        return _emit(report, args)
+    with report.timed("work_s"):
+        out, trace = eliminate(d, budget=args.budget)
     m0, m1 = metrics(d), metrics(out)
-    report.measurements = {
-        "input_size": m0.size, "output_size": m1.size,
-        "steps": trace.total_steps, "rounds": trace.rounds,
-        "step_kinds": trace.counts(),
-    }
+    report.measurements.update(
+        input_size=m0.size, output_size=m1.size, steps=trace.total_steps,
+        rounds=trace.rounds, step_kinds=trace.counts())
     if args.trace:
         per_round: dict = {}
         for s in trace.steps:
@@ -184,124 +160,92 @@ def cmd_cutelim(args) -> int:
             per_round[s.round]["potential"] = s.potential
         report.measurements["rounds_detail"] = [
             {"round": r, **v} for r, v in sorted(per_round.items())]
-    report.passed()
-    return _emit(report, args, () if args.json else [print_derivation(out)])
+    return () if args.json else [print_derivation(out)]
 
 
-def cmd_eta_expand(args) -> int:
-    report = Report("eta-expand", {"file": args.file})
+def cmd_eta_expand(args, report: Report):
     with report.timed("parse_s"):
         d = load_derivation(args.file)
-    try:
-        with report.timed("work_s"):
-            # eta_expand serves lam and imall2 derivations alike
-            vs = check(d, LAM)
-            if vs and check(d, IMALL2):
-                raise CheckError(vs)
-            out = eta_expand(d)
-    except (InhabitError, CheckError) as e:
-        report.fail(str(e))
-        return _emit(report, args)
-    report.measurements = {
-        "input_size": metrics(d).size, "output_size": metrics(out).size,
-    }
-    report.passed()
-    return _emit(report, args, () if args.json else [print_derivation(out)])
+    with report.timed("work_s"):
+        # eta_expand serves lam and imall2 derivations alike
+        vs = check(d, LAM)
+        if vs and check(d, IMALL2):
+            raise CheckError(vs)
+        out = eta_expand(d)
+    report.measurements.update(
+        input_size=metrics(d).size, output_size=metrics(out).size)
+    return () if args.json else [print_derivation(out)]
 
 
-def cmd_inhabitants(args) -> int:
+def cmd_inhabitants(args, report: Report):
     a = _parse_type_arg(args.type)
-    report = Report("inhabitants", {"type": print_type(a)})
-    try:
-        with report.timed("work_s"):
-            found = enumerate_inhabitants(a)
-    except InhabitError as e:
-        report.fail(str(e))
-        return _emit(report, args)
-    report.measurements = {"count": found.count}
-    report.details = [print_term(t) for t in found.terms()]
-    report.passed()
-    lines = ["%d inhabitant(s) of %s" % (found.count, print_type(a))]
-    return _emit(report, args, lines)
+    with report.timed("work_s"):
+        found = enumerate_inhabitants(a)
+    report.measurements["count"] = found.count
+    report.details += [print_term(t) for t in found.terms()]
+    return ["%d inhabitant(s) of %s" % (found.count, print_type(a))]
 
 
-def cmd_translate(args) -> int:
-    report = Report("translate", {"file": args.file})
+def cmd_translate(args, report: Report):
     with report.timed("parse_s"):
         d = load_derivation(args.file)
-    try:
-        with report.timed("work_s"):
-            check_ok(d, LAM)
-            out = translate_derivation(d, GadgetLibrary())
-    except (GadgetError, CheckError) as e:
-        report.fail(str(e))
-        return _emit(report, args)
-    report.measurements = compression_report(d, out)
-    report.passed()
-    return _emit(report, args, () if args.json else [print_derivation(out)])
+    with report.timed("work_s"):
+        check_ok(d, LAM)
+        out = translate_derivation(d, GadgetLibrary())
+    report.measurements.update(compression_report(d, out))
+    return () if args.json else [print_derivation(out)]
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, report: Report):
     a = _parse_type_arg(args.base)
-    report = Report("gen", {"family": args.family, "n": args.n,
-                            "base": print_type(a), "apply": args.apply})
-    try:
-        with report.timed("work_s"):
-            if args.family == "add":
-                term, d = gen_add(args.n, a)
-                system = "imall2"
-            else:
-                term, d = gen_ladd(args.n, a)
-                system = LAM
-            if args.apply:
-                mv = maximal_value(a)
-                if mv is None:
-                    raise InhabitError("base type is uninhabited")
-                d = gen_applied(d, mv[1])
-                term = d.conclusion.subject
-    except (InhabitError, ValueError) as e:
-        report.fail(str(e))
-        return _emit(report, args)
+    with report.timed("work_s"):
+        if args.family == "add":
+            term, d = gen_add(args.n, a)
+            system = "imall2"
+        else:
+            term, d = gen_ladd(args.n, a)
+            system = LAM
+        if args.apply:
+            mv = maximal_value(a)
+            if mv is None:
+                raise InhabitError("base type is uninhabited")
+            d = gen_applied(d, mv[1])
+            term = d.conclusion.subject
     bad = check(d, system)
-    report.measurements = {
-        "term_size": term_size(term),
-        "derivation_size": metrics(d).size,
-        "system": system,
-    }
+    report.measurements.update(
+        term_size=term_size(term), derivation_size=metrics(d).size,
+        system=system)
     if bad:
         report.fail(str(bad[0]))
-        return _emit(report, args)
-    report.passed()
+        return ()
     if args.json and not args.output:  # the report leaves the text out
-        return _emit(report, args)
+        return ()
     text = print_derivation(d) if args.derivation else print_term(term)
     if args.output:
         with open(args.output, "w") as f:
             f.write(text + "\n")
-        return _emit(report, args, ["wrote %s" % args.output])
-    return _emit(report, args, [text])
+        return ["wrote %s" % args.output]
+    return [text]
 
 
-# -- suites -------------------------------------------------------------------
-
-def cmd_suite(args) -> int:
+def cmd_suite(args, report: Report):
+    """One measurements[name] and one timings[name_s] per suite; a failure's
+    detail starts with its suite's name."""
     names = list(suites.SUITES) if args.name == "all" else [args.name]
     corpus, gadgets = None, GadgetLibrary()
-    code = 0
     for name in names:
-        report = Report("suite", {"name": name, "seed": args.seed})
+        res = suites.SuiteResult()
         try:
-            if corpus is None and name in suites.CORPUS_SUITES:
-                corpus = corpus_mod.build_corpus(seed=args.seed)
-            res = suites.SUITES[name](corpus, gadgets)
-            report.measurements = res.measurements
-            for message in res.failures:
-                report.fail(message)
+            with report.timed(name + "_s"):
+                if corpus is None and name in suites.CORPUS_SUITES:
+                    corpus = corpus_mod.build_corpus(seed=args.seed)
+                res = suites.SUITES[name](corpus, gadgets)
         except LIBRARY_ERRORS as e:
-            report.fail("%s: %s" % (type(e).__name__, e))
-        report.passed()
-        code |= _emit(report, args)
-    return code
+            res.fail("%s: %s" % (type(e).__name__, e))
+        report.measurements[name] = res.measurements
+        for message in res.failures:
+            report.fail("%s: %s" % (name, message))
+    return ()
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -362,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate a nesting-family member")
     sp.add_argument("family", choices=("add", "ladd"))
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=_natural, required=True)
     sp.add_argument("--base", default="unit",
                     help="base type (default: unit)")
     sp.add_argument("--apply", action="store_true",
@@ -382,11 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _error(args, message: str, code: int) -> int:
-    """Report an error that stopped the command, as JSON under --json."""
-    inputs = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("cmd", "fn", "json")}
-    report = Report(args.cmd, inputs)
+def _error(report: Report, args, message: str, code: int) -> int:
+    """End the report with verdict error, emitted as JSON under --json."""
     report.verdict = "error"
     report.details.append(message)
     if args.json:
@@ -397,14 +338,22 @@ def _error(args, message: str, code: int) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    report = Report(args.cmd, {k: v for k, v in sorted(vars(args).items())
+                               if k not in ("cmd", "fn", "json")})
+    lines = ()
     try:
-        return args.fn(args)
+        lines = args.fn(args, report)
     except (ParseError, OSError) as e:
-        return _error(args, str(e), EXIT_INPUT_ERROR)
+        return _error(report, args, str(e), EXIT_INPUT_ERROR)
+    except LIBRARY_ERRORS as e:
+        report.fail(str(e))
     except Exception as e:  # the last boundary: report it, with its traceback
         traceback.print_exc()
-        return _error(args, "internal error: %s: %s" % (type(e).__name__, e),
-                      EXIT_INTERNAL_ERROR)
+        return _error(report, args, "internal error: %s: %s"
+                      % (type(e).__name__, e), EXIT_INTERNAL_ERROR)
+    report.verdict = "fail" if report.failed else "pass"
+    _emit(report, args, lines)
+    return int(report.failed)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from .typesys import Type, With
 from .derivation import (
     Derivation, d_app, d_ax, d_lolliR, d_withR, d_withR0, d_withR1,
 )
-from .inhabit import maximal_value
+from .inhabit import InhabitError, maximal_value
 
 
 def with_tower(a: Type, n: int) -> Type:
@@ -36,6 +36,8 @@ def _nest(n: int, a: Type, arg):
     x_j : A_[j] the variable of that depth (x_0 = x), M is (\\x_{j+1}. [M at
     depth j + 1]) arg(j, x_j, A_[j]), and at depth n it is x_n.  Built from
     the innermost level out, in a loop."""
+    if n < 0:
+        raise ValueError("a family member has n >= 0 levels, not %d" % n)
     towers = [a]  # towers[j] = A_[j]
     for _ in range(n):
         towers.append(With(towers[-1], towers[-1]))
@@ -72,7 +74,7 @@ def gen_ladd(n: int, a: Type):
     on a value argument and shrinks the term at every step."""
     mv = maximal_value(a)
     if mv is None:
-        raise ValueError("base type is uninhabited")
+        raise InhabitError("base type is uninhabited")
     guards = [mv[1]]  # guards[k] derives V_[k]
     for _ in range(n):
         guards.append(d_withR0(guards[-1], guards[-1]))

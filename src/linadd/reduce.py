@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import random
 
-from .nameless import cache_up, children, references, shift
+from .nameless import cache_up, children, fold, references, shift
 from .terms import (
     Abs, App, Bound, Copy, Pair, Proj, Term, Var,
     alpha_equal, free_vars, is_value, open_term,
@@ -161,33 +161,22 @@ def normalize(t: Term, strategy: str = "leftmost", budget: int | None = None,
 
 # -- eta ----------------------------------------------------------------------
 
-def eta_redex_at(t: Term) -> bool:
-    return (
-        isinstance(t, Abs)
-        and isinstance(t.body, App)
-        and t.body.arg == Bound(0)
-        and not references(t.body.fun, 0)
-    )
-
-
-def eta_step(t: Term):
-    """Contract the leftmost-outermost eta redex, or return None."""
-    stack = [(t, ())]
-    while stack:
-        s, path = stack.pop()
-        if eta_redex_at(s):
-            return _replace(t, path, shift(s.body.fun, -1))
-        cs = s.children()
-        stack += [(cs[i], path + (i,)) for i in reversed(range(len(cs)))]
-    return None
+def _eta_here(t: Term, kids: list) -> Term:
+    """t over its eta-normal kids, with \\. f 0 contracted to f when f does
+    not refer to the binder."""
+    if any(k is not c for k, c in zip(kids, t.children())):
+        t = t.with_children(kids)
+    if (isinstance(t, Abs) and isinstance(t.body, App)
+            and t.body.arg == Bound(0) and not references(t.body.fun, 0)):
+        return shift(t.body.fun, -1)
+    return t
 
 
 def eta_normalize(t: Term) -> Term:
-    while True:
-        t2 = eta_step(t)
-        if t2 is None:
-            return t
-        t = t2
+    """The eta normal form of t, in one bottom-up fold: each node is rebuilt
+    over the normal forms of its kids and contracted if it is a redex.
+    Shifting a normal f keeps it normal, so no node is looked at twice."""
+    return fold(t, children, _eta_here, {})
 
 
 def beta_eta_normal_form(t: Term, budget: int | None = None) -> Term:

@@ -150,7 +150,7 @@ def test_json_reports_leave_the_text_unprinted(tmp_path, capsys, monkeypatch):
 def test_suite_blowup(capsys):
     code, rep = run_json(capsys, "suite", "blowup")
     assert code == 0 and rep["verdict"] == "pass"
-    assert len(rep["measurements"]["table"]) == 8
+    assert len(rep["measurements"]["blowup"]["table"]) == 8
 
 
 def test_suite_cubic(capsys):
@@ -305,8 +305,148 @@ def test_suite_failures_are_the_library_errors(capsys, monkeypatch):
     monkeypatch.setitem(suites.SUITES, "blowup", refuses)
     code, rep = run_json(capsys, "suite", "blowup")
     assert code == 1 and rep["verdict"] == "fail"
-    assert rep["details"] == ["InhabitError: no inhabitant"]
+    assert rep["details"] == ["blowup: InhabitError: no inhabitant"]
     monkeypatch.setitem(suites.SUITES, "blowup", breaks)
     code, rep = run_json(capsys, "suite", "blowup")
     assert code == 3 and rep["verdict"] == "error"
     assert rep["details"] == ["internal error: KeyError: 'oops'"]
+
+
+def _one_report(capsys, argv):
+    """(exit code, report) of a --json call whose stdout is one JSON
+    document: json.loads refuses a second one after the first."""
+    code = main([*argv, "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _invocations(tmp_path):
+    """For each subcommand but suite: an argv that passes, one with an input
+    that does not parse, and the name in `cli` of the call doing the work."""
+    ax, term = tmp_path / "ax.lamd", tmp_path / "t.lam"
+    ax.write_text('(lamd 2 (rule ax x "a"))\n')
+    term.write_text("(\\x. x) (\\y. y)\n")
+    broken = tmp_path / "broken"
+    broken.write_text("(lamd 2 (rule\n")
+    return {
+        "check": (["check", ax], ["check", broken], "check"),
+        "normalize": (["normalize", term], ["normalize", broken], "normalize"),
+        "cutelim": (["cutelim", ax], ["cutelim", broken], "eliminate"),
+        "eta-expand": (["eta-expand", ax], ["eta-expand", broken], "eta_expand"),
+        "inhabitants": (["inhabitants", "bool"], ["inhabitants", "a -o"],
+                        "enumerate_inhabitants"),
+        "translate": (["translate", ax], ["translate", broken],
+                      "translate_derivation"),
+        "gen": (["gen", "ladd", "-n", "1"], ["gen", "ladd", "-n", "1", "--base", "a -o"],
+                "gen_ladd"),
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "normalize", "cutelim", "eta-expand",
+                                     "inhabitants", "translate", "gen"])
+def test_every_ending_writes_one_report(tmp_path, capsys, monkeypatch, command):
+    good, bad, work = _invocations(tmp_path)[command]
+    good, bad = [str(a) for a in good], [str(a) for a in bad]
+    endings = {}
+    endings["pass"] = _one_report(capsys, good)
+    endings["input"] = _one_report(capsys, bad)
+
+    def refuses(*args, **kwargs):
+        raise InhabitError("no inhabitant")
+
+    def breaks(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    for ending, fn in (("library", refuses), ("internal", breaks)):
+        with monkeypatch.context() as m:
+            m.setattr(cli, work, fn)
+            endings[ending] = _one_report(capsys, good)
+    got = {k: (code, rep["verdict"]) for k, (code, rep) in endings.items()}
+    assert got == {"pass": (0, "pass"), "library": (1, "fail"),
+                   "input": (2, "error"), "internal": (3, "error")}
+    assert endings["library"][1]["details"][-1] == "no inhabitant"
+    assert endings["internal"][1]["details"] == ["internal error: RuntimeError: boom"]
+    for code, rep in endings.values():
+        assert rep["command"] == command
+        assert set(rep["inputs"]) == set(endings["pass"][1]["inputs"])
+
+
+def test_normalize_inputs_do_not_depend_on_the_ending(tmp_path, capsys):
+    f = tmp_path / "in.lam"
+    reps = []
+    for text in ("(\\x. x) (\\y. y)\n", "\\x."):
+        f.write_text(text)
+        reps.append(_one_report(capsys, ["normalize", str(f), "--budget", "5"]))
+    assert [code for code, _ in reps] == [0, 2]
+    assert reps[0][1]["inputs"] == reps[1][1]["inputs"] == {
+        "budget": 5, "file": str(f), "seed": 0, "strategy": "leftmost",
+        "trace": False}
+
+
+def test_budget_failure_keeps_the_phases_that_ran(tmp_path, capsys):
+    f = tmp_path / "t.lam"
+    f.write_text("(\\x. x) (\\y. y)\n")
+    code, rep = _one_report(capsys, ["normalize", str(f), "--budget", "0"])
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["details"] == ["no normal form within 0 steps"]
+    assert set(rep["measurements"]["timings"]) == {"parse_s", "work_s"}
+
+
+def _stub_suites(monkeypatch, **stubs):
+    """Every suite a stub that passes, unless named; none reads the corpus."""
+    def passes(corpus, gadgets):
+        return suites.SuiteResult({"ran": True})
+
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.SUITES, name, stubs.get(name, passes))
+    monkeypatch.setattr(suites, "CORPUS_SUITES", frozenset())
+
+
+def test_suite_all_writes_one_report(capsys, monkeypatch):
+    def refuses(corpus, gadgets):
+        raise InhabitError("no inhabitant")
+
+    def finds(corpus, gadgets):
+        return suites.SuiteResult({"ran": True}, ["two", "failures"])
+
+    _stub_suites(monkeypatch, blowup=refuses, duplicator=finds)
+    code, rep = _one_report(capsys, ["suite", "all"])
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["inputs"] == {"name": "all", "seed": 0}
+    assert rep["details"] == ["blowup: InhabitError: no inhabitant",
+                              "duplicator: two", "duplicator: failures"]
+    names = list(suites.SUITES)
+    assert names.index("blowup") < len(names) - 1  # later suites still run
+    ms = rep["measurements"]
+    assert set(ms) == {*names, "timings"}
+    assert set(ms["timings"]) == {name + "_s" for name in names}
+    assert {name: ms[name] for name in names} == {
+        name: {} if name == "blowup" else {"ran": True} for name in names}
+
+
+@pytest.mark.parametrize("exc, code, verdict", [
+    (None, 0, "pass"), (OSError("unreadable"), 2, "error"),
+    (RuntimeError("boom"), 3, "error"),
+], ids=["pass", "input", "internal"])
+def test_suite_endings_write_one_report(capsys, monkeypatch, exc, code, verdict):
+    def raises(corpus, gadgets):
+        raise exc
+
+    _stub_suites(monkeypatch, **({} if exc is None else {"confluence": raises}))
+    got, rep = _one_report(capsys, ["suite", "all"])
+    assert (got, rep["verdict"]) == (code, verdict)
+    assert set(rep["measurements"]["timings"]) <= {n + "_s" for n in suites.SUITES}
+
+
+@pytest.mark.parametrize("argv", [["gen", "ladd", "-n", "-1"],
+                                  ["gen", "add", "-n", "-3"]])
+def test_gen_refuses_a_negative_n(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "argument -n" in capsys.readouterr().err
+
+
+def test_gen_over_an_uninhabited_base_fails(capsys):
+    code, rep = _one_report(capsys, ["gen", "ladd", "-n", "1", "--base", "forall a. a"])
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["details"] == ["base type is uninhabited"]

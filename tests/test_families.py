@@ -1,9 +1,12 @@
+import pytest
+
 from linadd.derivation import check, check_ok, metrics
 from linadd.families import (
     gen_add, gen_applied, gen_ladd, ladd_size_formula, pair_tower,
     value_tower_derivation, with_tower,
 )
-from linadd.inhabit import maximal_value
+from linadd.frontend import parse_type
+from linadd.inhabit import InhabitError, maximal_value
 from linadd.terms import Abs, alpha_equal, identity_term, term_size
 from linadd.translate import identity_derivation
 from linadd.typesys import With, bool_type, unit_type
@@ -29,6 +32,17 @@ def test_pair_tower_sizes():
 def test_add_size_law():
     for n in range(9):
         assert term_size(gen_add(n, ONE)[0].body) == 5 * n + 1
+
+
+def test_family_members_have_at_least_0_levels():
+    for gen in (gen_add, gen_ladd):
+        with pytest.raises(ValueError):
+            gen(-1, ONE)
+
+
+def test_ladd_over_an_uninhabited_base():
+    with pytest.raises(InhabitError):
+        gen_ladd(1, parse_type("forall a. a"))
 
 
 def test_add_checks_in_imall2_but_not_lam():

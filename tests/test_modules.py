@@ -16,3 +16,13 @@ def test_imports_only_at_module_level():
                            if isinstance(n, (ast.Import, ast.ImportFrom))}
     assert len(list(SRC.glob("*.py"))) > 10
     assert not nested, sorted(nested)
+
+
+def test_only_main_and_suite_catch_in_the_cli():
+    # main is the one error boundary of a command; suite catches a library
+    # error so that the next suite runs
+    tree = ast.parse((SRC / "cli.py").read_text())
+    catching = sorted(f.name for f in tree.body
+                      if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")
+                      and any(isinstance(n, ast.Try) for n in ast.walk(f)))
+    assert catching == ["cmd_suite"]

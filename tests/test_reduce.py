@@ -102,6 +102,29 @@ def test_eta_normalize():
     assert alpha_equal(beta_eta_normal_form(t), I)
 
 
+@pytest.mark.parametrize("text, normal", [
+    ("\\x. \\y. f x y", "f"),                    # the inner contraction exposes the outer
+    ("\\w. \\x. (\\y. w y) x", "\\w. w"),         # contracted under a binder
+    ("\\x. (\\y. x) x", "\\x. (\\y. x) x"),       # the function refers to x
+    ("copy[I] c as a, b in <\\x. a x, \\y. b y>", "copy[I] c as a, b in <a, b>"),
+])
+def test_eta_normal_forms(text, normal):
+    assert eta_normalize(parse_term(text)) == parse_term(normal)
+
+
+def test_eta_normalize_long_pair_chain():
+    # 2,000 eta redexes down a pair chain; contracting one at a time from
+    # the root took minutes
+    def chain(member):
+        t = Var("z")
+        for _ in range(2000):
+            t = Pair(member(), t)
+        return t
+
+    got = eta_normalize(chain(lambda: Abs("x", App(Var("f"), Var("x")))))
+    assert got == chain(lambda: Var("f"))
+
+
 def test_beta_eta_equal():
     assert beta_eta_equal(parse_term("\\x. z x"), parse_term("z"))
     assert not beta_eta_equal(parse_term("\\x. \\y. x"), parse_term("\\x. \\y. y"))
