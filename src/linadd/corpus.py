@@ -145,7 +145,13 @@ def _apply_identity(goal):
 
 # -- the corpus ---------------------------------------------------------------
 
-def build_corpus(seed: int = 0, random_count: int = 160) -> list:
+# How many seeded random compositions the corpus holds.
+RANDOM_COUNT = 160
+# The largest entry of `soundness_entries`.
+SOUNDNESS_MAX_SIZE = 60
+
+
+def build_corpus(seed: int = 0) -> list:
     """Build the full corpus; every entry has been rechecked in its system."""
     one = unit_type()
     boolean = bool_type()
@@ -203,7 +209,7 @@ def build_corpus(seed: int = 0, random_count: int = 160) -> list:
     pool = [d for e in out for d in [e.derivation]
             if e.system == LAM and not d.conclusion.context
             and metrics(d).size <= 120]
-    for name, d in _random_compositions(rng, pool, random_count):
+    for name, d in _random_compositions(rng, pool, RANDOM_COUNT):
         _entry(out, name, d, tags=("random",))
     return out
 
@@ -212,9 +218,9 @@ def lam_entries(corpus) -> list:
     return [e for e in corpus if e.system == LAM]
 
 
-def soundness_entries(corpus, max_size: int = 60) -> list:
+def soundness_entries(corpus) -> list:
     """A modest forall-lazy subset for per-step translation soundness checks:
     the translation of each snapshot is beta-eta compared, which is expensive,
     so the subset stays small."""
     return [e for e in corpus
-            if "forall-lazy" in e.tags and e.size <= max_size]
+            if "forall-lazy" in e.tags and e.size <= SOUNDNESS_MAX_SIZE]

@@ -4,9 +4,9 @@ Strategy (round based), over the cut classes of `steps`:
 
   round = { 1 } step every `commuting` cut, deepest first, rescanning
             after each movement (commuting steps preserve the subject and
-            keep size + 2*weight constant while the summed cut heights drop);
+            keep the potential size + 2*weight);
           { 2 } fire one `symmetric` cut if any exists, otherwise one
-            `ready` cut (both strictly decrease size + 2*weight).
+            `ready` cut (a firing lowers the potential).
 
 Every step goes through the one table `steps.STEP`.  Of the seven classes,
 `deadlock` and `copy_first` cuts have no step, and `safe` and `blocked`

@@ -55,7 +55,9 @@ one object (safe, since both are immutable and compare structurally).
 Neither memo outlives the call.
 
 The printers choose the names of binders: each keeps its hint unless the
-hint would capture.
+hint would capture.  The three printers are one walk with its own stack,
+`_print`, so they print a tree of any depth; `MAX_NESTING` bounds reading
+only, and text printed deeper than it does not read back.
 """
 
 from __future__ import annotations
@@ -296,8 +298,8 @@ def parse_type(src: str) -> Type:
 
 
 def _binder_name(hint: str, scope, names: list) -> str:
-    """The name to print for a binder over `scope`, appended to `names`
-    (the enclosing binders', outermost first): its hint, unless that would
+    """The name to print for a binder over `scope`, given the printed names
+    of the enclosing binders, outermost first: its hint, unless that would
     capture a free name of the scope or the innermost enclosing binder so
     named that the scope refers to; then the first of base0, base1, ... that
     does neither, base being the hint without its trailing digits."""
@@ -306,49 +308,59 @@ def _binder_name(hint: str, scope, names: list) -> str:
     while v in scope._fv or (
             v in names and references(scope, names[::-1].index(v) + 1)):
         v, i = "%s%d" % (base, i), i + 1
-    names.append(v)
     return v
 
 
-def print_type(a: Type) -> str:
-    names: list = []  # the printed names of the enclosing binders
-
-    def atom(t):
-        return "(%s)" % go(t) if isinstance(t, (Lolli, Forall, With)) else go(t)
-
-    def go(t):
-        # `forall a.` prefixes and the right-nested `-o` chain are printed
-        # in a loop, as the parser reads them
-        parts = []
-        outer = len(names)
-        while True:
-            if isinstance(t, Forall):
-                parts.append("forall %s. " % _binder_name(t.var, t.body, names))
-                t = t.body
-            elif isinstance(t, Lolli):
-                parts.append("%s -o " % atom(t.dom))
-                t = t.cod
-            elif isinstance(t, TVar):
-                parts.append(t.name)
-                break
-            elif isinstance(t, TBound):
-                parts.append(names[-1 - t.index])
-                break
-            elif isinstance(t, With):
-                # `&` associates left: its left spine, printed in a loop
-                ops = []
-                while isinstance(t, With):
-                    ops.append(atom(t.right))
-                    t = t.left
-                ops.append(atom(t))
-                parts.append(" & ".join(reversed(ops)))
-                break
+def _print(root, parts) -> str:
+    """The text of a tree: one walk with its own stack.  `parts(node,
+    names)`, given the printed names of the enclosing binders, outermost
+    first, returns a leaf's text, or a node's text as a tuple of strings,
+    subtrees and markers of a binder's scope: (v,) opens the scope of a
+    binder printed v, and None closes the innermost scope."""
+    names: list = []
+    out = []
+    todo = [root]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is str:
+            out.append(x)
+        elif x is None:
+            names.pop()
+        elif x.__class__ is tuple:
+            names.append(x[0])
+        else:
+            x = parts(x, names)
+            if x.__class__ is str:  # a leaf
+                out.append(x)
             else:
-                raise TypeError(t)
-        del names[outer:]
-        return "".join(parts)
+                todo += x[::-1]
+    return "".join(out)
 
-    return go(a)
+
+def _wrap(t, kinds) -> tuple:
+    """t, in brackets when it is one of `kinds`."""
+    return ("(", t, ")") if isinstance(t, kinds) else (t,)
+
+
+def _type_parts(t: Type, names: list):
+    kind = t.__class__
+    if kind is TVar:
+        return t.name
+    if kind is TBound:
+        return names[-1 - t.index]
+    if kind is Lolli:  # right-associative
+        return (*_wrap(t.dom, (Lolli, Forall, With)), " -o ", t.cod)
+    if kind is Forall:
+        v = _binder_name(t.var, t.body, names)
+        return ("forall %s. " % v, (v,), t.body, None)
+    if kind is With:  # left-associative
+        return (*_wrap(t.left, (Lolli, Forall)), " & ",
+                *_wrap(t.right, (Lolli, Forall, With)))
+    raise TypeError(t)
+
+
+def print_type(a: Type) -> str:
+    return _print(a, _type_parts)
 
 
 # -- terms --------------------------------------------------------------------
@@ -468,52 +480,32 @@ def parse_term(src: str) -> Term:
     return _parse_all(_parse_term, src)
 
 
+def _term_parts(t: Term, names: list):
+    kind = t.__class__
+    if kind is Var:
+        return t.name
+    if kind is Bound:
+        return names[-1 - t.index]
+    if kind is App:  # left-associative
+        return (*_wrap(t.fun, (Abs, Copy)), " ", *_wrap(t.arg, (Abs, App, Copy)))
+    if kind is Abs:
+        v = _binder_name(t.var, t.body, names)
+        return ("\\%s. " % v, (v,), t.body, None)
+    if kind is Pair:
+        return ("<", t.left, ", ", t.right, ">")
+    if kind is Proj:
+        return ("p%d(" % t.index, t.body, ")")
+    if kind is Copy:
+        x = _binder_name(t.left_var, t.left_branch, names)
+        y = _binder_name(t.right_var, t.right_branch, names)
+        return ("copy[", *_wrap(t.guard, App), "] ",
+                *_wrap(t.scrutinee, (Abs, App, Copy)), " as %s,%s in <" % (x, y),
+                (x,), t.left_branch, None, ", ", (y,), t.right_branch, None, ">")
+    raise TypeError(t)
+
+
 def print_term(m: Term) -> str:
-    names: list = []  # the printed names of the enclosing binders
-
-    def atom(t):
-        return go(t) if isinstance(t, (Var, Bound, Pair, Proj)) else "(%s)" % go(t)
-
-    def go(t):
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Bound):
-            return names[-1 - t.index]
-        if isinstance(t, Abs):
-            # a `\x.` prefix is printed in a loop, as the parser reads it
-            outer = len(names)
-            binders = []
-            while isinstance(t, Abs):
-                binders.append("\\%s. " % _binder_name(t.var, t.body, names))
-                t = t.body
-            binders.append(go(t))
-            del names[outer:]
-            return "".join(binders)
-        if isinstance(t, App):
-            # so is an application spine
-            parts = []
-            while isinstance(t, App):
-                parts.append(atom(t.arg))
-                t = t.fun
-            parts.append(atom(t))
-            return " ".join(reversed(parts))
-        if isinstance(t, Pair):
-            return "<%s, %s>" % (go(t.left), go(t.right))
-        if isinstance(t, Proj):
-            return "p%d(%s)" % (t.index, go(t.body))
-        if isinstance(t, Copy):
-            guard = atom(t.guard) if isinstance(t.guard, App) else go(t.guard)
-            x = _binder_name(t.left_var, t.left_branch, names)
-            left = go(t.left_branch)
-            names.pop()
-            y = _binder_name(t.right_var, t.right_branch, names)
-            right = go(t.right_branch)
-            names.pop()
-            return "copy[%s] %s as %s,%s in <%s, %s>" % (
-                guard, atom(t.scrutinee), x, y, left, right)
-        raise TypeError(t)
-
-    return go(m)
+    return _print(m, _term_parts)
 
 
 # -- derivations --------------------------------------------------------------
@@ -652,21 +644,16 @@ def print_derivation(d: Derivation) -> str:
                 ctx, text(j.subject, print_term), text(j.goal, print_type)))
         return "".join(out)
 
-    out = ["(lamd 2 "]
-    todo = [(d, 0)]  # a node and its depth, or (None, 0) for a ")"
-    while todo:
-        d, depth = todo.pop()
-        if d is None:
-            out.append(")")
-            continue
+    def parts(d, above):
+        # a node opens a scope over its premises, so `above` has an entry
+        # for each node above d
+        depth = len(above)
         s = heads.get(id(d))
         if s is None:
             s = heads[id(d)] = head(d, depth == 0)
-        out.append("\n%s%s" % ("  " * depth, s) if depth else s)
-        todo.append((None, 0))
-        todo.extend((p, depth + 1) for p in reversed(d.premises))
-    out.append(")")
-    return "".join(out)
+        return ("\n" + "  " * depth + s if depth else s, ("",), *d.premises, None, ")")
+
+    return "(lamd 2 %s)" % _print(d, parts)
 
 
 def derivations_equal(d1: Derivation, d2: Derivation) -> bool:

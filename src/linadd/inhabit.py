@@ -11,6 +11,10 @@ sequent and terminating because every premise strictly shrinks the sequent
 For types that are tensor macros of two closed forall-lazy components the
 member set is the cross product of the component sets; a fast path exploits
 that directly and is cross-checked against the generic search in the tests.
+The fast path and eta-expansion are each one `nameless.fold`, so neither
+recurses on the depth of a type.  The search recurses into the domains it
+proves, as deep as they nest, which the tensor macro deepens without
+brackets.
 """
 
 from __future__ import annotations
@@ -139,22 +143,25 @@ def _dedupe(derivs):
 
 
 def enumerate_inhabitants(a: Type, use_fast_paths: bool = True) -> InhabitantSet:
-    """All closed eta-long normal inhabitants of a closed forall-lazy type."""
+    """All closed eta-long normal inhabitants of a closed forall-lazy type.
+    The fast path pairs the members of a tensor's components, which are
+    closed and forall-lazy too: one fold over the occurrences (type,) of the
+    tensor tree, one object each, since a component may occur twice."""
     if not (is_closed(a) and is_forall_lazy(a)):
         raise InhabitError("type must be closed and forall-lazy")
-    if use_fast_paths:
-        m = match_tensor_type(a)
-        if m is not None and all(is_closed(c) and is_forall_lazy(c) for c in m):
-            ls = enumerate_inhabitants(m[0], True)
-            rs = enumerate_inhabitants(m[1], True)
-            members = []
-            for _, ld in ls.members:
-                for _, rd in rs.members:
-                    d = d_tensor_pair(ld, rd)
-                    members.append((d.conclusion.subject, d))
-            return InhabitantSet(a, members)
-    derivs = _dedupe(_search((), a, {}, [0]))
-    return InhabitantSet(a, [(d.conclusion.subject, d) for d in derivs])
+
+    def kids(o):
+        m = match_tensor_type(o[0]) if use_fast_paths else None
+        return [(c,) for c in m or ()]
+
+    def members(o, parts):
+        if parts:
+            derivs = [d_tensor_pair(ld, rd) for _, ld in parts[0] for _, rd in parts[1]]
+        else:
+            derivs = _dedupe(_search((), o[0], {}, [0]))
+        return [(d.conclusion.subject, d) for d in derivs]
+
+    return InhabitantSet(a, fold((a,), kids, members, {}))
 
 
 def maximal_value(a: Type):
@@ -169,31 +176,35 @@ def maximal_value(a: Type):
 # -- eta expansion ------------------------------------------------------------
 
 def eta_expansion_derivation(x: str, a: Type) -> Derivation:
-    """Cut-free derivation of x:A |- M:A with M the eta-long form of x.  The
-    `-o` codomains and `forall` bodies of A are walked in a loop; only a
-    domain recurses, and the parser bounds its nesting by MAX_NESTING."""
-    spine = []  # (x, z, w, domain's expansion) per -o, (x, forall, g) per forall
-    while isinstance(a, (Lolli, Forall)):
-        if isinstance(a, Lolli):
-            spine.append((x, x + "l", x + "r", eta_expansion_derivation(x + "l", a.dom)))
-            x, a = x + "r", a.cod
-        else:
-            g = fresh_type_var("e", free_type_vars(a))
-            spine.append((x, a, g))
-            a = open_type(a.body, TVar(g))
-    if isinstance(a, With):
-        raise InhabitError("cannot eta-expand an assumption of conjunction type")
-    if not isinstance(a, TVar):
-        raise TypeError(a)
-    d = d_ax(x, a)
-    for step in reversed(spine):
-        if len(step) == 4:
-            y, z, w, left = step
-            d = d_lolliR(d_lolliL(left, d, y, w), z)
-        else:
-            y, quant, g = step
-            d = d_forallR(d_forallL(d, y, quant), g, quant.var)
-    return d
+    """Cut-free derivation of x:A |- M:A with M the eta-long form of x: one
+    fold over pairs (name, type), where a `-o` pair has the pairs of its
+    domain (name + "l") and codomain (name + "r"), and a `forall` pair that
+    of its body, opened at a fresh eigenvariable.  The walk reaches the
+    pairs in pre-order, so eigenvariables are drawn in that order."""
+    eigen: dict = {}  # id(forall pair) -> its eigenvariable
+
+    def kids(p):
+        y, b = p
+        if isinstance(b, Lolli):
+            return [(y + "l", b.dom), (y + "r", b.cod)]
+        if isinstance(b, Forall):
+            g = eigen[id(p)] = fresh_type_var("e", free_type_vars(b))
+            return [(y, open_type(b.body, TVar(g)))]
+        if isinstance(b, With):
+            raise InhabitError("cannot eta-expand an assumption of conjunction type")
+        if isinstance(b, TVar):
+            return ()
+        raise TypeError(b)
+
+    def expand(p, ds):
+        y, b = p
+        if isinstance(b, Lolli):
+            return d_lolliR(d_lolliL(ds[0], ds[1], y, y + "r"), y + "l")
+        if isinstance(b, Forall):
+            return d_forallR(d_forallL(ds[0], y, b), eigen[id(p)], b.var)
+        return d_ax(y, b)
+
+    return fold((x, a), kids, expand, {})
 
 
 def eta_expand(d: Derivation) -> Derivation:

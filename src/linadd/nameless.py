@@ -144,14 +144,19 @@ def fold(root, kids, combine, memo: dict):
     own stack, so each node is combined once per call and no depth recurses.
     A bottom-up rewrite of a tree or DAG is one call.  Unlike `cache_up`,
     whose values live in the nodes and outlast the call, it suits a value
-    that depends on the call's arguments."""
+    that depends on the call's arguments.  Every node combined stays
+    referenced until the call returns, so `kids` may make new nodes, such
+    as one object per occurrence of a shared subtree, and no id in `memo`
+    is reused for another node on the way."""
     todo = [root]
+    done = []
     while todo:
         n = todo.pop()
         if n is None:  # the kids below are done: combine their parent
             ks = todo.pop()
             n = todo.pop()
             memo[id(n)] = combine(n, [memo[id(k)] for k in ks])
+            done.append(n)
         elif id(n) not in memo:
             ks = kids(n)
             todo += (n, ks, None)

@@ -39,7 +39,7 @@ from .typesys import (
 from .derivation import (
     CONSTRUCTORS, Derivation,
     context_free_type_vars, context_names, is_cut_free,
-    d_cut, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withR0,
+    d_cut, d_forallR, d_withR0,
 )
 
 SYMMETRIC = "symmetric"
@@ -186,34 +186,40 @@ def classify_cuts(d: Derivation):
 
 # -- the steps ----------------------------------------------------------------
 
+# Each rule that a cut commutes past and that consumes an assumption: the
+# premise that holds it, and the index of its name among the parameters.
+_CONSUMES = {"cut": (1, 0), "lolliR": (0, 0), "lolliL": (1, 1),
+             "withL1": (0, 1), "withL2": (0, 1)}
+
+
+def _push(d: Derivation, side: int) -> Derivation:
+    """The cut d pushed into a premise of its premise `side` (0 left, 1
+    right): on the right, the first premise that holds the cut's assumption;
+    on the left, the one that proves the cut type.  If the last rule of that
+    side consumes an assumption in that premise, it is renamed away from the
+    context of the other premise of d."""
+    x, = d.params
+    n, other = d.premises[side], d.premises[1 - side]
+    ps, params = list(n.premises), list(n.params)
+    at, named = _CONSUMES.get(n.rule, (0, None))
+    k = at
+    if side:
+        k = 0 if ps[0].conclusion.lookup(x) is not None else len(ps) - 1
+    if k == at and named is not None:
+        ps[k], params[named] = _ensure_fresh(
+            ps[k], params[named], context_names(other.conclusion.context))
+    ps[k] = d_cut(other, ps[k], x) if side else d_cut(ps[k], other, x)
+    return CONSTRUCTORS[n.rule](*ps, *params)
+
+
 def commute_once(d: Derivation) -> Derivation:
     """Push the cut one rule upward (subject and judgement are preserved)."""
     l, r = d.premises
     x, = d.params
-    if principal_var(r) != x:
-        return _commute_right(d, l, r, x)
-    return _commute_left(d, l, r, x)
-
-
-def _commute_right(d, l, r, x):
-    lnames = context_names(l.conclusion.context)
-    if r.rule == "lolliR":
-        z, = r.params
-        r1, z = _ensure_fresh(r.premises[0], z, lnames)
-        return d_lolliR(d_cut(l, r1, x), z)
-    if r.rule == "lolliL":
-        y, w = r.params
-        r1, r2 = r.premises
-        if r1.conclusion.lookup(x) is not None:
-            return d_lolliL(d_cut(l, r1, x), r2, y, w)
-        r2, w = _ensure_fresh(r2, w, lnames)
-        return d_lolliL(r1, d_cut(l, r2, x), y, w)
-    if r.rule in ("withL1", "withL2"):
-        y, w, other = r.params
-        r1, w = _ensure_fresh(r.premises[0], w, lnames)
-        return CONSTRUCTORS[r.rule](d_cut(l, r1, x), y, w, other)
-    if r.rule == "forallL":
-        return d_forallL(d_cut(l, r.premises[0], x), *r.params)
+    if principal_var(r) == x:
+        if l.rule in ("lolliL", "withL1", "withL2", "forallL"):
+            return _push(d, 0)
+        raise CutElimError("cannot commute past %s on the left" % l.rule)
     if r.rule == "forallR":
         g, alpha = r.params
         r1 = r.premises[0]
@@ -222,29 +228,9 @@ def _commute_right(d, l, r, x):
             r1 = subst_type_deriv(r1, g, TVar(g2))
             g = g2
         return d_forallR(d_cut(l, r1, x), g, alpha)
-    if r.rule == "cut":
-        w, = r.params
-        r1, r2 = r.premises
-        if r1.conclusion.lookup(x) is not None:
-            return d_cut(d_cut(l, r1, x), r2, w)
-        r2, w2 = _ensure_fresh(r2, w, lnames)
-        return d_cut(r1, d_cut(l, r2, x), w2)
+    if r.rule in _CONSUMES or r.rule == "forallL":
+        return _push(d, 1)
     raise CutElimError("cannot commute past %s on the right" % r.rule)
-
-
-def _commute_left(d, l, r, x):
-    rnames = context_names(r.conclusion.context)
-    if l.rule == "lolliL":
-        y, w = l.params
-        l2, w = _ensure_fresh(l.premises[1], w, rnames)
-        return d_lolliL(l.premises[0], d_cut(l2, r, x), y, w)
-    if l.rule in ("withL1", "withL2"):
-        y, w, other = l.params
-        l1, w = _ensure_fresh(l.premises[0], w, rnames)
-        return CONSTRUCTORS[l.rule](d_cut(l1, r, x), y, w, other)
-    if l.rule == "forallL":
-        return d_forallL(d_cut(l.premises[0], r, x), *l.params)
-    raise CutElimError("cannot commute past %s on the left" % l.rule)
 
 
 def reassociate_blocked(d: Derivation) -> Derivation:
@@ -253,11 +239,7 @@ def reassociate_blocked(d: Derivation) -> Derivation:
     Used by the localized subject-reduction driver; the round strategy
     instead waits for the inner cut (the opposite reassociation would undo
     this one, so pairing them loops)."""
-    l, r = d.premises
-    x, = d.params
-    w, = l.params
-    l2, w = _ensure_fresh(l.premises[1], w, context_names(r.conclusion.context))
-    return d_cut(l.premises[0], d_cut(l2, r, x), w)
+    return _push(d, 0)
 
 
 def fire_symmetric(d: Derivation) -> Derivation:

@@ -17,6 +17,9 @@ context: no assumption name of it can meet another.  Sizes stay tree sizes:
 `metrics(out).size` counts a shared subderivation once per occurrence, as if
 nothing were shared, and `compression_report` puts `translated_dag_size`, the
 distinct nodes, beside it.
+
+The tensor tree of a duplicated type is walked by `nameless.fold`, which
+keeps its own stack, so a tensor of any depth gets a duplicator.
 """
 
 from __future__ import annotations
@@ -164,40 +167,25 @@ def _bool_values():
     return (build(False), build(True))
 
 
-def _tensor_shape(a: Type):
-    """Parse a type as a tensor tree over the unit and boolean leaves;
-    None if some leaf is neither."""
-    m = match_tensor_type(a)
-    if m is not None:
-        l = _tensor_shape(m[0])
-        r = _tensor_shape(m[1])
-        if l is None or r is None:
-            return None
-        return ("pair", l, r)
-    if a == unit_type():
-        return ("unit",)
-    if a == BOOL:
-        return ("bool",)
-    return None
+def _tensor_tree(a: Type) -> tuple:
+    """The tensor tree of a: the components (`match_tensor_type`) of a and
+    of each component, by id, () at a leaf; and how many boolean leaves each
+    has, by id, None when some leaf is neither 1 nor B.  One fold; the tree
+    holds every component, so their ids stay theirs while it lives."""
+    tree: dict = {}
 
+    def kids(t):
+        ks = tree[id(t)] = match_tensor_type(t) or ()
+        return ks
 
-def _shape_bools(shape) -> int:
-    if shape[0] == "pair":
-        return _shape_bools(shape[1]) + _shape_bools(shape[2])
-    return 1 if shape[0] == "bool" else 0
+    def bools(t, ks):
+        if ks:
+            return None if None in ks else ks[0] + ks[1]
+        return 0 if t == unit_type() else 1 if t == BOOL else None
 
-
-def _value_for(shape, assignment: list, lib) -> Derivation:
-    """Closed derivation of the inhabitant selected by the boolean
-    assignment, consuming it left to right."""
-    if shape[0] == "unit":
-        return lib.unit()
-    if shape[0] == "bool":
-        tt, ff = lib.bools()
-        return tt if assignment.pop(0) else ff
-    l = _value_for(shape[1], assignment, lib)
-    r = _value_for(shape[2], assignment, lib)
-    return d_tensor_pair(l, r)
+    counts: dict = {}
+    fold(a, kids, bools, counts)
+    return tree, counts
 
 
 def _proj1(r: Type, lib) -> Derivation:
@@ -208,15 +196,16 @@ def _proj1(r: Type, lib) -> Derivation:
     return d_lolliR(d_let_tensor(d_ax(z, tensor_type(r, r)), body, x, y), z)
 
 
-def _flat_select(bools: list, shape, lib) -> Derivation:
-    """Selection by table: a closed balanced tuple holds the outcome pair for
-    every boolean assignment (true half first); each selector then takes the
-    current table apart, keeps its half, and erases the other.  Each entry
-    is built once and paired with itself."""
+def _flat_select(bools: list, value, lib) -> Derivation:
+    """Selection by table: a closed balanced tuple holds the outcome pair
+    `value(assignment)` twice for every boolean assignment (true half
+    first); each selector then takes the current table apart, keeps its
+    half, and erases the other.  Each entry is built once and paired with
+    itself."""
 
     def table(k, assignment):
         if k == len(bools):
-            v = _value_for(shape, list(assignment), lib)
+            v = value(assignment)
             return d_tensor_pair(v, v)
         return d_tensor_pair(table(k + 1, assignment + [True]),
                              table(k + 1, assignment + [False]))
@@ -270,61 +259,72 @@ class GadgetLibrary:
 
     def duplicator(self, a: Type) -> Derivation:
         """Closed derivation of |- D : A -o A * A with D M normalizing
-        (beta-eta) to M * M for every closed normal inhabitant M."""
+        (beta-eta) to M * M for every closed normal inhabitant M.  A tensor
+        with more than log2(_FLAT_LIMIT) booleans pairs the duplicators of
+        its two components: one fold builds them bottom-up, left first."""
         if a not in self._dups:
-            self._dups[a] = self._build_dup(a)
+            tree, bools = _tensor_tree(a)
+            if bools[id(a)] is None:
+                raise GadgetError("no duplicator for this type shape: %s" % (a,))
+
+            def kids(t):
+                if t in self._dups or 2 ** bools[id(t)] <= _FLAT_LIMIT:
+                    return ()
+                return tree[id(t)]
+
+            def build(t, ds):
+                if t not in self._dups:
+                    self._dups[t] = (self._product_dup(t, *tree[id(t)], *ds) if ds
+                                     else self._flat_dup(t, tree))
+                return self._dups[t]
+
+            fold(a, kids, build, {})
         return self._dups[a]
 
-    def _build_dup(self, a: Type) -> Derivation:
-        shape = _tensor_shape(a)
-        if shape is None:
-            raise GadgetError("no duplicator for this type shape: %s" % (a,))
-        k = _shape_bools(shape)
-        if 2 ** k <= _FLAT_LIMIT:
-            return self._flat_dup(a, shape)
-        if shape[0] == "pair":
-            return self._product_dup(a, shape)
-        raise GadgetError("type has too many inhabitants for a lookup table")
-
-    def _flat_dup(self, a: Type, shape) -> Derivation:
+    def _flat_dup(self, a: Type, tree: dict) -> Derivation:
         # one lookup table holding every outcome pair, selected by feeding
         # the boolean leaves in; unit leaves are consumed along the way.
-        # Each tree node gets a variable name: the root is the lambda
-        # binder, inner names are introduced by the destructuring lets, and
-        # a boolean leaf's name doubles as its selector variable.
+        # The walks go over occurrences (type, name) of a's tensor tree, each
+        # its own object, since a component may occur twice.  The root is
+        # named by the lambda binder; a pair names its components for the
+        # let that takes it apart when the walk first reaches it, so in
+        # pre-order; a boolean leaf's name doubles as its selector variable.
         z = fresh_name("z", set())
+        split: dict = {}  # id(occurrence) -> its components' occurrences
 
-        bools: list = []
+        def kids(o):
+            ks = split[id(o)] = [(c, fresh_name("v", set())) for c in tree[id(o[0])]]
+            return ks
 
-        # collect boolean leaf names in left-to-right order first, so the
-        # selection body can be built before the destructuring wrappers
-        def assign(shape, v):
-            if shape[0] == "bool":
-                bools.append(v)
-                return ("bool", v)
-            if shape[0] == "unit":
-                return ("unit", v)
-            v1, v2 = fresh_name("v", set()), fresh_name("v", set())
-            return ("pair", v, assign(shape[1], v1), assign(shape[2], v2))
+        root = (a, z)
+        post: list = []  # every occurrence after its components
+        fold(root, kids, lambda o, _: post.append(o), {})
 
-        named = assign(shape, z)
+        def value(assignment):
+            # the inhabitant that assigns the boolean leaves, left to right
+            picks = iter(assignment)
 
-        def wrap(named, a, body):
-            if named[0] == "bool":
-                return body
-            if named[0] == "unit":
-                return d_let_unit(d_ax(named[1], unit_type()), body)
-            t1, t2 = match_tensor_type(a)
-            _, v, ln, rn = named
-            inner = wrap(rn, t2, wrap(ln, t1, body))
-            return d_let_tensor(d_ax(v, a), inner, ln[1], rn[1])
+            def here(o, vs):
+                if vs:
+                    return d_tensor_pair(*vs)
+                if o[0] == BOOL:
+                    return self.bools()[0 if next(picks) else 1]
+                return self.unit()
 
-        body = _flat_select(bools, shape, self)
-        return d_lolliR(wrap(named, a, body), z)
+            return fold(root, lambda o: split[id(o)], here, {})
 
-    def _product_dup(self, a: Type, shape) -> Derivation:
-        t1, t2 = match_tensor_type(a)
-        d1, d2 = self.duplicator(t1), self.duplicator(t2)
+        d = _flat_select([v for t, v in post if t == BOOL], value, self)
+        for o in post:  # the lets, innermost first
+            t, v = o
+            ks = split[id(o)]
+            if ks:
+                d = d_let_tensor(d_ax(v, t), d, ks[0][1], ks[1][1])
+            elif t != BOOL:
+                d = d_let_unit(d_ax(v, unit_type()), d)
+        return d_lolliR(d, z)
+
+    def _product_dup(self, a: Type, t1: Type, t2: Type, d1: Derivation,
+                     d2: Derivation) -> Derivation:
         z, x, y, x1, x2, y1, y2 = (fresh_name(n, set()) for n in
                                    ("z", "x", "y", "x", "x", "y", "y"))
         out = d_tensor_pair(

@@ -56,6 +56,34 @@ def test_gen_and_check_round_trip(tmp_path, capsys):
     assert all(v >= 0 for v in timings.values())
 
 
+# Legal inputs that nest past Python's recursion limit, which each command
+# walks with its own stacks.  `check` accepts each file; every node of it
+# is built by its rule, so no quoted text nests.
+_UNIT = '(rule forallR g a (rule lolliR x (rule ax x "g")))'
+_TENSOR = " * ".join(["1"] * 1500)
+_WITH = " & ".join(["1"] * 1501)
+_GUARD = "(rule withR0 " * 1500 + _UNIT + (" " + _UNIT + ")") * 1500
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["gen", "add", "-n", "400", "-o", "FILE"], None),
+    (["inhabitants", " * ".join(["1"] * 300)], None),
+    (["inhabitants", _TENSOR], None),
+    (["translate", "FILE"], '(lamd 2 (rule withR1 x (rule ax x1 "%s") (rule ax x2 "%s") %s))'
+     % (_WITH, _WITH, _GUARD)),
+    (["eta-expand", "FILE"], '(lamd 2 (rule ax x "%s"))' % _TENSOR),
+], ids=["gen-add-400-print_term", "inhabitants-300-print_type",
+        "inhabitants-1500-tensor_fast_path", "translate-1501-duplicator",
+        "eta-expand-1500-tensor"])
+def test_deep_legal_inputs_pass(tmp_path, capsys, argv, text):
+    f = tmp_path / "input"
+    if text is not None:
+        f.write_text(text)
+        assert run_json(capsys, "check", str(f))[1]["verdict"] == "pass"
+    code, rep = run_json(capsys, *[str(f) if a == "FILE" else a for a in argv])
+    assert (code, rep["verdict"]) == (0, "pass")
+
+
 def test_main_calls_share_no_state(tmp_path, capsys):
     # the parser is built once per process; what one call parses does not
     # reach the next

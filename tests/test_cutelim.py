@@ -105,11 +105,17 @@ def test_eliminate_requires_forall_lazy_conclusion():
         eliminate(d)
 
 
-def test_trace_potential_never_increases():
-    for n, d in cubic_family(4):
+def test_trace_potential_never_increases(elimination_entries):
+    # commuting steps keep the potential size + 2*weight; firings lower it
+    inputs = [e.derivation for e in elimination_entries]
+    inputs += [d for _, d in cubic_family(4)]
+    for d in inputs:
+        m = metrics(d)
+        pot = m.size + 2 * m.weight
         _, trace = eliminate(d)
-        pots = [s.potential for s in trace.steps]
-        assert all(b <= a for a, b in zip(pots, pots[1:]))
+        for s in trace.steps:
+            assert s.potential == pot if s.kind == "commuting" else s.potential < pot
+            pot = s.potential
 
 
 def verify_simulation(before, after, budget: int = 10000) -> bool:

@@ -26,3 +26,82 @@ def test_only_main_and_suite_catch_in_the_cli():
                       if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")
                       and any(isinstance(n, ast.Try) for n in ast.walk(f)))
     assert catching == ["cmd_suite"]
+
+
+# Every function of src/linadd on a call cycle, and what bounds its depth.
+RECURSION_SURFACE = {
+    # the readers: MAX_NESTING
+    "frontend._parse_term", "frontend._parse_term_app", "frontend._parse_term_atom",
+    "frontend._parse_term_tensor", "frontend._parse_type", "frontend._parse_type_atom",
+    # the nesting of domains in the goal, which a tensor deepens without
+    # brackets: not bounded, `forall b. b -o b * (1 * ... * 1)` with 1,500
+    # operands exhausts the stack (the tensor fast path takes a type apart
+    # only at its root)
+    "inhabit._search", "inhabit._search_atomic",
+    # one re-entry, not depth: instantiate's leaf shifts a closed-over term
+    "nameless.instantiate.leaf", "nameless.rewrite", "nameless.shift",
+    # at most 8 booleans (translate._FLAT_LIMIT)
+    "translate._flat_select.table",
+}
+
+
+def _calls(fn):
+    """The calls in fn's body, not in the functions or classes it defines."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Call):
+            yield n.func
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo += ast.iter_child_nodes(n)
+
+
+def test_recursion_surface_is_pinned():
+    # A call resolves by name: a bare name to every function so named in its
+    # module, nested ones included, or else to the linadd function it
+    # imports; `self.m(...)` to every method m of the module.  Calls through
+    # other attributes or through arguments are not followed, so the
+    # eraser's cycle through `lib.eraser` is not listed.
+    defs, calls, imports = {}, {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        mod = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        for n in tree.body:
+            if isinstance(n, ast.ImportFrom) and n.level == 1:
+                for a in n.names:
+                    imports[mod, a.asname or a.name] = "%s.%s" % (n.module, a.name)
+        scopes = [(tree, mod)]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for n in ast.iter_child_nodes(scope):
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    q = "%s.%s" % (prefix, n.name)
+                    scopes.append((n, q))
+                    if not isinstance(n, ast.ClassDef):
+                        defs.setdefault((mod, n.name), []).append(q)
+                        calls[q] = list(_calls(n))
+
+    def targets(q, f):
+        mod = q.split(".")[0]
+        if isinstance(f, ast.Name):
+            if (mod, f.id) in defs:
+                return defs[mod, f.id]
+            return [imports[mod, f.id]] if (mod, f.id) in imports else []
+        if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self":
+            return defs.get((mod, f.attr), [])
+        return []
+
+    graph = {q: {t for f in fs for t in targets(q, f) if t in calls}
+             for q, fs in calls.items()}
+    on_cycle = set()
+    for q in graph:
+        seen, todo = set(), list(graph[q])
+        while todo and q not in seen:
+            t = todo.pop()
+            if t not in seen:
+                seen.add(t)
+                todo += graph[t]
+        if q in seen:
+            on_cycle.add(q)
+    assert len(calls) > 200  # the scan found the package
+    assert on_cycle == RECURSION_SURFACE

@@ -94,6 +94,24 @@ def test_duplicator_copies_every_inhabitant(gadgets):
             assert beta_eta_equal(got, want)
 
 
+def test_duplicator_of_nine_booleans_pairs_its_components():
+    # past 8 booleans a lookup table is too large: the duplicator pairs the
+    # library's duplicators of the two components
+    lib = GadgetLibrary()
+    left = B
+    for _ in range(7):
+        left = tensor_type(left, B)
+    dup = lib.duplicator(tensor_type(left, B))
+    check_ok(dup, "imll2")
+    nodes, todo = set(), [dup]
+    while todo:
+        d = todo.pop()
+        if id(d) not in nodes:
+            nodes.add(id(d))
+            todo += d.premises
+    assert id(lib.duplicator(left)) in nodes and id(lib.duplicator(B)) in nodes
+
+
 def test_eraser_requires_closed_type(gadgets):
     from linadd.typesys import TVar
     with pytest.raises(GadgetError):
