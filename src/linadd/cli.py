@@ -8,7 +8,8 @@ details[]}, and emits it once.  A command fills its measurements, records
 failures with `Report.fail` and returns the text that plain mode prints.
 `main` is the one error boundary and alone sets the verdict and exit code:
 0 ``pass``; 1 ``fail`` (a failure found, or a library error); 2 ``error``,
-an input that cannot be read or parsed; 3 ``error``, any other exception.
+an input that cannot be read, decoded as UTF-8 or parsed; 3 ``error``, any
+other exception.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .frontend import (
 from . import corpus as corpus_mod
 from . import suites
 
-EXIT_INPUT_ERROR = 2     # the input cannot be read or parsed
+EXIT_INPUT_ERROR = 2     # the input cannot be read, decoded or parsed
 EXIT_INTERNAL_ERROR = 3  # any other exception: a defect of linadd
 
 # The library's own errors: the command fails.  In `suite` one fails only its
@@ -222,7 +223,7 @@ def cmd_gen(args, report: Report):
         return ()
     text = print_derivation(d) if args.derivation else print_term(term)
     if args.output:
-        with open(args.output, "w") as f:
+        with open(args.output, "w", encoding="utf-8") as f:
             f.write(text + "\n")
         return ["wrote %s" % args.output]
     return [text]
@@ -275,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("leftmost", "rightmost", "random"),
                     default="leftmost")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_natural, default=None)
     sp.add_argument("--trace", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_normalize)
 
     sp = sub.add_parser("cutelim", help="eliminate cuts from a derivation")
     sp.add_argument("file")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_natural, default=None)
     sp.add_argument("--trace", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_cutelim)
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
     lines = ()
     try:
         lines = args.fn(args, report)
-    except (ParseError, OSError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         return _error(report, args, str(e), EXIT_INPUT_ERROR)
     except LIBRARY_ERRORS as e:
         report.fail(str(e))

@@ -43,10 +43,11 @@ constructor cannot see: the rule set of the system, arity, the stored
 parameters, duplicate names, the context split of cut and lolliL, closure
 and laziness, the withR1 guard, and in lam linearity (which rejects nothing
 the rest accepts, but names every node that a bad premise made non-linear).
-A node's parameters are the ones it stores, which must be of the number and
-kinds in `PARAMS`; a node built without them (`params` None, as when a file
-states a judgement without its rule's arguments) is a violation at that
-node.  The three systems:
+A node's parameters are the tuple it stores, which must be of the number and
+kinds in `PARAMS`; any other tuple is a violation at that node, reported as
+"parameters not stated" when it is empty (a node built without them, as
+when a file states a judgement without its rule's arguments).  The three
+systems:
 
     imll2   ax, cut, lolliR, lolliL, forallR, forallL
     imall2  imll2 plus withR (shared-context pair), withL1/withL2
@@ -148,25 +149,22 @@ class Judgement:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Derivation:
-    """A rule instance; `params` is None when the node was built without its
-    rule's parameters, which `check` reports, and () when its rule has none.
-    `_derived` is True only for a node that its rule's `d_*` constructor
-    built (see the module docstring)."""
+    """A rule instance; `params` is the tuple of parameters the node stores,
+    () when it was built without them.  `_derived` is True only for a node
+    that its rule's `d_*` constructor built (see the module docstring)."""
 
     __slots__ = ("rule", "conclusion", "premises", "params", "_stats",
                  "_cut", "_derived", "__weakref__")
     rule: str
     conclusion: Judgement
     premises: tuple
-    params: tuple | None
+    params: tuple
 
     def __init__(self, rule: str, conclusion: Judgement, premises: tuple,
-                 params: tuple | None = None):
+                 params: tuple = ()):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "conclusion", conclusion)
         object.__setattr__(self, "premises", premises)
-        if params is None and PARAMS.get(rule) == ():
-            params = ()  # stating none of no parameters states them all
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_derived", False)
 
@@ -329,9 +327,9 @@ def params_error(d: Derivation):
     """What is wrong with the parameters d stores for its known rule, or
     None."""
     kinds, params = PARAMS[d.rule], d.params
-    if params is None:
-        return "parameters not stated"
     if len(params) != len(kinds):
+        if not params:
+            return "parameters not stated"
         return "expected %d parameters, got %d" % (len(kinds), len(params))
     if all(map(isinstance, params, kinds)):
         return None

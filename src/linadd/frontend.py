@@ -17,31 +17,32 @@ every format.  A derivation file is version 2, the only version:
     (lamd 2 NODE)
     NODE = (rule NAME ARG... [(seq ((x "TYPE") ...) "TERM" "TYPE")] NODE...)
 
-whose ARGs are all or none of the rule's parameters, a name bare and a
-type quoted.  A node that states none is built without them, which `check`
-reports unless its rule has none.  A node without a `seq` is built by its
-rule's constructor, so its ARGs must be of the kinds in `derivation.PARAMS`,
-and it is derived (see `derivation`): neither `check` nor the writer
-rebuilds it, and `derivations_equal` does not compare the conclusions of
-two derived nodes with equal parameters.  A node with a `seq` is not
-derived, and it takes each ARG by its form, so it may store a parameter of
-the wrong kind, which `check` reports.  The writer writes each node's
-stored parameters, and the `seq` at the root and wherever the constructor
-does not recompute the judgement exactly, so any derivation whose nodes
-store names and types, none or as many as their rules take, reads back node
-for node, well-formed or not.  A file without the
+whose ARGs are the node's stored parameters, a name bare and a type
+quoted.  A node without a `seq` is built by its rule's constructor, so its
+ARGs must be all of its rule's parameters, of the kinds in
+`derivation.PARAMS`, and it is derived (see `derivation`): neither `check`
+nor the writer rebuilds it, and `derivations_equal` does not compare the
+conclusions of two derived nodes with equal parameters.  A node with a
+`seq` is not derived, and it stores whatever ARGs it states, each by its
+form, so it may store too few, too many or one of the wrong kind, which
+`check` reports.  The writer writes each node's stored parameters, and the
+`seq` at the root and wherever the constructor does not recompute the
+judgement exactly, so any derivation whose nodes store names and types
+reads back node for node, well-formed or not.  A file without the
 `(lamd 2` header is refused at its first token.  Rules may nest to any
 depth: the reader keeps a stack of its open nodes, and no pass over a
 derivation recurses once per level.
 
 Each parser reads its input in one pass and builds every node once.  One
-regex `findall` yields the token texts (a string keeps its quotes), and the
-parsers walk that list by index.  No span is computed on the way: a parser
-that fails names the index of the failing token, and only then does
-`tokenize`, which reads the same grammar and keeps spans, locate it.  If
-`tokenize` raises, that lexical error is the error, as it would be had
-lexing run first.  Otherwise the error is at the first token the reader
-cannot accept, and a rule's refusal at its node's `(`.
+regex is the lexer: its `findall` yields the token texts (a string keeps
+its quotes), and the parsers walk that list by index.  No span is computed
+on the way: a parser that fails names the index of the failing token, and
+only then does `tokenize`, the same regex's `finditer`, locate it.  A
+number is ASCII digits and a word starts with a letter or `_`; `tokenize`
+raises on any other text, which no parser accepts, so that lexical error is
+the error, as it would be had lexing run first.  Otherwise the error is at
+the first token the reader cannot accept, and a rule's refusal at its
+node's `(`.
 
 The type and term parsers keep the names of the enclosing binders,
 innermost first, and emit an identifier bound there as its index, so every
@@ -64,8 +65,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import takewhile
-from typing import NamedTuple
 
 from .nameless import references
 from .terms import (
@@ -103,84 +102,50 @@ class ParseError(Exception):
         super().__init__("%s at %d..%d%s" % (message, span.start, span.end, detail))
 
 
-class Token(NamedTuple):
-    kind: str  # ident, keyword, punct, number, string, eof
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
-
-
-# Layout and comments, then one token.  A comment runs to the end of its
-# line, so that backtracking cannot end it early and read a token inside it;
-# every layout character has one reading, so a failed match backtracks in
-# linear time.  A word is a maximal run of identifier characters
-# (str.isalnum, `_`, `'`), which `\w` matches exactly.  Whether it is an
-# identifier, a number or an error depends on its first character under
-# str.isalpha/str.isdigit, which no regex class expresses, so `tokenize`
-# decides that.
+# Layout and comments, then one token: a string, a number, a word, a mark,
+# the end (`\Z`, "") or any other character alone, so that none is skipped.
+# A comment runs to the end of its line, so that backtracking cannot end it
+# early and read a token inside it; every layout character has one reading,
+# so a failed match backtracks in linear time.  A number is ASCII digits.  A
+# word is a maximal run of identifier characters (str.isalnum, `_`, `'`),
+# which `\w` matches exactly, and must start with a letter or `_`.  After
+# trailing layout, `\Z` matches twice.
 _LAYOUT = r"[ \t\r\n]*(?:;[^\n]*(?![^\n])[ \t\r\n]*)*"
-_SKIP = re.compile(_LAYOUT)
-_STRING, _WORD, _PUNCT = r'"[^"]*"', r"\w[\w']*", r"-o|[()<>,.\\\[\]&*]"
-_TOKEN = re.compile(_LAYOUT + r"(?:(?P<string>%s)|(?P<word>%s)|(?P<punct>%s)|(?P<eof>\Z))"
-                    % (_STRING, _WORD, _PUNCT))
-# The texts alone, for ASCII sources, where str.isdigit is [0-9]: the same
-# alternatives with a number split off the front of a word, as `tokenize`
-# splits it, and any other character a token of its own, so that none is
-# skipped.  `\Z` yields "" at the end, which no parser accepts; after
-# trailing layout, findall yields it twice.
-_TEXTS = re.compile(_LAYOUT + r"(%s|[0-9]+|%s|%s|\Z|.)"
-                    % (_STRING, _WORD, _PUNCT)).findall
+_TOKEN = re.compile(_LAYOUT + r'("[^"]*"|[0-9]+|\w[\w\']*|-o|[()<>,.\\\[\]&*]|\Z|.)')
 
 
-def tokenize(src: str) -> list:
-    toks = []
-    append = toks.append
-    match = _TOKEN.match
-    i = 0
-    while True:
-        m = match(src, i)
-        if m is None:
-            i = _SKIP.match(src, i).end()
-            if src[i] == '"':
-                raise ParseError("unterminated string", SourceSpan(i, len(src)))
-            raise ParseError("unexpected character %r" % src[i], SourceSpan(i, i + 1))
-        kind = m.lastgroup
-        text = m.group(kind)
-        i, j = m.span(kind)
-        if kind == "word":
-            c = text[0]
-            if c.isalpha() or c == "_":
-                kind = "keyword" if text in KEYWORDS else "ident"
-            elif c.isdigit():
-                # a number stops at the first non-digit; the rest of the
-                # word is scanned again
-                text = "".join(takewhile(str.isdigit, text))
-                kind, j = "number", i + len(text)
-            else:
-                raise ParseError("unexpected character %r" % c, SourceSpan(i, i + 1))
-        elif kind == "string":
-            text = text[1:-1]
-        append(Token(kind, text, i, j))
-        if kind == "eof":
-            return toks
-        i = j
+def _atom(t: str) -> bool:
+    """Whether t is the text of an atom: a word or a number."""
+    c = t[:1]
+    return c.isalpha() or c == "_" or "0" <= c <= "9"
 
 
 def _texts(src: str) -> list:
     """The text of each token of src, "" for the end; a string keeps its
-    quotes.  Beyond ASCII, \\d and str.isdigit part ways (`²` is a digit
-    only to the latter), so such a source is read through `tokenize`."""
-    if src.isascii():
-        texts = _TEXTS(src)
-        if len(texts) > 1 and not texts[-2]:
-            texts.pop()
-        return texts
-    return ['"%s"' % t.text if t.kind == "string" else t.text
-            for t in tokenize(src)]
+    quotes.  A text that no token has (`Ⅻ`, `$`, a lone `"`) no parser
+    accepts, so `_locate` finds its lexical error."""
+    texts = _TOKEN.findall(src)
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()
+    return texts
+
+
+def tokenize(src: str) -> list:
+    """(text, start, end) of each token of src as `_texts` reads it, up to
+    and including the end.  Raises the first lexical error: an unterminated
+    string, or a character that starts no token."""
+    toks = []
+    for m in _TOKEN.finditer(src):
+        text = m[1]
+        i, j = m.span(1)
+        if text == '"':
+            raise ParseError("unterminated string", SourceSpan(i, len(src)))
+        # accept the end, an atom, a string and a mark
+        if text and not (_atom(text) or text[0] in '"()<>,.\\[]&*' or text == "-o"):
+            raise ParseError("unexpected character %r" % text[0], SourceSpan(i, i + 1))
+        toks.append((text, i, j))
+        if not text:
+            return toks
 
 
 class _Fail(Exception):
@@ -195,18 +160,20 @@ class _Fail(Exception):
 def _locate(src: str, at: int, message, expected) -> ParseError:
     """The error of a parse of src that failed at its token `at`."""
     try:
-        tok = tokenize(src)[at]
+        text, start, end = tokenize(src)[at]
     except ParseError as e:  # a lexical error comes first
         return e
     if isinstance(message, ParseError):  # raised inside the string
-        offset = tok.start + 1  # past the opening quote
+        offset = start + 1  # past the opening quote
         span = message.span
         return ParseError(message.message,
                           SourceSpan(span.start + offset, span.end + offset),
                           message.expected)
     if message is None:
-        message = "unexpected %r" % (tok.text or "end of input")
-    return ParseError(message, tok.span, expected)
+        if text[:1] == '"':
+            text = text[1:-1]
+        message = "unexpected %r" % (text or "end of input")
+    return ParseError(message, SourceSpan(start, end), expected)
 
 
 def _ident(t: str) -> bool:
@@ -510,12 +477,6 @@ def print_term(m: Term) -> str:
 
 # -- derivations --------------------------------------------------------------
 
-def _atom(t: str) -> bool:
-    """Whether t is the text of an atom: a word or a number."""
-    c = t[:1]
-    return c.isalpha() or c == "_" or c.isdigit()
-
-
 def parse_derivation(src: str) -> Derivation:
     """Parse a version 2 derivation file.  Equal type or term texts within
     the file are parsed once and share one object."""
@@ -559,7 +520,7 @@ def parse_derivation(src: str) -> Derivation:
             seq = toks[i] == "(" and toks[i + 1] == "seq"
             args = []
             for k in range(start, i):
-                if len(args) == len(kinds):
+                if not seq and len(args) == len(kinds):
                     raise _Fail(k, "too many arguments for %s" % rule)
                 # a node that states its judgement takes each argument by its
                 # form; one built by its constructor needs its rule's kinds
@@ -569,7 +530,7 @@ def parse_derivation(src: str) -> Derivation:
                     args.append(toks[k])
                 else:
                     raise _Fail(k, "unexpected string", ("name",))
-            if len(args) < len(kinds) and (args or not seq):
+            if not seq and len(args) < len(kinds):
                 raise _Fail(i, "too few arguments for %s" % rule)
             j = None
             if seq:
@@ -589,7 +550,7 @@ def parse_derivation(src: str) -> Derivation:
                 i += 4
             elif rule not in CONSTRUCTORS:
                 raise _Fail(node + 2, "unknown rule %r" % rule)
-            open_nodes.append((node, rule, tuple(args) if args else None, j, []))
+            open_nodes.append((node, rule, tuple(args), j, []))
             while toks[i] == ")":
                 at, rule, params, j, prems = open_nodes.pop()
                 if j is not None:
@@ -599,7 +560,7 @@ def parse_derivation(src: str) -> Derivation:
                                 % (rule, ARITY[rule], len(prems)))
                 else:
                     try:
-                        d = CONSTRUCTORS[rule](*prems, *(params or ()))
+                        d = CONSTRUCTORS[rule](*prems, *params)
                     except ValueError as e:
                         raise _Fail(at, str(e)) from None
                 if not open_nodes:
@@ -635,7 +596,7 @@ def print_derivation(d: Derivation) -> str:
 
     def head(d, root):
         out = ["(rule ", d.rule]
-        for p in d.params or ():
+        for p in d.params:
             out.append(" " + p if p.__class__ is str else ' "%s"' % text(p, print_type))
         if root or not _recomputed(d):
             j = d.conclusion
@@ -703,10 +664,10 @@ def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
 
 
 def load_term(path: str) -> Term:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return parse_term(f.read())
 
 
 def load_derivation(path: str) -> Derivation:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return parse_derivation(f.read())

@@ -179,12 +179,12 @@ def eta_normalize(t: Term) -> Term:
     return fold(t, children, _eta_here, {})
 
 
-def beta_eta_normal_form(t: Term, budget: int | None = None) -> Term:
-    return eta_normalize(normalize(t, budget=budget).term)
+def beta_eta_normal_form(t: Term) -> Term:
+    return eta_normalize(normalize(t).term)
 
 
-def beta_eta_equal(m: Term, n: Term, budget: int | None = None) -> bool:
-    return alpha_equal(beta_eta_normal_form(m, budget), beta_eta_normal_form(n, budget))
+def beta_eta_equal(m: Term, n: Term) -> bool:
+    return alpha_equal(beta_eta_normal_form(m), beta_eta_normal_form(n))
 
 
 # -- subject reduction --------------------------------------------------------

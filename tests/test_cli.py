@@ -478,3 +478,25 @@ def test_gen_over_an_uninhabited_base_fails(capsys):
     code, rep = _one_report(capsys, ["gen", "ladd", "-n", "1", "--base", "forall a. a"])
     assert (code, rep["verdict"]) == (1, "fail")
     assert rep["details"] == ["base type is uninhabited"]
+
+
+@pytest.mark.parametrize("command", ["check", "normalize", "cutelim", "eta-expand",
+                                     "translate"])
+def test_undecodable_input_is_an_input_error(tmp_path, capsys, command):
+    f = tmp_path / "in"
+    f.write_bytes(b'\xff\xfe(lamd 2 (rule ax x "a"))\n')
+    code, rep = _one_report(capsys, [command, str(f)])
+    assert (code, rep["verdict"]) == (2, "error")
+    assert len(rep["details"]) == 1 and "can't decode" in rep["details"][0]
+    assert main([command, str(f)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["normalize", "t.lam", "--budget", "-3"],
+                                  ["cutelim", "d.lamd", "--budget", "-1"]])
+def test_a_negative_budget_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "argument --budget: -" in capsys.readouterr().err
+    argv[-1] = "0"  # a budget of no steps is a count
+    assert cli.build_parser().parse_args(argv).budget == 0

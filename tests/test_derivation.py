@@ -217,7 +217,7 @@ def test_bad_stored_parameters_are_violations():
             ("ax", (), ("x",), "expected 2 parameters, got 1"),
             ("ax", (), ("x", "y"), "parameter 2 is not a type"),
             ("lolliR", (a,), (ONE,), "parameter 1 is not a name"),
-            ("forallR", (a,), None, "parameters not stated")):
+            ("forallR", (a,), (), "parameters not stated")):
         bad = check(Derivation(rule, j, prems, params))
         assert [(v.path, v.condition, v.message) for v in bad][:1] == [
             ((), "params", message)], rule

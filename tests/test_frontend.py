@@ -9,8 +9,8 @@ from linadd.frontend import (
     print_derivation, print_term, print_type, tokenize,
 )
 from linadd.derivation import (
-    Derivation, Judgement, _nodes, check, d_ax, d_cut, d_forallL, d_forallR,
-    d_lolliL, d_lolliR, d_withL, d_withR,
+    IMALL2, IMLL2, LAM, Derivation, Judgement, _nodes, check, d_ax, d_cut,
+    d_forallL, d_forallR, d_lolliL, d_lolliR, d_withL, d_withR,
 )
 from linadd.families import gen_ladd
 from linadd.terms import (
@@ -114,6 +114,9 @@ _PARSE_ERRORS = [
      "unexpected ')'", (31, 32), ("quoted type",)),
     (parse_derivation, '(lamd 2 (rule ax x "a" (seq () "x" a)))',
      "unexpected 'a'", (35, 36), ("quoted type",)),
+    (parse_term, "\\p1. x", "unexpected 'p1'", (1, 3), ("variable",)),
+    (parse_type, "\u00b2x 1\u00b2", "unexpected character '\u00b2'", (0, 1), ()),
+    (parse_type, "\u0663", "unexpected character '\u0663'", (0, 1), ()),
 ]
 
 
@@ -129,12 +132,14 @@ def test_parse_error_golden(parse, src, message, span, expected):
 
 
 # The same for more malformed derivation files.  A rule's own error spans
-# the "(" of its node.
+# the "(" of its node.  A node without a `seq` is built by its rule's
+# constructor, so the reader refuses it unless it states all of its rule's
+# parameters, each of its kind.
 _V2_ERRORS = [
-    ('(lamd 2 (rule ax x (seq ((x "a")) "x" "a")))',
-     "too few arguments for ax", (19, 20), ()),
+    ('(lamd 2 (rule withL1 y x (rule ax x "a")))',
+     "too few arguments for withL1", (25, 26), ()),
     ('(lamd 2 (rule ax x))', "too few arguments for ax", (18, 19), ()),
-    ('(lamd 2 (rule cut x y (seq () "x" "a")))',
+    ('(lamd 2 (rule cut x y (rule ax x "a") (rule ax y "a")))',
      "too many arguments for cut", (20, 21), ()),
     ('(lamd 2 (rule ax "x" "a"))', "unexpected string", (17, 20), ("name",)),
     ('(lamd 2 (rule ax x a))', "unexpected 'a'", (19, 20), ("quoted type",)),
@@ -157,36 +162,30 @@ def test_v2_parse_error_golden(src, message, span, expected):
     test_parse_error_golden(parse_derivation, src, message, span, expected)
 
 
+# The text and span of each token; a number is ASCII digits, and a word
+# starts with a letter or `_`.
 _TOKENS = [
-    ("x' _y \u00e9_1 a1'b", [("ident", "x'", 0, 2), ("ident", "_y", 3, 5),
-                         ("ident", "\u00e9_1", 6, 9), ("ident", "a1'b", 10, 14)]),
-    ("x\u00b2 \u03b9", [("ident", "x\u00b2", 0, 2), ("ident", "\u03b9", 3, 4)]),
-    ("x1 12 1x", [("ident", "x1", 0, 2), ("number", "12", 3, 5),
-                  ("number", "1", 6, 7), ("ident", "x", 7, 8)]),
-    ("\u00b2x 1\u00b2", [("number", "\u00b2", 0, 1), ("ident", "x", 1, 2),
-                       ("number", "1\u00b2", 3, 5)]),
-    ("forall p1 I", [("keyword", "forall", 0, 6), ("keyword", "p1", 7, 9),
-                     ("keyword", "I", 10, 11)]),
-    ("; c\nx ; d", [("ident", "x", 4, 5)]),
-    ("a\t\r\nb", [("ident", "a", 0, 1), ("ident", "b", 4, 5)]),
-    ("a-ob", [("ident", "a", 0, 1), ("punct", "-o", 1, 3),
-              ("ident", "b", 3, 4)]),
-    ("a -o-o b", [("ident", "a", 0, 1), ("punct", "-o", 2, 4),
-                  ("punct", "-o", 4, 6), ("ident", "b", 7, 8)]),
-    ("(a)-o(b)", [("punct", "(", 0, 1), ("ident", "a", 1, 2),
-                  ("punct", ")", 2, 3), ("punct", "-o", 3, 5),
-                  ("punct", "(", 5, 6), ("ident", "b", 6, 7),
-                  ("punct", ")", 7, 8)]),
-    ('"s t"x', [("string", "s t", 0, 5), ("ident", "x", 5, 6)]),
+    ("x' _y \u00e9_1 a1'b", [("x'", 0, 2), ("_y", 3, 5),
+                         ("\u00e9_1", 6, 9), ("a1'b", 10, 14)]),
+    ("x\u00b2 \u03b9", [("x\u00b2", 0, 2), ("\u03b9", 3, 4)]),
+    ("x1 12 1x", [("x1", 0, 2), ("12", 3, 5), ("1", 6, 7), ("x", 7, 8)]),
+    ("1\u00e9 _1", [("1", 0, 1), ("\u00e9", 1, 2), ("_1", 3, 5)]),
+    ("forall p1 I", [("forall", 0, 6), ("p1", 7, 9), ("I", 10, 11)]),
+    ("; c\nx ; d", [("x", 4, 5)]),
+    ("a\t\r\nb", [("a", 0, 1), ("b", 4, 5)]),
+    ("a-ob", [("a", 0, 1), ("-o", 1, 3), ("b", 3, 4)]),
+    ("a -o-o b", [("a", 0, 1), ("-o", 2, 4), ("-o", 4, 6), ("b", 7, 8)]),
+    ("(a)-o(b)", [("(", 0, 1), ("a", 1, 2), (")", 2, 3), ("-o", 3, 5),
+                  ("(", 5, 6), ("b", 6, 7), (")", 7, 8)]),
+    ('"s t"x', [('"s t"', 0, 5), ("x", 5, 6)]),
 ]
 
 
 @pytest.mark.parametrize("src, tokens", _TOKENS)
 def test_tokens_golden(src, tokens):
     toks = tokenize(src)
-    got = [(t.kind, t.text, t.span.start, t.span.end) for t in toks]
-    assert got == tokens + [("eof", "", len(src), len(src))]
-    assert _texts(src) == _token_texts(src)
+    assert toks == tokens + [("", len(src), len(src))]
+    assert _texts(src) == [text for text, _, _ in toks]
 
 
 # -- deep inputs --------------------------------------------------------------
@@ -463,26 +462,9 @@ def test_derivation_round_trip_on_corpus(corpus):
 
 # -- the token texts ----------------------------------------------------------
 
-def _token_texts(src):
-    """The token texts as the parsers read them: a string keeps its quotes."""
-    return ['"%s"' % t.text if t.kind == "string" else t.text for t in tokenize(src)]
-
-
-_CHARS = 'ax1_\'"();.\\<>,[]&*-o \t\né²Ⅻ$\f'
+_CHARS = 'ax1_\'"();.\\<>,[]&*-o \t\né²Ⅻ٣$\f'
 _PIECES = ["forall", "copy", "as", "in", "let", "be", "p1", "p2", "I", "-o",
            "x'", "12", "1x", "x1", "é", "²x", "; c\n", '"a -o a"']
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.text(_CHARS, max_size=30)
-       | st.lists(st.sampled_from(_PIECES) | st.text(_CHARS, max_size=2),
-                  max_size=12).map(" ".join))
-def test_texts_match_tokenize(src):
-    try:
-        want = _token_texts(src)
-    except ParseError:
-        return
-    assert _texts(src) == want
 
 
 def test_quoted_punctuation_is_not_syntax():
@@ -629,6 +611,34 @@ def test_v2_text_golden(build, text):
         todo.extend(zip(d.premises, back.premises))
 
 
+@pytest.mark.parametrize("text, params, message", [
+    ('(rule ax x (seq ((x "a")) "x" "a"))', ("x",), "expected 2 parameters, got 1"),
+    ('(rule cut x y (seq ((y "a")) "y" "a") (rule ax y "a") (rule ax x "a"))',
+     ("x", "y"), "expected 1 parameters, got 2"),
+], ids=["ax-too-few", "cut-too-many"])
+def test_node_with_seq_stores_the_arguments_it_states(text, params, message):
+    # a node that states its judgement is not built by its constructor, so
+    # the reader keeps its arguments and check reports their count
+    d = parse_derivation("(lamd 2 %s)" % text)
+    assert d.params == params
+    assert [(v.path, v.condition, v.message) for v in check(d)] == [
+        ((), "params", message)]
+
+
+@pytest.mark.parametrize("params, message", [
+    ((), "parameters not stated"),
+    (("x",), "expected 2 parameters, got 1"),
+    (("x", _A, "extra"), "expected 2 parameters, got 3"),
+], ids=["none", "too-few", "too-many"])
+def test_stored_parameters_round_trip(params, message):
+    d = Derivation("ax", d_ax("x", _A).conclusion, (), params)
+    back = parse_derivation(print_derivation(d))
+    assert back.params == params
+    assert [v.message for v in check(d)] == [message]
+    for system in (LAM, IMALL2, IMLL2):
+        assert check(back, system) == check(d, system), system
+
+
 def test_largest_generated_family_member_reads_back():
     # its types and terms nest well within MAX_NESTING
     _, d = gen_ladd(12, unit_type())
@@ -671,13 +681,12 @@ def test_parsers_raise_only_parse_error(src):
 def _mutants(src):
     """src with one token dropped, duplicated, or swapped with the next."""
     toks = tokenize(src)[:-1]
-    for k, t in enumerate(toks):
-        yield src[:t.start] + src[t.end:]
-        yield src[:t.end] + " " + src[t.start:]
+    for k, (_, i, j) in enumerate(toks):
+        yield src[:i] + src[j:]
+        yield src[:j] + " " + src[i:]
         if k + 1 < len(toks):
-            u = toks[k + 1]
-            yield (src[:t.start] + src[u.start:u.end] + src[t.end:u.start]
-                   + src[t.start:t.end] + src[u.end:])
+            _, u, v = toks[k + 1]
+            yield src[:i] + src[u:v] + src[j:u] + src[i:j] + src[v:]
 
 
 def test_mutated_corpus_files_raise_only_parse_error(corpus):
