@@ -99,7 +99,10 @@ def _parse_type_arg(text: str):
 
 def _natural(text: str) -> int:
     """A command-line integer that is at least 0."""
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not a whole number" % text) from None
     if n < 0:
         raise argparse.ArgumentTypeError("%d is negative" % n)
     return n

@@ -18,9 +18,10 @@ subject is the normal form of the original subject.
 A step costs its local work, not a rescan of the whole derivation.  Each
 step scans for cuts once: the scan after which {1} finds no commuting cut
 is the one {2} chooses from.  The scan descends only into subderivations
-that hold a cut, and each cut node's class is computed once per node object
-and cached on it (`steps.cut_class`), so a scan classifies only the cuts
-the last step built.  `derivation.replace_at` rebuilds the spine above a
+that hold a cut, which the cut count each node stores when it is built
+tells without a walk, and each cut node's class is computed once per node
+object and kept on it (`steps.cut_class`), so a scan classifies only the
+cuts the last step built.  `derivation.replace_at` rebuilds the spine above a
 step in a loop; when the step kept its judgement, as a commuting step does,
 every derived ancestor keeps its own conclusion over the new premise and no
 constructor runs for it.  That is sound by the argument of

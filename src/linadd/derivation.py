@@ -73,13 +73,13 @@ therefore checked once, however many uses it has, unless its uses differ on
 what its splits test; a violation in it is reported at the path of the
 first use, not again at the paths of uses that agree on what it tests.
 
-Each node caches its size, weight, height, summed cut heights and cut count
-in one lazily filled slot (see `nameless.cache_up`), so `metrics` and
-`is_cut_free` cost only the nodes built since the last query, and a search
-for cuts skips every cut-free subderivation.  The counts are taken with tree
+Each node stores, when it is built, its size, weight, height, summed cut
+heights and cut count in one slot (`_stats`), from its premises' stored
+ones, so `metrics` and `is_cut_free` read one slot, and a search for cuts
+skips every cut-free subderivation.  The counts are taken with tree
 multiplicity: a shared subderivation counts once per occurrence.  A cut
-node caches its class for cut elimination in another slot (see
-`steps.classify_cuts`).
+node also keeps its class for cut elimination, computed on the first query
+(see `steps.cut_class`).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
-from .nameless import cache_up, fold
+from .nameless import fold
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
     free_vars, fresh_name, is_value, subst,
@@ -98,7 +98,7 @@ from .typesys import (
     close_type, is_closed, is_forall_lazy, match_instantiation, open_type,
 )
 
-premises = attrgetter("premises")  # the kids of a node, for `fold` and `cache_up`
+premises = attrgetter("premises")  # the kids of a node, for `fold`
 
 LAM = "lam"
 IMALL2 = "imall2"
@@ -147,11 +147,16 @@ class Judgement:
         return None
 
 
+_NO_STATS = (0, 0, 0, 0, 0)  # the summed `_stats` of no premises
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Derivation:
     """A rule instance; `params` is the tuple of parameters the node stores,
     () when it was built without them.  `_derived` is True only for a node
-    that its rule's `d_*` constructor built (see the module docstring)."""
+    that its rule's `d_*` constructor built, and `_stats` is (size, weight,
+    height, summed cut heights, cuts), from the premises' (see the module
+    docstring)."""
 
     __slots__ = ("rule", "conclusion", "premises", "params", "_stats",
                  "_cut", "_derived", "__weakref__")
@@ -162,11 +167,30 @@ class Derivation:
 
     def __init__(self, rule: str, conclusion: Judgement, premises: tuple,
                  params: tuple = ()):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_derived", False)
+        _set_rule(self, rule)
+        _set_conclusion(self, conclusion)
+        _set_premises(self, premises)
+        _set_params(self, params)
+        _set_derived(self, False)
+        s, w, h, hs, c = premises[0]._stats if premises else _NO_STATS
+        for p in premises[1:]:
+            s2, w2, h2, hs2, c2 = p._stats
+            s, w, hs, c = s + s2, w + w2, hs + hs2, c + c2
+            if h2 > h:
+                h = h2
+        if rule == "cut":
+            stats = (s + 1, w, h + 1, hs + h, c + 1)
+        else:
+            stats = (s + 1, w + (rule == "withR1"), h + 1, hs, c)
+        _set_stats(self, stats)
+
+
+# The setter of each slot of a node.  The node is frozen, so its slots are
+# set through their descriptors: `object.__setattr__` would do the same at
+# about 1.5 times the cost, and nodes are built often.
+_set_rule, _set_conclusion, _set_premises, _set_params, _set_stats, _set_derived = (
+    Derivation.__dict__[s].__set__
+    for s in ("rule", "conclusion", "premises", "params", "_stats", "_derived"))
 
 
 @dataclass
@@ -425,26 +449,8 @@ def _split_linear(d, at, bad, eigens):
 # -- derived judgements about whole derivations -------------------------------
 
 
-def _stats_here(d: Derivation, kids: list) -> tuple:
-    """(size, weight, height, height_sum, cuts) of d from its premises'."""
-    size, weight, height, height_sum, cuts = 1, d.rule == "withR1", 0, 0, 0
-    for s, w, h, hs, c in kids:
-        size += s
-        weight += w
-        height = max(height, h)
-        height_sum += hs
-        cuts += c
-    if d.rule == "cut":
-        return (size, weight, height + 1, height_sum + height, cuts + 1)
-    return (size, weight, height + 1, height_sum, cuts)
-
-
-def _stats(d: Derivation) -> tuple:
-    return cache_up(d, "_stats", premises, _stats_here)
-
-
 def is_cut_free(d: Derivation) -> bool:
-    return _stats(d)[4] == 0
+    return d._stats[4] == 0
 
 
 def _nodes(d: Derivation):
@@ -479,7 +485,7 @@ class ProofMetrics:
 
 
 def metrics(d: Derivation) -> ProofMetrics:
-    size, weight, height, height_sum, _ = _stats(d)
+    size, weight, height, height_sum, _ = d._stats
     return ProofMetrics(size=size, weight=weight, height_sum=height_sum,
                         max_height=height - 1)
 
@@ -495,7 +501,7 @@ def metrics(d: Derivation) -> ProofMetrics:
 def _derive(rule: str, conclusion: Judgement, premises: tuple,
             params: tuple) -> Derivation:
     d = Derivation(rule, conclusion, premises, params)
-    object.__setattr__(d, "_derived", True)
+    _set_derived(d, True)
     return d
 
 

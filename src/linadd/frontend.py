@@ -664,10 +664,14 @@ def derivations_equal(d1: Derivation, d2: Derivation) -> bool:
 
 
 def load_term(path: str) -> Term:
-    with open(path, encoding="utf-8") as f:
+    """The term in the UTF-8 file at path; a leading byte-order mark is
+    dropped, as in `load_derivation`."""
+    with open(path, encoding="utf-8-sig") as f:
         return parse_term(f.read())
 
 
 def load_derivation(path: str) -> Derivation:
-    with open(path, encoding="utf-8") as f:
+    """The derivation in the UTF-8 file at path, less a leading byte-order
+    mark."""
+    with open(path, encoding="utf-8-sig") as f:
         return parse_derivation(f.read())

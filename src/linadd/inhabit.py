@@ -11,9 +11,9 @@ sequent and terminating because every premise strictly shrinks the sequent
 For types that are tensor macros of two closed forall-lazy components the
 member set is the cross product of the component sets; a fast path exploits
 that directly and is cross-checked against the generic search in the tests.
-The fast path and eta-expansion are each one `nameless.fold`, so neither
-recurses on the depth of a type.  The search recurses into the domains it
-proves, as deep as they nest, which the tensor macro deepens without
+The fast path and eta-expansion are each one `nameless.fold`, and the
+search runs its sequents on its own stack, so none of them recurses on the
+depth of a type, however deep the tensor macro nests domains without
 brackets.
 """
 
@@ -65,10 +65,31 @@ def _splits(items):
 
 
 def _search(ctx, goal, memo, counter):
-    """The derivations of ctx |- goal, memoized on the sequent.  The goal's
-    `-o`/`forall` spine is walked in a loop: each level's right rule is
-    noted with its sequent, and wraps the results of the level above it, in
-    order, once those are known."""
+    """The derivations of ctx |- goal, memoized on the sequent.  Each
+    sequent is a generator (`_sequent`) that yields the premise sequents it
+    needs and is sent their derivations; this loop runs them on its own
+    stack, in the order a recursive search would call them, so no nesting
+    of domains reaches Python's recursion limit."""
+    stack = [_sequent(ctx, goal, memo, counter)]
+    got = None
+    while True:
+        try:
+            need = stack[-1].send(got)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            got = done.value
+        else:
+            stack.append(_sequent(*need, memo, counter))
+            got = None
+
+
+def _sequent(ctx, goal, memo, counter):
+    """The derivations of ctx |- goal, as a generator for `_search`.  The
+    goal's `-o`/`forall` spine is walked in a loop: each level's right rule
+    is noted with its sequent, and wraps the results of the level above it,
+    in order, once those are known."""
     spine = []  # (memo key, right rule's constructor, its parameters)
     while True:
         key = (frozenset(ctx), goal)
@@ -95,21 +116,24 @@ def _search(ctx, goal, memo, counter):
             spine.append((key, d_lolliR, (x,)))
             ctx, goal = ctx + ((x, goal.dom),), goal.cod
         else:
-            out = memo[key] = _search_atomic(ctx, goal, memo, counter)
+            out = memo[key] = yield from _atomic(ctx, goal)
             break
     for key, rule, params in reversed(spine):
         out = memo[key] = [rule(sub, *params) for sub in out]
     return out
 
 
-def _search_atomic(ctx, goal, memo, counter):
-    """The derivations of ctx |- goal for a `&` or atomic goal."""
+def _atomic(ctx, goal):
+    """The derivations of ctx |- goal for a `&` or atomic goal, as a
+    generator that yields each premise sequent and is sent its
+    derivations."""
     out = []
     if isinstance(goal, With):
         if not ctx:
-            for l in _search((), goal.left, memo, counter):
-                for r in _search((), goal.right, memo, counter):
-                    out.append(d_withR0(l, r))
+            lefts = yield (), goal.left
+            if lefts:
+                rights = yield (), goal.right
+                out = [d_withR0(l, r) for l in lefts for r in rights]
     elif isinstance(goal, TVar):
         if len(ctx) == 1 and ctx[0][1] == goal:
             out.append(d_ax(ctx[0][0], goal))
@@ -122,10 +146,10 @@ def _search_atomic(ctx, goal, memo, counter):
             while w in taken:
                 w += "'"
             for g1, g2 in _splits(rest):
-                lefts = _search(g1, a.dom, memo, counter)
+                lefts = yield g1, a.dom
                 if not lefts:
                     continue
-                rights = _search(g2 + ((w, a.cod),), goal, memo, counter)
+                rights = yield g2 + ((w, a.cod),), goal
                 for ld in lefts:
                     for rd in rights:
                         out.append(d_lolliL(ld, rd, y, w))

@@ -20,11 +20,14 @@ and its leaf classes set `free_var` (a named leaf) or `bound_var` (an index
 leaf).  The constructor of a binder closes its name in its body, unless told
 that the body is already scoped.  Nodes are immutable by convention.
 
-Each node stores, when it is built, its free names (`_fv`) and how many
-enclosing binders its indices need (`_loose`, 0 when it is locally closed).
-Its structural hash (`_hash`) is stored when it is built too for types, which
-are hashed often, and filled on demand by `cache_up` for terms.  Every walk here
-keeps its own stack, so no depth of nesting reaches Python's recursion limit.
+Each node stores, when it is built, its free names (`_fv`), how many
+enclosing binders its indices need (`_loose`, 0 when it is locally closed)
+and its structural hash (`_hash`), each computed from its children's stored
+ones, as hash-consing stores its per-node data once (Filliâtre & Conchon,
+"Type-Safe Modular Hash-Consing", ML Workshop 2006).  Terms and types store
+their other summaries the same way, so no query walks a tree to fill one.
+Every walk here keeps its own stack, so no depth of nesting reaches Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -88,8 +91,7 @@ class Node:
         return True
 
     def __hash__(self):
-        h = getattr(self, "_hash", None)
-        return h if h is not None else cache_up(self, "_hash", children, _hash_here)
+        return self._hash
 
 
 def name_leaf(n, name: str) -> None:
@@ -107,47 +109,22 @@ def index_leaf(n, index: int) -> None:
 
 
 def over(n, a, b) -> None:
-    """Store the summaries of n, whose children are a and b."""
+    """Store the free names and looseness of n, whose children are a and b."""
     f, g = a._fv, b._fv
     n._fv = (f | g if g and g is not f else f) if f else g
     n._loose = a._loose if a._loose >= b._loose else b._loose
-
-
-def _hash_here(n, kids):
-    datum = n.datum
-    return hash((n.__class__, datum and getattr(n, datum), *kids))
-
-
-def cache_up(root, slot: str, kids, combine):
-    """The value `combine(n, [value of each of kids(n)])` at `root`, stored
-    in slot `slot` of every node computed on the way.  A post-order walk with
-    its own stack that descends only into nodes whose slot is still empty, so
-    a query costs the nodes built since the last one and no recursion."""
-    r = getattr(root, slot, None)
-    if r is not None:
-        return r
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if n is None:  # the node below has all its kids done
-            n = stack.pop()
-            object.__setattr__(n, slot, combine(n, [getattr(k, slot) for k in kids(n)]))
-        elif getattr(n, slot, None) is None:
-            stack += (n, None)
-            stack += kids(n)
-    return getattr(root, slot)
 
 
 def fold(root, kids, combine, memo: dict):
     """The value `combine(n, [value of each of kids(n)])` at `root`, kept in
     `memo` under id(n) for every node on the way: a post-order walk with its
     own stack, so each node is combined once per call and no depth recurses.
-    A bottom-up rewrite of a tree or DAG is one call.  Unlike `cache_up`,
-    whose values live in the nodes and outlast the call, it suits a value
-    that depends on the call's arguments.  Every node combined stays
-    referenced until the call returns, so `kids` may make new nodes, such
-    as one object per occurrence of a shared subtree, and no id in `memo`
-    is reused for another node on the way."""
+    A bottom-up rewrite of a tree or DAG is one call.  Unlike the summaries
+    that a node stores when it is built, it suits a value that depends on
+    the call's arguments.  Every node combined stays referenced until the
+    call returns, so `kids` may make new nodes, such as one object per
+    occurrence of a shared subtree, and no id in `memo` is reused for
+    another node on the way."""
     todo = [root]
     done = []
     while todo:

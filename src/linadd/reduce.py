@@ -11,11 +11,12 @@ expansions, so `beta` covers them; `eta` (\\x. M x -> M, x not free in M)
 is kept separate and is only used on the translation side.
 
 A redex is identified by its path (child indices from the root) and kind.
-`redex_free` is cached on every node (see `terms`), so a search skips each
-subtree it already knows holds no redex.  `normalize` runs a strategy
-(leftmost, rightmost, or seeded random) under an optional budget.  The
-leftmost and rightmost strategies descend from the root into the first (or
-last) child that is not redex-free and stop at the redex, so a step costs
+`redex_free` reads a flag that every node stores when it is built (see
+`terms`), so a search skips each subtree it already knows holds no redex.
+`normalize` runs a strategy (leftmost, rightmost, or seeded random) under
+an optional budget.  The leftmost and rightmost strategies descend from the
+root into the first (or last) child that is not redex-free and stop at the
+redex, so a step costs
 the depth of its redex plus the nodes that the contraction and the
 replacement on the path build, not a scan of the whole term.
 `find_redexes` lists every redex in leftmost-outermost (pre-)order; it is the
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import random
 
-from .nameless import cache_up, children, fold, references, shift
+from .nameless import children, fold, references, shift
 from .terms import (
     Abs, App, Bound, Copy, Pair, Proj, Term, Var,
     alpha_equal, free_vars, is_value, open_term,
@@ -56,13 +57,9 @@ def redex_kind_at(t: Term):
     return None
 
 
-def _redex_free_here(t: Term, kids: list) -> bool:
-    return all(kids) and redex_kind_at(t) is None
-
-
 def redex_free(t: Term) -> bool:
     """No redex anywhere in t, i.e. t is normal."""
-    return cache_up(t, "_redex_free", children, _redex_free_here)
+    return t._redex_free
 
 
 def find_redexes(t: Term) -> list:

@@ -16,29 +16,31 @@ index and a free one a named `Var`; `Abs.var`, `Copy.left_var` and
 `Copy.right_var` are only print hints.  `Abs(x, M)` and `Copy(g, s, x, y, L,
 R)` bind the free x (and y) of their bodies; with `scoped` set, the bodies
 already refer to their binders by index.  So `==` is structural and is
-alpha-equivalence (`alpha_equal`), the hash is structural and cached,
+alpha-equivalence (`alpha_equal`), the hash is structural and stored,
 contracting a beta or copy redex is one `open_term`, and `subst` cannot
 capture.  Nodes are immutable, so shared subterms are cheap, and the helpers
 below memoize on node identity so DAG-shaped terms stay tractable.
 
-Besides its stored free variables and looseness (see `nameless`), each node
-carries three lazily filled slots: its hash, whether it is value-shaped
-(`is_value`: no projection, no copy and no beta redex anywhere below), and
-whether it is redex-free (`reduce.redex_free`).  They are computed by
-`cache_up`, a post-order walk without recursion that stops at nodes already
-filled, so a term built by substitution or by replacing a subterm costs only
-its new nodes, and a search can skip every subtree it knows is done.
+Besides its free variables, looseness and hash (see `nameless`), each node
+stores, when it is built, whether it is value-shaped (`is_value`: no
+projection, no copy and no beta redex anywhere below) and whether it is
+redex-free (`reduce.redex_free`), each read off its children's stored flags
+and its own shape.  So a term built by substitution or by replacing a
+subterm costs only its new nodes, the queries read one slot, and a search
+can skip every subtree it knows is done.
 """
 
 from __future__ import annotations
 
 from .nameless import (
-    Node, bind, cache_up, children, free_names, fresh, index_leaf, instantiate,
-    loose, name_leaf, over, shift, size, substitute,
+    Node, bind, free_names, fresh, index_leaf, instantiate, name_leaf, over,
+    shift, size, substitute,
 )
 
 
 class Term(Node):
+    # An inner node's hash is that of (its class, its datum or None, its
+    # children's hashes).
     __slots__ = ("_fv", "_loose", "_hash", "_value_shaped", "_redex_free")
 
     def __getitem__(self, path):
@@ -52,7 +54,10 @@ class Var(Term):
     __slots__ = ("name",)
     datum = "name"
     free_var = True
-    __init__ = name_leaf
+
+    def __init__(self, name: str):
+        name_leaf(self, name)
+        self._value_shaped = self._redex_free = True
 
 
 class Bound(Term):
@@ -61,7 +66,10 @@ class Bound(Term):
     __slots__ = ("index",)
     datum = "index"
     bound_var = True
-    __init__ = index_leaf
+
+    def __init__(self, index: int):
+        index_leaf(self, index)
+        self._value_shaped = self._redex_free = True
 
 
 class Abs(Term):
@@ -75,6 +83,9 @@ class Abs(Term):
         self.body = body
         self._fv = body._fv
         self._loose = body._loose - 1 if body._loose > 1 else 0
+        self._hash = hash((Abs, None, body._hash))
+        self._value_shaped = body._value_shaped
+        self._redex_free = body._redex_free
 
     def children(self):
         return (self.body,)
@@ -91,6 +102,10 @@ class App(Term):
         self.fun = fun
         self.arg = arg
         over(self, fun, arg)
+        self._hash = hash((App, None, fun._hash, arg._hash))
+        beta = fun.__class__ is Abs
+        self._value_shaped = fun._value_shaped and arg._value_shaped and not beta
+        self._redex_free = fun._redex_free and arg._redex_free and not beta
 
     def children(self):
         return (self.fun, self.arg)
@@ -104,6 +119,9 @@ class Pair(Term):
         self.left = left
         self.right = right
         over(self, left, right)
+        self._hash = hash((Pair, None, left._hash, right._hash))
+        self._value_shaped = left._value_shaped and right._value_shaped
+        self._redex_free = left._redex_free and right._redex_free
 
     def children(self):
         return (self.left, self.right)
@@ -119,6 +137,9 @@ class Proj(Term):
         self.body = body
         self._fv = body._fv
         self._loose = body._loose
+        self._hash = hash((Proj, index, body._hash))
+        self._value_shaped = False
+        self._redex_free = body._redex_free and body.__class__ is not Pair
 
     def children(self):
         return (self.body,)
@@ -149,6 +170,12 @@ class Copy(Term):
                 self._fv = self._fv | branch._fv
             if branch._loose - 1 > self._loose:
                 self._loose = branch._loose - 1
+        self._hash = hash((Copy, None, guard._hash, scrutinee._hash,
+                           left_branch._hash, right_branch._hash))
+        self._value_shaped = False
+        self._redex_free = (guard._redex_free and scrutinee._redex_free
+                            and left_branch._redex_free and right_branch._redex_free
+                            and not is_value(scrutinee))
 
     def children(self):
         return (self.guard, self.scrutinee, self.left_branch, self.right_branch)
@@ -203,14 +230,8 @@ def alpha_equal(t1: Term, t2: Term) -> bool:
 
 # -- values -------------------------------------------------------------------
 
-def _value_shaped_here(t: Term, kids: list) -> bool:
-    return (all(kids) and not isinstance(t, (Proj, Copy))
-            and not (isinstance(t, App) and isinstance(t.fun, Abs)))
-
-
 def is_value(t: Term) -> bool:
     """Closed, projection/copy-free, beta-normal terms; these are the only
     terms admitted as copy guards and the only closed normal forms of the
     lazy fragment."""
-    return (not free_vars(t) and not loose(t)
-            and cache_up(t, "_value_shaped", children, _value_shaped_here))
+    return not t._fv and not t._loose and t._value_shaped

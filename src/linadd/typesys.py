@@ -21,11 +21,11 @@ by & and forall.  The classifier predicates defined from polarity:
     pi1          forall_lazy and no occurrence of & at all
 
 `closed` reads the stored free names.  The other three read a 4-bit
-polarity summary (forall+, forall-, with+, with-) that each node computes
-once from its children's, on the first query (`nameless.cache_up`): -o
-swaps the signs of its domain's bits, & adds with+, forall adds forall+.  So
-a query costs the nodes not yet summarized, a shared subtree such as
-`with_tower(t, n)` is summarized once, and no depth recurses.
+polarity summary (forall+, forall-, with+, with-, `_pol`) that each node
+stores when it is built, from its children's: -o swaps the signs of its
+domain's bits, & adds with+, forall adds forall+.  So a query reads one
+slot, a shared subtree such as `with_tower(t, n)` is summarized once, and
+no depth recurses.
 `polarity_occurrences` lists the occurrences themselves by walking the type
 as a tree; it is the reference that the summaries are tested against.
 """
@@ -35,9 +35,15 @@ from __future__ import annotations
 from functools import partial
 
 from .nameless import (
-    Node, bind, cache_up, children, free_names, fresh, index_leaf, instantiate,
-    loose, name_leaf, over, references, shift, size, substitute,
+    Node, bind, free_names, fresh, index_leaf, instantiate, loose, name_leaf,
+    over, references, shift, size, substitute,
 )
+
+
+# The polarity summary of a type: which of these occur in it.  Each
+# negative bit is its positive bit shifted left by one.
+FORALL_POS, FORALL_NEG, WITH_POS, WITH_NEG = 1, 2, 4, 8
+_POSITIVE = FORALL_POS | WITH_POS
 
 
 class Type(Node):
@@ -78,7 +84,10 @@ class TVar(Type):
     __slots__ = ("name",)
     datum = "name"
     free_var = True
-    __init__ = name_leaf
+
+    def __init__(self, name: str):
+        name_leaf(self, name)
+        self._pol = 0
 
 
 class TBound(Type):
@@ -87,7 +96,10 @@ class TBound(Type):
     __slots__ = ("index",)
     datum = "index"
     bound_var = True
-    __init__ = index_leaf
+
+    def __init__(self, index: int):
+        index_leaf(self, index)
+        self._pol = 0
 
 
 class Lolli(Type):
@@ -99,6 +111,8 @@ class Lolli(Type):
         self.cod = cod
         over(self, dom, cod)
         self._hash = hash((Lolli, dom._hash, cod._hash))
+        pol = dom._pol  # its polarities flip
+        self._pol = (pol & _POSITIVE) << 1 | (pol >> 1) & _POSITIVE | cod._pol
 
     def children(self):
         return (self.dom, self.cod)
@@ -113,6 +127,7 @@ class With(Type):
         self.right = right
         over(self, left, right)
         self._hash = hash((With, left._hash, right._hash))
+        self._pol = left._pol | right._pol | WITH_POS
 
     def children(self):
         return (self.left, self.right)
@@ -133,6 +148,7 @@ class Forall(Type):
         self._fv = body._fv
         self._loose = body._loose - 1 if body._loose > 1 else 0
         self._hash = hash((Forall, body._hash))
+        self._pol = body._pol | FORALL_POS
 
     def children(self):
         return (self.body,)
@@ -220,7 +236,8 @@ def polarity_occurrences(a: Type, connective: str):
     """All occurrences of the given connective ('forall', 'with', 'lolli',
     'var') in a, paired with their polarity, in pre-order.  The type itself
     is a positive occurrence of its own head.  A walk of a as a tree, with
-    its own stack: the reference for the summaries below."""
+    its own stack: the reference that the stored summaries are tested
+    against."""
     out = []
     kind = {TVar: "var", TBound: "var", Lolli: "lolli", With: "with",
             Forall: "forall"}
@@ -238,53 +255,30 @@ def polarity_occurrences(a: Type, connective: str):
     return out
 
 
-# The polarity summary of a type: which of these occur in it.  Each
-# negative bit is its positive bit shifted left by one.
-FORALL_POS, FORALL_NEG, WITH_POS, WITH_NEG = 1, 2, 4, 8
-_POSITIVE = FORALL_POS | WITH_POS
-
-
-def _polarity_here(t: Type, kids: list) -> int:
-    kind = t.__class__
-    if kind is Lolli:
-        dom = kids[0]  # its polarities flip
-        return (dom & _POSITIVE) << 1 | (dom >> 1) & _POSITIVE | kids[1]
-    if kind is With:
-        return kids[0] | kids[1] | WITH_POS
-    if kind is Forall:
-        return kids[0] | FORALL_POS
-    return 0
-
-
-def _polarity(a: Type) -> int:
-    """The polarity summary of a, stored in every node on the way."""
-    return cache_up(a, "_pol", children, _polarity_here)
-
-
 def is_closed(a: Type) -> bool:
     return not free_type_vars(a)
 
 
 def is_forall_lazy(a: Type) -> bool:
-    return not _polarity(a) & FORALL_NEG
+    return not a._pol & FORALL_NEG
 
 
 def is_lazy(a: Type) -> bool:
-    return not _polarity(a) & (FORALL_NEG | WITH_POS)
+    return not a._pol & (FORALL_NEG | WITH_POS)
 
 
 def is_pi1(a: Type) -> bool:
-    return not _polarity(a) & (FORALL_NEG | WITH_POS | WITH_NEG)
+    return not a._pol & (FORALL_NEG | WITH_POS | WITH_NEG)
 
 
 def has_with(a: Type) -> bool:
-    return bool(_polarity(a) & (WITH_POS | WITH_NEG))
+    return bool(a._pol & (WITH_POS | WITH_NEG))
 
 
 def judgement_is_forall_lazy(context_types, goal: Type) -> bool:
     """A sequent A1,...,An |- B counts as forall-lazy when the folded type
     A1 -o ... -o An -o B is: no context type may contain a positive forall,
     and the goal no negative one."""
-    if _polarity(goal) & FORALL_NEG:
+    if goal._pol & FORALL_NEG:
         return False
-    return not any(_polarity(t) & FORALL_POS for t in context_types)
+    return not any(t._pol & FORALL_POS for t in context_types)

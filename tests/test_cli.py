@@ -500,3 +500,23 @@ def test_a_negative_budget_is_refused(capsys, argv):
     assert "argument --budget: -" in capsys.readouterr().err
     argv[-1] = "0"  # a budget of no steps is a count
     assert cli.build_parser().parse_args(argv).budget == 0
+
+
+@pytest.mark.parametrize("argv", [["gen", "ladd", "-n", "abc"],
+                                  ["normalize", "t.lam", "--budget", "abc"]])
+def test_a_count_that_is_not_a_number_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: 'abc' is not a whole number" % argv[-2] in err
+    assert "_natural" not in err
+
+
+def test_a_byte_order_mark_is_read_as_utf8(tmp_path, capsys):
+    term, deriv = tmp_path / "t.lam", tmp_path / "d.lamd"
+    term.write_bytes(b"\xef\xbb\xbf\\x. x")
+    deriv.write_bytes(b'\xef\xbb\xbf(lamd 2 (rule ax x "a"))\n')
+    code, rep = run_json(capsys, "normalize", str(term))
+    assert (code, rep["verdict"]) == (0, "pass")
+    assert run_json(capsys, "check", str(deriv))[0] == 0

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from linadd.derivation import check_ok, is_cut_free, is_eta_expanded, metrics
-from linadd.frontend import parse_term, print_term
+from linadd.frontend import parse_term, parse_type, print_term
 from linadd.inhabit import (
     InhabitError, enumerate_inhabitants, eta_expand, eta_expansion_derivation,
     maximal_value,
@@ -139,6 +139,28 @@ def test_enumeration_order_is_pinned():
     assert [print_term(t) for t in slow] == _BBB
     # the fast path names its binders from the global supply of fresh names
     assert enumerate_inhabitants(bbb).terms() == slow
+
+
+def _nested_domains(n):
+    """forall b. b -o b * 1 * ... * 1 with n operands of 1, built as the
+    reader builds it (`*` groups to the left), but with b bound once, at
+    the end."""
+    b = TVar("b")
+    chain = b
+    for _ in range(n):
+        chain = tensor_type(chain, ONE)
+    return Forall("b", Lolli(b, chain))
+
+
+def test_search_runs_nested_domains_on_its_own_stack():
+    # each `*` nests the domains of the last inside its own, and the tensor
+    # fast path takes a type apart only at its root, so the generic search
+    # goes 1,500 domains deep
+    assert _nested_domains(2) == parse_type("forall b. b -o b * 1 * 1")
+    a = _nested_domains(1500)
+    found = enumerate_inhabitants(a)
+    assert found.count == 1
+    assert found.members[0][1].conclusion.goal == a
 
 
 def test_size_bound_on_members():

@@ -4,6 +4,10 @@ module state the module graph."""
 import ast
 from pathlib import Path
 
+from linadd.derivation import Derivation, Judgement
+from linadd.terms import Abs, App, Bound, Copy, Pair, Proj, Term, Var
+from linadd.typesys import Forall, Lolli, TBound, TVar, Type, With
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "linadd"
 
 
@@ -33,11 +37,6 @@ RECURSION_SURFACE = {
     # the readers: MAX_NESTING
     "frontend._parse_term", "frontend._parse_term_app", "frontend._parse_term_atom",
     "frontend._parse_term_tensor", "frontend._parse_type", "frontend._parse_type_atom",
-    # the nesting of domains in the goal, which a tensor deepens without
-    # brackets: not bounded, `forall b. b -o b * (1 * ... * 1)` with 1,500
-    # operands exhausts the stack (the tensor fast path takes a type apart
-    # only at its root)
-    "inhabit._search", "inhabit._search_atomic",
     # one re-entry, not depth: instantiate's leaf shifts a closed-over term
     "nameless.instantiate.leaf", "nameless.rewrite", "nameless.shift",
     # at most 8 booleans (translate._FLAT_LIMIT)
@@ -112,3 +111,37 @@ def test_recursion_surface_is_pinned():
             on_cycle.add(q)
     assert len(calls) > 200  # the scan found the package
     assert on_cycle == RECURSION_SURFACE
+
+
+# The one slot of a node that a query fills after it is built: the class of
+# a cut for cut elimination (`steps.cut_class`).
+FILLED_BY_A_QUERY = {"_cut"}
+
+
+def _subclasses(cls):
+    out, todo = set(), [cls]
+    while todo:
+        for c in todo.pop().__subclasses__():
+            out.add(c)
+            todo.append(c)
+    return out
+
+
+def test_every_summary_slot_is_set_when_a_node_is_built():
+    # every private slot of a node is a summary stored by its constructor,
+    # so none can be left for a lazy walk to fill unseen
+    x, a = Var("x"), TVar("a")
+    ax = Derivation("ax", Judgement((("x", a),), x, a), (), ("x", a))
+    built = [
+        x, Bound(0), Abs("x", x), App(x, x), Pair(x, x), Proj(1, x),
+        Copy(x, x, "l", "r", Var("l"), Var("r")),
+        a, TBound(0), Lolli(a, a), With(a, a), Forall("a", a),
+        ax, Derivation("cut", ax.conclusion, (ax, ax), ("x",)),
+    ]
+    assert {type(n) for n in built} == _subclasses(Term) | _subclasses(Type) | {Derivation}
+    for n in built:
+        slots = {s for c in type(n).__mro__ for s in getattr(c, "__slots__", ())
+                 if s.startswith("_") and s != "__weakref__"}
+        assert slots
+        unset = sorted(s for s in slots - FILLED_BY_A_QUERY if not hasattr(n, s))
+        assert not unset, (type(n).__name__, unset)
