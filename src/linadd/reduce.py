@@ -136,6 +136,8 @@ class NormalizeResult:
 
 def normalize(t: Term, strategy: str = "leftmost", budget: int | None = None,
               seed: int | None = None, keep_trace: bool = False) -> NormalizeResult:
+    if strategy not in ("leftmost", "rightmost", "random"):
+        raise ValueError("unknown strategy %r" % strategy)
     rng = random.Random(seed) if strategy == "random" else None
     steps = 0
     trace: list = []
@@ -146,10 +148,8 @@ def normalize(t: Term, strategy: str = "leftmost", budget: int | None = None,
             raise BudgetExceeded("no normal form within %d steps" % budget)
         if strategy in ("leftmost", "rightmost"):
             r = _descend(t, strategy == "rightmost")
-        elif strategy == "random":
-            r = rng.choice(find_redexes(t))
         else:
-            raise ValueError("unknown strategy %r" % strategy)
+            r = rng.choice(find_redexes(t))
         t = step(t, r)
         steps += 1
         if keep_trace:

@@ -18,11 +18,13 @@ context: no assumption name of it can meet another.  Sizes stay tree sizes:
 nothing were shared, and `compression_report` puts `translated_dag_size`, the
 distinct nodes, beside it.
 
-The tensor tree of a duplicated type is walked by `nameless.fold`, which
-keeps its own stack, so a tensor of any depth gets a duplicator.
+Duplicators and erasers are built by `nameless.fold`, which keeps its own
+stack, so a type of any depth gets its gadgets.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .nameless import fold
 from .terms import fresh_name, free_vars, term_size
@@ -71,9 +73,7 @@ def d_tensor_pair(l: Derivation, r: Derivation) -> Derivation:
     avoid = (context_names(l.conclusion.context)
              | context_names(r.conclusion.context)
              | free_vars(l.conclusion.subject) | free_vars(r.conclusion.subject))
-    z = fresh_name("z", avoid)
-    p = fresh_name("p", avoid | {z})
-    q = fresh_name("q", avoid | {z, p})
+    z, p, q = (fresh_name(n, avoid) for n in "zpq")
     inner = d_lolliL(r, d_ax(q, TVar(g)), p, q)
     outer = d_lolliL(l, inner, z, p)
     return d_forallR(d_lolliR(outer, z), g, g)
@@ -95,58 +95,51 @@ def d_let_unit(scrut: Derivation, body: Derivation) -> Derivation:
 
 # The eraser walks a closed type with only positive quantifiers: quantifiers
 # are instantiated at 1, each argument position is fed a canonical closed
-# inhabitant (the generator), and the head atom — always an instantiated
-# variable — leaves a unit behind.  The generator for an argument type
-# abstracts its own arguments, consumes each with the matching eraser, and
-# chains the units onto I.  Both are linear in the type size.
+# inhabitant (the generator), and the head atom leaves a unit behind.  The
+# generator for an argument type abstracts its own arguments, consumes each
+# with the matching eraser, and chains the units onto I.  Both are linear in
+# the type size.  The type is closed, so the walk opens every quantifier at
+# one variable, which stands for 1.
 
-def _eraser_body(s: Type, env: frozenset, d: Derivation, lib) -> Derivation:
-    while True:
-        if isinstance(s, TVar):
-            if s.name not in env:
-                raise GadgetError("eraser reached a free type variable")
-            return d
-        if isinstance(s, Forall):
-            m = fresh_type_var("m", env | free_type_vars(s))
-            env = env | {m}
-            s = open_type(s.body, TVar(m))
-            d = d_inst(d, unit_type())
-        elif isinstance(s, Lolli):
-            d = d_app(d, _generator(s.dom, env, lib))
-            s = s.cod
+_AT_ONE = TVar("1")
+
+
+def _eraser_spine(a: Type):
+    """The spine of the closed type a: None for each quantifier, and for each
+    argument its generator's argument types, closed by 1 for _AT_ONE."""
+    while not isinstance(a, TVar):
+        if isinstance(a, Forall):
+            yield None
+            a = open_type(a.body, _AT_ONE)
+        elif isinstance(a, Lolli):
+            args, g = [], a.dom
+            while isinstance(g, Lolli):
+                args.append(subst_type(g.dom, _AT_ONE.name, unit_type()))
+                g = g.cod
+            if not isinstance(g, TVar):
+                raise GadgetError("generator head is not an instantiated variable"
+                                  " (negative quantifier in the erased type)")
+            yield args
+            a = a.cod
         else:
             raise GadgetError("eraser does not support conjunction types")
 
 
-def _generator(s: Type, env: frozenset, lib) -> Derivation:
-    doms = []
-    while isinstance(s, Lolli):
-        doms.append(s.dom)
-        s = s.cod
-    if not (isinstance(s, TVar) and s.name in env):
-        raise GadgetError("generator head is not an instantiated variable"
-                          " (negative quantifier in the erased type)")
-    d = lib.unit()
-    names = [fresh_name("g", set()) for _ in doms]
-    for x, dom in zip(reversed(names), reversed(doms)):
-        real = _realize(dom, env)  # closed, so its eraser is the library's
-        e = d_app(lib.eraser(real), d_ax(x, real))
-        d = d_app(d_inst(e, d.conclusion.goal), d)
-    for x in reversed(names):
-        d = d_lolliR(d, x)
-    return d
-
-
-def _realize(s: Type, env: frozenset) -> Type:
-    for m in free_type_vars(s) & env:
-        s = subst_type(s, m, unit_type())
-    return s
-
-
 def _eraser(a: Type, lib) -> Derivation:
     z = fresh_name("z", set())
-    body = _eraser_body(a, frozenset(), d_ax(z, a), lib)
-    return d_lolliR(body, z)
+    d = d_ax(z, a)
+    for args in _eraser_spine(a):
+        if args is None:
+            d = d_inst(d, unit_type())
+            continue
+        g = lib.unit()
+        names = [fresh_name("g", set()) for _ in args]
+        for x, t in zip(reversed(names), reversed(args)):
+            g = d_let_unit(d_app(lib.eraser(t), d_ax(x, t)), g)
+        for x in reversed(names):
+            g = d_lolliR(g, x)
+        d = d_app(d, g)
+    return d_lolliR(d, z)
 
 
 # -- duplicators --------------------------------------------------------------
@@ -202,15 +195,11 @@ def _flat_select(bools: list, value, lib) -> Derivation:
     first); each selector then takes the current table apart, keeps its
     half, and erases the other.  Each entry is built once and paired with
     itself."""
-
-    def table(k, assignment):
-        if k == len(bools):
-            v = value(assignment)
-            return d_tensor_pair(v, v)
-        return d_tensor_pair(table(k + 1, assignment + [True]),
-                             table(k + 1, assignment + [False]))
-
-    d = table(0, [])
+    leaves = map(value, itertools.product((True, False), repeat=len(bools)))
+    level = [d_tensor_pair(v, v) for v in leaves]
+    while len(level) > 1:  # pair neighbours, level by level
+        level = [d_tensor_pair(l, r) for l, r in zip(level[::2], level[1::2])]
+    d, = level
     for b in bools:
         s, _ = match_tensor_type(d.conclusion.goal)
         u, v = fresh_name("u", set()), fresh_name("v", set())
@@ -250,11 +239,22 @@ class GadgetLibrary:
 
     def eraser(self, a: Type) -> Derivation:
         """Closed derivation of |- E : A -o 1 with E M normalizing to I for
-        every closed normal inhabitant M; |E| is linear in |A|."""
+        every closed normal inhabitant M; |E| is linear in |A|.  One fold
+        builds the erasers that its generators apply, innermost first."""
         if a not in self._erasers:
             if not is_closed(a):
                 raise GadgetError("eraser requires a closed type")
-            self._erasers[a] = _eraser(a, self)
+
+            def kids(t):
+                if t in self._erasers:
+                    return ()
+                return [u for args in _eraser_spine(t) if args for u in args]
+
+            def build(t, _):
+                if t not in self._erasers:
+                    self._erasers[t] = _eraser(t, self)
+
+            fold(a, kids, build, {})
         return self._erasers[a]
 
     def duplicator(self, a: Type) -> Derivation:

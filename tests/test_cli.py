@@ -72,9 +72,13 @@ _GUARD = "(rule withR0 " * 1500 + _UNIT + (" " + _UNIT + ")") * 1500
     (["translate", "FILE"], '(lamd 2 (rule withR1 x (rule ax x1 "%s") (rule ax x2 "%s") %s))'
      % (_WITH, _WITH, _GUARD)),
     (["eta-expand", "FILE"], '(lamd 2 (rule ax x "%s"))' % _TENSOR),
+    (["translate", "FILE"], '(lamd 2 (rule withL1 y x "%s" (rule ax x "1")))' % _TENSOR),
+    (["translate", "FILE"], '(lamd 2 (rule withL1 y x "%s" (rule ax x "1")))'
+     % " & ".join(["1"] * 1500)),
 ], ids=["gen-add-400-print_term", "inhabitants-300-print_type",
         "inhabitants-1500-tensor_fast_path", "translate-1501-duplicator",
-        "eta-expand-1500-tensor"])
+        "eta-expand-1500-tensor", "translate-1500-tensor-eraser",
+        "translate-1500-with-eraser"])
 def test_deep_legal_inputs_pass(tmp_path, capsys, argv, text):
     f = tmp_path / "input"
     if text is not None:

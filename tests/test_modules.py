@@ -39,13 +39,6 @@ RECURSION_SURFACE = {
     "frontend._parse_term_tensor", "frontend._parse_type", "frontend._parse_type_atom",
     # one re-entry, not depth: instantiate's leaf shifts a closed-over term
     "nameless.instantiate.leaf", "nameless.rewrite", "nameless.shift",
-    # at most 8 booleans (translate._FLAT_LIMIT)
-    "translate._flat_select.table",
-    # the nesting of domains in the type erased: not bounded, `translate` of
-    # a withL1 node whose unprojected component is `1 * ... * 1` with 1,500
-    # operands exhausts the stack
-    "translate.GadgetLibrary.eraser", "translate._eraser", "translate._eraser_body",
-    "translate._generator",
 }
 
 

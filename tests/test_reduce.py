@@ -65,6 +65,13 @@ def test_budget_exhaustion():
         normalize(t, budget=1)
 
 
+@pytest.mark.parametrize("text", ["x", "(\\y. y) x"], ids=["normal", "redex"])
+def test_unknown_strategy_is_refused(text):
+    # before the first redex test, so a normal term is refused too
+    with pytest.raises(ValueError):
+        normalize(parse_term(text), strategy="bogus")
+
+
 def test_strategies_agree_on_ladd(seed=3):
     _, d = gen_ladd(2, unit_type())
     t = gen_applied(d, identity_derivation()).conclusion.subject

@@ -118,6 +118,22 @@ def test_eraser_requires_closed_type(gadgets):
         gadgets.eraser(TVar("a"))
 
 
+@pytest.mark.parametrize("text", ["1 & 1", "forall a. (forall b. b) -o a"],
+                         ids=["conjunction-on-spine", "quantified-generator-head"])
+def test_eraser_refuses_shapes_without_one(gadgets, text):
+    with pytest.raises(GadgetError):
+        gadgets.eraser(parse_type(text))
+
+
+def test_eraser_of_a_quantified_generator_argument(gadgets):
+    # the generator's argument is itself quantified, so its eraser opens it
+    a = parse_type("forall a. ((forall b. b -o b) -o a) -o a")
+    e = gadgets.eraser(a)
+    check_ok(e, "imll2")
+    (_, vd), = enumerate_inhabitants(a).members
+    assert alpha_equal(normalize(d_app(e, vd).conclusion.subject).term, I)
+
+
 def test_duplicator_requires_tensor_tree_of_units_and_bools(gadgets):
     with pytest.raises(GadgetError):
         gadgets.duplicator(Lolli(ONE, ONE))
