@@ -135,16 +135,15 @@ def cmd_normalize(args, report: Report):
     report.measurements.update(
         input_size=term_size(t), normal_form_size=term_size(res.term),
         steps=res.steps)
-    lines = [print_term(res.term)]
-    if args.trace and res.trace:
-        for r, after in res.trace:
-            lines.append(";; %s at %s -> size %d"
-                         % (r.kind, "/".join(map(str, r.path)) or "root",
-                            term_size(after)))
-        report.measurements["trace"] = [
-            {"kind": r.kind, "path": list(r.path), "size_after": term_size(a)}
-            for r, a in res.trace]
-    return lines
+    trace = [{"kind": r.kind, "path": list(r.path), "size_after": term_size(a)}
+             for r, a in res.trace] if args.trace and res.trace else []
+    if trace:
+        report.measurements["trace"] = trace
+    if args.json:
+        return ()
+    return [print_term(res.term)] + [
+        ";; %s at %s -> size %d" % (s["kind"], "/".join(map(str, s["path"])) or "root",
+                                    s["size_after"]) for s in trace]
 
 
 def cmd_cutelim(args, report: Report):

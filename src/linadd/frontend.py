@@ -44,10 +44,13 @@ the error, as it would be had lexing run first.  Otherwise the error is at
 the first token the reader cannot accept, and a rule's refusal at its
 node's `(`.
 
-The type and term parsers keep the names of the enclosing binders,
+The type and term readers keep the names of the enclosing binders,
 innermost first, and emit an identifier bound there as its index, so every
 binder is built over a body that already refers to it (see `nameless`) and
-no body is rebound.
+no body is rebound.  A `&`/`*` chain is read as a list of operands, each
+shifted once past the binders of the `*` macros over it, and built once.
+Each reader is a generator that `nameless.drive` runs on its own stack, so
+a type or term of any depth reads, as the printers print one.
 
 One file names the same type many times.  `parse_derivation` therefore
 parses each distinct type or term text once per call, and equal texts share
@@ -57,8 +60,7 @@ Neither memo outlives the call.
 
 The printers choose the names of binders: each keeps its hint unless the
 hint would capture.  The three printers are one walk with its own stack,
-`_print`, so they print a tree of any depth; `MAX_NESTING` bounds reading
-only, and text printed deeper than it does not read back.
+`_print`.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .nameless import references
+from .nameless import drive, references, shift
 from .terms import (
     Abs, App, Bound, Copy, Pair, Proj, Term, Var,
     identity_term, let_tensor, let_unit, tensor_term,
@@ -79,12 +81,6 @@ from .derivation import (
 )
 
 KEYWORDS = {"forall", "copy", "as", "in", "let", "be", "p1", "p2", "I"}
-
-# How deep the recursive forms of a type or term may nest (a bracket, a
-# `forall` or `\x.` in operand position, a `let` head, a `copy` scrutinee):
-# their parsers recurse, a term at most four frames per level, so a text
-# within the limit parses however deep the caller's stack already is.
-MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -181,9 +177,11 @@ def _ident(t: str) -> bool:
     return (c.isalpha() or c == "_") and t not in KEYWORDS
 
 
-def _expect(toks: list, i: int, text: str) -> None:
+def _expect(toks: list, i: int, text: str) -> int:
+    """The index after toks[i], which must be text."""
     if toks[i] != text:
         raise _Fail(i, None, (repr(text),))
+    return i + 1
 
 
 def _name(toks: list, i: int, what: str) -> str:
@@ -194,14 +192,16 @@ def _name(toks: list, i: int, what: str) -> str:
 
 
 def _parse_all(parse, src: str):
-    """Run `parse` over the whole of `src`.  Each parser takes the token
-    texts, an index and the enclosing binders' names, innermost first, and
-    returns a tree and the index after it.  Binder prefixes and `-o` chains
-    parse in loops; the other nested forms recurse, at most MAX_NESTING
-    deep."""
+    """Run the reader `parse` over the whole of `src`.  A reader is a
+    generator that takes the token texts, an index and the enclosing
+    binders' names, innermost first, and returns a tree and the index after
+    it.  It reads binder prefixes, `-o` chains and the operands of a chain
+    in loops, and yields (reader, *args) for each other nested form, which
+    `nameless.drive` runs on its own stack, so no depth of nesting
+    recurses."""
     toks = _texts(src)
     try:
-        out, i = parse(toks, 0, [])
+        out, i = drive(parse(toks, 0, []))
         if toks[i]:
             raise _Fail(i, "trailing input")
     except _Fail as e:
@@ -211,25 +211,49 @@ def _parse_all(parse, src: str):
 
 # -- types --------------------------------------------------------------------
 
-def _parse_type(toks: list, i: int, env: list, depth: int = 0):
-    # `forall a.` prefixes and the right-nested `-o` chain, innermost last
-    if depth > MAX_NESTING:
-        raise _Fail(i, "nesting too deep")
+def _parse_type(toks: list, i: int, env: list):
+    # `forall a.` prefixes and the right-nested `-o` chain, innermost last;
+    # each `-o` domain is a chain of operands, joined by `&` and `*`
     wrap = []  # binder hints and `-o` domains
     while True:
-        if toks[i] == "forall":
+        t = toks[i]
+        if t == "forall":
             v = _name(toks, i + 1, "type variable")
             _expect(toks, i + 2, ".")
             env.insert(0, v)
             wrap.append(v)
             i += 3
             continue
-        out, i = _parse_type_atom(toks, i, env, depth)
-        t = toks[i]
-        while t == "&" or t == "*":
-            rhs, i = _parse_type_atom(toks, i + 1, env, depth)
-            out = With(out, rhs) if t == "&" else tensor_type(out, rhs)
+        args, ops = [], []  # the operands and the operators between them
+        while True:
+            if t in env:
+                a, i = TBound(env.index(t)), i + 1
+            elif t == "(":
+                a, i = yield (_parse_type, toks, i + 1, env)
+                i = _expect(toks, i, ")")
+            elif t == "1":
+                a, i = unit_type(), i + 1
+            elif t == "forall":
+                a, i = yield (_parse_type, toks, i, env)
+            elif _ident(t):
+                a, i = TVar(t), i + 1
+            else:
+                raise _Fail(i, None, ("type",))
+            args.append(a)
             t = toks[i]
+            if t != "&" and t != "*":
+                break
+            ops.append(t)
+            i += 1
+            t = toks[i]
+        out = args[0]
+        if ops:  # shift each operand once, and build each node once
+            stars = ops.count("*")  # the tensors over the first operand
+            out = shift(out, stars)
+            for op, a in zip(ops, args[1:]):
+                a = shift(a, stars)
+                out = With(out, a) if op == "&" else tensor_type(out, a, scoped=True)
+                stars -= op == "*"
         if t != "-o":
             break
         wrap.append(out)
@@ -241,23 +265,6 @@ def _parse_type(toks: list, i: int, env: list, depth: int = 0):
         else:
             out = Lolli(w, out)
     return out, i
-
-
-def _parse_type_atom(toks: list, i: int, env: list, depth: int):
-    t = toks[i]
-    if t in env:
-        return TBound(env.index(t)), i + 1
-    if t == "(":
-        a, i = _parse_type(toks, i + 1, env, depth + 1)
-        _expect(toks, i, ")")
-        return a, i + 1
-    if t == "1":
-        return unit_type(), i + 1
-    if t == "forall":
-        return _parse_type(toks, i, env, depth + 1)
-    if _ident(t):
-        return TVar(t), i + 1
-    raise _Fail(i, None, ("type",))
 
 
 def parse_type(src: str) -> Type:
@@ -332,12 +339,11 @@ def print_type(a: Type) -> str:
 
 # -- terms --------------------------------------------------------------------
 
-def _parse_term(toks: list, i: int, env: list, depth: int = 0):
-    # `\x.` and `let ... in` prefixes, innermost last
-    if depth > MAX_NESTING:
-        raise _Fail(i, "nesting too deep")
+def _parse_term(toks: list, i: int, env: list, chain: bool = True):
+    # `\x.` and `let ... in` prefixes, innermost last, then a `*` chain of
+    # applications; without `chain`, one application and no prefix
     wrap = []  # binder hints and the heads of lets
-    while True:
+    while chain:
         t = toks[i]
         if t == "\\":
             v = _name(toks, i + 1, "variable")
@@ -346,7 +352,7 @@ def _parse_term(toks: list, i: int, env: list, depth: int = 0):
             wrap.append(v)
             i += 3
         elif t == "let":
-            m, i = _parse_term_tensor(toks, i + 1, env, depth)
+            m, i = yield (_parse_term, toks, i + 1, env)
             _expect(toks, i, "be")
             if toks[i + 1] == "I":
                 _expect(toks, i + 2, "in")
@@ -362,7 +368,62 @@ def _parse_term(toks: list, i: int, env: list, depth: int = 0):
             i += 5
         else:
             break
-    out, i = _parse_term_tensor(toks, i, env, depth)
+    args = []  # the operands of the `*` chain
+    while True:
+        out = None  # the application so far
+        while True:
+            t = toks[i]
+            if t in env:
+                m, i = Bound(env.index(t)), i + 1
+            elif t == "(":
+                m, i = yield (_parse_term, toks, i + 1, env)
+                i = _expect(toks, i, ")")
+            elif t == "<":
+                l, i = yield (_parse_term, toks, i + 1, env)
+                _expect(toks, i, ",")
+                r, i = yield (_parse_term, toks, i + 1, env)
+                m, i = Pair(l, r), _expect(toks, i, ">")
+            elif t == "p1" or t == "p2":
+                _expect(toks, i + 1, "(")
+                m, i = yield (_parse_term, toks, i + 2, env)
+                m, i = Proj(1 if t == "p1" else 2, m), _expect(toks, i, ")")
+            elif t == "copy":
+                _expect(toks, i + 1, "[")
+                guard, i = yield (_parse_term, toks, i + 2, env)
+                _expect(toks, i, "]")
+                scrut, i = yield (_parse_term, toks, i + 1, env, False)
+                _expect(toks, i, "as")
+                x = _name(toks, i + 1, "variable")
+                _expect(toks, i + 2, ",")
+                y = _name(toks, i + 3, "variable")
+                _expect(toks, i + 4, "in")
+                _expect(toks, i + 5, "<")
+                env.insert(0, x)
+                l, i = yield (_parse_term, toks, i + 6, env)
+                env[0] = y
+                _expect(toks, i, ",")
+                r, i = yield (_parse_term, toks, i + 1, env)
+                del env[0]
+                m, i = Copy(guard, scrut, x, y, l, r, True), _expect(toks, i, ">")
+            elif t == "I":
+                m, i = identity_term(), i + 1
+            elif t == "\\" or t == "let":
+                m, i = yield (_parse_term, toks, i, env)
+            elif _ident(t):
+                m, i = Var(t), i + 1
+            elif out is None:
+                raise _Fail(i, None, ("term",))
+            else:
+                break
+            out = m if out is None else App(out, m)
+        args.append(out)
+        if not chain or t != "*":
+            break
+        i += 1
+    # as for types: each operand is shifted once, and every node built once
+    out = shift(args[0], len(args) - 1)
+    for k in range(1, len(args)):  # operand k lies under len(args) - k tensors
+        out = tensor_term(out, shift(args[k], len(args) - k), scoped=True)
     for w in reversed(wrap):
         if w.__class__ is str:
             del env[0]
@@ -373,74 +434,6 @@ def _parse_term(toks: list, i: int, env: list, depth: int = 0):
             del env[:2]
             out = let_tensor(*w, out, scoped=True)
     return out, i
-
-
-def _parse_term_tensor(toks: list, i: int, env: list, depth: int):
-    out, i = _parse_term_app(toks, i, env, depth)
-    while toks[i] == "*":
-        n, i = _parse_term_app(toks, i + 1, env, depth)
-        out = tensor_term(out, n)
-    return out, i
-
-
-_ATOM_STARTS = {"(", "<", "\\", "p1", "p2", "copy", "I", "let"}
-
-
-def _parse_term_app(toks: list, i: int, env: list, depth: int):
-    out, i = _parse_term_atom(toks, i, env, depth)
-    while True:
-        t = toks[i]
-        if not (t in env or t in _ATOM_STARTS or _ident(t)):
-            return out, i
-        arg, i = _parse_term_atom(toks, i, env, depth)
-        out = App(out, arg)
-
-
-def _parse_term_atom(toks: list, i: int, env: list, depth: int):
-    t = toks[i]
-    if t in env:
-        return Bound(env.index(t)), i + 1
-    if t == "(":
-        m, i = _parse_term(toks, i + 1, env, depth + 1)
-        _expect(toks, i, ")")
-        return m, i + 1
-    if t == "<":
-        l, i = _parse_term(toks, i + 1, env, depth + 1)
-        _expect(toks, i, ",")
-        r, i = _parse_term(toks, i + 1, env, depth + 1)
-        _expect(toks, i, ">")
-        return Pair(l, r), i + 1
-    if t == "p1" or t == "p2":
-        _expect(toks, i + 1, "(")
-        m, i = _parse_term(toks, i + 2, env, depth + 1)
-        _expect(toks, i, ")")
-        return Proj(1 if t == "p1" else 2, m), i + 1
-    if t == "copy":
-        _expect(toks, i + 1, "[")
-        guard, i = _parse_term(toks, i + 2, env, depth + 1)
-        _expect(toks, i, "]")
-        scrut, i = _parse_term_app(toks, i + 1, env, depth + 1)
-        _expect(toks, i, "as")
-        x = _name(toks, i + 1, "variable")
-        _expect(toks, i + 2, ",")
-        y = _name(toks, i + 3, "variable")
-        _expect(toks, i + 4, "in")
-        _expect(toks, i + 5, "<")
-        env.insert(0, x)
-        l, i = _parse_term(toks, i + 6, env, depth + 1)
-        env[0] = y
-        _expect(toks, i, ",")
-        r, i = _parse_term(toks, i + 1, env, depth + 1)
-        del env[0]
-        _expect(toks, i, ">")
-        return Copy(guard, scrut, x, y, l, r, True), i + 1
-    if t == "I":
-        return identity_term(), i + 1
-    if t == "\\" or t == "let":
-        return _parse_term(toks, i, env, depth + 1)
-    if _ident(t):
-        return Var(t), i + 1
-    raise _Fail(i, None, ("term",))
 
 
 def parse_term(src: str) -> Term:

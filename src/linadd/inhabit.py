@@ -12,9 +12,9 @@ For types that are tensor macros of two closed forall-lazy components the
 member set is the cross product of the component sets; a fast path exploits
 that directly and is cross-checked against the generic search in the tests.
 The fast path and eta-expansion are each one `nameless.fold`, and the
-search runs its sequents on its own stack, so none of them recurses on the
-depth of a type, however deep the tensor macro nests domains without
-brackets.
+search runs its sequents on the stack of `nameless.drive`, so none of them
+recurses on the depth of a type, however deep the tensor macro nests
+domains without brackets.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .typesys import (
     free_type_vars, fresh_type_var, is_closed, is_forall_lazy,
     match_tensor_type, open_type,
 )
-from .nameless import fold
+from .nameless import drive, fold
 from .derivation import (
     Derivation, context_free_type_vars, is_cut_free, premises, rebuild,
     d_ax, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withR0,
@@ -64,32 +64,14 @@ def _splits(items):
                    tuple(items[i] for i in idx if i not in cs))
 
 
-def _search(ctx, goal, memo, counter):
-    """The derivations of ctx |- goal, memoized on the sequent.  Each
-    sequent is a generator (`_sequent`) that yields the premise sequents it
-    needs and is sent their derivations; this loop runs them on its own
-    stack, in the order a recursive search would call them, so no nesting
-    of domains reaches Python's recursion limit."""
-    stack = [_sequent(ctx, goal, memo, counter)]
-    got = None
-    while True:
-        try:
-            need = stack[-1].send(got)
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                return done.value
-            got = done.value
-        else:
-            stack.append(_sequent(*need, memo, counter))
-            got = None
-
-
 def _sequent(ctx, goal, memo, counter):
-    """The derivations of ctx |- goal, as a generator for `_search`.  The
-    goal's `-o`/`forall` spine is walked in a loop: each level's right rule
-    is noted with its sequent, and wraps the results of the level above it,
-    in order, once those are known."""
+    """The derivations of ctx |- goal, memoized on the sequent, as a
+    generator that `nameless.drive` runs: it yields (_sequent, ...) for
+    each premise sequent it needs and is sent its derivations, in the order
+    a recursive search would call them, so no nesting of domains reaches
+    Python's recursion limit.  The goal's `-o`/`forall` spine is walked in
+    a loop: each level's right rule is noted with its sequent, and wraps
+    the results of the level above it, in order, once those are known."""
     spine = []  # (memo key, right rule's constructor, its parameters)
     while True:
         key = (frozenset(ctx), goal)
@@ -116,23 +98,22 @@ def _sequent(ctx, goal, memo, counter):
             spine.append((key, d_lolliR, (x,)))
             ctx, goal = ctx + ((x, goal.dom),), goal.cod
         else:
-            out = memo[key] = yield from _atomic(ctx, goal)
+            out = memo[key] = yield from _atomic(ctx, goal, memo, counter)
             break
     for key, rule, params in reversed(spine):
         out = memo[key] = [rule(sub, *params) for sub in out]
     return out
 
 
-def _atomic(ctx, goal):
-    """The derivations of ctx |- goal for a `&` or atomic goal, as a
-    generator that yields each premise sequent and is sent its
-    derivations."""
+def _atomic(ctx, goal, memo, counter):
+    """The derivations of ctx |- goal for a `&` or atomic goal, as part of
+    `_sequent`."""
     out = []
     if isinstance(goal, With):
         if not ctx:
-            lefts = yield (), goal.left
+            lefts = yield _sequent, (), goal.left, memo, counter
             if lefts:
-                rights = yield (), goal.right
+                rights = yield _sequent, (), goal.right, memo, counter
                 out = [d_withR0(l, r) for l in lefts for r in rights]
     elif isinstance(goal, TVar):
         if len(ctx) == 1 and ctx[0][1] == goal:
@@ -146,10 +127,10 @@ def _atomic(ctx, goal):
             while w in taken:
                 w += "'"
             for g1, g2 in _splits(rest):
-                lefts = yield g1, a.dom
+                lefts = yield _sequent, g1, a.dom, memo, counter
                 if not lefts:
                     continue
-                rights = yield g2 + ((w, a.cod),), goal
+                rights = yield _sequent, g2 + ((w, a.cod),), goal, memo, counter
                 for ld in lefts:
                     for rd in rights:
                         out.append(d_lolliL(ld, rd, y, w))
@@ -182,7 +163,7 @@ def enumerate_inhabitants(a: Type, use_fast_paths: bool = True) -> InhabitantSet
         if parts:
             derivs = [d_tensor_pair(ld, rd) for _, ld in parts[0] for _, rd in parts[1]]
         else:
-            derivs = _dedupe(_search((), o[0], {}, [0]))
+            derivs = _dedupe(drive(_sequent((), o[0], {}, [0])))
         return [(d.conclusion.subject, d) for d in derivs]
 
     return InhabitantSet(a, fold((a,), kids, members, {}))

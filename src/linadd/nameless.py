@@ -141,6 +141,26 @@ def fold(root, kids, combine, memo: dict):
     return memo[id(root)]
 
 
+def drive(gen):
+    """The value that the generator `gen` returns.  A generator yields
+    (f, *args) for each value it needs and is sent the value that the
+    generator f(*args) returns, run the same way: one loop with its own
+    stack of generators, so no depth of nesting recurses.  An exception
+    raised in any of them passes through."""
+    stack = []  # the generators waiting below gen
+    got = None
+    while True:
+        try:
+            need = gen.send(got)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            gen, got = stack.pop(), done.value
+        else:
+            stack.append(gen)
+            gen, got = need[0](*need[1:]), None
+
+
 def rewrite(root, name, leaf):
     """root with leaves replaced: with a name, every free variable of that
     name, else every index that points past the binders above it; leaf n

@@ -194,10 +194,11 @@ def identity_term() -> Term:
     return Abs("x", Bound(0), True)
 
 
-def tensor_term(m: Term, n: Term) -> Term:
+def tensor_term(m: Term, n: Term, scoped: bool = False) -> Term:
     """M * N expands to \\z. z M N.  Indices of M and N that point past them
-    are shifted past the new binder."""
-    return Abs("z", App(App(Bound(0), shift(m, 1)), shift(n, 1)), True)
+    are shifted past the new binder, unless `scoped`."""
+    m, n = (m, n) if scoped else (shift(m, 1), shift(n, 1))
+    return Abs("z", App(App(Bound(0), m), n), True)
 
 
 def let_unit(m: Term, n: Term) -> Term:

@@ -125,10 +125,11 @@ def _eraser_spine(a: Type):
             raise GadgetError("eraser does not support conjunction types")
 
 
-def _eraser(a: Type, lib) -> Derivation:
+def _eraser(a: Type, spine: list, lib) -> Derivation:
+    """The eraser of a, whose spine (`_eraser_spine`) is given."""
     z = fresh_name("z", set())
     d = d_ax(z, a)
-    for args in _eraser_spine(a):
+    for args in spine:
         if args is None:
             d = d_inst(d, unit_type())
             continue
@@ -245,14 +246,17 @@ class GadgetLibrary:
             if not is_closed(a):
                 raise GadgetError("eraser requires a closed type")
 
+            spines: dict = {}  # id(type) -> its spine; fold keeps the types alive
+
             def kids(t):
                 if t in self._erasers:
                     return ()
-                return [u for args in _eraser_spine(t) if args for u in args]
+                spine = spines[id(t)] = list(_eraser_spine(t))
+                return [u for args in spine if args for u in args]
 
             def build(t, _):
                 if t not in self._erasers:
-                    self._erasers[t] = _eraser(t, self)
+                    self._erasers[t] = _eraser(t, spines[id(t)], self)
 
             fold(a, kids, build, {})
         return self._erasers[a]

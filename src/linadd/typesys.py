@@ -200,11 +200,12 @@ def unit_type() -> Type:
     return Forall("a", Lolli(a, a), True)
 
 
-def tensor_type(a: Type, b: Type) -> Type:
+def tensor_type(a: Type, b: Type, scoped: bool = False) -> Type:
     """A * B, i.e. forall g. (A -o B -o g) -o g.  Indices of A and B that
-    point past them are shifted past the new binder."""
+    point past them are shifted past the new binder, unless `scoped`."""
     g = TBound(0)
-    return Forall("g", Lolli(Lolli(shift(a, 1), Lolli(shift(b, 1), g)), g), True)
+    a, b = (a, b) if scoped else (shift(a, 1), shift(b, 1))
+    return Forall("g", Lolli(Lolli(a, Lolli(b, g)), g), True)
 
 
 def bool_type() -> Type:

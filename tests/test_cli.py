@@ -88,6 +88,13 @@ def test_deep_legal_inputs_pass(tmp_path, capsys, argv, text):
     assert (code, rep["verdict"]) == (0, "pass")
 
 
+def test_deep_generated_term_reads_back_and_normalizes(tmp_path, capsys):
+    f = tmp_path / "add400.lam"
+    assert run(capsys, "gen", "add", "-n", "400", "-o", str(f))[0] == 0
+    code, rep = run_json(capsys, "normalize", str(f))
+    assert (code, rep["verdict"], rep["measurements"].get("steps")) == (0, "pass", 400)
+
+
 def test_main_calls_share_no_state(tmp_path, capsys):
     # the parser is built once per process; what one call parses does not
     # reach the next

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from linadd import frontend
 from linadd.frontend import (
-    MAX_NESTING, ParseError, _recomputed, _texts,
+    ParseError, _recomputed, _texts,
     derivations_equal, parse_derivation, parse_term, parse_type,
     print_derivation, print_term, print_type, tokenize,
 )
@@ -117,6 +119,8 @@ _PARSE_ERRORS = [
     (parse_term, "\\p1. x", "unexpected 'p1'", (1, 3), ("variable",)),
     (parse_type, "\u00b2x 1\u00b2", "unexpected character '\u00b2'", (0, 1), ()),
     (parse_type, "\u0663", "unexpected character '\u0663'", (0, 1), ()),
+    # a copy's scrutinee is one application, not a `*` chain
+    (parse_term, "copy[g] a * b as u,v in <u, v>", "unexpected '*'", (10, 11), ("'as'",)),
 ]
 
 
@@ -262,39 +266,107 @@ def test_long_with_chain_round_trips():
     assert parse_type(print_type(t)) == t
 
 
-@pytest.mark.parametrize("parse, src", [
-    (parse_term, "(" * DEEP + "x" + ")" * DEEP),
-    (parse_type, "(" * DEEP + "a" + ")" * DEEP),
-    (parse_derivation,
-     '(lamd 2 (rule ax x "a" (seq ((x "a")) "%sx%s" "a")))' % ("(" * DEEP, ")" * DEEP)),
-], ids=["term", "type", "derivation"])
-def test_deep_parentheses_raise_parse_error(parse, src):
-    with pytest.raises(ParseError, match="nesting too deep"):
-        parse(src)
+def _deep_terms():
+    """(name, 1,500-deep text, its tree) for each nested form of a term."""
+    n, g, x, y = DEEP, Var("g"), Var("x"), Var("y")
+    forms = {  # name -> (text, innermost tree, the tree one level out)
+        "bracket": ("(" * n + "x" + ")" * n, x, lambda t: t),
+        "abs-operand": ("f \\x. " * n + "x", Bound(0),
+                        lambda t: App(Var("f"), Abs("x", t, True))),
+        "pair": ("<" * n + "x" + ", y>" * n, x, lambda t: Pair(t, y)),
+        "p1": ("p1(" * n + "x" + ")" * n, x, lambda t: Proj(1, t)),
+        "let-head": ("let " * n + "x" + " be u * v in <u, v>" * n, x,
+                     lambda t: let_tensor(t, "u", "v", Pair(Bound(1), Bound(0)), True)),
+        "copy-guard": ("copy[" * n + "g" + "] x as u,v in <u, v>" * n, g,
+                       lambda t: Copy(t, x, "u", "v", Bound(0), Bound(0), True)),
+        "copy-scrutinee": ("copy[g] " * n + "x" + " as u,v in <u, v>" * n, x,
+                           lambda t: Copy(g, t, "u", "v", Bound(0), Bound(0), True)),
+        "copy-branch": ("copy[g] x as u,v in <" * n + "u" + ", v>" * n, Bound(0),
+                        lambda t: Copy(g, x, "u", "v", t, Bound(0), True)),
+    }
+    for name, (src, t, out) in forms.items():
+        for _ in range(n):
+            t = out(t)
+        yield name, src, t
 
 
-def _outcome(parse, src):
-    try:
-        return parse(src)
-    except ParseError as e:
-        return e.message, (e.span.start, e.span.end)
+def _deep_types():
+    """(name, 1,500-deep text, its tree) for each nested form of a type."""
+    n, a = DEEP, TVar("a")
+    forms = {  # name -> (text, innermost tree, the tree k levels in, k < n)
+        "bracket": ("(" * n + "a" + ")" * n, a, lambda t, k: t),
+        "lolli-domain": ("(" * n + "a" + " -o a)" * n, a, lambda t, k: Lolli(t, a)),
+        "forall-with-operand": (
+            "b & forall b. " * n + "b", TBound(0),
+            lambda t, k: With(TBound(0) if k else TVar("b"), Forall("b", t, True))),
+        "forall-tensor-operand": (
+            "b * forall b. " * n + "b", TBound(0),
+            lambda t, k: tensor_type(TBound(0) if k else TVar("b"), Forall("b", t, True))),
+    }
+    for name, (src, t, out) in forms.items():
+        for k in reversed(range(n)):
+            t = out(t, k)
+        yield name, src, t
+
+
+def _deep_inputs():
+    # each text alone, and quoted in a derivation file
+    for name, src, t in _deep_terms():
+        yield pytest.param(parse_term, src, t, id="term-" + name)
+        text = '(lamd 2 (rule ax x "a" (seq ((x "a")) "%s" "a")))' % src
+        yield pytest.param(lambda s: parse_derivation(s).conclusion.subject, text, t,
+                           id="lamd-term-" + name)
+    for name, src, a in _deep_types():
+        yield pytest.param(parse_type, src, a, id="type-" + name)
+        text = '(lamd 2 (rule ax x "%s"))' % src
+        yield pytest.param(lambda s: parse_derivation(s).conclusion.goal, text, a,
+                           id="lamd-type-" + name)
 
 
 def _frames_deeper(n, fn, *args):
     return fn(*args) if n == 0 else _frames_deeper(n - 1, fn, *args)
 
 
-@pytest.mark.parametrize("parse, atom", [(parse_type, "a"), (parse_term, "x")],
-                         ids=["type", "term"])
-@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 450])
-def test_nesting_limit_does_not_depend_on_the_caller(parse, atom, depth):
-    src = "(" * depth + atom + ")" * depth
-    top = _outcome(parse, src)
-    assert top == _frames_deeper(300, _outcome, parse, src)
-    if depth <= MAX_NESTING:
-        assert top == parse(atom)
-    else:
-        assert top == ("nesting too deep", (MAX_NESTING + 1, MAX_NESTING + 2))
+@pytest.mark.parametrize("parse, src, tree", list(_deep_inputs()))
+def test_deep_nesting_reads_whatever_the_caller(parse, src, tree):
+    assert parse(src) == tree
+    assert _frames_deeper(300, parse, src) == tree
+
+
+def _chain_text(parse, binder, ops, operands):
+    """The text of a chain of operands joined by ops under binder b, and
+    the left fold of its operands, each parsed alone under b."""
+    src = operands[0] + "".join(" %s %s" % p for p in zip(ops, operands[1:]))
+    parts = [parse(binder + o).body for o in operands]
+    out = parts[0]
+    for op, p in zip(ops, parts[1:]):
+        if op == "&":
+            out = With(out, p)
+        else:
+            out = (tensor_term if parse is parse_term else tensor_type)(out, p)
+    return binder + src, out
+
+
+_OPERANDS = {  # (with b, without b) of each grammar
+    parse_type: (["b", "(b -o a)", "(forall c. c -o b)", "(a * b)", "(a & b -o 1)"],
+                 ["a", "1", "(a -o a)", "(forall c. c)", "(1 * a)"]),
+    parse_term: (["b", "f b", "(\\c. c b)", "<b, y>", "p1(b) x", "(b * I)"],
+                 ["x", "I", "f y", "(\\c. c)", "<x, y>", "(I * x)"]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 60])
+@pytest.mark.parametrize("parse", [parse_type, parse_term], ids=["type", "term"])
+def test_chains_read_as_the_left_fold_of_their_operands(parse, n):
+    rng = random.Random(n)
+    with_b, without_b = _OPERANDS[parse]
+    for _ in range(10):
+        operands = [rng.choice(with_b if k in (0, n // 2, n - 1) else with_b + without_b)
+                    for k in range(n)]
+        ops = [rng.choice("&*") if parse is parse_type else "*" for _ in range(n - 1)]
+        binder = "forall b. " if parse is parse_type else "\\b. "
+        src, body = _chain_text(parse, binder, ops, operands)
+        assert parse(src).body == body, src
 
 
 # -- generated round trips ----------------------------------------------------
@@ -640,7 +712,7 @@ def test_stored_parameters_round_trip(params, message):
 
 
 def test_largest_generated_family_member_reads_back():
-    # its types and terms nest well within MAX_NESTING
+    # its printed text reads back node for node
     _, d = gen_ladd(12, unit_type())
     text = print_derivation(d)
     assert derivations_equal(d, parse_derivation(text))

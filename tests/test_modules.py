@@ -34,9 +34,6 @@ def test_only_main_and_suite_catch_in_the_cli():
 
 # Every function of src/linadd on a call cycle, and what bounds its depth.
 RECURSION_SURFACE = {
-    # the readers: MAX_NESTING
-    "frontend._parse_term", "frontend._parse_term_app", "frontend._parse_term_atom",
-    "frontend._parse_term_tensor", "frontend._parse_type", "frontend._parse_type_atom",
     # one re-entry, not depth: instantiate's leaf shifts a closed-over term
     "nameless.instantiate.leaf", "nameless.rewrite", "nameless.shift",
 }

@@ -201,9 +201,9 @@ def test_each_closed_eraser_is_built_once(monkeypatch):
     built = []
     build = linadd.translate._eraser
 
-    def counted(a, lib):
+    def counted(a, *rest):
         built.append(a)
-        return build(a, lib)
+        return build(a, *rest)
 
     monkeypatch.setattr(linadd.translate, "_eraser", counted)
     _, d = gen_ladd(3, B)
