@@ -24,7 +24,7 @@ from functools import cache
 
 from .terms import term_size
 from .typesys import bool_type, unit_type
-from .derivation import IMALL2, LAM, CheckError, check, check_ok, metrics
+from .derivation import IMALL2, LAM, CheckError, check, check_ok, dag_size, metrics
 from .reduce import BudgetExceeded, normalize
 from .cutelim import CutElimError, eliminate
 from .inhabit import InhabitError, enumerate_inhabitants, eta_expand, maximal_value
@@ -119,7 +119,7 @@ def cmd_check(args, report: Report):
         bad = check(d, args.system)
     m = metrics(d)
     report.measurements.update(
-        size=m.size, weight=m.weight,
+        size=m.size, dag_size=dag_size(d), weight=m.weight,
         subject_size=term_size(d.conclusion.subject), violations=len(bad))
     for v in bad:
         report.fail(str(v))

@@ -16,22 +16,28 @@ every format.  A derivation file is version 2, the only version:
 
     (lamd 2 NODE)
     NODE = (rule NAME ARG... [(seq ((x "TYPE") ...) "TERM" "TYPE")] NODE...)
+         | (def NAME NODE) | (ref NAME)
 
 whose ARGs are the node's stored parameters, a name bare and a type
-quoted.  A node without a `seq` is built by its rule's constructor, so its
-ARGs must be all of its rule's parameters, of the kinds in
-`derivation.PARAMS`, and it is derived (see `derivation`): neither `check`
-nor the writer rebuilds it, and `derivations_equal` does not compare the
-conclusions of two derived nodes with equal parameters.  A node with a
-`seq` is not derived, and it stores whatever ARGs it states, each by its
-form, so it may store too few, too many or one of the wrong kind, which
-`check` reports.  The writer writes each node's stored parameters, and the
-`seq` at the root and wherever the constructor does not recompute the
-judgement exactly, so any derivation whose nodes store names and types
-reads back node for node, well-formed or not.  A file without the
-`(lamd 2` header is refused at its first token.  Rules may nest to any
-depth: the reader keeps a stack of its open nodes, and no pass over a
-derivation recurses once per level.
+quoted.  A derivation is a DAG, and the writer writes a node that is a
+premise more than once as `(def dK NODE)` at its first occurrence in
+pre-order and `(ref dK)` at each later one, K counting first occurrences
+from 0; the reader binds a def's name when its node closes and reads each
+ref as that one node.  A derivation that shares no node is written as a
+tree, with no def or ref.  A node without a `seq` is built by its rule's
+constructor, so its ARGs must be all of its rule's parameters, of the kinds
+in `derivation.PARAMS`, and it is derived (see `derivation`): neither
+`check` nor the writer rebuilds it, and `derivations_equal` does not
+compare the conclusions of two derived nodes with equal parameters.  A
+node with a `seq` is not derived, and it stores whatever ARGs it states,
+each by its form, so it may store too few, too many or one of the wrong
+kind, which `check` reports.  The writer writes each node's stored
+parameters, and the `seq` at the root and wherever the constructor does not
+recompute the judgement exactly, so any derivation whose nodes store names
+and types reads back node for node and with its sharing, well-formed or
+not.  A file without the `(lamd 2` header is refused at its first token.
+Rules and defs may nest to any depth: the reader keeps a stack of its open
+nodes and defs, and no pass over a derivation recurses once per level.
 
 Each parser reads its input in one pass and builds every node once.  One
 regex is the lexer: its `findall` yields the token texts (a string keeps
@@ -472,11 +478,17 @@ def print_term(m: Term) -> str:
 
 def parse_derivation(src: str) -> Derivation:
     """Parse a version 2 derivation file.  Equal type or term texts within
-    the file are parsed once and share one object."""
+    the file are parsed once and share one object.  A `(def NAME NODE)`
+    binds NAME to its node when the node closes, and each later
+    `(ref NAME)` reads as that one object, so a file written from a DAG
+    reads back as the same DAG, each shared node lexed and built once.  A
+    name is defined once, and is referred to only after its def ends."""
     toks = _texts(src)
     types: dict = {}  # quoted text -> Type
     terms: dict = {}  # quoted text -> Term
-    # (token index, rule, parameters, judgement, premises) of each unclosed node
+    named: dict = {}  # def name -> its node, or None while the def is open
+    # each unclosed form: the name of a def, or (token index, rule,
+    # parameters, judgement, premises) of a node
     open_nodes: list = []
 
     def quoted(k, memo, parse, what):
@@ -501,68 +513,97 @@ def parse_derivation(src: str) -> Derivation:
         while True:
             node = i  # the item read next is a derivation
             _expect(toks, i, "(")
-            _expect(toks, i + 1, "rule")
-            rule = toks[i + 2]
-            if not _atom(rule):
-                raise _Fail(i + 2, None, ("rule name",))
-            i += 3
-            kinds = PARAMS.get(rule, ())
-            start = i
-            while _atom(toks[i]) or toks[i][:1] == '"':
-                i += 1
-            seq = toks[i] == "(" and toks[i + 1] == "seq"
-            args = []
-            for k in range(start, i):
-                if not seq and len(args) == len(kinds):
-                    raise _Fail(k, "too many arguments for %s" % rule)
-                # a node that states its judgement takes each argument by its
-                # form; one built by its constructor needs its rule's kinds
-                if (toks[k][:1] == '"') if seq else (kinds[len(args)] is Type):
-                    args.append(quoted(k, types, parse_type, "quoted type"))
-                elif _atom(toks[k]):
-                    args.append(toks[k])
-                else:
-                    raise _Fail(k, "unexpected string", ("name",))
-            if not seq and len(args) < len(kinds):
-                raise _Fail(i, "too few arguments for %s" % rule)
-            j = None
-            if seq:
-                _expect(toks, i + 2, "(")
+            form = toks[i + 1]
+            d = None  # the node read, when it is a ref
+            if form == "def" or form == "ref":
+                name = toks[i + 2]
+                if not _atom(name):
+                    raise _Fail(i + 2, None, ("name",))
+                if form == "def":
+                    if name in named:
+                        raise _Fail(i + 2, "duplicate def %r" % name)
+                    named[name] = None
+                    open_nodes.append(name)
+                    i += 3
+                    continue
+                d = named.get(name)
+                if d is None:
+                    raise _Fail(i + 2, "undefined name %r" % name)
+                i = _expect(toks, i + 3, ")")
+            else:
+                _expect(toks, i + 1, "rule")
+                rule = toks[i + 2]
+                if not _atom(rule):
+                    raise _Fail(i + 2, None, ("rule name",))
                 i += 3
-                ctx = []
-                while toks[i] == "(":
-                    if not _atom(toks[i + 1]):
-                        raise _Fail(i + 1, None, ("name",))
-                    ctx.append((toks[i + 1], quoted(i + 2, types, parse_type, "quoted type")))
+                kinds = PARAMS.get(rule, ())
+                start = i
+                while _atom(toks[i]) or toks[i][:1] == '"':
+                    i += 1
+                seq = toks[i] == "(" and toks[i + 1] == "seq"
+                args = []
+                for k in range(start, i):
+                    if not seq and len(args) == len(kinds):
+                        raise _Fail(k, "too many arguments for %s" % rule)
+                    # a node that states its judgement takes each argument by
+                    # its form; one built by its constructor needs its rule's
+                    # kinds
+                    if (toks[k][:1] == '"') if seq else (kinds[len(args)] is Type):
+                        args.append(quoted(k, types, parse_type, "quoted type"))
+                    elif _atom(toks[k]):
+                        args.append(toks[k])
+                    else:
+                        raise _Fail(k, "unexpected string", ("name",))
+                if not seq and len(args) < len(kinds):
+                    raise _Fail(i, "too few arguments for %s" % rule)
+                j = None
+                if seq:
+                    _expect(toks, i + 2, "(")
+                    i += 3
+                    ctx = []
+                    while toks[i] == "(":
+                        if not _atom(toks[i + 1]):
+                            raise _Fail(i + 1, None, ("name",))
+                        ctx.append((toks[i + 1],
+                                    quoted(i + 2, types, parse_type, "quoted type")))
+                        _expect(toks, i + 3, ")")
+                        i += 4
+                    _expect(toks, i, ")")
+                    j = Judgement(tuple(ctx), quoted(i + 1, terms, parse_term, "quoted term"),
+                                  quoted(i + 2, types, parse_type, "quoted type"))
                     _expect(toks, i + 3, ")")
                     i += 4
-                _expect(toks, i, ")")
-                j = Judgement(tuple(ctx), quoted(i + 1, terms, parse_term, "quoted term"),
-                              quoted(i + 2, types, parse_type, "quoted type"))
-                _expect(toks, i + 3, ")")
-                i += 4
-            elif rule not in CONSTRUCTORS:
-                raise _Fail(node + 2, "unknown rule %r" % rule)
-            open_nodes.append((node, rule, tuple(args), j, []))
-            while toks[i] == ")":
-                at, rule, params, j, prems = open_nodes.pop()
-                if j is not None:
-                    d = Derivation(rule, j, tuple(prems), params)
-                elif len(prems) != ARITY[rule]:
-                    raise _Fail(at, "%s takes %d premises, got %d"
-                                % (rule, ARITY[rule], len(prems)))
-                else:
-                    try:
-                        d = CONSTRUCTORS[rule](*prems, *params)
-                    except ValueError as e:
-                        raise _Fail(at, str(e)) from None
+                elif rule not in CONSTRUCTORS:
+                    raise _Fail(node + 2, "unknown rule %r" % rule)
+                open_nodes.append((node, rule, tuple(args), j, []))
+            # close the forms that end here, innermost first: d, once built
+            # or referred to, is bound by each def around it and then becomes
+            # a premise of the node around those
+            while d is not None or toks[i] == ")":
+                if d is None:
+                    at, rule, params, j, prems = open_nodes.pop()
+                    if j is not None:
+                        d = Derivation(rule, j, tuple(prems), params)
+                    elif len(prems) != ARITY[rule]:
+                        raise _Fail(at, "%s takes %d premises, got %d"
+                                    % (rule, ARITY[rule], len(prems)))
+                    else:
+                        try:
+                            d = CONSTRUCTORS[rule](*prems, *params)
+                        except ValueError as e:
+                            raise _Fail(at, str(e)) from None
+                    i += 1
                 if not open_nodes:
-                    _expect(toks, i + 1, ")")
-                    if toks[i + 2]:
-                        raise _Fail(i + 2, "trailing input")
+                    _expect(toks, i, ")")
+                    if toks[i + 1]:
+                        raise _Fail(i + 1, "trailing input")
                     return d
-                open_nodes[-1][4].append(d)
-                i += 1
+                if open_nodes[-1].__class__ is str:
+                    named[open_nodes.pop()] = d
+                    i = _expect(toks, i, ")")
+                else:
+                    open_nodes[-1][4].append(d)
+                    d = None
     except _Fail as e:
         raise _locate(src, *e.args) from None
 
@@ -577,9 +618,23 @@ def _recomputed(d: Derivation) -> bool:
 
 def print_derivation(d: Derivation) -> str:
     """The version 2 text of d: every node with its stored parameters, and
-    with its judgement at the root and wherever `_recomputed` fails."""
+    with its judgement at the root and wherever `_recomputed` fails.  A node
+    that is a premise more than once is written once, as `(def dK NODE)` at
+    its first occurrence in pre-order and `(ref dK)` at every later one, K
+    counting first occurrences from 0; a derivation that shares no node is
+    written as a tree, with no def or ref."""
     printed: dict = {}  # id(type or term) -> text; d keeps every key alive
-    heads: dict = {}  # id(node) -> its text up to its premises
+    seen: set = set()  # id(node) of each premise met
+    shared: set = set()  # id(node) of each premise met twice
+    todo = [d]  # one walk over the distinct nodes
+    while todo:
+        for p in todo.pop().premises:
+            if id(p) in seen:
+                shared.add(id(p))
+            else:
+                seen.add(id(p))
+                todo.append(p)
+    names: dict = {}  # id(shared node) -> its name, from its def on
 
     def text(x, printer):
         s = printed.get(id(x))
@@ -602,10 +657,15 @@ def print_derivation(d: Derivation) -> str:
         # a node opens a scope over its premises, so `above` has an entry
         # for each node above d
         depth = len(above)
-        s = heads.get(id(d))
-        if s is None:
-            s = heads[id(d)] = head(d, depth == 0)
-        return ("\n" + "  " * depth + s if depth else s, ("",), *d.premises, None, ")")
+        start = "\n" + "  " * depth if depth else ""
+        end = ")"
+        if id(d) in shared:
+            name = names.get(id(d))
+            if name is not None:
+                return "%s(ref %s)" % (start, name)
+            name = names[id(d)] = "d%d" % len(names)
+            start, end = "%s(def %s " % (start, name), "))"
+        return (start + head(d, not depth), ("",), *d.premises, None, end)
 
     return "(lamd 2 %s)" % _print(d, parts)
 

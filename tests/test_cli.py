@@ -56,6 +56,17 @@ def test_gen_and_check_round_trip(tmp_path, capsys):
     assert all(v >= 0 for v in timings.values())
 
 
+def test_check_reports_the_dag_size_that_the_file_keeps(tmp_path, capsys):
+    # applied ladd(1,12) is 16,460 rules as a tree over 106 distinct nodes,
+    # and its file writes each shared node once
+    out = tmp_path / "ladd.lamd"
+    assert run(capsys, "gen", "ladd", "-n", "12", "--apply",
+               "--derivation", "-o", str(out))[0] == 0
+    code, rep = run_json(capsys, "check", str(out))
+    ms = rep["measurements"]
+    assert (code, ms["violations"], ms["size"], ms["dag_size"]) == (0, 0, 16460, 106)
+
+
 # Legal inputs that nest past Python's recursion limit, which each command
 # walks with its own stacks.  `check` accepts each file; every node of it
 # is built by its rule, so no quoted text nests.

@@ -12,14 +12,18 @@ from linadd.frontend import (
 )
 from linadd.derivation import (
     IMALL2, IMLL2, LAM, Derivation, Judgement, _nodes, check, d_ax, d_cut,
-    d_forallL, d_forallR, d_lolliL, d_lolliR, d_withL, d_withR,
+    d_forallL, d_forallR, d_lolliL, d_lolliR, d_withL, d_withR, dag_size, metrics,
 )
-from linadd.families import gen_ladd
+from linadd.families import gen_applied, gen_ladd
+from linadd.inhabit import maximal_value
 from linadd.terms import (
     Abs, App, Bound, Copy, Pair, Proj, Var, alpha_equal, free_vars,
     identity_term, let_tensor, tensor_term,
 )
-from linadd.typesys import Forall, Lolli, TBound, TVar, With, tensor_type, unit_type
+from linadd.translate import GadgetLibrary, translate_derivation
+from linadd.typesys import (
+    Forall, Lolli, TBound, TVar, With, bool_type, tensor_type, unit_type,
+)
 
 
 # -- concrete syntax ----------------------------------------------------------
@@ -121,6 +125,23 @@ _PARSE_ERRORS = [
     (parse_type, "\u0663", "unexpected character '\u0663'", (0, 1), ()),
     # a copy's scrutinee is one application, not a `*` chain
     (parse_term, "copy[g] a * b as u,v in <u, v>", "unexpected '*'", (10, 11), ("'as'",)),
+    # a name is defined once, and referred to only after its def ends
+    (parse_derivation, "(lamd 2 (ref d0))", "undefined name 'd0'", (13, 15), ()),
+    (parse_derivation,
+     '(lamd 2 (rule withR (def d0 (rule ax x "a")) (def d0 (rule ax x "a"))))',
+     "duplicate def 'd0'", (50, 52), ()),
+    (parse_derivation, '(lamd 2 (def d0 (rule withR (rule ax x "a") (ref d0))))',
+     "undefined name 'd0'", (49, 51), ()),
+    (parse_derivation, '(lamd 2 (def (rule ax x "a")))', "unexpected '('", (13, 14),
+     ("name",)),
+    (parse_derivation, "(lamd 2 (ref))", "unexpected ')'", (12, 13), ("name",)),
+    (parse_derivation, "(lamd 2 (def", "unexpected 'end of input'", (12, 12), ("name",)),
+    (parse_derivation, '(lamd 2 (def d0 (rule ax x "a")',
+     "unexpected 'end of input'", (31, 31), ("')'",)),
+    (parse_derivation, '(lamd 2 (rule withR (def d0 (rule ax x "a")) (ref d0',
+     "unexpected 'end of input'", (52, 52), ("')'",)),
+    (parse_derivation, '(lamd 2 (rule withR (def d0 (rule ax x "a") (rule ax x "a")) (ref d0)))',
+     "unexpected '('", (44, 45), ("')'",)),
 ]
 
 
@@ -712,10 +733,43 @@ def test_stored_parameters_round_trip(params, message):
 
 
 def test_largest_generated_family_member_reads_back():
-    # its printed text reads back node for node
+    # its printed text reads back node for node, and as the same DAG:
+    # applied, it is 16,460 rules as a tree over 106 distinct nodes
     _, d = gen_ladd(12, unit_type())
+    d = gen_applied(d, maximal_value(unit_type())[1])
+    back = parse_derivation(print_derivation(d))
+    assert derivations_equal(d, back)
+    assert (metrics(back).size, dag_size(back), dag_size(d)) == (16460, 106, 106)
+    assert check(back) == []
+
+
+def test_corpus_entries_read_back_as_the_same_dag(corpus):
+    # each entry, and a copy whose root states another entry's goal, writes
+    # each shared node once and reads back with its sharing
+    goals = [e.derivation.conclusion.goal for e in corpus]
+    shared = 0
+    for e in corpus:
+        d = e.derivation
+        j = d.conclusion
+        goal = next(g for g in goals if g != j.goal)
+        swapped = Derivation(d.rule, Judgement(j.context, j.subject, goal), d.premises)
+        for x in (d, swapped):
+            text = print_derivation(x)
+            back = parse_derivation(text)
+            assert dag_size(back) == dag_size(x), e.name
+            assert derivations_equal(x, back) and print_derivation(back) == text, e.name
+        shared += dag_size(d) < metrics(d).size
+    assert (len(corpus), shared) == (215, 104)
+
+
+def test_translated_ladd_writes_each_shared_node_once():
+    # its gadgets are shared: 1,133 distinct nodes, 16,194 as a tree
+    d = translate_derivation(gen_ladd(3, bool_type())[1], GadgetLibrary())
     text = print_derivation(d)
-    assert derivations_equal(d, parse_derivation(text))
+    back = parse_derivation(text)
+    assert len(text) < 1_000_000
+    assert dag_size(back) == dag_size(d) == 1133 < metrics(d).size
+    assert derivations_equal(d, back)
 
 
 def test_deep_derivation_prints_and_reads_back():
@@ -723,6 +777,21 @@ def test_deep_derivation_prints_and_reads_back():
     text = print_derivation(d)
     assert text.count("(rule ") == 2001
     assert derivations_equal(d, parse_derivation(text))
+
+
+def test_deep_shared_derivation_reads_back_as_a_dag():
+    # each cut uses the node below it twice: 1,501 distinct nodes, each
+    # but the root written as a def nested in the def of the node above it
+    # and read back once, where the tree has 2 ** 1501 - 1 nodes
+    j = _chain(0).conclusion
+    d = Derivation("ax", j, ())
+    for _ in range(DEEP):
+        d = Derivation("cut", j, (d, d))
+    text = print_derivation(d)
+    assert text.count("(def ") == text.count("(ref ") == DEEP
+    back = parse_derivation(text)
+    assert dag_size(back) == DEEP + 1 and metrics(back).size == 2 ** (DEEP + 1) - 1
+    assert derivations_equal(d, back) and print_derivation(back) == text
 
 
 # -- fuzzing: the parsers raise ParseError and nothing else ---------------------
@@ -739,7 +808,7 @@ def _parses_or_fails(parse, src):
 
 _SYNTAX = _PIECES + ["(", ")", "<", ">", ",", ".", "\\", "[", "]", "&", "*",
                      "(rule", "(seq", "ax", "()", '((x "a"))', '"x"', '"\\x. x"',
-                     "$", '"', "'"]
+                     "(def", "(ref", "d0", "$", '"', "'"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -773,10 +842,14 @@ def test_mutated_corpus_files_raise_only_parse_error(corpus):
 
 
 def test_truncated_input_raises_parse_error(corpus):
-    text = print_derivation(min(corpus, key=lambda e: e.size).derivation)
-    for n in range(len(text)):
-        with pytest.raises(ParseError):
-            parse_derivation(text[:n])
+    # the smallest entry, and the smallest that shares a node
+    smallest = sorted(corpus, key=lambda e: e.size)
+    shares = next(e for e in smallest if dag_size(e.derivation) < e.size)
+    for e in (smallest[0], shares):
+        text = print_derivation(e.derivation)
+        for n in range(len(text)):
+            with pytest.raises(ParseError):
+                parse_derivation(text[:n])
     for parse, src in ((parse_term, "copy[\\x. x] let m be a * b in p1(<a, b>) as x,y in <x, y>"),
                        (parse_type, "forall a. (a -o 1) & (a * a) -o a")):
         parse(src)
