@@ -88,10 +88,10 @@ from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
-from .nameless import fold
+from .nameless import fold, fresh
 from .terms import (
     Abs, App, Copy, Pair, Proj, Term, Var,
-    free_vars, fresh_name, is_value, subst,
+    free_vars, is_value, subst,
 )
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
@@ -464,6 +464,20 @@ def _nodes(d: Derivation):
             yield d
 
 
+def names_used(d: Derivation) -> set:
+    """The names that the nodes of d use: assumptions, the free type
+    variables of judgements and the names among parameters."""
+    out = set()
+    for n in _nodes(d):
+        j = n.conclusion
+        out |= j.goal._fv
+        for x, a in j.context:
+            out.add(x)
+            out |= a._fv
+        out.update(p for p in n.params if isinstance(p, str))
+    return out
+
+
 def dag_size(d: Derivation) -> int:
     """The number of distinct nodes of d: its size with every shared
     subderivation counted once."""
@@ -674,8 +688,8 @@ def d_app(fun: Derivation, arg: Derivation) -> Derivation:
         raise ValueError("function premise must have implication type")
     avoid = (context_names(fj.context) | context_names(arg.conclusion.context)
              | free_vars(fj.subject) | free_vars(arg.conclusion.subject))
-    y = fresh_name("f", avoid)
-    w = fresh_name("w", avoid | {y})
+    y = fresh("f", avoid)
+    w = fresh("w", avoid)
     use = d_lolliL(arg, d_ax(w, fj.goal.cod), y, w)
     return d_cut(fun, use, y)
 
@@ -685,7 +699,7 @@ def d_inst(d: Derivation, b: Type) -> Derivation:
     j = d.conclusion
     if not isinstance(j.goal, Forall):
         raise ValueError("conclusion is not quantified")
-    x = fresh_name("u", context_names(j.context) | free_vars(j.subject))
+    x = fresh("u", context_names(j.context) | free_vars(j.subject))
     inst = open_type(j.goal.body, b)
     use = d_forallL(d_ax(x, inst), x, j.goal)
     return d_cut(d, use, x)

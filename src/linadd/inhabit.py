@@ -25,10 +25,10 @@ from itertools import combinations
 from .terms import Term, term_size
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
-    free_type_vars, fresh_type_var, is_closed, is_forall_lazy,
+    free_type_vars, is_closed, is_forall_lazy,
     match_tensor_type, open_type,
 )
-from .nameless import drive, fold
+from .nameless import drive, fold, fresh
 from .derivation import (
     Derivation, context_free_type_vars, is_cut_free, premises, rebuild,
     d_ax, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withR0,
@@ -87,7 +87,7 @@ def _sequent(ctx, goal, memo, counter):
             if is_closed(goal) and ctx_ftv:
                 out = []
                 break
-            g = fresh_type_var("e", ctx_ftv | free_type_vars(goal))
+            g = fresh("e", ctx_ftv | free_type_vars(goal))
             spine.append((key, d_forallR, (g, goal.var)))
             goal = open_type(goal.body, TVar(g))
         elif isinstance(goal, Lolli):
@@ -184,8 +184,7 @@ def eta_expansion_derivation(x: str, a: Type) -> Derivation:
     """Cut-free derivation of x:A |- M:A with M the eta-long form of x: one
     fold over pairs (name, type), where a `-o` pair has the pairs of its
     domain (name + "l") and codomain (name + "r"), and a `forall` pair that
-    of its body, opened at a fresh eigenvariable.  The walk reaches the
-    pairs in pre-order, so eigenvariables are drawn in that order."""
+    of its body, opened at the first eigenvariable e_k not free in it."""
     eigen: dict = {}  # id(forall pair) -> its eigenvariable
 
     def kids(p):
@@ -193,7 +192,7 @@ def eta_expansion_derivation(x: str, a: Type) -> Derivation:
         if isinstance(b, Lolli):
             return [(y + "l", b.dom), (y + "r", b.cod)]
         if isinstance(b, Forall):
-            g = eigen[id(p)] = fresh_type_var("e", free_type_vars(b))
+            g = eigen[id(p)] = fresh("e", free_type_vars(b))
             return [(y, open_type(b.body, TVar(g)))]
         if isinstance(b, With):
             raise InhabitError("cannot eta-expand an assumption of conjunction type")

@@ -5,7 +5,9 @@ the binder k levels further out; free variables stay named leaves
 (Charguéraud, "The Locally Nameless Representation", JAR 2012).  So trees are
 alpha-equivalent exactly when they are equal node for node, and substituting
 for a free name cannot capture.  A binder keeps the name it was built with
-as a print hint, which equality ignores.
+as a print hint, which equality ignores.  A new free name is the first
+base_k that the caller does not say is in scope (`fresh`); no state is
+kept, so what is built from the same inputs is named the same.
 
 A node class provides
 
@@ -32,7 +34,6 @@ recursion limit.
 
 from __future__ import annotations
 
-import itertools
 from operator import attrgetter, methodcaller
 
 children = methodcaller("children")
@@ -257,17 +258,16 @@ def size(t) -> int:
     return sizes[id(t)]
 
 
-_fresh = itertools.count()
-
-
-def fresh(base: str, avoid=(), sep: str = "_") -> str:
-    """A new free name: base without trailing digits, sep and a number
-    never used before, and not in `avoid`."""
+def fresh(base: str, avoid) -> str:
+    """The first of base_0, base_1, ... not in `avoid`, the names in scope,
+    base taken without trailing digits and underscores.  It is a function
+    of its arguments alone, so a build that passes what is in scope names
+    the same way in every call and every process."""
     base = base.rstrip("0123456789_") or "v"
-    while True:
-        name = "%s%s%d" % (base, sep, next(_fresh))
-        if name not in avoid:
-            return name
+    k = 0
+    while "%s_%d" % (base, k) in avoid:
+        k += 1
+    return "%s_%d" % (base, k)
 
 
 def references(t, i: int) -> bool:

@@ -31,14 +31,14 @@ through the rules' constructors.
 
 from __future__ import annotations
 
-from .nameless import fold
-from .terms import fresh_name, is_value
+from .nameless import fold, fresh
+from .terms import is_value
 from .typesys import (
-    TVar, Type, free_type_vars, fresh_type_var, match_instantiation, subst_type,
+    TVar, Type, free_type_vars, match_instantiation, subst_type,
 )
 from .derivation import (
     CONSTRUCTORS, Derivation,
-    context_free_type_vars, context_names, is_cut_free,
+    context_free_type_vars, context_names, is_cut_free, names_used,
     d_cut, d_forallR, d_withR0,
 )
 
@@ -90,17 +90,21 @@ def subst_type_deriv(d: Derivation, x: str, b: Type) -> Derivation:
     one fold over the pairs (node, env), env the simultaneous substitution
     at the node, {x: b} at the root.  At a forallR, its eigenvariable g
     leaves env, and if g is free in a type left in env, the forallR binds a
-    fresh name instead and env renames g to it below."""
+    name unused in d and env instead, and env renames g to it below."""
     pairs: dict = {}  # (id(node), id(env)) -> (node, env), keeping both alive
     eigen: dict = {}  # id(forallR pair) -> its eigenvariable in the result
+    used = None  # names_used(d), found at the first capture
 
     def kids(p):
+        nonlocal used
         n, env = p
         if n.rule == "forallR":
             g = n.params[0]
             inner = {y: s for y, s in env.items() if y != g}
             if any(g in free_type_vars(s) for s in inner.values()):
-                inner[g] = TVar(fresh_type_var(g))
+                used = used or names_used(d)
+                taken = used.union(inner, *map(free_type_vars, inner.values()))
+                inner[g] = TVar(fresh(g, taken))
             eigen[id(p)] = inner[g].name if g in inner else g
             env = env if inner == env else inner
             if not env:  # nothing to substitute below
@@ -120,10 +124,11 @@ def subst_type_deriv(d: Derivation, x: str, b: Type) -> Derivation:
 
 
 def _ensure_fresh(d: Derivation, var: str, avoid) -> tuple:
-    """Rename the assumption `var` of d away from `avoid` if needed."""
+    """Rename the assumption `var` of d, if it is in `avoid`, to a name
+    that neither `avoid` nor d uses."""
     if var not in avoid:
         return d, var
-    new = fresh_name(var, set(avoid) | context_names(d.conclusion.context))
+    new = fresh(var, names_used(d).union(avoid))
     return rename_assumption(d, var, new), new
 
 
@@ -195,9 +200,9 @@ _CONSUMES = {"cut": (1, 0), "lolliR": (0, 0), "lolliL": (1, 1),
 def _push(d: Derivation, side: int) -> Derivation:
     """The cut d pushed into a premise of its premise `side` (0 left, 1
     right): on the right, the first premise that holds the cut's assumption;
-    on the left, the one that proves the cut type.  If the last rule of that
-    side consumes an assumption in that premise, it is renamed away from the
-    context of the other premise of d."""
+    on the left, the one that proves the cut type.  An assumption that the
+    last rule n of that side consumes is renamed away from the contexts of
+    n and of the other premise of d, which it meets wherever the cut goes."""
     x, = d.params
     n, other = d.premises[side], d.premises[1 - side]
     ps, params = list(n.premises), list(n.params)
@@ -205,9 +210,9 @@ def _push(d: Derivation, side: int) -> Derivation:
     k = at
     if side:
         k = 0 if ps[0].conclusion.lookup(x) is not None else len(ps) - 1
-    if k == at and named is not None:
-        ps[k], params[named] = _ensure_fresh(
-            ps[k], params[named], context_names(other.conclusion.context))
+    if named is not None:
+        ps[at], params[named] = _ensure_fresh(ps[at], params[named], context_names(
+            other.conclusion.context + n.conclusion.context))
     ps[k] = d_cut(other, ps[k], x) if side else d_cut(ps[k], other, x)
     return CONSTRUCTORS[n.rule](*ps, *params)
 
@@ -223,8 +228,9 @@ def commute_once(d: Derivation) -> Derivation:
     if r.rule == "forallR":
         g, alpha = r.params
         r1 = r.premises[0]
-        if g in context_free_type_vars(l.conclusion.context):
-            g2 = fresh_type_var(g)
+        taken = context_free_type_vars(l.conclusion.context)
+        if g in taken:
+            g2 = fresh(g, names_used(r1) | taken)
             r1 = subst_type_deriv(r1, g, TVar(g2))
             g = g2
         return d_forallR(d_cut(l, r1, x), g, alpha)
@@ -255,6 +261,8 @@ def fire_symmetric(d: Derivation) -> Derivation:
         r1, r2 = r.premises
         _, w = r.params
         l1, z = _ensure_fresh(l.premises[0], z, context_names(r1.conclusion.context))
+        r2, w = _ensure_fresh(r2, w, context_names(r1.conclusion.context
+                                                   + l.conclusion.context))
         return d_cut(d_cut(r1, l1, z), r2, w)
     if l.rule == "forallR" and r.rule == "forallL":
         g, _ = l.params

@@ -33,7 +33,7 @@ can skip every subtree it knows is done.
 from __future__ import annotations
 
 from .nameless import (
-    Node, bind, free_names, fresh, index_leaf, instantiate, name_leaf, over,
+    Node, bind, free_names, index_leaf, instantiate, name_leaf, over,
     shift, size, substitute,
 )
 
@@ -183,9 +183,6 @@ class Copy(Term):
     def with_children(self, kids):
         g, s, l, r = kids
         return Copy(g, s, self.left_var, self.right_var, l, r, True)
-
-
-fresh_name = fresh
 
 
 # -- macro constructors -------------------------------------------------------

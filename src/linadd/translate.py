@@ -26,16 +26,16 @@ from __future__ import annotations
 
 import itertools
 
-from .nameless import fold
-from .terms import fresh_name, free_vars, term_size
+from .nameless import fold, fresh
+from .terms import free_vars, term_size
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
-    bool_type, free_type_vars, fresh_type_var, has_with, is_closed,
+    bool_type, free_type_vars, has_with, is_closed,
     match_tensor_type, open_type, subst_type, tensor_type, unit_type,
 )
 from .derivation import (
-    CONSTRUCTORS, Derivation, context_names, dag_size, metrics,
-    d_app, d_ax, d_forallR, d_inst, d_lolliL, d_lolliR,
+    CONSTRUCTORS, Derivation, context_free_type_vars, context_names, dag_size,
+    metrics, d_app, d_ax, d_forallR, d_inst, d_lolliL, d_lolliR,
 )
 from .reduce import beta_eta_equal
 
@@ -61,19 +61,17 @@ def translate_type(a: Type) -> Type:
 
 def identity_derivation() -> Derivation:
     """|- I : 1, eta-long."""
-    a = fresh_type_var("a", frozenset())
-    x = fresh_name("i", set())
-    return d_forallR(d_lolliR(d_ax(x, TVar(a)), x), a, a)
+    return d_forallR(d_lolliR(d_ax("i", TVar("a")), "i"), "a", "a")
 
 
 def d_tensor_pair(l: Derivation, r: Derivation) -> Derivation:
     """Combine Γ|-M:A and Δ|-N:B into Γ,Δ |- \\z. z M N : A * B."""
     a, b = l.conclusion.goal, r.conclusion.goal
-    g = fresh_type_var("g", free_type_vars(a) | free_type_vars(b))
-    avoid = (context_names(l.conclusion.context)
-             | context_names(r.conclusion.context)
+    ctx = l.conclusion.context + r.conclusion.context
+    g = fresh("g", free_type_vars(a) | free_type_vars(b) | context_free_type_vars(ctx))
+    avoid = (context_names(ctx)
              | free_vars(l.conclusion.subject) | free_vars(r.conclusion.subject))
-    z, p, q = (fresh_name(n, avoid) for n in "zpq")
+    z, p, q = (fresh(n, avoid) for n in "zpq")
     inner = d_lolliL(r, d_ax(q, TVar(g)), p, q)
     outer = d_lolliL(l, inner, z, p)
     return d_forallR(d_lolliR(outer, z), g, g)
@@ -127,20 +125,19 @@ def _eraser_spine(a: Type):
 
 def _eraser(a: Type, spine: list, lib) -> Derivation:
     """The eraser of a, whose spine (`_eraser_spine`) is given."""
-    z = fresh_name("z", set())
-    d = d_ax(z, a)
+    d = d_ax("z", a)
     for args in spine:
         if args is None:
             d = d_inst(d, unit_type())
             continue
         g = lib.unit()
-        names = [fresh_name("g", set()) for _ in args]
+        names = ["g_%d" % i for i in range(len(args))]
         for x, t in zip(reversed(names), reversed(args)):
             g = d_let_unit(d_app(lib.eraser(t), d_ax(x, t)), g)
         for x in reversed(names):
             g = d_lolliR(g, x)
         d = d_app(d, g)
-    return d_lolliR(d, z)
+    return d_lolliR(d, "z")
 
 
 # -- duplicators --------------------------------------------------------------
@@ -151,13 +148,11 @@ def _bool_values():
     """Derivations of the two eta-long boolean inhabitants; the one pairing
     its first argument first represents true."""
     def build(swap):
-        x, y = fresh_name("bx", set()), fresh_name("by", set())
-        a = fresh_type_var("a", frozenset())
-        l, r = d_ax(x, TVar(a)), d_ax(y, TVar(a))
+        l, r = d_ax("x", TVar("a")), d_ax("y", TVar("a"))
         first, second = (r, l) if swap else (l, r)
         d = d_tensor_pair(first, second)
-        d = d_lolliR(d_lolliR(d, y), x)
-        return d_forallR(d, a, "a")
+        d = d_lolliR(d_lolliR(d, "y"), "x")
+        return d_forallR(d, "a", "a")
     return (build(False), build(True))
 
 
@@ -184,10 +179,9 @@ def _tensor_tree(a: Type) -> tuple:
 
 def _proj1(r: Type, lib) -> Derivation:
     """|- \\z. let z be x*y in (let E_r y be I in x) : (r * r) -o r."""
-    z, x, y = (fresh_name(n, set()) for n in ("z", "x", "y"))
-    e = d_app(lib.eraser(r), d_ax(y, r))
-    body = d_let_unit(e, d_ax(x, r))
-    return d_lolliR(d_let_tensor(d_ax(z, tensor_type(r, r)), body, x, y), z)
+    e = d_app(lib.eraser(r), d_ax("y", r))
+    body = d_let_unit(e, d_ax("x", r))
+    return d_lolliR(d_let_tensor(d_ax("z", tensor_type(r, r)), body, "x", "y"), "z")
 
 
 def _flat_select(bools: list, value, lib) -> Derivation:
@@ -203,10 +197,9 @@ def _flat_select(bools: list, value, lib) -> Derivation:
     d, = level
     for b in bools:
         s, _ = match_tensor_type(d.conclusion.goal)
-        u, v = fresh_name("u", set()), fresh_name("v", set())
-        sel = d_app(d_app(d_inst(d_ax(b, BOOL), s), d_ax(u, s)), d_ax(v, s))
+        sel = d_app(d_app(d_inst(d_ax(b, BOOL), s), d_ax("u", s)), d_ax("v", s))
         pick = d_app(_proj1(s, lib), sel)
-        d = d_let_tensor(d, pick, u, v)
+        d = d_let_tensor(d, pick, "u", "v")
     return d
 
 
@@ -292,15 +285,17 @@ class GadgetLibrary:
         # its own object, since a component may occur twice.  The root is
         # named by the lambda binder; a pair names its components for the
         # let that takes it apart when the walk first reaches it, so in
-        # pre-order; a boolean leaf's name doubles as its selector variable.
-        z = fresh_name("z", set())
+        # pre-order, c_2k and c_2k+1 for the k-th pair reached; a boolean
+        # leaf's name doubles as its selector variable.
         split: dict = {}  # id(occurrence) -> its components' occurrences
 
         def kids(o):
-            ks = split[id(o)] = [(c, fresh_name("v", set())) for c in tree[id(o[0])]]
+            k = 2 * len(split)
+            ks = split[id(o)] = [(c, "c_%d" % (k + i))
+                                 for i, c in enumerate(tree[id(o[0])])]
             return ks
 
-        root = (a, z)
+        root = (a, "z")
         post: list = []  # every occurrence after its components
         fold(root, kids, lambda o, _: post.append(o), {})
 
@@ -325,19 +320,17 @@ class GadgetLibrary:
                 d = d_let_tensor(d_ax(v, t), d, ks[0][1], ks[1][1])
             elif t != BOOL:
                 d = d_let_unit(d_ax(v, unit_type()), d)
-        return d_lolliR(d, z)
+        return d_lolliR(d, "z")
 
     def _product_dup(self, a: Type, t1: Type, t2: Type, d1: Derivation,
                      d2: Derivation) -> Derivation:
-        z, x, y, x1, x2, y1, y2 = (fresh_name(n, set()) for n in
-                                   ("z", "x", "y", "x", "x", "y", "y"))
         out = d_tensor_pair(
-            d_tensor_pair(d_ax(x1, t1), d_ax(y1, t2)),
-            d_tensor_pair(d_ax(x2, t1), d_ax(y2, t2)))
-        out = d_let_tensor(d_app(d2, d_ax(y, t2)), out, y1, y2)
-        out = d_let_tensor(d_app(d1, d_ax(x, t1)), out, x1, x2)
-        out = d_let_tensor(d_ax(z, a), out, x, y)
-        return d_lolliR(out, z)
+            d_tensor_pair(d_ax("x1", t1), d_ax("y1", t2)),
+            d_tensor_pair(d_ax("x2", t1), d_ax("y2", t2)))
+        out = d_let_tensor(d_app(d2, d_ax("y", t2)), out, "y1", "y2")
+        out = d_let_tensor(d_app(d1, d_ax("x", t1)), out, "x1", "x2")
+        out = d_let_tensor(d_ax("z", a), out, "x", "y")
+        return d_lolliR(out, "z")
 
 
 # -- derivation translation ---------------------------------------------------
@@ -371,8 +364,8 @@ def _translate_node(d: Derivation, ps: list, lib: GadgetLibrary) -> Derivation:
     if rule in ("withL1", "withL2"):
         y, x, other = params
         drop = translate_type(other)
-        z = fresh_name("d", free_vars(d.conclusion.subject)
-                       | context_names(d.conclusion.context) | {x})
+        z = fresh("d", free_vars(d.conclusion.subject)
+                  | context_names(d.conclusion.context) | {x})
         e = d_app(lib.eraser(drop), d_ax(z, drop))
         body = d_let_unit(e, ps[0])
         x1, x2 = (x, z) if rule == "withL1" else (z, x)

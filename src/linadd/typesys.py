@@ -32,10 +32,8 @@ as a tree; it is the reference that the summaries are tested against.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .nameless import (
-    Node, bind, free_names, fresh, index_leaf, instantiate, loose, name_leaf,
+    Node, bind, free_names, index_leaf, instantiate, loose, name_leaf,
     over, references, shift, size, substitute,
 )
 
@@ -159,7 +157,6 @@ class Forall(Type):
 
 type_size = size
 free_type_vars = free_names
-fresh_type_var = partial(fresh, sep="")
 subst_type = substitute
 open_type = instantiate
 

@@ -8,7 +8,11 @@ mutated one is rebuilt with `Derivation` and keeps its parameters; a node
 whose rule was swapped carries none.  For each mutant the golden file holds
 the set of violation paths (empty when `check` accepts it).  It was recorded
 from the handler-per-rule checker; regenerate it with
-`python tests/test_check_mutants.py` only when a verdict is meant to change.
+`python tests/test_check_mutants.py` only when a verdict is meant to change,
+or when the draw does.  The draw depends on the names that the corpus
+generates: a goal swap skips a goal `==` the node's own, and eigenvariable
+names inside goals decide that, so a change in how fresh names are chosen
+redraws the mutants after the first goal swap that it affects.
 
 A second, multi-mutation set applies two to four mutations to two copies of
 each corpus derivation, parameter mutations among them, and asserts only that `check`

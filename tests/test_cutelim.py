@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from linadd.corpus import (
@@ -9,7 +7,7 @@ from linadd.corpus import (
 from linadd.cutelim import (
     CutElimError, ElimStep, elim_step, eliminate,
 )
-from linadd import derivation, nameless, reduce, steps
+from linadd import derivation, reduce, steps
 from linadd.derivation import (
     IMALL2, Derivation, check, check_ok, d_ax, d_cut, d_forallR, d_lolliL,
     d_lolliR, d_withL, d_withR, d_withR1, is_cut_free, metrics, rebuild,
@@ -311,18 +309,13 @@ def _assert_conclusions_rebuild(snapshots):
                         and got.goal == j.goal), n.rule
 
 
-def test_eliminate_agrees_with_the_rebuild_everything_oracle(
-        elimination_entries, monkeypatch):
+def test_eliminate_agrees_with_the_rebuild_everything_oracle(elimination_entries):
     inputs = [e.derivation for e in elimination_entries]
     inputs += [d for _, d in cubic_family(3)]
     for n in range(1, 9):
         inputs.append(gen_applied(gen_ladd(n, ONE)[1], maximal_value(ONE)[1]))
     for d in inputs:
-        # both runs draw the same fresh names, none drawn before
-        start = next(nameless._fresh)
-        monkeypatch.setattr(nameless, "_fresh", itertools.count(start))
         got, trace = eliminate(d, recheck=False, keep_derivations=True)
-        monkeypatch.setattr(nameless, "_fresh", itertools.count(start))
         want, want_steps, want_rounds = _oracle_eliminate(d)
         assert trace.steps == want_steps
         assert trace.rounds == want_rounds
@@ -370,3 +363,45 @@ def test_subst_type_deriv_renames_nested_captures_once_each():
     # below a forallR that binds x itself, x is not the free x
     bound = d_forallR(d_lolliR(d_ax("y", x), "y"), "x", "x")
     assert steps.subst_type_deriv(bound, "x", g) is bound
+
+
+def test_subst_type_deriv_renames_away_from_the_free_names_of_d():
+    x, g, g0 = TVar("x"), TVar("g"), TVar("g_0")
+    # the capture rename of g skips g_0, which is free in d
+    d = d_forallR(d_lolliR(d_ax("y", Lolli(x, Lolli(g, g0))), "y"), "g", "g")
+    out = steps.subst_type_deriv(d, "x", g)
+    assert out.params[0] not in {"g", "g_0"}
+    assert out.conclusion.goal == subst_type(d.conclusion.goal, "x", g)
+    assert check(out) == []
+
+
+def test_steps_rename_away_from_every_name_they_meet():
+    # Generated names repeat across subderivations (f_0, w_0, ...), so a
+    # step that moves a consuming rule past a context must rename what
+    # it consumes away from every name that it meets there.
+    one = unit_type()
+
+    def same_and_checked(before, after):
+        # a symmetric step reduces the subject; the sequent stays
+        assert check(before) == [] and check(after) == []
+        j, k = before.conclusion, after.conclusion
+        assert dict(j.context) == dict(k.context) and j.goal == k.goal
+
+    # a cut pushed into the left premise of a lolliL whose right premise
+    # consumes w_0, a name of the cut's left context
+    left = d_cut(d_ax("w_0", one), d_ax("q", one), "q")
+    d = d_cut(left, d_lolliL(d_ax("x", one), d_ax("w_0", one), "y", "w_0"), "x")
+    assert classify_cut(d) == COMMUTING
+    same_and_checked(d, steps.commute_once(d))
+    # a symmetric lolliR/lolliL cut: the right premise consumes w_0, which
+    # is free on the left
+    lam = d_lolliR(d_lolliL(d_ax("z", one), d_ax("v", one), "w_0", "v"), "z")
+    d = d_cut(lam, d_lolliL(d_ax("x", one), d_ax("w_0", one), "y", "w_0"), "y")
+    assert classify_cut(d) == SYMMETRIC
+    same_and_checked(d, steps.fire_symmetric(d))
+    # the same, with z renamed away from the right premise's z: not to z_0,
+    # which a cut inside the body binds
+    body = d_cut(d_ax("z", one), d_ax("z_0", one), "z_0")
+    d = d_cut(d_lolliR(body, "z"),
+              d_lolliL(d_ax("z", one), d_ax("w", one), "y", "w"), "y")
+    same_and_checked(d, steps.fire_symmetric(d))

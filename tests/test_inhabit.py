@@ -137,7 +137,8 @@ def test_enumeration_order_is_pinned():
     bbb = tensor_type(tensor_type(B, B), B)
     slow = enumerate_inhabitants(bbb, use_fast_paths=False).terms()
     assert [print_term(t) for t in slow] == _BBB
-    # the fast path names its binders from the global supply of fresh names
+    # the fast path names its binders as `d_tensor_pair` does (z_0), so the
+    # terms agree up to the names of binders
     assert enumerate_inhabitants(bbb).terms() == slow
 
 

@@ -135,3 +135,30 @@ def test_every_summary_slot_is_set_when_a_node_is_built():
         assert slots
         unset = sorted(s for s in slots - FILLED_BY_A_QUERY if not hasattr(n, s))
         assert not unset, (type(n).__name__, unset)
+
+
+def _module_level(tree):
+    """The nodes of a module outside its functions and lambdas."""
+    todo = list(tree.body)
+    while todo:
+        n = todo.pop()
+        yield n
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += ast.iter_child_nodes(n)
+
+
+def test_no_module_level_counter():
+    # a name is chosen from the names in scope, so no module keeps a counter
+    # that one call would advance for the next
+    counters = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        as_count = {"itertools.count"} | {
+            a.asname or a.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.module == "itertools"
+            for a in n.names if a.name == "count"}
+        counters += ["%s:%d" % (path.name, n.lineno) for n in _module_level(tree)
+                     if isinstance(n, (ast.Assign, ast.AnnAssign))
+                     for c in ast.walk(n) if isinstance(c, ast.Call)
+                     and ast.unparse(c.func) in as_count]
+    assert not counters, counters

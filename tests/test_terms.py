@@ -1,7 +1,7 @@
-from linadd.nameless import references, shift
+from linadd.nameless import fresh, references, shift
 from linadd.terms import (
     Abs, App, Copy, Pair, Proj, Var,
-    alpha_equal, free_vars, fresh_name, identity_term,
+    alpha_equal, free_vars, identity_term,
     is_value, let_tensor, let_unit, subst, tensor_term, term_size,
 )
 
@@ -106,8 +106,10 @@ def test_rename_var():
 
 
 def test_fresh_name_avoids():
-    n = fresh_name("x", {"x", "x1"})
-    assert n not in {"x", "x1"}
+    # the first base_k not in scope, whatever was asked before
+    assert fresh("x", {"x_0", "x_1"}) == "x_2"
+    assert fresh("x", {"x_0", "x_1"}) == "x_2"
+    assert fresh("x_7", {"x", "x_1"}) == fresh("x1", ()) == "x_0"
 
 
 def test_is_value():
