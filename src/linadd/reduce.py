@@ -14,14 +14,17 @@ A redex is identified by its path (child indices from the root) and kind.
 `redex_free` reads a flag that every node stores when it is built (see
 `terms`), so a search skips each subtree it already knows holds no redex.
 `normalize` runs a strategy (leftmost, rightmost, or seeded random) under
-an optional budget.  The leftmost and rightmost strategies descend from the
-root into the first (or last) child that is not redex-free and stop at the
-redex, so a step costs
-the depth of its redex plus the nodes that the contraction and the
-replacement on the path build, not a scan of the whole term.
+an optional budget.  The leftmost and rightmost strategies are one zipper
+walk (Huet, "The Zipper", JFP 1997): the walk keeps the focus and the
+frames from the root down to it, so no step starts again from the root.
+It moves into the first (or last) child that is not redex-free, contracts
+in place, and checks a parent for a redex only where a contraction below
+can have made one: right after the contraction, and on climbing back into
+it.  A parent is rebuilt once, on climbing out of it, and only if a child
+changed.  So a step costs its contraction plus the moves of the walk, not
+the depth of its redex.
 `find_redexes` lists every redex in leftmost-outermost (pre-)order; it is the
-reference those descents are tested against, and the random strategy draws
-from it.
+reference the walk is tested against, and the random strategy draws from it.
 """
 
 from __future__ import annotations
@@ -48,11 +51,16 @@ class BudgetExceeded(Exception):
 
 
 def redex_kind_at(t: Term):
-    if isinstance(t, App) and isinstance(t.fun, Abs):
+    return _kind_over(t, t.children())
+
+
+def _kind_over(t: Term, kids) -> str | None:
+    """The kind of redex that t would be over the children kids, if any."""
+    if isinstance(t, App) and isinstance(kids[0], Abs):
         return "beta"
-    if isinstance(t, Proj) and isinstance(t.body, Pair):
+    if isinstance(t, Proj) and isinstance(kids[0], Pair):
         return "proj"
-    if isinstance(t, Copy) and is_value(t.scrutinee):
+    if isinstance(t, Copy) and is_value(kids[1]):
         return "copy"
     return None
 
@@ -69,29 +77,13 @@ def find_redexes(t: Term) -> list:
         t, path = stack.pop()
         if redex_free(t):
             continue
-        k = redex_kind_at(t)
+        cs = t.children()
+        k = _kind_over(t, cs)
         if k is not None:
             out.append(Redex(path, k))
-        cs = t.children()
         for i in reversed(range(len(cs))):
             stack.append((cs[i], path + (i,)))
     return out
-
-
-def _descend(t: Term, rightmost: bool) -> Redex:
-    """The first (or last) of find_redexes(t), for t not redex-free.  In
-    pre-order a node precedes its subtrees, so the first redex is the first
-    node on the way down that is one, and the last is where the way ends."""
-    path = []
-    while rightmost or redex_kind_at(t) is None:
-        cs = t.children()
-        order = range(len(cs) - 1, -1, -1) if rightmost else range(len(cs))
-        i = next((i for i in order if not redex_free(cs[i])), None)
-        if i is None:
-            break
-        path.append(i)
-        t = cs[i]
-    return Redex(tuple(path), redex_kind_at(t))
 
 
 def contract(t: Term) -> Term:
@@ -138,22 +130,101 @@ def normalize(t: Term, strategy: str = "leftmost", budget: int | None = None,
               seed: int | None = None, keep_trace: bool = False) -> NormalizeResult:
     if strategy not in ("leftmost", "rightmost", "random"):
         raise ValueError("unknown strategy %r" % strategy)
-    rng = random.Random(seed) if strategy == "random" else None
-    steps = 0
     trace: list = []
-    while True:
-        if redex_free(t):
-            return NormalizeResult(t, steps, trace)
-        if budget is not None and steps >= budget:
-            raise BudgetExceeded("no normal form within %d steps" % budget)
-        if strategy in ("leftmost", "rightmost"):
-            r = _descend(t, strategy == "rightmost")
-        else:
-            r = rng.choice(find_redexes(t))
+    if strategy != "random":
+        t, steps = _walk(t, strategy == "rightmost", budget,
+                         trace if keep_trace else None)
+        # a traced run returns its last traced term, not an equal copy
+        return NormalizeResult(trace[-1][1] if trace else t, steps, trace)
+    rng = random.Random(seed)
+    steps = 0
+    while not redex_free(t):
+        _check_budget(steps, budget)
+        r = rng.choice(find_redexes(t))
         t = step(t, r)
         steps += 1
         if keep_trace:
             trace.append((r, t))
+    return NormalizeResult(t, steps, trace)
+
+
+def _check_budget(steps: int, budget: int | None) -> None:
+    if budget is not None and steps >= budget:
+        raise BudgetExceeded("no normal form within %d steps" % budget)
+
+
+def _walk(t: Term, rightmost: bool, budget: int | None, trace: list | None):
+    """The normal form of t under the leftmost (or rightmost) strategy, and
+    its step count: each step contracts the first (or last) of find_redexes.
+
+    The walk holds a focus and a stack of frames [node, kids, i, changed]
+    from the root down; the focus stands for kids[i] of the last frame's
+    node.  In pre-order a node precedes its subtrees, so the first redex is
+    the first node on the way down that is one, and the last is where the
+    way into the last child that is not redex-free ends.  The subtrees the
+    walk has finished hold no redex.  A contraction can make an ancestor a
+    redex only through the child on the path: the parent, as an App over an
+    Abs, a Proj over a Pair or a Copy over a value, or a Copy further up
+    over a scrutinee that is now a value, and so holds no redex.  So the
+    leftmost walk checks the parent right after a contraction and each node
+    it climbs back into; the rightmost walk contracts a node only once its
+    children are redex-free, so it meets each such redex on its way up."""
+    frames: list = []
+    focus, steps = t, 0
+    while True:
+        if not focus._redex_free:
+            kind = None if rightmost else redex_kind_at(focus)
+            if kind is None:
+                kids = focus.children()
+                i = _next_unfinished(kids, len(kids) if rightmost else -1, rightmost)
+                if i is not None:
+                    frames.append([focus, list(kids), i, False])
+                    focus = kids[i]
+                    continue
+                kind = redex_kind_at(focus)
+            _check_budget(steps, budget)
+            focus = contract(focus)
+            steps += 1
+            if trace is not None:
+                trace.append((Redex(tuple(f[2] for f in frames), kind),
+                              _plugged(frames, focus)))
+            if rightmost or not frames:
+                continue
+        elif not frames:
+            return focus, steps
+        frame = frames[-1]
+        node, kids, i, _ = frame
+        if focus is not kids[i]:
+            kids[i] = focus
+            frame[3] = True
+        if rightmost or _kind_over(node, kids) is None:
+            if not focus._redex_free:
+                continue  # leftmost, after a contraction: look down it next
+            j = _next_unfinished(kids, i, rightmost)
+            if j is not None:
+                frame[2] = j
+                focus = kids[j]
+                continue
+        frames.pop()
+        focus = node.with_children(kids) if frame[3] else node
+
+
+def _next_unfinished(kids, i: int, rightmost: bool):
+    """The index of the first child after kids[i] in the walk's order (the
+    last before it, if rightmost) that is not redex-free, or None."""
+    for j in range(i - 1, -1, -1) if rightmost else range(i + 1, len(kids)):
+        if not kids[j]._redex_free:
+            return j
+    return None
+
+
+def _plugged(frames: list, focus: Term) -> Term:
+    """The whole term: the focus put back into its frames."""
+    for node, kids, i, _ in reversed(frames):
+        kids = kids.copy()
+        kids[i] = focus
+        focus = node.with_children(kids)
+    return focus
 
 
 # -- eta ----------------------------------------------------------------------

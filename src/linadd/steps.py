@@ -66,23 +66,39 @@ def principal_var(d: Derivation):
 
 # -- renaming -----------------------------------------------------------------
 
+# Each rule that consumes an assumption: the premise that holds it, and the
+# index of its name among the parameters.
+_CONSUMES = {"cut": (1, 0), "lolliR": (0, 0), "lolliL": (1, 1),
+             "withL1": (0, 1), "withL2": (0, 1)}
+
+
 def rename_assumption(d: Derivation, old: str, new: str) -> Derivation:
     """Rename a free assumption throughout a derivation (contexts and
     subjects), keeping each node whose conclusion lacks it; a shared node is
-    renamed once."""
+    renamed once.  Where a node that holds `old` consumes an assumption
+    already named `new`, that one is renamed away first, so that no context
+    holds `new` twice."""
     if old == new:
         return d
+    params: dict = {}  # id(node) -> its parameters, a consumed `new` renamed
+
+    def kids(n):
+        if n.conclusion.lookup(old) is None:
+            return ()
+        ps, ns = list(n.premises), list(n.params)
+        at, named = _CONSUMES.get(n.rule, (0, None))
+        if named is not None and ns[named] == new:
+            ps[at], ns[named] = _ensure_fresh(ps[at], new, {old, new})
+        if n.rule != "forallR":  # its parameters name type variables
+            ns = [new if p == old else p for p in ns]
+        params[id(n)] = ns
+        return ps
 
     def rename(n, ps):
-        if n.conclusion.lookup(old) is None:
-            return n
-        params = n.params
-        if n.rule != "forallR":  # its parameters name type variables
-            params = tuple(new if p == old else p for p in params)
-        return CONSTRUCTORS[n.rule](*ps, *params)
+        ns = params.get(id(n))  # None where the conclusion lacks `old`
+        return n if ns is None else CONSTRUCTORS[n.rule](*ps, *ns)
 
-    return fold(d, lambda n: () if n.conclusion.lookup(old) is None else n.premises,
-                rename, {})
+    return fold(d, kids, rename, {})
 
 
 def subst_type_deriv(d: Derivation, x: str, b: Type) -> Derivation:
@@ -190,12 +206,6 @@ def classify_cuts(d: Derivation):
 
 
 # -- the steps ----------------------------------------------------------------
-
-# Each rule that a cut commutes past and that consumes an assumption: the
-# premise that holds it, and the index of its name among the parameters.
-_CONSUMES = {"cut": (1, 0), "lolliR": (0, 0), "lolliL": (1, 1),
-             "withL1": (0, 1), "withL2": (0, 1)}
-
 
 def _push(d: Derivation, side: int) -> Derivation:
     """The cut d pushed into a premise of its premise `side` (0 left, 1

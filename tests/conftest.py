@@ -1,6 +1,8 @@
 import pytest
+import hypothesis.strategies as st
 
 from linadd.corpus import build_corpus
+from linadd.terms import Abs, App, Copy, Pair, Proj, Var, identity_term
 from linadd.translate import GadgetLibrary
 
 
@@ -36,3 +38,30 @@ def cut_chain():
             d = d_cut(d_ax("x%d" % k, a), d, "x%d" % (k - 1))
         return d_forallR(d_lolliR(d, "x%d" % n), "a", "a")
     return build
+
+
+@pytest.fixture(scope="session")
+def drawn_terms():
+    """A Hypothesis strategy of small untyped terms, drawn with data.draw.
+    Binders and free variables share one pool of five names, so a binder
+    may capture a free name, shadow another binder or use its variable any
+    number of times.  Beta redexes and the self-application \\x. x x are
+    drawn as such, so that many terms reduce and some have no normal form."""
+    names = st.sampled_from(["x", "y", "z", "u", "v"])
+    leaves = st.one_of(
+        st.builds(Var, names),
+        st.builds(lambda x: Abs(x, App(Var(x), Var(x))), names),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Abs, names, sub),
+            st.builds(App, sub, sub),
+            st.builds(lambda x, m, n: App(Abs(x, m), n), names, sub, sub),
+            st.builds(Pair, sub, sub),
+            st.builds(Proj, st.sampled_from([1, 2]), sub),
+            st.builds(lambda s, l, r: Copy(identity_term(), s, l, r,
+                                           Var(l), Var(r)),
+                      sub, names, names),
+        ),
+        max_leaves=12)

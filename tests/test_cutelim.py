@@ -9,7 +9,7 @@ from linadd.cutelim import (
 )
 from linadd import derivation, reduce, steps
 from linadd.derivation import (
-    IMALL2, Derivation, check, check_ok, d_ax, d_cut, d_forallR, d_lolliL,
+    IMALL2, IMLL2, LAM, Derivation, check, check_ok, d_ax, d_cut, d_forallR, d_lolliL,
     d_lolliR, d_withL, d_withR, d_withR1, is_cut_free, metrics, rebuild,
 )
 from linadd.frontend import derivations_equal
@@ -21,7 +21,7 @@ from linadd.steps import (
 )
 from linadd.terms import alpha_equal, is_value
 from linadd.translate import identity_derivation
-from linadd.typesys import Lolli, TVar, subst_type, unit_type
+from linadd.typesys import Lolli, TVar, bool_type, subst_type, unit_type
 
 
 ONE = unit_type()
@@ -348,6 +348,20 @@ def test_rename_assumption_renames_each_shared_node_once(monkeypatch):
     monkeypatch.undo()
     assert out.conclusion.context == (("y", Lolli(a, b)),)
     assert check(out, IMALL2) == []
+
+
+def test_axiom_cut_renames_a_consumed_namesake_away():
+    # w_0 : 1 cut into x: the right premise's lolliL consumes a w_0 of its
+    # own, so renaming x to w_0 alone would give its premises one name twice
+    r = d_lolliL(d_ax("x", ONE), d_ax("w_0", bool_type()), "f", "w_0")
+    d = d_cut(d_ax("w_0", ONE), r, "x")
+    assert classify_cut(d) == SYMMETRIC
+    out = steps.fire_symmetric(d)
+    for system in (IMLL2, LAM):
+        assert check(d, system) == [] and check(out, system) == []
+    assert out.conclusion.subject == d.conclusion.subject
+    assert out.conclusion.goal == d.conclusion.goal
+    assert dict(out.conclusion.context) == dict(d.conclusion.context)
 
 
 def test_subst_type_deriv_renames_nested_captures_once_each():

@@ -392,24 +392,7 @@ def test_chains_read_as_the_left_fold_of_their_operands(parse, n):
 
 # -- generated round trips ----------------------------------------------------
 
-_names = st.sampled_from(["x", "y", "z", "u", "v"])
 _tnames = st.sampled_from(["a", "b", "g"])
-
-
-def _terms():
-    leaves = st.builds(Var, _names)
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            st.builds(Abs, _names, sub),
-            st.builds(App, sub, sub),
-            st.builds(Pair, sub, sub),
-            st.builds(Proj, st.sampled_from([1, 2]), sub),
-            st.builds(lambda s, l, r: Copy(identity_term(), s, l, r,
-                                           Var(l), Var(r)),
-                      sub, _names, _names),
-        ),
-        max_leaves=12)
 
 
 def _types():
@@ -426,8 +409,9 @@ def _types():
 
 
 @settings(max_examples=200, deadline=None)
-@given(_terms())
-def test_term_round_trip(t):
+@given(st.data())
+def test_term_round_trip(drawn_terms, data):
+    t = data.draw(drawn_terms)
     assert alpha_equal(t, parse_term(print_term(t)))
 
 

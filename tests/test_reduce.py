@@ -12,7 +12,7 @@ from linadd.reduce import (
     find_redexes, normalize, push_reduction, redex_free, step,
 )
 from linadd.terms import (
-    Abs, App, Bound, Copy, Pair, Proj, Var,
+    Abs, App, Bound, Copy, Pair, Proj, Term, Var,
     alpha_equal, free_vars, identity_term, is_value, subst, term_size,
 )
 from linadd.translate import GadgetLibrary, identity_derivation, translate_derivation
@@ -159,7 +159,7 @@ def test_ladd_steps_and_sizes(n, strategy):
     assert res.steps == 2 * n + 1
 
 
-# -- the cached flags and the descent against uncached references ------------
+# -- the cached flags and the walk against uncached references ---------------
 
 def _ref_free(t):
     """The free names of t, and as ints the bound indices that point past
@@ -246,6 +246,62 @@ def test_descent_picks_the_reference_redex(corpus, strategy):
         assert redex_free(before) and find_redexes(before) == [], name
 
 
+@pytest.mark.parametrize("text, leftmost, rightmost", [
+    # the root copy's scrutinee becomes a value only after two contractions
+    # two levels down
+    ("copy[\\x. x] <(\\y. y) (\\z. z), (\\w. w) (\\u. u)> as a,b in <a, b>",
+     [(1, 0), (1, 1), ()], [(1, 1), (1, 0), ()]),
+    # contracting the function makes the root a beta redex
+    ("((\\f. f) (\\x. \\y. x)) (p1(<\\a. a, \\b. b>))",
+     [(0,), (), (0,)], [(1,), (0,), ()]),
+    # the root's body is a pair only after two contractions, the first of
+    # them at a redex that already sat there
+    ("p1(p2(<\\q. q, (\\r. r) <\\s. s, \\t. t>>))",
+     [(0,), (0,), ()], [(0, 0, 1), (0,), ()]),
+])
+def test_a_step_can_make_an_ancestor_a_redex(text, leftmost, rightmost):
+    t = parse_term(text)
+    for strategy, paths in (("leftmost", leftmost), ("rightmost", rightmost)):
+        res = normalize(t, strategy, keep_trace=True)
+        assert [r.path for r, _ in res.trace] == paths, strategy
+        assert res.term == normalize(t, "random", seed=0).term
+
+
+BUDGET = 12
+
+
+def _ref_normalize(t, pick):
+    """The trace of contracting the reference's first (or last) redex, up to
+    BUDGET + 1 steps."""
+    trace = []
+    while len(trace) <= BUDGET:
+        rs = _ref_redexes(t)
+        if not rs:
+            break
+        t = step(t, rs[pick])
+        trace.append((rs[pick], t))
+    return trace
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_walk_matches_the_reference_step_by_step(drawn_terms, data):
+    t = data.draw(drawn_terms)
+    for strategy, pick in (("leftmost", 0), ("rightmost", -1)):
+        ref = _ref_normalize(t, pick)
+        if len(ref) > BUDGET:  # no normal form within the budget
+            with pytest.raises(BudgetExceeded):
+                normalize(t, strategy, budget=BUDGET)
+            continue
+        res = normalize(t, strategy, budget=len(ref), keep_trace=True)
+        assert res.trace == ref, strategy
+        assert res.steps == len(ref)
+        assert res.term is (res.trace[-1][1] if ref else t)
+        if ref:
+            with pytest.raises(BudgetExceeded):
+                normalize(t, strategy, budget=len(ref) - 1)
+
+
 def test_flags_match_reference_along_reductions(corpus):
     # every term a leftmost normalization visits, including the nodes that
     # substitution and replacement build
@@ -320,3 +376,35 @@ def test_normalize_costs_local_work(monkeypatch):
     res = normalize(m)
     assert res.steps == 775
     assert calls <= 10 * term_size(m)
+
+
+def test_a_step_costs_its_contraction_not_its_depth(monkeypatch):
+    # 300 nested I (...) under 1,500 binders: every redex sits 1,500 nodes
+    # down.  Descending from the root and rebuilding the path at each step
+    # made 450,900 redex_kind_at calls leftmost and rebuilt 450,000 nodes
+    # (494,850 rightmost).
+    body = Var("v0")
+    for _ in range(300):
+        body = App(identity_term(), body)
+    t = _under_binders(body)
+    calls = {"redex_kind_at": 0, "with_children": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(reduce, "redex_kind_at",
+                        counted("redex_kind_at", reduce.redex_kind_at))
+    for cls in (Term, Abs, Proj, Copy):  # App and Pair inherit Term's
+        monkeypatch.setattr(cls, "with_children",
+                            counted("with_children", cls.with_children))
+    for strategy in ("leftmost", "rightmost"):
+        for name in calls:
+            calls[name] = 0
+        res = normalize(t, strategy)
+        assert res.steps == 300
+        assert res.term == _under_binders(Var("v0"))
+        assert calls["redex_kind_at"] <= 2 * (DEEP + 300), strategy
+        assert calls["with_children"] <= 2 * (DEEP + 300), strategy
