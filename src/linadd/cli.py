@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from functools import cache
 
 from .terms import term_size
-from .typesys import bool_type, unit_type
+from .typesys import bool_type, free_type_vars, subst_type, unit_type
 from .derivation import IMALL2, LAM, CheckError, check, check_ok, dag_size, metrics
 from .reduce import BudgetExceeded, normalize
 from .cutelim import CutElimError, eliminate
@@ -89,12 +89,13 @@ def _emit(report: Report, args, text_lines=()):
 
 
 def _parse_type_arg(text: str):
-    """A type literal, or one of the macro names unit/bool."""
-    named = {"unit": unit_type(), "bool": bool_type(),
-             "1": unit_type(), "B": bool_type()}
-    if text in named:
-        return named[text]
-    return parse_type(text)
+    """A type literal in which the free type variables `B` and `bool` stand
+    for the booleans and `unit` for the unit type, as `1` does."""
+    a = parse_type(text)
+    for name, b in (("B", bool_type()), ("bool", bool_type()), ("unit", unit_type())):
+        if name in free_type_vars(a):
+            a = subst_type(a, name, b)
+    return a
 
 
 def _natural(text: str) -> int:
@@ -311,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family", choices=("add", "ladd"))
     sp.add_argument("-n", type=_natural, required=True)
     sp.add_argument("--base", default="unit",
-                    help="base type (default: unit)")
+                    help="base type (default: unit); in it B and bool name "
+                    "the booleans, unit and 1 the unit type")
     sp.add_argument("--apply", action="store_true",
                     help="apply to the size-maximal base value")
     sp.add_argument("--derivation", action="store_true",

@@ -2,11 +2,12 @@
 
 Strategy (round based), over the cut classes of `steps`:
 
-  round = { 1 } step every `commuting` cut, deepest first, rescanning
-            after each movement (commuting steps preserve the subject and
-            keep the potential size + 2*weight);
-          { 2 } fire one `symmetric` cut if any exists, otherwise one
-            `ready` cut (a firing lowers the potential).
+  round = { 1 } step every `commuting` cut, deepest first (leftmost on
+            ties), picking again after each movement (commuting steps
+            preserve the subject and keep the potential size + 2*weight);
+          { 2 } fire the first `symmetric` cut in pre-order if any
+            exists, otherwise the deepest `ready` cut (the first in
+            pre-order on ties; a firing lowers the potential).
 
 Every step goes through the one table `steps.STEP`.  Of the seven classes,
 `deadlock` and `copy_first` cuts have no step, and `safe` and `blocked`
@@ -15,30 +16,53 @@ with a forall-lazy conclusion the strategy always finds a ready cut when only
 those remain, so elimination completes with a cut-free derivation whose
 subject is the normal form of the original subject.
 
-A step costs its local work, not a rescan of the whole derivation.  Each
-step scans for cuts once: the scan after which {1} finds no commuting cut
-is the one {2} chooses from.  The scan descends only into subderivations
-that hold a cut, which the cut count each node stores when it is built
-tells without a walk, and each cut node's class is computed once per node
-object and kept on it (`steps.cut_class`), so a scan classifies only the
-cuts the last step built.  `derivation.replace_at` rebuilds the spine above a
-step in a loop; when the step kept its judgement, as a commuting step does,
-every derived ancestor keeps its own conclusion over the new premise and no
-constructor runs for it.  That is sound by the argument of
-`rebuild_error` and `frontend.derivations_equal`: the constructors are pure
-and respect `==`, so over premises with equal conclusions they build equal
-conclusions.  A kept conclusion may differ from a rebuilt one only in the
-print hints of its binders, which `==` ignores.
+The loop is one zipper walk (Huet, "The Zipper", JFP 1997), as
+normalization is in `reduce`: it holds the focus cut and the frames from
+the root down to it, applies the step there, and moves to the next cut the
+strategy picks, climbing only to where that cut's path leaves the focus's
+and going down from there.  The cuts off the walk's way are never
+rescanned: the walk summarizes each node that holds a cut once, by the
+cut below it that the strategy would pick first (`_Walk.summary`; the class
+of each cut node is kept on it, `steps.cut_class`), each frame keeps that
+for the cuts outside its premise on the way, and the pick is the first of
+the last frame's and the focus's.  After a step only what it changed is
+looked at: the nodes it built are summarized, the parent frame's cut is
+reclassified from its premises (`steps.classify_over`), and so is each
+frame's whose class turns on whether its left premise holds a cut, when
+the step made that premise's cut count cross zero.  The root's size, weight and cut count follow from
+the step's difference, and the summed cut heights from the heights the
+frames keep, updated upwards while they change.
+
+A frame is rebuilt once, when the walk climbs out of it, by the rule of
+`derivation.climb`, which `replace_at` also uses: a derived frame keeps its
+own conclusion over its new premise when no step below it changed a
+judgement, as a commuting step keeps it; otherwise, or when the frame is
+not derived, its constructor runs, and so does every frame's above it.
+That is sound by the argument of `rebuild_error` and
+`frontend.derivations_equal`: the constructors are pure and respect `==`,
+so over premises with equal conclusions they build equal conclusions.  A
+kept conclusion may differ from a rebuilt one only in the print hints of
+its binders, which `==` ignores.
+
+So a step costs its rule: the nodes it builds, with the substitution in
+the subject along the path to the cut variable that `d_cut` and the left
+rules make, the comparison of its judgement with the old one (only while
+some frame above it is not yet marked changed), and the moves of the walk,
+which climbs no more frames than it went down.  With `keep_derivations`
+each snapshot costs a climb of the whole spine besides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import ref
 
-from .derivation import Derivation, check_ok, metrics, replace_at
+from .derivation import (
+    Derivation, check_ok, climb, is_cut_free, metrics, replace_at, same_judgement,
+)
 from .typesys import judgement_is_forall_lazy
 from .steps import (
-    COMMUTING, READY, STEP, SYMMETRIC, CutElimError, classify_cuts, cut_class,
+    COMMUTING, READY, STEP, SYMMETRIC, CutElimError, classify_over, cut_class,
 )
 
 
@@ -102,36 +126,233 @@ def eliminate(d: Derivation, budget: int | None = None,
     trace = ElimTrace()
     if keep_derivations:
         trace.snapshots.append(d)
-    cur = d
-    cuts = classify_cuts(cur)
-    while cuts:
-        commuting = [p for p, c in cuts if c == COMMUTING]
-        sym = [p for p, c in cuts if c == SYMMETRIC]
-        ready = [p for p, c in cuts if c == READY]
-        if commuting:  # {1} deepest first
-            kind = COMMUTING
-            path = max(commuting, key=lambda p: (len(p), [-x for x in p]))
-        elif sym:  # {2} from the scan that ended {1}
-            path, kind = sym[0], SYMMETRIC
-        elif ready:
-            path, kind = max(ready, key=len), READY
-        else:
-            raise CutElimError(
-                "no fireable cut remains (deadlock or copy-first only)")
+    walk = _Walk(d)
+    while walk.cuts:
+        path, kind = walk.pick()
         if len(trace.steps) >= budget:
             raise CutElimError("elimination budget exhausted")
-        cur = replace_at(cur, path, STEP[kind])
-        m = metrics(cur)
+        walk.move_to(path)
+        walk.step(STEP[kind])
         trace.steps.append(ElimStep(
             round=trace.rounds + 1, path=path, kind=kind,
-            size=m.size, weight=m.weight,
-            potential=m.size + 2 * m.weight, height_sum=m.height_sum,
+            size=walk.size, weight=walk.weight,
+            potential=walk.size + 2 * walk.weight, height_sum=walk.height_sum,
         ))
         if keep_derivations:
-            trace.snapshots.append(cur)
+            trace.snapshots.append(walk.plugged())
         trace.rounds += kind != COMMUTING  # a firing ends its round
-        cuts = classify_cuts(cur)
 
+    cur = trace.snapshots[-1] if keep_derivations else walk.plugged()
     if recheck:
         check_ok(cur)
     return cur, trace
+
+
+# -- the walk -----------------------------------------------------------------
+#
+# The cut the strategy picks is the least of all cuts under one key: the
+# rank of its class (commuting before symmetric before ready), then minus
+# its depth for commuting and ready cuts (0 for symmetric ones), then its
+# path, which orders by pre-order.  The walk keeps only such least keys: the
+# summary of a subderivation is the key of its least cut, or None.
+
+_RANK = {COMMUTING: 0, SYMMETRIC: 1, READY: 2}
+_KIND = (COMMUTING, SYMMETRIC, READY)
+
+
+def _key(kind, path: tuple):
+    """The key of a cut of class `kind` at `path`; None for a cut that the
+    strategy does not step, and for no cut."""
+    r = _RANK.get(kind)
+    return None if r is None else (r, 0 if r == 1 else -len(path), path)
+
+
+def _under(key, prefix: tuple):
+    """The key of a subderivation's cut, its path put under `prefix`."""
+    if key is None:
+        return None
+    r, depth, path = key
+    return r, depth if r == 1 else depth - len(prefix), prefix + path
+
+
+def _least(a, b):
+    return a if b is None or (a is not None and a <= b) else b
+
+
+class _Frame:
+    """A node on the way from the root to the focus, with a hole at its
+    premise i, where the focus, or the next frame, stands: its rule,
+    parameters, conclusion and derived mark, and its premises with None at
+    i.  So a frame keeps no old version of what is below it, and it climbs
+    as the node would (`derivation.climb`).  Only its subject may be stale
+    (every step keeps its node's context and goal); the frame keeps the
+    rest that changes: the height `h` of the subderivation it roots, the
+    class `own` of its cut, and `ctx`, the least key of the cuts outside
+    its premise i (`sib`, that of its other premises).  `left` is set on a
+    cut whose class turns on whether its premise i, the left one, holds a
+    cut: that premise's cut count less the walk's total when the frame was
+    made, so that its count now is `left` plus the walk's total (every
+    step since is below it)."""
+
+    __slots__ = ("rule", "params", "conclusion", "_derived", "premises", "i",
+                 "path", "h_other", "h", "own", "sib", "ctx", "left")
+
+
+class _Walk:
+    """One zipper walk (Huet, "The Zipper", JFP 1997) over a derivation:
+    the focus, at path `at`, and the frames from the root down to it,
+    with the root's size, weight, summed cut heights and cut count.  The
+    frames with an index below `dirty` hold a step below that changed a
+    judgement, so they leave through their constructors."""
+
+    def __init__(self, d: Derivation):
+        self.focus, self.at, self.frames, self.dirty = d, (), [], 0
+        self.guarded = []  # the frames with `left` set, root first
+        self.size, self.weight, _, self.height_sum, self.cuts = d._stats
+        self.memo = {}  # id(node) -> (weak reference to it, its summary)
+
+    def summary(self, d: Derivation):
+        """The summary of d: the key of its least cut, by its path from d.
+        It depends only on the node and the nodes below it, which are
+        immutable, so the walk computes it once per node object: a
+        post-order walk with its own stack, as `nameless.fold` makes, that
+        stops at the nodes it has summarized before.  The weak reference
+        kept beside a summary tells whether an id is still that node's."""
+        memo, s = self.memo, None
+        todo = [] if is_cut_free(d) else [d]
+        while todo:
+            n = todo[-1]
+            got = memo.get(id(n))
+            if got is not None and got[0]() is n:
+                s = got[1]
+                todo.pop()
+                continue
+            ps, below = n.premises, []
+            for p in ps:
+                if not is_cut_free(p):
+                    got = memo.get(id(p))
+                    if got is None or got[0]() is not p:
+                        below.append(p)
+            if below:
+                todo += below
+                continue
+            s = _key(cut_class(n), ()) if n.rule == "cut" else None
+            for i, p in enumerate(ps):
+                if not is_cut_free(p):
+                    s = _least(s, _under(memo[id(p)][1], (i,)))
+            memo[id(n)] = ref(n), s
+            todo.pop()
+        return s
+
+    def pick(self) -> tuple:
+        """(path, class) of the next cut: the deepest commuting cut, else
+        the first symmetric one, else the deepest ready one."""
+        s = _under(self.summary(self.focus), self.at)
+        if self.frames:
+            s = _least(self.frames[-1].ctx, s)
+        if s is None:
+            raise CutElimError("no fireable cut remains (deadlock or copy-first only)")
+        return s[2], _KIND[s[0]]
+
+    def move_to(self, path: tuple) -> None:
+        while path[:len(self.at)] != self.at:
+            self._up()
+        for i in path[len(self.at):]:
+            self._down(i)
+
+    def _up(self) -> None:
+        f = self.frames.pop()
+        k = len(self.frames)
+        self.focus, kept = climb(f, f.i, self.focus, k >= self.dirty)
+        if not kept:
+            self.dirty = k
+        if f.left is not None:
+            self.guarded.pop()
+        self.at = f.path
+
+    def _down(self, i: int) -> None:
+        d, at = self.focus, self.at
+        ps = d.premises
+        f = _Frame()
+        f.rule, f.params, f.conclusion, f._derived = d.rule, d.params, d.conclusion, d._derived
+        f.premises = ps[:i] + (None,) + ps[i + 1:]
+        f.i, f.path, f.h = i, at, d._stats[2]
+        f.h_other, f.sib = 0, None
+        for k, p in enumerate(ps):
+            if k != i:
+                f.h_other = max(f.h_other, p._stats[2])
+                if not is_cut_free(p):
+                    f.sib = _least(f.sib, _under(self.summary(p), at + (k,)))
+        f.own = f.left = None
+        if d.rule == "cut":
+            f.own = cut_class(d)
+            if i == 0 and ps[1].rule == "withR1" and not ps[0].conclusion.context:
+                f.left = ps[0]._stats[4] - self.cuts
+                self.guarded.append(f)
+        self.frames.append(f)
+        self._refresh(len(self.frames) - 1)
+        self.focus, self.at = ps[i], at + (i,)
+
+    def _refresh(self, k: int) -> None:
+        """Recompute `ctx` from frame k down to the focus."""
+        frames = self.frames
+        ctx = frames[k - 1].ctx if k else None
+        for f in frames[k:]:
+            ctx = f.ctx = _least(ctx, _least(f.sib, _key(f.own, f.path)))
+
+    def step(self, fn) -> None:
+        """Replace the focus by fn(focus), and bring the root's stats and
+        the frames up to date: the heights along the frames while they
+        change, and the class of each frame's cut that can change.  That
+        is the parent's, whose premise on the spine is the new focus, and
+        a guarded one's whose left premise's cut count crossed zero."""
+        old, frames = self.focus, self.frames
+        new = self.focus = fn(old)
+        m = len(frames)
+        if m > self.dirty and not same_judgement(new.conclusion, old.conclusion):
+            self.dirty = m
+        s0, w0, _, hs0, c0 = old._stats
+        s1, w1, h, hs1, c1 = new._stats
+        cuts = self.cuts
+        self.size += s1 - s0
+        self.weight += w1 - w0
+        self.cuts += c1 - c0
+        hs = self.height_sum + hs1 - hs0
+        for f in reversed(frames):
+            h = 1 + max(h, f.h_other)
+            if h == f.h:
+                break
+            if f.own is not None:
+                hs += h - f.h
+            f.h = h
+        self.height_sum = hs
+        if not frames:
+            return
+        low = m
+        top = frames[-1]
+        if top.own is not None:
+            l, r = top.premises
+            l, r = (new, r) if top.i == 0 else (l, new)
+            c = classify_over(l, r, top.params[0], is_cut_free(l))
+            if c != top.own:
+                top.own, low = c, m - 1
+        if c1 != c0:
+            for f in self.guarded:
+                if f is not top and (f.left + cuts == 0) != (f.left + self.cuts == 0):
+                    k = len(f.path)
+                    f.own = classify_over(frames[k + 1], f.premises[1], f.params[0],
+                                          f.left + self.cuts == 0)
+                    low = min(low, k)
+        if low < m:
+            self._refresh(low)
+
+    def plugged(self) -> Derivation:
+        """The whole derivation: the focus climbed out of every frame as
+        the walk would climb, the walk left as it is."""
+        d, dirty = self.focus, self.dirty
+        for k in range(len(self.frames) - 1, -1, -1):
+            f = self.frames[k]
+            d, kept = climb(f, f.i, d, k >= dirty)
+            if not kept:
+                dirty = k
+        return d

@@ -23,7 +23,7 @@ version 2 `.lamd` file (see `frontend`):
 The `d_*` constructors at the end of this module are the one definition of
 each rule: each computes the conclusion from its premises and parameters,
 raises ValueError on a schema mismatch, and marks the node it built as
-derived.  A derived node may also come from a spine rebuild (`replace_at`)
+derived.  A derived node may also come from a spine rebuild (`climb`)
 that kept a derived node's conclusion over a premise with an equal one.  A
 node made any other way (`Derivation(...)`, `dataclasses.replace`, a parsed
 node that states its judgement) is not derived.  `check` rebuilds each node
@@ -649,17 +649,38 @@ def rebuild(d: Derivation, prems: tuple) -> Derivation:
     return CONSTRUCTORS[d.rule](*prems, *d.params)
 
 
+def same_judgement(j: Judgement, k: Judgement) -> bool:
+    """The same ordered context, an `==` subject and an `==` goal."""
+    return j is k or (j.context == k.context and j.subject == k.subject
+                      and j.goal == k.goal)
+
+
+def climb(node: Derivation, i: int, child: Derivation, keep: bool) -> tuple:
+    """One frame of a spine rebuild: node with its premise i replaced by
+    child, and whether the new node kept node's conclusion.  Only node's
+    rule, parameters, conclusion, derived mark and premises are read, so
+    node may also be a frame of a zipper walk that holds those, with a hole
+    at premise i (`cutelim`).
+
+    `keep` says that no step below node changed a judgement, so child
+    concludes what node's premise i concluded.  A derived node then keeps
+    its own conclusion object over the new premise and no constructor runs
+    for it: its constructor is pure and respects `==`, so over premises
+    with equal conclusions it would build an equal conclusion, and the new
+    node is derived as the old one was.  Otherwise, or when node is not
+    derived, the new node goes through `rebuild`, and every frame above it
+    must too."""
+    ps = node.premises
+    prems = ps[:i] + (child,) + ps[i + 1:]
+    if keep and node._derived:
+        return _derive(node.rule, node.conclusion, prems, node.params), True
+    return rebuild(node, prems), False
+
+
 def replace_at(d: Derivation, path: tuple, fn) -> Derivation:
     """d with its subderivation n at premise path `path` replaced by fn(n),
-    and the ancestors of n on the path rebuilt bottom-up in a loop.
-
-    When fn(n) concludes the judgement of n (the same ordered context, an
-    `==` subject and an `==` goal), each derived ancestor keeps its own
-    conclusion object over its new premise and no constructor runs for it:
-    its constructor is pure and respects `==`, so over premises with equal
-    conclusions it would build an equal conclusion, and the new node is
-    derived as the old one was.  A node that is not derived, and every
-    ancestor once the judgements may differ, goes through `rebuild`."""
+    and the ancestors of n on the path rebuilt bottom-up by `climb`, kept
+    while fn(n) concludes the judgement of n (`same_judgement`)."""
     spine = []
     for i in path:
         spine.append(d)
@@ -667,16 +688,9 @@ def replace_at(d: Derivation, path: tuple, fn) -> Derivation:
     new = fn(d)
     if not spine:
         return new
-    old, got = d.conclusion, new.conclusion
-    keep = got is old or (got.context == old.context and got.subject == old.subject
-                          and got.goal == old.goal)
+    keep = same_judgement(new.conclusion, d.conclusion)
     for node, i in zip(reversed(spine), reversed(path)):
-        prems = node.premises[:i] + (new,) + node.premises[i + 1:]
-        if keep and node._derived:
-            new = _derive(node.rule, node.conclusion, prems, node.params)
-        else:
-            new = rebuild(node, prems)
-            keep = False
+        new, keep = climb(node, i, new, keep)
     return new
 
 

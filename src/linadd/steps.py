@@ -3,7 +3,7 @@
 Everything cut elimination (and subject reduction, which reuses it) needs:
 
 * the class of a cut, one of seven names, read from the last rules of its
-  premises by `classify_cut`:
+  premises by `classify_cut` (`classify_over` for premises given apart):
   - `symmetric`: both premises are principal for the cut type (including
     the axiom cases);
   - `commuting`: the cut can be pushed past a non-principal rule;
@@ -155,19 +155,30 @@ def classify_cut(d: Derivation) -> str:
     if d.rule != "cut":
         raise ValueError("not a cut")
     l, r = d.premises
-    x, = d.params
+    return classify_over(l, r, d.params[0], is_cut_free(l))
+
+
+# The rules that meet on one connective, left premise first.
+_PRINCIPAL_PAIRS = frozenset({
+    ("lolliR", "lolliL"), ("forallR", "forallL"),
+    ("withR0", "withL1"), ("withR0", "withL2"),
+})
+
+
+def classify_over(l: Derivation, r: Derivation, x: str, left_cut_free: bool) -> str:
+    """The class of a cut on x over the premises l and r.  It reads their
+    rules, their parameters and l's context; whether l holds a cut is
+    given apart, since cut elimination's walk classifies a frame over a
+    premise whose cut count may be stale, though those are not
+    (`classify_cut` reads it from l)."""
     if l.rule == "ax" or r.rule == "ax":
         return SYMMETRIC
     if r.rule == "withR1":
         if context_names(l.conclusion.context):
             return DEADLOCK
-        return READY if is_cut_free(l) else SAFE
+        return READY if left_cut_free else SAFE
     if principal_var(r) == x:
-        pairs = {
-            ("lolliR", "lolliL"), ("forallR", "forallL"),
-            ("withR0", "withL1"), ("withR0", "withL2"),
-        }
-        if (l.rule, r.rule) in pairs:
+        if (l.rule, r.rule) in _PRINCIPAL_PAIRS:
             return SYMMETRIC
         if l.rule == "withR1" and r.rule in ("withL1", "withL2"):
             return COPY_FIRST

@@ -5,8 +5,10 @@ import pytest
 from linadd import cli, suites
 from linadd.cli import main
 from linadd.derivation import IMALL2, check, d_ax, d_withR, is_eta_expanded
+from linadd.families import gen_add, gen_applied, gen_ladd
 from linadd.frontend import parse_derivation, parse_type, print_derivation
-from linadd.inhabit import InhabitError
+from linadd.inhabit import InhabitError, maximal_value
+from linadd.typesys import bool_type, tensor_type, unit_type
 
 
 def run(capsys, *argv):
@@ -54,6 +56,20 @@ def test_gen_and_check_round_trip(tmp_path, capsys):
     timings = rep["measurements"]["timings"]
     assert set(timings) == {"parse_s", "work_s"}
     assert all(v >= 0 for v in timings.values())
+
+
+@pytest.mark.parametrize("family", ["add", "ladd"])
+@pytest.mark.parametrize("text", ["B*B", "bool*unit"])
+def test_gen_reads_named_types_inside_a_compound_base(capsys, family, text):
+    a = {"B*B": tensor_type(bool_type(), bool_type()),
+         "bool*unit": tensor_type(bool_type(), unit_type())}[text]
+    code, rep = run_json(capsys, "gen", family, "-n", "2", "--base", text, "--apply")
+    assert (code, rep["verdict"]) == (0, "pass")
+    code, out = run(capsys, "gen", family, "-n", "2", "--base", text, "--apply",
+                    "--derivation")
+    gen = {"add": gen_add, "ladd": gen_ladd}[family]
+    want = gen_applied(gen(2, a)[1], maximal_value(a)[1])
+    assert code == 0 and out == print_derivation(want) + "\n"
 
 
 def test_check_reports_the_dag_size_that_the_file_keeps(tmp_path, capsys):
