@@ -33,23 +33,18 @@ the step made that premise's cut count cross zero.  The root's size, weight and 
 the step's difference, and the summed cut heights from the heights the
 frames keep, updated upwards while they change.
 
-A frame is rebuilt once, when the walk climbs out of it, by the rule of
-`derivation.climb`, which `replace_at` also uses: a derived frame keeps its
-own conclusion over its new premise when no step below it changed a
-judgement, as a commuting step keeps it; otherwise, or when the frame is
-not derived, its constructor runs, and so does every frame's above it.
-That is sound by the argument of `rebuild_error` and
-`frontend.derivations_equal`: the constructors are pure and respect `==`,
-so over premises with equal conclusions they build equal conclusions.  A
-kept conclusion may differ from a rebuilt one only in the print hints of
-its binders, which `==` ignores.
+A frame is rebuilt once, when the walk climbs out of it, through its
+rule's constructor (`derivation.climb`, which `replace_at` also uses).  A
+constructor computes the context, the goal and the subject's free names
+and builds no term: the subject is a view that is computed when read (see
+`derivation`), and no step reads one, except a ready cut's test of its
+left subject for a value.
 
-So a step costs its rule: the nodes it builds, with the substitution in
-the subject along the path to the cut variable that `d_cut` and the left
-rules make, the comparison of its judgement with the old one (only while
-some frame above it is not yet marked changed), and the moves of the walk,
-which climbs no more frames than it went down.  With `keep_derivations`
-each snapshot costs a climb of the whole spine besides.
+So a step costs its rule: the nodes it builds, each with its context and
+name summary, and the moves of the walk, which climbs no more frames than
+it went down.  With `keep_derivations` each snapshot costs a climb of the
+whole spine besides, and printing it reads the subjects of the frames
+rebuilt for it.
 """
 
 from __future__ import annotations
@@ -57,9 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from weakref import ref
 
-from .derivation import (
-    Derivation, check_ok, climb, is_cut_free, metrics, replace_at, same_judgement,
-)
+from .derivation import Derivation, check_ok, climb, is_cut_free, metrics, replace_at
 from .typesys import judgement_is_forall_lazy
 from .steps import (
     COMMUTING, READY, STEP, SYMMETRIC, CutElimError, classify_over, cut_class,
@@ -201,12 +194,10 @@ class _Frame:
 class _Walk:
     """One zipper walk (Huet, "The Zipper", JFP 1997) over a derivation:
     the focus, at path `at`, and the frames from the root down to it,
-    with the root's size, weight, summed cut heights and cut count.  The
-    frames with an index below `dirty` hold a step below that changed a
-    judgement, so they leave through their constructors."""
+    with the root's size, weight, summed cut heights and cut count."""
 
     def __init__(self, d: Derivation):
-        self.focus, self.at, self.frames, self.dirty = d, (), [], 0
+        self.focus, self.at, self.frames = d, (), []
         self.guarded = []  # the frames with `left` set, root first
         self.size, self.weight, _, self.height_sum, self.cuts = d._stats
         self.memo = {}  # id(node) -> (weak reference to it, its summary)
@@ -262,10 +253,7 @@ class _Walk:
 
     def _up(self) -> None:
         f = self.frames.pop()
-        k = len(self.frames)
-        self.focus, kept = climb(f, f.i, self.focus, k >= self.dirty)
-        if not kept:
-            self.dirty = k
+        self.focus = climb(f, f.i, self.focus)
         if f.left is not None:
             self.guarded.pop()
         self.at = f.path
@@ -309,8 +297,6 @@ class _Walk:
         old, frames = self.focus, self.frames
         new = self.focus = fn(old)
         m = len(frames)
-        if m > self.dirty and not same_judgement(new.conclusion, old.conclusion):
-            self.dirty = m
         s0, w0, _, hs0, c0 = old._stats
         s1, w1, h, hs1, c1 = new._stats
         cuts = self.cuts
@@ -349,10 +335,7 @@ class _Walk:
     def plugged(self) -> Derivation:
         """The whole derivation: the focus climbed out of every frame as
         the walk would climb, the walk left as it is."""
-        d, dirty = self.focus, self.dirty
-        for k in range(len(self.frames) - 1, -1, -1):
-            f = self.frames[k]
-            d, kept = climb(f, f.i, d, k >= dirty)
-            if not kept:
-                dirty = k
+        d = self.focus
+        for f in reversed(self.frames):
+            d = climb(f, f.i, d)
         return d

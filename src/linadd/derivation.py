@@ -23,17 +23,15 @@ version 2 `.lamd` file (see `frontend`):
 The `d_*` constructors at the end of this module are the one definition of
 each rule: each computes the conclusion from its premises and parameters,
 raises ValueError on a schema mismatch, and marks the node it built as
-derived.  A derived node may also come from a spine rebuild (`climb`)
-that kept a derived node's conclusion over a premise with an equal one.  A
-node made any other way (`Derivation(...)`, `dataclasses.replace`, a parsed
-node that states its judgement) is not derived.  `check` rebuilds each node
-that is not derived with its rule's constructor and compares the result
-with the stated conclusion; a derived node it does not rebuild.  That is
+derived.  A node made any other way (`Derivation(...)`,
+`dataclasses.replace`, a parsed node that states its judgement) is not
+derived.  `check` rebuilds each node that is not derived with its rule's
+constructor and compares the result with the stated conclusion; a derived
+node it does not rebuild.  That is
 sound because the constructors are pure functions of their premises and
 parameters that respect `==`, and nodes, judgements, types and terms are
-immutable, so a rebuild of a derived node would reproduce its conclusion,
-exactly or, for a kept one, up to the print hints of binders, which `==`
-ignores: the mark caches that fact for its one node, as an LCF kernel's
+immutable, so a rebuild of a derived node would reproduce its conclusion
+exactly: the mark caches that fact for its one node, as an LCF kernel's
 theorems carry the checking of their inference (Gordon, Milner &
 Wadsworth, 1979).  It is never trusted for the node's premises, which are
 nodes of their own.
@@ -42,12 +40,12 @@ Beyond the rebuild, `check` checks on every node, derived or not, what a
 constructor cannot see: the rule set of the system, arity, the stored
 parameters, duplicate names, the context split of cut and lolliL, closure
 and laziness, the withR1 guard, and in lam linearity (which rejects nothing
-the rest accepts, but names every node that a bad premise made non-linear).
-A node's parameters are the tuple it stores, which must be of the number and
-kinds in `PARAMS`; any other tuple is a violation at that node, reported as
-"parameters not stated" when it is empty (a node built without them, as
-when a file states a judgement without its rule's arguments).  The three
-systems:
+the rest accepts, but names every node that a bad premise made non-linear;
+see below).  A node's parameters are the tuple it stores, which must be of
+the number and kinds in `PARAMS`; any other tuple is a violation at that
+node, reported as "parameters not stated" when it is empty (a node built
+without them, as when a file states a judgement without its rule's
+arguments).  The three systems:
 
     imll2   ax, cut, lolliR, lolliL, forallR, forallL
     imall2  imll2 plus withR (shared-context pair), withL1/withL2
@@ -61,6 +59,17 @@ no rule renames, and none can capture).  Contexts are multisets of named,
 typed assumptions; cut and lolliL additionally demand that the free type
 variables of the two premise contexts be disjoint.
 
+A constructor builds no term.  Its judgement (`Judgement`) stores the
+context, the goal, the subject's free names (`subject_names`, computed
+exactly from the premises' names: the substitution of s for x in t has
+the names of t less x, and those of s, when x is free in t; a binder drops
+its names) and the rule's formula for the subject over the premises'
+judgements.  The first read of `.subject` runs the formula, after those of
+the premises whose subjects were not read yet, bottom-up on a stack of its
+own (`_force`), and keeps the result.  So building, stepping and checking
+a derivation cost its contexts and goals; a substitution in a subject is
+made only when someone reads that subject, and once.
+
 `check` walks with its own stack, in the order of a recursive walk: a
 node's pre-checks, its premises left to right, then its own checks and
 linearity.  A node's path is a chain of links to its parent's, turned into
@@ -72,6 +81,34 @@ computed on the first revisit).  A subderivation shared within a DAG is
 therefore checked once, however many uses it has, unless its uses differ on
 what its splits test; a violation in it is reported at the path of the
 first use, not again at the paths of uses that agree on what it tests.
+
+In lam, `check` counts the uses of a node's assumptions in its subject
+(`_linearity`, which reads the subject) only where it may find one that is
+not used exactly once: at a node where some check of this visit, at it or
+above it, found a violation, or with a premise that some visit found so
+(a per-node memo, which a shared node's revisits read;
+`_may_be_nonlinear`).  Every other node is clean: no check at it or above
+it found a violation, and such a node's subject has as free names exactly
+its context's, each free once.  By induction on the rules of lam, given
+clean premises and the checks that passed at the node (the rebuilt or
+constructed conclusion, distinct context names, disjoint premise contexts
+for cut and lolliL):
+
+    ax              x : A |- x : A.
+    cut, lolliL     x is free once in the right subject, so the left one
+                    (under y for lolliL) lands once; the premise contexts
+                    are disjoint, and y is new to the conclusion's.
+    lolliR          x is free once in the body and the binder takes it.
+    withR0          both contexts are empty, so both subjects are closed.
+    withR1          the guard is closed, each branch uses its one variable
+                    once and the binder takes it, and x is the scrutinee.
+    withL1, withL2  x is free once and becomes pi(y), y new to the context.
+    forallR/L       the subject and the context's names are the premise's.
+
+The linear-constraint check depends on the eigenvariables above a node and
+so on the visit, but it does not bear on linearity; it only makes `check`
+count where it need not.  A clean node therefore has no linearity
+violation, and skipping it changes no report.
 
 Each node stores, when it is built, its size, weight, height, summed cut
 heights and cut count in one slot (`_stats`), from its premises' stored
@@ -90,8 +127,7 @@ from operator import attrgetter
 
 from .nameless import fold, fresh
 from .terms import (
-    Abs, App, Copy, Pair, Proj, Term, Var,
-    free_vars, is_value, subst,
+    Abs, App, Copy, Pair, Proj, Term, Var, is_value, subst,
 )
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
@@ -128,14 +164,35 @@ _SYSTEM_RULES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
 class Judgement:
-    """context |- subject : goal, with the context a tuple of (name, type)."""
+    """context |- subject : goal, with the context a tuple of (name, type),
+    and `subject_names` the free names of the subject.
 
-    __slots__ = ("context", "subject", "goal")
-    context: tuple
-    subject: Term
-    goal: Type
+    A judgement that a `d_*` constructor builds stores the context, the
+    goal, the subject's free names (computed from its premises' names) and
+    its rule's formula for the subject over its premises' judgements; the
+    subject is computed on its first read, and kept (see `_force`).  A
+    judgement made any other way states its subject.  Judgements are
+    immutable by convention: the one slot filled after one is built is a
+    subject that was not yet read."""
+
+    __slots__ = ("context", "_subject", "goal", "subject_names", "_formula", "_args")
+
+    def __init__(self, context: tuple, subject: Term, goal: Type):
+        self.context = context
+        self._subject = subject
+        self.goal = goal
+        self.subject_names = subject._fv
+        self._formula = self._args = None
+
+    @property
+    def subject(self) -> Term:
+        s = self._subject
+        return _force(self) if s is None else s
+
+    def __repr__(self):
+        return "Judgement(context=%r, subject=%r, goal=%r)" % (
+            self.context, self.subject, self.goal)
 
     def context_types(self):
         return tuple(a for _, a in self.context)
@@ -145,6 +202,47 @@ class Judgement:
             if n == name:
                 return a
         return None
+
+
+def _judgement(context: tuple, goal: Type, names: frozenset, formula,
+               *args) -> Judgement:
+    """The judgement whose subject is formula(*args), not computed until it
+    is read; `names` are the free names of that subject.  The formula reads
+    the subjects of the judgements among args, which come first."""
+    j = object.__new__(Judgement)
+    j.context = context
+    j._subject = None
+    j.goal = goal
+    j.subject_names = names
+    j._formula = formula
+    j._args = args
+    return j
+
+
+def _force(j: Judgement) -> Term:
+    """The subject of j, computed once: the subjects of the judgements it is
+    built from that are not yet computed first, bottom-up on a stack of its
+    own, so no depth recurses.  Each judgement computed keeps its subject
+    and drops its formula and its own copy of the subject's names."""
+    todo = [j]
+    push, pop = todo.append, todo.pop
+    while todo:
+        k = todo[-1]
+        formula = k._formula
+        if formula is None:  # computed since it was pushed
+            pop()
+            continue
+        args = k._args
+        n = len(todo)
+        for a in args:
+            if a.__class__ is Judgement and a._formula is not None:
+                push(a)
+        if len(todo) == n:
+            m = k._subject = formula(*args)
+            k.subject_names = m._fv  # an equal set, which m keeps anyway
+            k._formula = k._args = None
+            pop()
+    return j._subject
 
 
 _NO_STATS = (0, 0, 0, 0, 0)  # the summed `_stats` of no premises
@@ -167,22 +265,28 @@ class Derivation:
 
     def __init__(self, rule: str, conclusion: Judgement, premises: tuple,
                  params: tuple = ()):
-        _set_rule(self, rule)
-        _set_conclusion(self, conclusion)
-        _set_premises(self, premises)
-        _set_params(self, params)
-        _set_derived(self, False)
-        s, w, h, hs, c = premises[0]._stats if premises else _NO_STATS
-        for p in premises[1:]:
-            s2, w2, h2, hs2, c2 = p._stats
-            s, w, hs, c = s + s2, w + w2, hs + hs2, c + c2
-            if h2 > h:
-                h = h2
-        if rule == "cut":
-            stats = (s + 1, w, h + 1, hs + h, c + 1)
-        else:
-            stats = (s + 1, w + (rule == "withR1"), h + 1, hs, c)
-        _set_stats(self, stats)
+        _fill(self, rule, conclusion, premises, params, False)
+
+
+def _fill(d: Derivation, rule: str, conclusion: Judgement, premises: tuple,
+          params: tuple, derived: bool) -> None:
+    """Set the slots of the new node d, its `_stats` from its premises'."""
+    _set_rule(d, rule)
+    _set_conclusion(d, conclusion)
+    _set_premises(d, premises)
+    _set_params(d, params)
+    _set_derived(d, derived)
+    s, w, h, hs, c = premises[0]._stats if premises else _NO_STATS
+    for p in premises[1:]:
+        s2, w2, h2, hs2, c2 = p._stats
+        s, w, hs, c = s + s2, w + w2, hs + hs2, c + c2
+        if h2 > h:
+            h = h2
+    if rule == "cut":
+        stats = (s + 1, w, h + 1, hs + h, c + 1)
+    else:
+        stats = (s + 1, w + (rule == "withR1"), h + 1, hs, c)
+    _set_stats(d, stats)
 
 
 # The setter of each slot of a node.  The node is frozen, so its slots are
@@ -262,6 +366,20 @@ def _split_vars(d: Derivation, cache: dict) -> frozenset:
     return fold(d, premises, here, cache)
 
 
+def _may_be_nonlinear(d: Derivation, found: bool, dirty: dict) -> bool:
+    """Whether `check` must count the uses of d's assumptions in lam: a
+    violation was `found` at or above d in this visit, or some visit of a
+    premise of d found it may be non-linear or left it before its checks (it
+    has no entry in `dirty`).  Otherwise d is linear (see the module
+    docstring)."""
+    if found:
+        return True
+    for p in d.premises:
+        if dirty.get(id(p), True):
+            return True
+    return False
+
+
 _ENTER = object()  # marks a stack entry of `check` that enters its node
 
 
@@ -274,6 +392,7 @@ def check(d: Derivation, system: str = LAM):
     first: dict = {}   # id(node) -> the eigenvariables of its first visit
     again: dict = {}   # id(node) -> {eigenvariables & R(node) visited}
     split: dict = {}   # id(node) -> R(node), filled on the first revisit
+    dirty: dict = {}   # id(node) -> whether some visit found it may be nonlinear
 
     def bad(at, d, cond, msg):
         # `at` links to the parent's link: (parent_at, i), None at the root
@@ -283,24 +402,30 @@ def check(d: Derivation, system: str = LAM):
             path.append(i)
         out.append(Violation(tuple(reversed(path)), d.rule, cond, msg))
 
-    def leave(d, at, eigens, wrong):
-        # the checks of d that follow those of its premises
+    def leave(d, at, eigens, wrong, mark):
+        # the checks of d that follow those of its premises; `mark` is the
+        # number of violations found before d was entered
         _check_node(d, wrong, at, system, bad, eigens)
-        if system == LAM:
-            lin = _linearity(d.conclusion)
-            if lin:
-                bad(at, d, "linearity",
-                    "assumptions not used exactly once: %s" % (lin,))
+        if system != LAM:
+            return
+        if not _may_be_nonlinear(d, len(out) > mark, dirty):
+            dirty.setdefault(id(d), False)
+            return
+        dirty[id(d)] = True
+        lin = _linearity(d.conclusion)
+        if lin:
+            bad(at, d, "linearity", "assumptions not used exactly once: %s" % (lin,))
 
-    # Entries (node, link, eigenvariables above it, _ENTER) enter a node;
-    # (node, link, eigenvariables, what is wrong with its parameters) leave
-    # it once its premises are done, as a recursive walk would return.  A
-    # node without premises is left as soon as it is entered.
-    todo = [(d, None, frozenset(), _ENTER)]
+    # Entries (node, link, eigenvariables above it, _ENTER, None) enter a
+    # node; (node, link, eigenvariables, what is wrong with its parameters,
+    # the number of violations before it) leave it once its premises are
+    # done, as a recursive walk would return.  A node without premises is
+    # left as soon as it is entered.
+    todo = [(d, None, frozenset(), _ENTER, None)]
     while todo:
-        d, at, eigens, wrong = todo.pop()
+        d, at, eigens, wrong, mark = todo.pop()
         if wrong is not _ENTER:
-            leave(d, at, eigens, wrong)
+            leave(d, at, eigens, wrong, mark)
             continue
         seen = first.get(id(d))
         if seen is None:
@@ -331,13 +456,14 @@ def check(d: Derivation, system: str = LAM):
             up = eigens | {d.params[0]}
         ps = d.premises
         if not ps:
-            leave(d, at, eigens, wrong)
+            leave(d, at, eigens, wrong, len(out))
             continue
-        todo.append((d, at, eigens, wrong))
+        todo.append((d, at, eigens, wrong, len(out)))
         if len(ps) == 1:
-            todo.append((ps[0], (at, 0), up, _ENTER))
+            todo.append((ps[0], (at, 0), up, _ENTER, None))
         else:
-            todo += [(ps[i], (at, i), up, _ENTER) for i in range(len(ps) - 1, -1, -1)]
+            todo += [(ps[i], (at, i), up, _ENTER, None)
+                     for i in range(len(ps) - 1, -1, -1)]
     return out
 
 
@@ -514,13 +640,50 @@ def metrics(d: Derivation) -> ProofMetrics:
 
 def _derive(rule: str, conclusion: Judgement, premises: tuple,
             params: tuple) -> Derivation:
-    d = Derivation(rule, conclusion, premises, params)
-    _set_derived(d, True)
+    d = object.__new__(Derivation)
+    _fill(d, rule, conclusion, premises, params, True)
     return d
 
 
+def _substituted(names: frozenset, x: str, new: frozenset) -> frozenset:
+    """The free names of t[x := s], t's being `names` and s's `new`."""
+    return (names - {x}) | new if x in names else names
+
+
+# Each rule's formula for its subject, over its premises' judgements, whose
+# subjects `_force` computes first, and then the parameters it needs.
+
+def _cut_subject(left, right, x):
+    return subst(right._subject, x, left._subject)
+
+
+def _abs_subject(body, x):
+    return Abs(x, body._subject)
+
+
+def _lolliL_subject(left, right, y, x):
+    return subst(right._subject, x, App(Var(y), left._subject))
+
+
+def _pair_subject(left, right):
+    return Pair(left._subject, right._subject)
+
+
+def _copy_subject(b1, b2, guard, x, x1, x2):
+    return Copy(guard._subject, Var(x), x1, x2, b1._subject, b2._subject)
+
+
+def _proj_subject(body, i, y, x):
+    return subst(body._subject, x, Proj(i, Var(y)))
+
+
+def _subject_of(j):
+    return j._subject
+
+
 def d_ax(x: str, a: Type) -> Derivation:
-    return _derive("ax", Judgement(((x, a),), Var(x), a), (), (x, a))
+    return _derive("ax", _judgement(((x, a),), a, frozenset((x,)), Var, x),
+                   (), (x, a))
 
 
 def d_cut(left: Derivation, right: Derivation, x: str) -> Derivation:
@@ -528,9 +691,9 @@ def d_cut(left: Derivation, right: Derivation, x: str) -> Derivation:
     if rj.lookup(x) != lj.goal:
         raise ValueError("cut type mismatch on %s" % x)
     ctx = lj.context + _ctx_remove(rj.context, x)
+    names = _substituted(rj.subject_names, x, lj.subject_names)
     return _derive(
-        "cut",
-        Judgement(ctx, subst(rj.subject, x, lj.subject), rj.goal),
+        "cut", _judgement(ctx, rj.goal, names, _cut_subject, lj, rj, x),
         (left, right), (x,),
     )
 
@@ -540,9 +703,10 @@ def d_lolliR(d: Derivation, x: str) -> Derivation:
     a = j.lookup(x)
     if a is None:
         raise ValueError("no assumption %s to abstract" % x)
+    names = j.subject_names - {x} if x in j.subject_names else j.subject_names
     return _derive(
-        "lolliR",
-        Judgement(_ctx_remove(j.context, x), Abs(x, j.subject), Lolli(a, j.goal)),
+        "lolliR", _judgement(_ctx_remove(j.context, x), Lolli(a, j.goal), names,
+                             _abs_subject, j, x),
         (d,), (x,),
     )
 
@@ -554,9 +718,9 @@ def d_lolliL(left: Derivation, right: Derivation, y: str, x: str) -> Derivation:
         raise ValueError("no assumption %s to consume" % x)
     ab = Lolli(lj.goal, b)
     ctx = lj.context + ((y, ab),) + _ctx_remove(rj.context, x)
+    names = _substituted(rj.subject_names, x, lj.subject_names | {y})
     return _derive(
-        "lolliL",
-        Judgement(ctx, subst(rj.subject, x, App(Var(y), lj.subject)), rj.goal),
+        "lolliL", _judgement(ctx, rj.goal, names, _lolliL_subject, lj, rj, y, x),
         (left, right), (y, x),
     )
 
@@ -566,8 +730,8 @@ def d_withR(left: Derivation, right: Derivation) -> Derivation:
     if not _same_context(lj.context, rj.context):
         raise ValueError("withR premises must share one context")
     return _derive(
-        "withR",
-        Judgement(lj.context, Pair(lj.subject, rj.subject), With(lj.goal, rj.goal)),
+        "withR", _judgement(lj.context, With(lj.goal, rj.goal),
+                            lj.subject_names | rj.subject_names, _pair_subject, lj, rj),
         (left, right), (),
     )
 
@@ -577,26 +741,30 @@ def d_withR0(left: Derivation, right: Derivation) -> Derivation:
     if lj.context or rj.context:
         raise ValueError("withR0 premises must be closed")
     return _derive(
-        "withR0",
-        Judgement((), Pair(lj.subject, rj.subject), With(lj.goal, rj.goal)),
+        "withR0", _judgement((), With(lj.goal, rj.goal),
+                             lj.subject_names | rj.subject_names, _pair_subject, lj, rj),
         (left, right), (),
     )
 
 
 def d_withR1(b1: Derivation, b2: Derivation, guard: Derivation, x: str) -> Derivation:
-    a = guard.conclusion.goal
-    if guard.conclusion.context:
+    j1, j2, g = b1.conclusion, b2.conclusion, guard.conclusion
+    a = g.goal
+    if g.context:
         raise ValueError("withR1 guard premise must be closed")
-    if len(b1.conclusion.context) != 1 or len(b2.conclusion.context) != 1:
+    if len(j1.context) != 1 or len(j2.context) != 1:
         raise ValueError("withR1 branches must have exactly one assumption")
-    (x1, a1), = b1.conclusion.context
-    (x2, a2), = b2.conclusion.context
+    (x1, a1), = j1.context
+    (x2, a2), = j2.context
     if not a1 == a2 == a:
         raise ValueError("branch assumptions must carry the guard type")
-    sub = Copy(guard.conclusion.subject, Var(x), x1, x2,
-               b1.conclusion.subject, b2.conclusion.subject)
-    goal = With(b1.conclusion.goal, b2.conclusion.goal)
-    return _derive("withR1", Judgement(((x, a),), sub, goal), (b1, b2, guard), (x,))
+    names = (g.subject_names | {x} | (j1.subject_names - {x1})
+             | (j2.subject_names - {x2}))
+    goal = With(j1.goal, j2.goal)
+    return _derive(
+        "withR1", _judgement(((x, a),), goal, names, _copy_subject, j1, j2, g,
+                             x, x1, x2),
+        (b1, b2, guard), (x,))
 
 
 def d_withL(i: int, d: Derivation, y: str, x: str, other: Type) -> Derivation:
@@ -606,9 +774,9 @@ def d_withL(i: int, d: Derivation, y: str, x: str, other: Type) -> Derivation:
         raise ValueError("no assumption %s to consume" % x)
     ab = With(comp, other) if i == 1 else With(other, comp)
     ctx = ((y, ab),) + _ctx_remove(j.context, x)
+    names = _substituted(j.subject_names, x, frozenset((y,)))
     return _derive(
-        "withL%d" % i,
-        Judgement(ctx, subst(j.subject, x, Proj(i, Var(y))), j.goal),
+        "withL%d" % i, _judgement(ctx, j.goal, names, _proj_subject, j, i, y, x),
         (d,), (y, x, other),
     )
 
@@ -620,8 +788,8 @@ def d_forallR(d: Derivation, gamma: str, alpha: str) -> Derivation:
     if gamma in context_free_type_vars(j.context):
         raise ValueError("eigenvariable %s free in context" % gamma)
     goal = Forall(alpha, close_type(j.goal, gamma), True)
-    return _derive("forallR", Judgement(j.context, j.subject, goal), (d,),
-                      (gamma, alpha))
+    return _derive("forallR", _judgement(j.context, goal, j.subject_names, _subject_of, j),
+                   (d,), (gamma, alpha))
 
 
 def d_forallL(d: Derivation, x: str, quant: Type) -> Derivation:
@@ -632,7 +800,8 @@ def d_forallL(d: Derivation, x: str, quant: Type) -> Derivation:
     if not isinstance(quant, Forall) or match_instantiation(quant, inst) is None:
         raise ValueError("assumption type is not an instance of %r" % (quant,))
     ctx = tuple((n, quant if n == x else a) for n, a in j.context)
-    return _derive("forallL", Judgement(ctx, j.subject, j.goal), (d,), (x, quant))
+    return _derive("forallL", _judgement(ctx, j.goal, j.subject_names, _subject_of, j),
+                   (d,), (x, quant))
 
 
 # Each rule's constructor, called as CONSTRUCTORS[rule](*premises, *params).
@@ -649,48 +818,27 @@ def rebuild(d: Derivation, prems: tuple) -> Derivation:
     return CONSTRUCTORS[d.rule](*prems, *d.params)
 
 
-def same_judgement(j: Judgement, k: Judgement) -> bool:
-    """The same ordered context, an `==` subject and an `==` goal."""
-    return j is k or (j.context == k.context and j.subject == k.subject
-                      and j.goal == k.goal)
-
-
-def climb(node: Derivation, i: int, child: Derivation, keep: bool) -> tuple:
-    """One frame of a spine rebuild: node with its premise i replaced by
-    child, and whether the new node kept node's conclusion.  Only node's
-    rule, parameters, conclusion, derived mark and premises are read, so
-    node may also be a frame of a zipper walk that holds those, with a hole
-    at premise i (`cutelim`).
-
-    `keep` says that no step below node changed a judgement, so child
-    concludes what node's premise i concluded.  A derived node then keeps
-    its own conclusion object over the new premise and no constructor runs
-    for it: its constructor is pure and respects `==`, so over premises
-    with equal conclusions it would build an equal conclusion, and the new
-    node is derived as the old one was.  Otherwise, or when node is not
-    derived, the new node goes through `rebuild`, and every frame above it
-    must too."""
+def climb(node: Derivation, i: int, child: Derivation) -> Derivation:
+    """One frame of a spine rebuild: node's rule with node's parameters
+    over node's premises, child replacing premise i (`rebuild`), which
+    costs the rule's context and name summary and builds no term.  Only
+    node's rule, parameters, conclusion, derived mark and premises are read,
+    so node may also be a frame of a zipper walk that holds those, with a
+    hole at premise i (`cutelim`)."""
     ps = node.premises
-    prems = ps[:i] + (child,) + ps[i + 1:]
-    if keep and node._derived:
-        return _derive(node.rule, node.conclusion, prems, node.params), True
-    return rebuild(node, prems), False
+    return rebuild(node, ps[:i] + (child,) + ps[i + 1:])
 
 
 def replace_at(d: Derivation, path: tuple, fn) -> Derivation:
     """d with its subderivation n at premise path `path` replaced by fn(n),
-    and the ancestors of n on the path rebuilt bottom-up by `climb`, kept
-    while fn(n) concludes the judgement of n (`same_judgement`)."""
+    and the ancestors of n on the path rebuilt bottom-up by `climb`."""
     spine = []
     for i in path:
         spine.append(d)
         d = d.premises[i]
     new = fn(d)
-    if not spine:
-        return new
-    keep = same_judgement(new.conclusion, d.conclusion)
     for node, i in zip(reversed(spine), reversed(path)):
-        new, keep = climb(node, i, new, keep)
+        new = climb(node, i, new)
     return new
 
 
@@ -701,7 +849,7 @@ def d_app(fun: Derivation, arg: Derivation) -> Derivation:
     if not isinstance(fj.goal, Lolli):
         raise ValueError("function premise must have implication type")
     avoid = (context_names(fj.context) | context_names(arg.conclusion.context)
-             | free_vars(fj.subject) | free_vars(arg.conclusion.subject))
+             | fj.subject_names | arg.conclusion.subject_names)
     y = fresh("f", avoid)
     w = fresh("w", avoid)
     use = d_lolliL(arg, d_ax(w, fj.goal.cod), y, w)
@@ -713,7 +861,7 @@ def d_inst(d: Derivation, b: Type) -> Derivation:
     j = d.conclusion
     if not isinstance(j.goal, Forall):
         raise ValueError("conclusion is not quantified")
-    x = fresh("u", context_names(j.context) | free_vars(j.subject))
+    x = fresh("u", context_names(j.context) | j.subject_names)
     inst = open_type(j.goal.body, b)
     use = d_forallL(d_ax(x, inst), x, j.goal)
     return d_cut(d, use, x)

@@ -37,7 +37,7 @@ from .terms import (
     Abs, App, Bound, Copy, Pair, Proj, Term, Var,
     alpha_equal, free_vars, is_value, open_term,
 )
-from .derivation import metrics, replace_at
+from .derivation import climb, metrics
 from .steps import eliminate_cut_once
 
 @dataclass(frozen=True)
@@ -269,33 +269,39 @@ def push_reduction(d, r: Redex):
     the cut type, then fired; commuting and quantifier steps preserve the
     subject, and the principal step performs exactly the requested
     contraction.
+
+    The search is one zipper walk: it keeps the nodes from the root down to
+    the cut it steps, with the premise taken at each.  A step that leaves
+    that cut's subject `==` leaves the root's too, since every rule's
+    subject is a function of its premises' that respects `==`, so the
+    search from the root would come down the same way: it goes on from the
+    cut instead.  The nodes above are rebuilt (`derivation.climb`) once, when
+    a step changes the subject.
     """
     before = d.conclusion.subject
     target = step(before, r)
     fuel = 4 * (metrics(d).size ** 2) + 100
-    cur = d
+    spine, node, path = [], d, r.path  # (node, premise taken) from the root
     while fuel > 0:
         fuel -= 1
-        cur = _advance(cur, r.path)
-        if cur.conclusion.subject != before:
-            if cur.conclusion.subject != target:
-                raise AssertionError("push_reduction contracted the wrong redex")
-            return cur
-    raise AssertionError("push_reduction did not converge")
-
-
-def _advance(d, path: tuple):
-    """Move the derivation one localized elimination step toward contracting
-    the subject redex at `path`: find the premise path to the node where it
-    is an interface redex, then step there and rebuild the spine above."""
-    at = []
-    node, loc = d, _locate(d, path)
-    while loc != "interface":
-        i, path = loc
-        at.append(i)
-        node = node.premises[i]
         loc = _locate(node, path)
-    return replace_at(d, tuple(at), eliminate_cut_once)
+        while loc != "interface":
+            i, path = loc
+            spine.append((node, i))
+            node = node.premises[i]
+            loc = _locate(node, path)
+        new = eliminate_cut_once(node)
+        if new.conclusion.subject == node.conclusion.subject:
+            node = new
+            continue
+        for above, i in reversed(spine):
+            new = climb(above, i, new)
+        if new.conclusion.subject != before:
+            if new.conclusion.subject != target:
+                raise AssertionError("push_reduction contracted the wrong redex")
+            return new
+        spine, node, path = [], new, r.path
+    raise AssertionError("push_reduction did not converge")
 
 
 def _var_path(t: Term, x: str):

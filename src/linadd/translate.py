@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 
 from .nameless import fold, fresh
-from .terms import free_vars, term_size
+from .terms import term_size
 from .typesys import (
     Forall, Lolli, TVar, Type, With,
     bool_type, free_type_vars, has_with, is_closed,
@@ -70,7 +70,7 @@ def d_tensor_pair(l: Derivation, r: Derivation) -> Derivation:
     ctx = l.conclusion.context + r.conclusion.context
     g = fresh("g", free_type_vars(a) | free_type_vars(b) | context_free_type_vars(ctx))
     avoid = (context_names(ctx)
-             | free_vars(l.conclusion.subject) | free_vars(r.conclusion.subject))
+             | l.conclusion.subject_names | r.conclusion.subject_names)
     z, p, q = (fresh(n, avoid) for n in "zpq")
     inner = d_lolliL(r, d_ax(q, TVar(g)), p, q)
     outer = d_lolliL(l, inner, z, p)
@@ -364,7 +364,7 @@ def _translate_node(d: Derivation, ps: list, lib: GadgetLibrary) -> Derivation:
     if rule in ("withL1", "withL2"):
         y, x, other = params
         drop = translate_type(other)
-        z = fresh("d", free_vars(d.conclusion.subject)
+        z = fresh("d", d.conclusion.subject_names
                   | context_names(d.conclusion.context) | {x})
         e = d_app(lib.eraser(drop), d_ax(z, drop))
         body = d_let_unit(e, ps[0])

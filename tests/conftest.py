@@ -2,7 +2,7 @@ import pytest
 import hypothesis.strategies as st
 
 from linadd.corpus import build_corpus
-from linadd.terms import Abs, App, Copy, Pair, Proj, Var, identity_term
+from linadd.terms import Abs, App, Copy, Pair, Proj, Term, Var, identity_term
 from linadd.translate import GadgetLibrary
 
 
@@ -21,6 +21,25 @@ def elimination_entries(corpus):
     """The corpus entries whose root judgement is forall-lazy and small
     enough to run cut elimination on during tests."""
     return [e for e in corpus if "forall-lazy" in e.tags and e.size <= 150]
+
+
+@pytest.fixture
+def count_terms(monkeypatch):
+    """Call it to start counting the term nodes built: it returns a
+    one-item list that holds the count."""
+    def start():
+        count = [0]
+        todo = [Term]
+        while todo:
+            cls = todo.pop()
+            todo += cls.__subclasses__()
+            if "__init__" in cls.__dict__:
+                def init(node, *args, _real=cls.__dict__["__init__"], **kwargs):
+                    count[0] += 1
+                    _real(node, *args, **kwargs)
+                monkeypatch.setattr(cls, "__init__", init)
+        return count
+    return start
 
 
 @pytest.fixture(scope="session")

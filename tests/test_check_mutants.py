@@ -22,7 +22,8 @@ A differential test compares each corpus derivation and each multi-mutant
 with its raw copy, in which no node is derived, so `check` rebuilds every
 node: the violations in every system and the printed text must not differ.
 Another compares the answers of `derivations_equal` with a reference that
-compares every conclusion.
+compares every conclusion, and a third the violations of `check` with those
+of a reference that counts the uses of assumptions at every lam node.
 """
 
 import dataclasses
@@ -30,13 +31,15 @@ import json
 import random
 from pathlib import Path
 
+from linadd import derivation
 from linadd.derivation import (
     IMALL2, IMLL2, LAM, RULES, Derivation, Judgement, Violation,
-    check, d_ax, d_forallR, d_lolliR,
+    check, d_ax, d_forallL, d_forallR, d_lolliR, d_withR, d_withR0,
 )
 from linadd.frontend import (
     derivations_equal, parse_derivation, parse_type, print_derivation,
 )
+from linadd.terms import Pair, Var
 from linadd.typesys import TVar
 
 GOLDEN = Path(__file__).with_name("data") / "check_mutants.json"
@@ -284,6 +287,51 @@ def test_derived_and_raw_corpus_entries_agree(corpus):
 def test_check_is_total_on_multiple_mutations(corpus):
     for name, d in multi_mutants(corpus):
         _same_as_raw(name, d)
+
+
+# -- differential test of the linearity count -----------------------------------
+#
+# In lam, `check` counts the uses of a node's assumptions only where a
+# violation at or above the node may have made it non-linear
+# (`derivation._may_be_nonlinear`; the argument is in the module docstring).
+# The reference counts them at every node.
+
+def test_linearity_is_counted_only_where_it_can_fail(corpus, monkeypatch):
+    cases = [(system, d) for _, system, _, _, _, d in mutants(corpus)]
+    cases += [(system, d) for _, d in multi_mutants(corpus)
+              for system in (LAM, IMALL2, IMLL2)]
+    counts = []
+    real = derivation._linearity
+    monkeypatch.setattr(derivation, "_linearity",
+                        lambda j: counts.append(j) or real(j))
+    got = [check(d, system) for system, d in cases]
+    skipping = len(counts)
+    monkeypatch.setattr(derivation, "_may_be_nonlinear", lambda d, found, dirty: True)
+    want = [check(d, system) for system, d in cases]
+    assert got == want
+    assert any(v.condition == "linearity" for vs in want for v in vs)
+    # every ancestor of a mutated node is counted, and little else
+    assert 0 < skipping < (len(counts) - skipping) / 4
+
+
+def test_each_use_of_a_shared_bad_premise_counts_linearity(monkeypatch):
+    # b uses x twice in its subject: it states so, or it is a withR, which
+    # lam lacks, so `check` leaves it before its own checks.  The second
+    # forallL over b reaches it again and skips it, and must still count
+    # its own uses of x.
+    c, quant = TVar("c"), parse_type("forall a. a")
+    stated = Derivation("ax", Judgement((("x", c),), Pair(Var("x"), Var("x")), c),
+                        (), ("x", c))
+    for b, first in ((stated, [((0, 0, 0), "ax"), ((0, 0, 0), "linearity")]),
+                     (d_withR(d_ax("x", c), d_ax("x", c)), [((0, 0, 0), "system")])):
+        d = d_withR0(d_lolliR(d_forallL(b, "x", quant), "x"),
+                     d_lolliR(d_forallL(b, "x", quant), "x"))
+        got = check(d)
+        assert [(v.path, v.condition) for v in got] == first + [
+            ((0, 0), "linearity"), ((1, 0), "linearity"), ((), "laziness")]
+        with monkeypatch.context() as m:
+            m.setattr(derivation, "_may_be_nonlinear", lambda d, found, dirty: True)
+            assert check(d) == got
 
 
 def test_only_constructors_derive():

@@ -12,14 +12,14 @@ from linadd.derivation import (
     IMALL2, IMLL2, LAM, Derivation, check, check_ok, d_ax, d_cut, d_forallR, d_lolliL,
     d_lolliR, d_withL, d_withR, d_withR1, is_cut_free, metrics, rebuild,
 )
-from linadd.frontend import derivations_equal
+from linadd.frontend import derivations_equal, parse_derivation, print_type
 from linadd.families import gen_applied, gen_ladd
 from linadd.inhabit import maximal_value
 from linadd.steps import (
     BLOCKED, COMMUTING, COPY_FIRST, DEADLOCK, READY, SAFE, SYMMETRIC,
     classify_cut, classify_cuts, eliminate_cut_once,
 )
-from linadd.terms import alpha_equal, is_value
+from linadd.terms import Abs, Var, alpha_equal, is_value
 from linadd.translate import identity_derivation
 from linadd.typesys import Lolli, TVar, bool_type, subst_type, unit_type
 
@@ -212,63 +212,75 @@ def test_stats_match_reference_along_elimination(elimination_entries):
             _assert_stats(snap)
 
 
-def test_eliminate_costs_local_work(monkeypatch):
+def test_eliminate_costs_local_work(monkeypatch, count_terms):
     # eliminate(ladd(1,8)) takes 59 steps on |D| = 1,076.  Scanning for cuts
     # twice a round, classifying every cut at every scan and rebuilding the
     # whole spine above each step classifies 752 cuts and reads 4,379
     # premise tuples.  One scan per step from the root, with cached cut
-    # classes and spines that keep unchanged conclusions, takes 175
-    # classifications, 1,288 reads and 28 constructor rebuilds.  The zipper
-    # walk, which rebuilds each frame once on leaving it and keeps the
-    # summaries of the cuts off its way, takes 75, 395 and 7.
+    # classes, takes 175 classifications and 1,288 reads.  The zipper walk,
+    # which rebuilds each frame once on leaving it and keeps the summaries
+    # of the cuts off its way, takes 75 and 395.  Where every constructor
+    # substituted into its premise's subject, the steps and rebuilds built
+    # 79 term nodes; with subjects computed when read, only the test of a
+    # ready cut's left subject for a value builds any.
     _, d = gen_ladd(8, ONE)
     d = gen_applied(d, maximal_value(ONE)[1])
     size = metrics(d).size
-    calls = {"classify_cut": 0, "premises": 0, "rebuild": 0}
+    calls = {"classify_cut": 0, "premises": 0}
     real_classify = steps.classify_cut
-    real_rebuild = derivation.rebuild
     real_premises = Derivation.__dict__["premises"]
 
     def classify(x):
         calls["classify_cut"] += 1
         return real_classify(x)
 
-    def counted_rebuild(*args):
-        calls["rebuild"] += 1
-        return real_rebuild(*args)
-
     def premises(node):
         calls["premises"] += 1
         return real_premises.__get__(node, Derivation)
 
     monkeypatch.setattr(steps, "classify_cut", classify)
-    monkeypatch.setattr(derivation, "rebuild", counted_rebuild)
     monkeypatch.setattr(Derivation, "premises", property(
         premises, lambda node, v: real_premises.__set__(node, v)))
+    terms_built = count_terms()
     _, trace = eliminate(d, recheck=False)
     assert trace.total_steps == 59
     assert calls["classify_cut"] <= 100
     assert calls["premises"] <= size
-    assert calls["rebuild"] <= 10
+    assert terms_built[0] <= 10
+
+
+def test_deep_elimination_builds_no_term(monkeypatch, count_terms):
+    # quadratic_family(64) eliminates in 2,334 commuting and axiom steps,
+    # none of which reads a subject; substituting into each rebuilt
+    # subject built 141,185 term nodes
+    d = quadratic_family(64)
+    terms_built = count_terms()
+    out, trace = eliminate(d, recheck=False)
+    assert trace.total_steps == 2334
+    assert terms_built[0] == 0
+    monkeypatch.undo()
+    assert out.conclusion.subject == Abs("x", Var("x"))
 
 
 def _work_per_step(monkeypatch, d):
     """(derivation nodes built, premise tuples read) per step of
     eliminate(d)."""
     counts = [0, 0]
-    real_init = Derivation.__init__
+    real_fill = derivation._fill
     real_premises = Derivation.__dict__["premises"]
 
-    def init(node, *args):
+    def fill(node, *args):
+        # every node is filled here: by Derivation.__init__ and by the
+        # constructors' _derive alike
         counts[0] += 1
-        real_init(node, *args)
+        real_fill(node, *args)
 
     def premises(node):
         counts[1] += 1
         return real_premises.__get__(node, Derivation)
 
     with monkeypatch.context() as m:
-        m.setattr(Derivation, "__init__", init)
+        m.setattr(derivation, "_fill", fill)
         m.setattr(Derivation, "premises", property(
             premises, lambda node, v: real_premises.__set__(node, v)))
         _, trace = eliminate(d, recheck=False)
@@ -278,13 +290,25 @@ def _work_per_step(monkeypatch, d):
 def test_a_step_costs_its_rule_not_its_depth(monkeypatch):
     # Each cut of quadratic_family(n) commutes up a chain of up to n rules,
     # in 198 steps at n = 16 and 654 at n = 32.  Rebuilding the spine above
-    # each step and scanning for cuts from the root builds 12.8 and 27.4
-    # nodes and reads 74 and 159 premise tuples per step; the steps' own
-    # rules build about 2 nodes and read about 4.
+    # each step builds 13.5 and 28.2 nodes per step, and scanning for cuts
+    # from the root reads 74 and 159 premise tuples; the walk builds 2.4
+    # and 2.6 nodes and reads 8.8 and 9.7.
     small = _work_per_step(monkeypatch, quadratic_family(16))
     large = _work_per_step(monkeypatch, quadratic_family(32))
+    assert small[0] > 0 and small[1] > 0, small
     assert large[0] <= 1.25 * small[0], (small, large)
     assert large[1] <= 1.25 * small[1], (small, large)
+
+
+def test_a_stated_root_is_rebuilt_as_its_rule_concludes():
+    # the root states its goal with the binder printed b, and its forallR
+    # prints it a: once the cut below fires, the root is rebuilt as its
+    # rule concludes
+    d = parse_derivation('(lamd 2 (rule forallR g a (seq () "\\x. x" "forall b. b -o b")'
+                         ' (rule lolliR x (rule cut y (rule ax x "g") (rule ax y "g")))))')
+    out, _ = eliminate(d)
+    assert print_type(d.conclusion.goal) == "forall b. b -o b"
+    assert print_type(out.conclusion.goal) == "forall a. a -o a"
 
 
 # -- differential test against the strategy as first written -----------------

@@ -5,6 +5,7 @@ building, translating or eliminating the same input twice gives the same
 result, in one process or in two, whatever ran before.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -60,6 +61,27 @@ def test_elimination_gives_equal_results_twice(corpus):
         second, _ = eliminate(entries[name])
         assert derivations_equal(first, second), name
         assert print_derivation(first) == print_derivation(second), name
+
+
+# One sha256 over what cut elimination gives on every forall-lazy entry of
+# the seed-0 corpus, in corpus order: repr(trace.steps), repr(trace.rounds)
+# and the printed keep_derivations snapshots.  It was recorded while every
+# constructor still computed its subject at once, so it pins the output of
+# the whole strategy byte for byte, print hints of binders included.
+ELIMINATION_SHA256 = "eba462091a331561c8fb18a09edc462d255f6c505de96aee86ee955fc69e8ca6"
+
+
+def test_elimination_output_is_pinned(corpus):
+    h = hashlib.sha256()
+    entries = [e for e in corpus if "forall-lazy" in e.tags]
+    assert len(entries) == 177
+    for e in entries:
+        _, trace = eliminate(e.derivation, recheck=False, keep_derivations=True)
+        h.update(repr(trace.steps).encode())
+        h.update(repr(trace.rounds).encode())
+        for snapshot in trace.snapshots:
+            h.update(print_derivation(snapshot).encode())
+    assert h.hexdigest() == ELIMINATION_SHA256
 
 
 def test_translate_command_writes_the_same_twice(tmp_path, capsys):
