@@ -37,15 +37,17 @@ Wadsworth, 1979).  It is never trusted for the node's premises, which are
 nodes of their own.
 
 Beyond the rebuild, `check` checks on every node, derived or not, what a
-constructor cannot see: the rule set of the system, arity, the stored
+constructor cannot see: the rule set of the system, the kinds of the stored
 parameters, duplicate names, the context split of cut and lolliL, closure
 and laziness, the withR1 guard, and in lam linearity (which rejects nothing
 the rest accepts, but names every node that a bad premise made non-linear;
-see below).  A node's parameters are the tuple it stores, which must be of
-the number and kinds in `PARAMS`; any other tuple is a violation at that
-node, reported as "parameters not stated" when it is empty (a node built
-without them, as when a file states a judgement without its rule's
-arguments).  The three systems:
+see below).  Only on a node that is not derived does it test the number of
+premises and of parameters, which a constructor fixes.  A node's
+parameters are the tuple it stores, which must be of the number and kinds
+in `PARAMS`; any other tuple is a violation at that node, reported as
+"parameters not stated" when it is empty (a node built without them, as
+when a file states a judgement without its rule's arguments).  The three
+systems:
 
     imll2   ax, cut, lolliR, lolliL, forallR, forallL
     imall2  imll2 plus withR (shared-context pair), withL1/withL2
@@ -70,11 +72,20 @@ own (`_force`), and keeps the result.  So building, stepping and checking
 a derivation cost its contexts and goals; a substitution in a subject is
 made only when someone reads that subject, and once.
 
-`check` walks with its own stack, in the order of a recursive walk: a
-node's pre-checks, its premises left to right, then its own checks and
-linearity.  A node's path is a chain of links to its parent's, turned into
-a tuple only for a violation.  The eigenvariables generalized above a node
-matter only to the context splits at or below it (`_split_linear`), so a
+`check` is one loop with its own stack, in the order of a recursive walk:
+a node's entry checks, its premises left to right, then its own checks and
+linearity, each written inline.  A node's path is a chain of links to its
+parent's, turned into a tuple only for a violation.  So what a visit costs
+is its node's side conditions: one lookup in the system's rule table, a
+dict of the context's names when it has two or more, the kinds of the
+parameters, and at cut and lolliL a dict of the left premise's names and,
+only when both premise contexts hold a type with free type variables, the
+two sets of those variables.  A derived node has no arity test and no
+rebuild, which its constructor guarantees.  In lam the walk also keeps
+whether each node it leaves is eta-expanded, so a withR1 reads its guard's
+answer from the walk and walks the guard apart only when the walk left a
+node of it before its checks.  The eigenvariables generalized above a node
+matter only to the linear-constraint tests at or below it, so a
 node reached again is visited again only when those eigenvariables differ
 on R(node), the variables that some split below it tests (`_split_vars`,
 computed on the first revisit).  A subderivation shared within a DAG is
@@ -155,12 +166,16 @@ PARAMS = {
     "withL2": (str, str, Type), "forallR": (str, str), "forallL": (str, Type),
 }
 
+# Each system's rules, each with the kinds of its parameters.
 _SYSTEM_RULES = {
-    IMLL2: {"ax", "cut", "lolliR", "lolliL", "forallR", "forallL"},
-    IMALL2: {"ax", "cut", "lolliR", "lolliL", "forallR", "forallL",
-             "withR", "withL1", "withL2"},
-    LAM: {"ax", "cut", "lolliR", "lolliL", "forallR", "forallL",
-          "withR0", "withR1", "withL1", "withL2"},
+    system: {rule: PARAMS[rule] for rule in rules}
+    for system, rules in (
+        (IMLL2, ("ax", "cut", "lolliR", "lolliL", "forallR", "forallL")),
+        (IMALL2, ("ax", "cut", "lolliR", "lolliL", "forallR", "forallL",
+                  "withR", "withL1", "withL2")),
+        (LAM, ("ax", "cut", "lolliR", "lolliL", "forallR", "forallL",
+               "withR0", "withR1", "withL1", "withL2")),
+    )
 }
 
 
@@ -332,6 +347,25 @@ def context_free_type_vars(ctx):
     return frozenset().union(*(a._fv for _, a in ctx))
 
 
+_NO_VARS = frozenset()
+
+
+def _closed_context(ctx) -> bool:
+    """Whether no type of ctx has a free type variable."""
+    for _, a in ctx:
+        if a._fv:
+            return False
+    return True
+
+
+def _shared_type_vars(left, right) -> frozenset:
+    """The type variables free in both contexts.  Most context types are
+    closed, so a set is built only when both contexts hold an open type."""
+    if _closed_context(left) or _closed_context(right):
+        return _NO_VARS
+    return context_free_type_vars(left) & context_free_type_vars(right)
+
+
 def _linearity(j: Judgement):
     """The context names that do not occur free in the subject exactly once,
     with their counts."""
@@ -355,12 +389,12 @@ def _split_vars(d: Derivation, cache: dict) -> frozenset:
     `check` reports below d.  Fills `cache` (id -> R) for every node below
     d."""
     def here(n, below):
-        r = frozenset().union(*below)
+        r = _NO_VARS.union(*below)
         if n.rule == "forallR" and params_error(n) is None:
             return r - {n.params[0]}
         if n.rule in ("cut", "lolliL") and len(n.premises) == 2:
             left, right = (p.conclusion.context for p in n.premises)
-            r |= context_free_type_vars(left) & context_free_type_vars(right)
+            r |= _shared_type_vars(left, right)
         return r
 
     return fold(d, premises, here, cache)
@@ -375,7 +409,7 @@ def _may_be_nonlinear(d: Derivation, found: bool, dirty: dict) -> bool:
     if found:
         return True
     for p in d.premises:
-        if dirty.get(id(p), True):
+        if dirty.get(p, True):
             return True
     return False
 
@@ -387,12 +421,16 @@ def check(d: Derivation, system: str = LAM):
     """Return a list of Violations; empty means the derivation is correct."""
     if system not in _SYSTEM_RULES:
         raise ValueError("unknown system: %r" % (system,))
-    rules = _SYSTEM_RULES[system]
+    rules = _SYSTEM_RULES[system]  # rule -> the kinds of its parameters
+    lam = system == LAM
     out: list[Violation] = []
-    first: dict = {}   # id(node) -> the eigenvariables of its first visit
-    again: dict = {}   # id(node) -> {eigenvariables & R(node) visited}
+    # Nodes hash by identity, so these key on the node itself, except
+    # `split`, which `fold` keys on id(node).
+    first: dict = {}   # node -> the eigenvariables of its first visit
+    again: dict = {}   # node -> {eigenvariables & R(node) visited}
     split: dict = {}   # id(node) -> R(node), filled on the first revisit
-    dirty: dict = {}   # id(node) -> whether some visit found it may be nonlinear
+    dirty: dict = {}   # node -> whether some visit found it may be nonlinear
+    eta: dict = {}     # node -> whether it is eta-expanded (lam only), or None
 
     def bad(at, d, cond, msg):
         # `at` links to the parent's link: (parent_at, i), None at the root
@@ -402,68 +440,137 @@ def check(d: Derivation, system: str = LAM):
             path.append(i)
         out.append(Violation(tuple(reversed(path)), d.rule, cond, msg))
 
-    def leave(d, at, eigens, wrong, mark):
-        # the checks of d that follow those of its premises; `mark` is the
-        # number of violations found before d was entered
-        _check_node(d, wrong, at, system, bad, eigens)
-        if system != LAM:
-            return
+    # Entries (node, link, eigenvariables above it, _ENTER, 0) enter a node;
+    # (node, link, eigenvariables, what is wrong with its parameters, the
+    # number of violations before it) leave it once its premises are done,
+    # as a recursive walk would return.  A node without premises is left as
+    # soon as it is entered, by falling through to the leave checks.
+    todo = [(d, None, _NO_VARS, _ENTER, 0)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        d, at, eigens, wrong, mark = pop()
+        rule, ps = d.rule, d.premises
+        if wrong is _ENTER:
+            seen = first.get(d)
+            if seen is None:
+                first[d] = eigens
+            elif seen == eigens:
+                continue
+            else:
+                r = _split_vars(d, split)
+                keys = again.get(d)
+                if keys is None:
+                    keys = again[d] = {seen & r}
+                if eigens & r in keys:
+                    continue
+                keys.add(eigens & r)
+            try:
+                kinds = rules.get(rule)
+            except TypeError:  # an unhashable rule, which no rule is
+                kinds = None
+            if kinds is None:
+                if rule in RULES:
+                    bad(at, d, "system", "rule %s not available in %s" % (rule, system))
+                else:
+                    bad(at, d, "rule", "unknown rule %r" % (rule,))
+                continue
+            ctx = d.conclusion.context
+            if len(ctx) > 1 and len(dict(ctx)) != len(ctx):
+                bad(at, d, "context", "duplicate assumption names")
+                continue
+            params = d.params
+            # a constructor stores as many parameters as its rule takes
+            if d._derived and all(map(isinstance, params, kinds)):
+                wrong = None
+            else:
+                wrong = params_error(d)
+            if ps:
+                push((d, at, eigens, wrong, len(out)))
+                if rule == "forallR" and wrong is None:
+                    eigens = eigens | {params[0]}
+                i = len(ps)
+                while i:
+                    i -= 1
+                    push((ps[i], (at, i), eigens, _ENTER, 0))
+                continue
+            mark = len(out)
+        # The checks of d that follow those of its premises.  A constructor
+        # builds as many premises as its rule takes and exactly the
+        # conclusion it computes, so a derived node needs no arity test or
+        # rebuild.
+        derived = d._derived
+        j = d.conclusion
+        if not derived and len(ps) != ARITY[rule]:
+            bad(at, d, "arity", "expected %d premises, got %d" % (ARITY[rule], len(ps)))
+        elif wrong is not None:
+            bad(at, d, "params", wrong)
+        elif not derived and (why := rebuild_error(d)) is not None:
+            bad(at, d, rule, why)
+        else:
+            if rule == "cut" or rule == "lolliL":
+                # Variables generalized by a forallR between here and the
+                # root are bound at the scale of the whole derivation and
+                # exempt from the linear constraint: without the exemption
+                # the boolean type would have no cut-free inhabitants.
+                left, right = ps[0].conclusion.context, ps[1].conclusion.context
+                names = dict(left)
+                for n, _ in right:
+                    if n in names:
+                        bad(at, d, "context", "premise contexts share assumption names")
+                        break
+                shared = _shared_type_vars(left, right)
+                if shared and shared - eigens:
+                    bad(at, d, "linear-constraint",
+                        "premise contexts share free type variables: %s"
+                        % sorted(shared - eigens))
+            if lam:
+                lazy = ()
+                if rule == "lolliL":
+                    ab = j.lookup(d.params[0])
+                    if is_closed(ab.cod) and not is_closed(ab.dom):
+                        bad(at, d, "closure",
+                            "implication-left with closed codomain but open domain")
+                elif rule == "forallR":
+                    if is_closed(j.goal) and not _closed_context(j.context):
+                        bad(at, d, "closure", "closed forall introduced over a "
+                            "context with free type variables")
+                elif rule == "withL1" or rule == "withL2":
+                    lazy = (j.lookup(d.params[0]),)
+                elif rule == "withR0":
+                    lazy = (j.goal.left, j.goal.right)
+                elif rule == "withR1":
+                    guard = ps[2]
+                    if not is_value(guard.conclusion.subject):
+                        bad(at, d, "withR1", "guard must be a value")
+                    expanded = eta.get(guard)
+                    if expanded is None:
+                        expanded = is_eta_expanded(guard)
+                    if not expanded:
+                        bad(at, d, "withR1", "guard subderivation must be eta-expanded")
+                    lazy = (j.context[0][1], j.goal.left, j.goal.right)
+                for a in lazy:
+                    if not (is_closed(a) and is_forall_lazy(a)):
+                        bad(at, d, "laziness", "%s types must be closed forall-lazy" % rule)
+                        break
+        if not lam:
+            continue
+        # d is eta-expanded when it is neither a cut nor an axiom at a type
+        # that is not atomic and its premises are; unknown (None) when the
+        # walk left some premise before its checks, and then a withR1 over
+        # d walks d itself
+        expanded = rule != "cut" and (rule != "ax" or isinstance(j.goal, TVar))
+        for p in ps:
+            if not expanded:
+                break
+            expanded = eta.get(p)
+        eta[d] = expanded
         if not _may_be_nonlinear(d, len(out) > mark, dirty):
-            dirty.setdefault(id(d), False)
-            return
-        dirty[id(d)] = True
-        lin = _linearity(d.conclusion)
+            dirty.setdefault(d, False)
+            continue
+        dirty[d] = True
+        lin = _linearity(j)
         if lin:
             bad(at, d, "linearity", "assumptions not used exactly once: %s" % (lin,))
-
-    # Entries (node, link, eigenvariables above it, _ENTER, None) enter a
-    # node; (node, link, eigenvariables, what is wrong with its parameters,
-    # the number of violations before it) leave it once its premises are
-    # done, as a recursive walk would return.  A node without premises is
-    # left as soon as it is entered.
-    todo = [(d, None, frozenset(), _ENTER, None)]
-    while todo:
-        d, at, eigens, wrong, mark = todo.pop()
-        if wrong is not _ENTER:
-            leave(d, at, eigens, wrong, mark)
-            continue
-        seen = first.get(id(d))
-        if seen is None:
-            first[id(d)] = eigens
-        elif seen == eigens:
-            continue
-        else:
-            r = _split_vars(d, split)
-            keys = again.get(id(d))
-            if keys is None:
-                keys = again[id(d)] = {seen & r}
-            if eigens & r in keys:
-                continue
-            keys.add(eigens & r)
-        if d.rule not in RULES:
-            bad(at, d, "rule", "unknown rule %r" % (d.rule,))
-            continue
-        if d.rule not in rules:
-            bad(at, d, "system", "rule %s not available in %s" % (d.rule, system))
-            continue
-        ctx = d.conclusion.context
-        if len(ctx) > 1 and len({n for n, _ in ctx}) != len(ctx):
-            bad(at, d, "context", "duplicate assumption names")
-            continue
-        wrong = params_error(d)
-        up = eigens
-        if d.rule == "forallR" and wrong is None:
-            up = eigens | {d.params[0]}
-        ps = d.premises
-        if not ps:
-            leave(d, at, eigens, wrong, len(out))
-            continue
-        todo.append((d, at, eigens, wrong, len(out)))
-        if len(ps) == 1:
-            todo.append((ps[0], (at, 0), up, _ENTER, None))
-        else:
-            todo += [(ps[i], (at, i), up, _ENTER, None)
-                     for i in range(len(ps) - 1, -1, -1)]
     return out
 
 
@@ -507,69 +614,6 @@ def rebuild_error(d: Derivation, ordered: bool = False):
         ("goal", j.goal == built.goal),
         ("subject", j.subject == built.subject)) if not same]
     return "the rule concludes a different %s" % " and ".join(differ) if differ else None
-
-
-def _check_node(d, wrong, at, system, bad, eigens):
-    """Rebuild d with its rule's constructor unless it is derived, compare
-    the conclusions, then check the side conditions no constructor sees;
-    `wrong` is what is wrong with d's parameters."""
-    rule = d.rule
-    if len(d.premises) != ARITY[rule]:
-        bad(at, d, "arity", "expected %d premises, got %d"
-            % (ARITY[rule], len(d.premises)))
-        return
-    if wrong is not None:
-        bad(at, d, "params", wrong)
-        return
-    why = rebuild_error(d)
-    if why is not None:
-        bad(at, d, rule, why)
-        return
-    j, params = d.conclusion, d.params
-    if rule in ("cut", "lolliL"):
-        _split_linear(d, at, bad, eigens)
-    if system != LAM:
-        return
-    lazy = ()
-    if rule == "lolliL":
-        ab = j.lookup(params[0])
-        if is_closed(ab.cod) and not is_closed(ab.dom):
-            bad(at, d, "closure",
-                "implication-left with closed codomain but open domain")
-    elif rule == "forallR":
-        if is_closed(j.goal) and context_free_type_vars(j.context):
-            bad(at, d, "closure",
-                "closed forall introduced over a context with free type variables")
-    elif rule in ("withL1", "withL2"):
-        lazy = (j.lookup(params[0]),)
-    elif rule == "withR0":
-        lazy = (j.goal.left, j.goal.right)
-    elif rule == "withR1":
-        guard = d.premises[2]
-        if not is_value(guard.conclusion.subject):
-            bad(at, d, "withR1", "guard must be a value")
-        if not is_eta_expanded(guard):
-            bad(at, d, "withR1", "guard subderivation must be eta-expanded")
-        lazy = (j.context[0][1], j.goal.left, j.goal.right)
-    if lazy and not all(is_closed(a) and is_forall_lazy(a) for a in lazy):
-        bad(at, d, "laziness", "%s types must be closed forall-lazy" % rule)
-
-
-def _split_linear(d, at, bad, eigens):
-    """Common context side conditions of cut and lolliL.
-
-    The two premise contexts may not share free type variables.  Variables
-    generalized by a forallR instance between here and the root are bound
-    occurrences at the scale of the whole derivation and are exempt — without
-    the exemption the boolean type would have no cut-free inhabitants.
-    """
-    left, right = (p.conclusion.context for p in d.premises)
-    if context_names(left) & context_names(right):
-        bad(at, d, "context", "premise contexts share assumption names")
-    shared = (context_free_type_vars(left) & context_free_type_vars(right)) - eigens
-    if shared:
-        bad(at, d, "linear-constraint",
-            "premise contexts share free type variables: %s" % sorted(shared))
 
 
 # -- derived judgements about whole derivations -------------------------------
@@ -785,8 +829,9 @@ def d_forallR(d: Derivation, gamma: str, alpha: str) -> Derivation:
     """Generalize the premise goal over eigenvariable gamma, printed as
     alpha where that captures nothing."""
     j = d.conclusion
-    if gamma in context_free_type_vars(j.context):
-        raise ValueError("eigenvariable %s free in context" % gamma)
+    for _, a in j.context:
+        if gamma in a._fv:
+            raise ValueError("eigenvariable %s free in context" % gamma)
     goal = Forall(alpha, close_type(j.goal, gamma), True)
     return _derive("forallR", _judgement(j.context, goal, j.subject_names, _subject_of, j),
                    (d,), (gamma, alpha))

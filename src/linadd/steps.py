@@ -174,7 +174,7 @@ def classify_over(l: Derivation, r: Derivation, x: str, left_cut_free: bool) -> 
     if l.rule == "ax" or r.rule == "ax":
         return SYMMETRIC
     if r.rule == "withR1":
-        if context_names(l.conclusion.context):
+        if l.conclusion.context:
             return DEADLOCK
         return READY if left_cut_free else SAFE
     if principal_var(r) == x:

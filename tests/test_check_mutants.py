@@ -330,8 +330,11 @@ def test_each_use_of_a_shared_bad_premise_counts_linearity(monkeypatch):
         assert [(v.path, v.condition) for v in got] == first + [
             ((0, 0), "linearity"), ((1, 0), "linearity"), ((), "laziness")]
         with monkeypatch.context() as m:
-            m.setattr(derivation, "_may_be_nonlinear", lambda d, found, dirty: True)
+            asked = []
+            m.setattr(derivation, "_may_be_nonlinear",
+                      lambda d, found, dirty: asked.append(d) or True)
             assert check(d) == got
+            assert asked
 
 
 def test_only_constructors_derive():

@@ -261,19 +261,82 @@ def test_forallR_binds_apart_from_a_free_namesake_of_its_hint():
 
 # -- the walk of `check` ----------------------------------------------------------
 
+def _check_counting(monkeypatch, d, system):
+    """check(d, system), with the nodes it visits, the withR1 guards whose
+    value test it makes and the guards that it walks apart from its own walk
+    counted.  A visit reads the node's rule in the system's rule table once;
+    a withR1 reads the guard's eta-expandedness from its own walk, and
+    calls `is_eta_expanded` only when the walk left some node of the guard
+    before its checks."""
+    from linadd import derivation
+    counts = {"visits": 0, "guards": 0, "guard_walks": 0}
+
+    class Counted(dict):
+        def get(self, rule, default=None):
+            counts["visits"] += 1
+            return dict.get(self, rule, default)
+
+    def counted(key, real):
+        def call(*args):
+            counts[key] += 1
+            return real(*args)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(derivation, "_SYSTEM_RULES", {
+            s: Counted(rules) for s, rules in derivation._SYSTEM_RULES.items()})
+        m.setattr(derivation, "is_value", counted("guards", derivation.is_value))
+        m.setattr(derivation, "is_eta_expanded",
+                  counted("guard_walks", derivation.is_eta_expanded))
+        vs = check(d, system)
+    return vs, counts
+
+
 def test_check_visits_each_distinct_node_once(monkeypatch):
     # the translated ladd(B,2) shares its gadgets under several sets of
-    # eigenvariables, none of which a split below a gadget tests
-    from linadd import derivation
-    from linadd.families import gen_ladd
+    # eigenvariables, none of which a split below a gadget tests; applied
+    # ladd(1,12) is a DAG of 106 nodes over a tree of 16,460, whose withR1
+    # guards share their value towers, and applied add(B,10) a DAG in imall2
+    from linadd.families import gen_add, gen_applied, gen_ladd
     from linadd.translate import GadgetLibrary, translate_derivation
-    d = translate_derivation(gen_ladd(2, B)[1], GadgetLibrary())
-    visits = []
-    node_check = derivation._check_node
-    monkeypatch.setattr(derivation, "_check_node",
-                        lambda d, *rest: visits.append(d) or node_check(d, *rest))
-    assert check(d, "imll2") == []
-    assert len(visits) == len({id(n) for n in visits}) == dag_size(d)
+    _, unit = maximal_value(ONE)
+    _, tt = maximal_value(B)
+    ladd = gen_applied(gen_ladd(12, ONE)[1], unit)
+    assert (dag_size(ladd), metrics(ladd).size) == (106, 16460)
+    cases = [(translate_derivation(gen_ladd(2, B)[1], GadgetLibrary()), "imll2"),
+             (ladd, "lam"),
+             (gen_applied(gen_add(10, B)[1], tt), "imall2")]
+    for d, system in cases:
+        vs, counts = _check_counting(monkeypatch, d, system)
+        assert vs == []
+        assert 0 < counts["visits"] == dag_size(d), system
+        withR1 = sum(n.rule == "withR1" for n in _nodes(d))
+        assert counts["guards"] == withR1, system
+        assert counts["guard_walks"] == 0, system
+    assert sum(n.rule == "withR1" for n in _nodes(ladd)) > 0
+
+
+def test_guard_that_the_walk_left_early_is_walked_apart(monkeypatch):
+    # withR is no rule of lam, so the walk leaves the guard's root before
+    # its checks and never reaches the axiom at g -o g above it: the withR1
+    # walks the guard itself, and finds that axiom
+    g = TVar("g")
+    wide = d_forallR(d_lolliR(d_ax("y", Lolli(g, g)), "y"), "g", "a")
+    guard = d_withR(ID, wide)
+    a = guard.conclusion.goal
+    d = d_withR1(d_ax("x1", a), d_ax("x2", a), guard, "x")
+    vs, counts = _check_counting(monkeypatch, d, "lam")
+    assert counts["guard_walks"] == counts["guards"] == 1
+    assert [(v.path, v.condition, v.message) for v in vs] == [
+        ((2,), "system", "rule withR not available in lam"),
+        ((), "withR1", "guard subderivation must be eta-expanded")]
+
+
+def test_check_is_total_on_a_rule_that_is_no_name():
+    a = d_ax("x", TVar("a"))
+    d = Derivation(["ax"], a.conclusion, (), a.params)
+    assert [(v.condition, v.message) for v in check(d)] == [
+        ("rule", "unknown rule ['ax']")]
 
 
 def _shared_split():

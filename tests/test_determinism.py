@@ -84,6 +84,42 @@ def test_elimination_output_is_pinned(corpus):
     assert h.hexdigest() == ELIMINATION_SHA256
 
 
+# One sha256 over repr(check(d, system)) for system in lam, imall2, imll2,
+# over: the corpus entries of seeds 0-2, each followed by its raw copy; the
+# pinned mutants and the multi-mutants of `test_check_mutants`; the
+# translated ladd(B, 1..2); the applied ladd(1, 10..12) and add(B, 8..10).
+# It was recorded from the checker that called one function per node
+# stage, so it pins every violation, its order and its message.
+CHECK_SHA256 = "57af03d971a650f231f4bbf5bb652bac644c9fb38e5eabbf7887b8e249109c6a"
+
+
+def test_check_output_is_pinned(corpus):
+    from test_check_mutants import multi_mutants, mutants, raw_copy
+    from linadd.derivation import IMALL2, IMLL2, LAM, check
+    from linadd.families import gen_add, gen_applied
+    from linadd.inhabit import maximal_value
+    from linadd.translate import GadgetLibrary
+    from linadd.typesys import unit_type
+    ds = []
+    for c in (corpus, build_corpus(1), build_corpus(2)):
+        for e in c:
+            ds += [e.derivation, raw_copy(e.derivation)]
+    ds += [m for *_, m in mutants(corpus)]
+    ds += [m for _, m in multi_mutants(corpus)]
+    lib = GadgetLibrary()
+    ds += [translate_derivation(gen_ladd(n, B)[1], lib) for n in (1, 2)]
+    _, unit = maximal_value(unit_type())
+    ds += [gen_applied(gen_ladd(n, unit_type())[1], unit) for n in (10, 11, 12)]
+    _, tt = maximal_value(B)
+    ds += [gen_applied(gen_add(n, B)[1], tt) for n in (8, 9, 10)]
+    assert len(ds) == 2928
+    h = hashlib.sha256()
+    for d in ds:
+        for system in (LAM, IMALL2, IMLL2):
+            h.update(repr(check(d, system)).encode())
+    assert h.hexdigest() == CHECK_SHA256
+
+
 def test_translate_command_writes_the_same_twice(tmp_path, capsys):
     src = tmp_path / "ladd.lamd"
     src.write_text(print_derivation(gen_ladd(2, B)[1]))
