@@ -154,7 +154,8 @@ def cmd_cutelim(args, report: Report):
         out, trace = eliminate(d, budget=args.budget)
     m0, m1 = metrics(d), metrics(out)
     report.measurements.update(
-        input_size=m0.size, output_size=m1.size, steps=trace.total_steps,
+        input_size=m0.size, output_size=m1.size, input_dag_size=dag_size(d),
+        output_dag_size=dag_size(out), steps=trace.total_steps,
         rounds=trace.rounds, step_kinds=trace.counts())
     if args.trace:
         per_round: dict = {}

@@ -21,17 +21,20 @@ normalization is in `reduce`: it holds the focus cut and the frames from
 the root down to it, applies the step there, and moves to the next cut the
 strategy picks, climbing only to where that cut's path leaves the focus's
 and going down from there.  The cuts off the walk's way are never
-rescanned: the walk summarizes each node that holds a cut once, by the
-cut below it that the strategy would pick first (`_Walk.summary`; the class
-of each cut node is kept on it, `steps.cut_class`), each frame keeps that
-for the cuts outside its premise on the way, and the pick is the first of
-the last frame's and the focus's.  After a step only what it changed is
-looked at: the nodes it built are summarized, the parent frame's cut is
-reclassified from its premises (`steps.classify_over`), and so is each
+rescanned: each node stores, when it is built, the class of its cut and
+the key of the cut at or below it that the strategy would pick first, with
+the premise that holds it (`derivation`'s `_cut` and `_least`), each frame
+keeps the least of those keys for the cuts outside its premise on the way,
+read from its other premises, and the pick is the first of the last
+frame's and the focus's, its path spelled by following the stored premise
+indices down.  After a step only what it changed is looked at: the nodes
+it built stored their keys when they were built, the parent frame's cut is
+reclassified from its premises (`derivation.classify_over`), and so is each
 frame's whose class turns on whether its left premise holds a cut, when
-the step made that premise's cut count cross zero.  The root's size, weight and cut count follow from
-the step's difference, and the summed cut heights from the heights the
-frames keep, updated upwards while they change.
+the step made that premise's cut count cross zero.  The root's size,
+weight and cut count follow from the step's difference, and the summed cut
+heights from the heights the frames keep, updated upwards while they
+change.
 
 A frame is rebuilt once, when the walk climbs out of it, through its
 rule's constructor (`derivation.climb`, which `replace_at` also uses).  A
@@ -40,19 +43,20 @@ and builds no term: the subject is a view that is computed when read (see
 `derivation`), and no step reads one, except a ready cut's test of its
 left subject for a value.
 
-So a step costs its rule: the nodes it builds, each with its context and
-name summary, and the moves of the walk, which climbs no more frames than
-it went down.  With `keep_derivations` each snapshot costs a climb of the
-whole spine besides, and printing it reads the subjects of the frames
-rebuilt for it.
+So a step costs its rule: the nodes it builds, each with its context, its
+name summary and its cut's key, and the moves of the walk, which climbs no
+more frames than it went down.  With `keep_derivations` each snapshot costs
+a climb of the whole spine besides, and printing it reads the subjects of
+the frames rebuilt for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import ref
 
-from .derivation import Derivation, check_ok, climb, is_cut_free, metrics, replace_at
+from .derivation import (
+    RANK, STEPPED, Derivation, check_ok, climb, is_cut_free, metrics, replace_at,
+)
 from .typesys import judgement_is_forall_lazy
 from .steps import (
     COMMUTING, READY, STEP, SYMMETRIC, CutElimError, classify_over, cut_class,
@@ -144,31 +148,36 @@ def eliminate(d: Derivation, budget: int | None = None,
 # -- the walk -----------------------------------------------------------------
 #
 # The cut the strategy picks is the least of all cuts under one key: the
-# rank of its class (commuting before symmetric before ready), then minus
-# its depth for commuting and ready cuts (0 for symmetric ones), then its
-# path, which orders by pre-order.  The walk keeps only such least keys: the
-# summary of a subderivation is the key of its least cut, or None.
-
-_RANK = {COMMUTING: 0, SYMMETRIC: 1, READY: 2}
-_KIND = (COMMUTING, SYMMETRIC, READY)
-
-
-def _key(kind, path: tuple):
-    """The key of a cut of class `kind` at `path`; None for a cut that the
-    strategy does not step, and for no cut."""
-    r = _RANK.get(kind)
-    return None if r is None else (r, 0 if r == 1 else -len(path), path)
+# rank of its class (`derivation.RANK`: commuting 0, symmetric 1, ready 2),
+# then minus its depth for commuting and ready cuts (0 for symmetric ones),
+# then its path, which orders by pre-order.  Each node stores that key for the cuts
+# at or below it, relative to itself, with the first step of the path only
+# (`derivation`'s `_least`).  The walk places a node's key at the node's
+# path: (rank, minus the depth from the root or 0, the node's path, the
+# node), with the node None for a frame's own cut.  Two placed keys never
+# tie before their last item, since no node's path is a prefix of another's
+# among those the walk compares but a frame's own, which is pre-order first;
+# the winner's path is its node's path and then the premise indices that
+# the nodes below store.
 
 
-def _under(key, prefix: tuple):
-    """The key of a subderivation's cut, its path put under `prefix`."""
-    if key is None:
+def _placed(d: Derivation, path: tuple):
+    """The key of d's least cut, d standing at `path`; None if d has none."""
+    k = d._least
+    if k is None:
         return None
-    r, depth, path = key
-    return r, depth if r == 1 else depth - len(prefix), prefix + path
+    r, depth, _ = k
+    return r, depth if r == 1 else depth - len(path), path, d
 
 
-def _least(a, b):
+def _own(kind, path: tuple):
+    """The key of a frame's own cut of class `kind` at `path`; None for a
+    cut that the strategy does not step."""
+    r = RANK.get(kind)
+    return None if r is None else (r, 0 if r == 1 else -len(path), path, None)
+
+
+def _first(a, b):
     return a if b is None or (a is not None and a <= b) else b
 
 
@@ -180,12 +189,12 @@ class _Frame:
     as the node would (`derivation.climb`).  Only its subject may be stale
     (every step keeps its node's context and goal); the frame keeps the
     rest that changes: the height `h` of the subderivation it roots, the
-    class `own` of its cut, and `ctx`, the least key of the cuts outside
-    its premise i (`sib`, that of its other premises).  `left` is set on a
-    cut whose class turns on whether its premise i, the left one, holds a
-    cut: that premise's cut count less the walk's total when the frame was
-    made, so that its count now is `left` plus the walk's total (every
-    step since is below it)."""
+    class `own` of its cut, and `ctx`, the least placed key of the cuts
+    outside its premise i (`sib`, that of its other premises).  `left` is
+    set on a cut whose class turns on whether its premise i, the left one,
+    holds a cut: that premise's cut count less the walk's total when the
+    frame was made, so that its count now is `left` plus the walk's total
+    (every step since is below it)."""
 
     __slots__ = ("rule", "params", "conclusion", "_derived", "premises", "i",
                  "path", "h_other", "h", "own", "sib", "ctx", "left")
@@ -200,50 +209,21 @@ class _Walk:
         self.focus, self.at, self.frames = d, (), []
         self.guarded = []  # the frames with `left` set, root first
         self.size, self.weight, _, self.height_sum, self.cuts = d._stats
-        self.memo = {}  # id(node) -> (weak reference to it, its summary)
-
-    def summary(self, d: Derivation):
-        """The summary of d: the key of its least cut, by its path from d.
-        It depends only on the node and the nodes below it, which are
-        immutable, so the walk computes it once per node object: a
-        post-order walk with its own stack, as `nameless.fold` makes, that
-        stops at the nodes it has summarized before.  The weak reference
-        kept beside a summary tells whether an id is still that node's."""
-        memo, s = self.memo, None
-        todo = [] if is_cut_free(d) else [d]
-        while todo:
-            n = todo[-1]
-            got = memo.get(id(n))
-            if got is not None and got[0]() is n:
-                s = got[1]
-                todo.pop()
-                continue
-            ps, below = n.premises, []
-            for p in ps:
-                if not is_cut_free(p):
-                    got = memo.get(id(p))
-                    if got is None or got[0]() is not p:
-                        below.append(p)
-            if below:
-                todo += below
-                continue
-            s = _key(cut_class(n), ()) if n.rule == "cut" else None
-            for i, p in enumerate(ps):
-                if not is_cut_free(p):
-                    s = _least(s, _under(memo[id(p)][1], (i,)))
-            memo[id(n)] = ref(n), s
-            todo.pop()
-        return s
 
     def pick(self) -> tuple:
         """(path, class) of the next cut: the deepest commuting cut, else
         the first symmetric one, else the deepest ready one."""
-        s = _under(self.summary(self.focus), self.at)
+        s = _placed(self.focus, self.at)
         if self.frames:
-            s = _least(self.frames[-1].ctx, s)
+            s = _first(self.frames[-1].ctx, s)
         if s is None:
             raise CutElimError("no fireable cut remains (deadlock or copy-first only)")
-        return s[2], _KIND[s[0]]
+        r, _, path, d = s
+        path = list(path)
+        while d is not None and (i := d._least[2]) >= 0:
+            path.append(i)
+            d = d.premises[i]
+        return tuple(path), STEPPED[r]
 
     def move_to(self, path: tuple) -> None:
         while path[:len(self.at)] != self.at:
@@ -269,8 +249,7 @@ class _Walk:
         for k, p in enumerate(ps):
             if k != i:
                 f.h_other = max(f.h_other, p._stats[2])
-                if not is_cut_free(p):
-                    f.sib = _least(f.sib, _under(self.summary(p), at + (k,)))
+                f.sib = _first(f.sib, _placed(p, at + (k,)))
         f.own = f.left = None
         if d.rule == "cut":
             f.own = cut_class(d)
@@ -286,7 +265,7 @@ class _Walk:
         frames = self.frames
         ctx = frames[k - 1].ctx if k else None
         for f in frames[k:]:
-            ctx = f.ctx = _least(ctx, _least(f.sib, _key(f.own, f.path)))
+            ctx = f.ctx = _first(ctx, _first(f.sib, _own(f.own, f.path)))
 
     def step(self, fn) -> None:
         """Replace the focus by fn(focus), and bring the root's stats and

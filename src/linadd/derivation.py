@@ -125,9 +125,19 @@ Each node stores, when it is built, its size, weight, height, summed cut
 heights and cut count in one slot (`_stats`), from its premises' stored
 ones, so `metrics` and `is_cut_free` read one slot, and a search for cuts
 skips every cut-free subderivation.  The counts are taken with tree
-multiplicity: a shared subderivation counts once per occurrence.  A cut
-node also keeps its class for cut elimination, computed on the first query
-(see `steps.cut_class`).
+multiplicity: a shared subderivation counts once per occurrence.  A node
+also stores, when it is built, two summaries for cut elimination: the
+class of its own cut (`_cut`, by `classify_over`; None on any other rule,
+and on a cut that has not two premises, one name and premises that store
+their rules' parameters, which no step could read), and the key of the
+least cut at or below it under the round strategy (`_least`), from its
+premises' keys: the class's rank in `STEPPED`, minus the cut's depth
+below the node for a commuting or ready cut (0 for a symmetric one), and
+the index of the premise that holds the cut, -1 for the node's own.  Paths
+from different premises part at their first step, so the premise index
+settles a tie as the cut's whole path would, and following the indices
+down spells that path.  None when no cut at or below the node is
+stepped.
 """
 
 from __future__ import annotations
@@ -260,19 +270,18 @@ def _force(j: Judgement) -> Term:
     return j._subject
 
 
-_NO_STATS = (0, 0, 0, 0, 0)  # the summed `_stats` of no premises
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(eq=False, init=False)
 class Derivation:
     """A rule instance; `params` is the tuple of parameters the node stores,
     () when it was built without them.  `_derived` is True only for a node
-    that its rule's `d_*` constructor built, and `_stats` is (size, weight,
-    height, summed cut heights, cuts), from the premises' (see the module
-    docstring)."""
+    that its rule's `d_*` constructor built, `_stats` is (size, weight,
+    height, summed cut heights, cuts), from the premises', and `_cut` and
+    `_least` are the class of its cut and the key of its least cut (see the
+    module docstring).  Nodes are immutable by convention: every slot is
+    set once, when the node is built (`_fill`)."""
 
     __slots__ = ("rule", "conclusion", "premises", "params", "_stats",
-                 "_cut", "_derived", "__weakref__")
+                 "_cut", "_least", "_derived", "__weakref__")
     rule: str
     conclusion: Judgement
     premises: tuple
@@ -283,33 +292,124 @@ class Derivation:
         _fill(self, rule, conclusion, premises, params, False)
 
 
+# -- cut classes --------------------------------------------------------------
+#
+# The class of a cut, read from the last rules of its premises:
+#   symmetric   both premises are principal for the cut type (including the
+#               axiom cases);
+#   commuting   the cut can be pushed past a non-principal rule;
+#   ready, safe, deadlock
+#               the right premise is the guarded duplication: `deadlock`
+#               when the left premise has an open context, `ready` when it
+#               is closed and cut-free, and `safe` when it is closed but
+#               still holds a cut;
+#   copy_first  a guarded duplication meets a principal left projection;
+#   blocked     the left premise is itself a cut that produces the cut type.
+
+SYMMETRIC = "symmetric"
+COMMUTING = "commuting"
+READY = "ready"
+SAFE = "safe"
+DEADLOCK = "deadlock"
+COPY_FIRST = "copy_first"
+BLOCKED = "blocked"
+
+# The classes that cut elimination's round strategy steps, in the order it
+# prefers them, and the rank of each, its index here, as a node's `_least`
+# and the walk's keys hold it.
+STEPPED = (COMMUTING, SYMMETRIC, READY)
+RANK = {c: r for r, c in enumerate(STEPPED)}
+
+_PRINCIPAL = frozenset({"ax", "lolliL", "withL1", "withL2", "forallL", "withR1"})
+
+# The rules that meet on one connective, left premise first.
+_PRINCIPAL_PAIRS = frozenset({
+    ("lolliR", "lolliL"), ("forallR", "forallL"),
+    ("withR0", "withL1"), ("withR0", "withL2"),
+})
+
+
+def principal_var(d: Derivation):
+    """The context variable the last rule of d acts on, if any: the first
+    parameter of each left rule, the axiom and the guarded duplication."""
+    return d.params[0] if d.rule in _PRINCIPAL else None
+
+
+def classify_over(l: Derivation, r: Derivation, x: str, left_cut_free: bool) -> str:
+    """The class of a cut on x over the premises l and r.  It reads their
+    rules, their parameters and l's context; whether l holds a cut is
+    given apart, since cut elimination's walk classifies a frame over a
+    premise whose cut count may be stale, though those are not."""
+    if l.rule == "ax" or r.rule == "ax":
+        return SYMMETRIC
+    if r.rule == "withR1":
+        if l.conclusion.context:
+            return DEADLOCK
+        return READY if left_cut_free else SAFE
+    if principal_var(r) == x:
+        if (l.rule, r.rule) in _PRINCIPAL_PAIRS:
+            return SYMMETRIC
+        if l.rule == "withR1" and r.rule in ("withL1", "withL2"):
+            return COPY_FIRST
+        if l.rule == "cut":
+            # nothing to commute: reassociating back and forth would loop, so
+            # wait for the inner cut to be eliminated first
+            return BLOCKED
+    return COMMUTING
+
+
+def _stores_params(d: Derivation) -> bool:
+    """Whether d stores as many parameters as its rule takes, as every
+    derived node does."""
+    rule = d.rule
+    kinds = PARAMS.get(rule) if rule.__class__ is str else None
+    return kinds is not None and len(d.params) == len(kinds)
+
+
+def _cut_class(premises: tuple, params: tuple):
+    """The class of a cut node over `premises` with `params`, or None when
+    it has not two premises and one name, or a premise does not store the
+    parameters of its rule, as a node built without them: no step could
+    read them."""
+    if len(premises) == 2 and len(params) == 1 and isinstance(params[0], str):
+        l, r = premises
+        if (l._derived or _stores_params(l)) and (r._derived or _stores_params(r)):
+            return classify_over(l, r, params[0], l._stats[4] == 0)
+    return None
+
+
 def _fill(d: Derivation, rule: str, conclusion: Judgement, premises: tuple,
           params: tuple, derived: bool) -> None:
-    """Set the slots of the new node d, its `_stats` from its premises'."""
-    _set_rule(d, rule)
-    _set_conclusion(d, conclusion)
-    _set_premises(d, premises)
-    _set_params(d, params)
-    _set_derived(d, derived)
-    s, w, h, hs, c = premises[0]._stats if premises else _NO_STATS
-    for p in premises[1:]:
+    """Set the slots of the new node d: its `_stats` and `_least` from its
+    premises' and its own cut's class."""
+    d.rule = rule
+    d.conclusion = conclusion
+    d.premises = premises
+    d.params = params
+    d._derived = derived
+    s = w = h = hs = c = 0
+    least = None
+    for i, p in enumerate(premises):
         s2, w2, h2, hs2, c2 = p._stats
         s, w, hs, c = s + s2, w + w2, hs + hs2, c + c2
         if h2 > h:
             h = h2
+        if c2 and (k := p._least) is not None:
+            r, depth, _ = k  # a symmetric cut (rank 1) keeps depth 0
+            k = (r, depth if r == 1 else depth - 1, i)
+            if least is None or k < least:
+                least = k
+    cut = None
     if rule == "cut":
-        stats = (s + 1, w, h + 1, hs + h, c + 1)
+        d._stats = (s + 1, w, h + 1, hs + h, c + 1)
+        cut = _cut_class(premises, params)
+        r = RANK.get(cut)
+        if r is not None and (least is None or (r, 0, -1) < least):
+            least = (r, 0, -1)
     else:
-        stats = (s + 1, w + (rule == "withR1"), h + 1, hs, c)
-    _set_stats(d, stats)
-
-
-# The setter of each slot of a node.  The node is frozen, so its slots are
-# set through their descriptors: `object.__setattr__` would do the same at
-# about 1.5 times the cost, and nodes are built often.
-_set_rule, _set_conclusion, _set_premises, _set_params, _set_stats, _set_derived = (
-    Derivation.__dict__[s].__set__
-    for s in ("rule", "conclusion", "premises", "params", "_stats", "_derived"))
+        d._stats = (s + 1, w + (rule == "withR1"), h + 1, hs, c)
+    d._cut = cut
+    d._least = least
 
 
 @dataclass

@@ -2,18 +2,10 @@
 
 Everything cut elimination (and subject reduction, which reuses it) needs:
 
-* the class of a cut, one of seven names, read from the last rules of its
-  premises by `classify_cut` (`classify_over` for premises given apart):
-  - `symmetric`: both premises are principal for the cut type (including
-    the axiom cases);
-  - `commuting`: the cut can be pushed past a non-principal rule;
-  - `ready`, `safe` and `deadlock`: the right premise is the guarded
-    duplication.  The cut is `deadlock` when the left premise has an open
-    context, `ready` when the left premise is closed and cut-free, and
-    `safe` when it is closed but still holds a cut;
-  - `copy_first`: a guarded duplication meets a principal left projection;
-  - `blocked`: the left premise is itself a cut that produces the cut
-    type;
+* the class of a cut, one of the seven names that `derivation` defines
+  beside `classify_over` (re-exported here), read from the last rules of
+  its premises.  Each cut node stores its class when it is built, and
+  `cut_class` reads it; `classify_cut` classifies afresh;
 * the one table `STEP` from each class that has a step to its step
   function: one commuting movement, one principal firing (each performs at
   most one reduction step on the subject), or one reassociation of a
@@ -37,31 +29,14 @@ from .typesys import (
     TVar, Type, free_type_vars, match_instantiation, subst_type,
 )
 from .derivation import (
-    CONSTRUCTORS, Derivation,
-    context_free_type_vars, context_names, is_cut_free, names_used,
-    d_cut, d_forallR, d_withR0,
+    BLOCKED, COMMUTING, COPY_FIRST, CONSTRUCTORS, DEADLOCK, READY, SAFE, SYMMETRIC,
+    Derivation, classify_over, context_free_type_vars, context_names, is_cut_free,
+    names_used, principal_var, d_cut, d_forallR, d_withR0,
 )
-
-SYMMETRIC = "symmetric"
-COMMUTING = "commuting"
-READY = "ready"
-SAFE = "safe"
-DEADLOCK = "deadlock"
-COPY_FIRST = "copy_first"
-BLOCKED = "blocked"
 
 
 class CutElimError(Exception):
     """A cut that has no step, or a strategy that cannot go on."""
-
-
-_PRINCIPAL = frozenset({"ax", "lolliL", "withL1", "withL2", "forallL", "withR1"})
-
-
-def principal_var(d: Derivation):
-    """The context variable the last rule of d acts on, if any: the first
-    parameter of each left rule, the axiom and the guarded duplication."""
-    return d.params[0] if d.rule in _PRINCIPAL else None
 
 
 # -- renaming -----------------------------------------------------------------
@@ -151,53 +126,19 @@ def _ensure_fresh(d: Derivation, var: str, avoid) -> tuple:
 # -- classification -----------------------------------------------------------
 
 def classify_cut(d: Derivation) -> str:
-    """The class of the cut d, one of the seven names above."""
+    """The class of the cut d, one of the seven names, computed afresh."""
     if d.rule != "cut":
         raise ValueError("not a cut")
     l, r = d.premises
     return classify_over(l, r, d.params[0], is_cut_free(l))
 
 
-# The rules that meet on one connective, left premise first.
-_PRINCIPAL_PAIRS = frozenset({
-    ("lolliR", "lolliL"), ("forallR", "forallL"),
-    ("withR0", "withL1"), ("withR0", "withL2"),
-})
-
-
-def classify_over(l: Derivation, r: Derivation, x: str, left_cut_free: bool) -> str:
-    """The class of a cut on x over the premises l and r.  It reads their
-    rules, their parameters and l's context; whether l holds a cut is
-    given apart, since cut elimination's walk classifies a frame over a
-    premise whose cut count may be stale, though those are not
-    (`classify_cut` reads it from l)."""
-    if l.rule == "ax" or r.rule == "ax":
-        return SYMMETRIC
-    if r.rule == "withR1":
-        if l.conclusion.context:
-            return DEADLOCK
-        return READY if left_cut_free else SAFE
-    if principal_var(r) == x:
-        if (l.rule, r.rule) in _PRINCIPAL_PAIRS:
-            return SYMMETRIC
-        if l.rule == "withR1" and r.rule in ("withL1", "withL2"):
-            return COPY_FIRST
-        if l.rule == "cut":
-            # nothing to commute: reassociating back and forth would loop, so
-            # wait for the inner cut to be eliminated first
-            return BLOCKED
-    return COMMUTING
-
-
 def cut_class(d: Derivation) -> str:
-    """`classify_cut(d)`, computed once per node object: the class depends
-    only on the node and its premises, which are immutable, so it is kept in
-    the node's `_cut` slot."""
-    c = getattr(d, "_cut", None)
-    if c is None:
-        c = classify_cut(d)
-        object.__setattr__(d, "_cut", c)
-    return c
+    """The class of the cut d that d stored when it was built (see
+    `derivation`), or `classify_cut(d)` for a cut that stored none, as one
+    without two premises."""
+    c = d._cut
+    return classify_cut(d) if c is None else c
 
 
 def classify_cuts(d: Derivation):

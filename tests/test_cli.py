@@ -179,6 +179,20 @@ def test_cutelim_pipeline(tmp_path, capsys):
     assert rep["measurements"]["output_size"] < rep["measurements"]["input_size"]
 
 
+def test_cutelim_reports_dag_sizes(tmp_path, capsys):
+    # applied ladd(1,3) is 54 rules as a tree over 34 distinct nodes, and
+    # its cut-free form 31 rules over 6, as `check --json` counts them
+    src = tmp_path / "in.lamd"
+    assert run(capsys, "gen", "ladd", "-n", "3", "--apply", "--derivation",
+               "-o", str(src))[0] == 0
+    code, rep = run_json(capsys, "cutelim", str(src))
+    ms = rep["measurements"]
+    assert code == 0
+    assert (ms["input_size"], ms["input_dag_size"]) == (54, 34)
+    assert (ms["output_size"], ms["output_dag_size"]) == (31, 6)
+    assert run_json(capsys, "check", str(src))[1]["measurements"]["dag_size"] == 34
+
+
 def test_translate_reports_compression(tmp_path, capsys):
     src = tmp_path / "in.lamd"
     run(capsys, "gen", "ladd", "-n", "1", "--base", "bool", "--apply",

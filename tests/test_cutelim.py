@@ -218,34 +218,43 @@ def test_eliminate_costs_local_work(monkeypatch, count_terms):
     # whole spine above each step classifies 752 cuts and reads 4,379
     # premise tuples.  One scan per step from the root, with cached cut
     # classes, takes 175 classifications and 1,288 reads.  The zipper walk,
-    # which rebuilds each frame once on leaving it and keeps the summaries
-    # of the cuts off its way, takes 75 and 395.  Where every constructor
-    # substituted into its premise's subject, the steps and rebuilds built
-    # 79 term nodes; with subjects computed when read, only the test of a
-    # ready cut's left subject for a value builds any.
+    # which rebuilds each frame once on leaving it and kept the summaries
+    # of the cuts off its way, took 75 and 395; with each node's class and
+    # least cut stored when it is built, it classifies the 81 cut nodes
+    # that the steps and its climbs build, and reads 203 premise tuples.
+    # The walk's own reclassifications of its frames' cuts are not counted
+    # here.  Where every constructor substituted into its premise's
+    # subject, the steps and rebuilds built 79 term nodes; with subjects
+    # computed when read, only the test of a ready cut's left subject for a
+    # value builds any.
     _, d = gen_ladd(8, ONE)
     d = gen_applied(d, maximal_value(ONE)[1])
-    size = metrics(d).size
-    calls = {"classify_cut": 0, "premises": 0}
-    real_classify = steps.classify_cut
+    calls = {"classify": 0, "premises": 0}
+    real_classify_over = derivation.classify_over
+    real_classify_cut = steps.classify_cut
     real_premises = Derivation.__dict__["premises"]
 
-    def classify(x):
-        calls["classify_cut"] += 1
-        return real_classify(x)
+    def classify_over(*args):  # a cut node classified when it is built
+        calls["classify"] += 1
+        return real_classify_over(*args)
+
+    def classify_cut(x):  # a cut that stored no class, classified on a query
+        calls["classify"] += 1
+        return real_classify_cut(x)
 
     def premises(node):
         calls["premises"] += 1
         return real_premises.__get__(node, Derivation)
 
-    monkeypatch.setattr(steps, "classify_cut", classify)
+    monkeypatch.setattr(derivation, "classify_over", classify_over)
+    monkeypatch.setattr(steps, "classify_cut", classify_cut)
     monkeypatch.setattr(Derivation, "premises", property(
         premises, lambda node, v: real_premises.__set__(node, v)))
     terms_built = count_terms()
     _, trace = eliminate(d, recheck=False)
     assert trace.total_steps == 59
-    assert calls["classify_cut"] <= 100
-    assert calls["premises"] <= size
+    assert 0 < calls["classify"] <= 100
+    assert calls["premises"] <= 203
     assert terms_built[0] <= 10
 
 

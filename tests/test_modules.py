@@ -103,9 +103,9 @@ def test_recursion_surface_is_pinned():
     assert on_cycle == RECURSION_SURFACE
 
 
-# The one slot of a node that a query fills after it is built: the class of
-# a cut for cut elimination (`steps.cut_class`).
-FILLED_BY_A_QUERY = {"_cut"}
+# The slots of a node that a query fills after it is built: none, since a
+# cut's class and least cut are stored when it is built, as `_stats` is.
+FILLED_BY_A_QUERY = set()
 
 
 def _subclasses(cls):

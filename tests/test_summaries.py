@@ -5,15 +5,23 @@ their own stacks."""
 
 import pytest
 
-from linadd.corpus import build_corpus
-from linadd.derivation import is_cut_free, metrics, premises
+from linadd.corpus import build_corpus, quadratic_family
+from linadd.cutelim import eliminate
+from linadd.derivation import (
+    Derivation, Judgement, d_ax, d_cut, is_cut_free, metrics, premises,
+)
+from linadd.families import gen_add, gen_applied, gen_ladd
+from linadd.inhabit import maximal_value
 from linadd.nameless import fold
-from linadd.reduce import find_redexes, normalize, redex_free
+from linadd.reduce import find_redexes, normalize, push_reduction, redex_free
+from linadd.steps import COMMUTING, READY, SYMMETRIC, classify_cut, classify_cuts
 from linadd.terms import Abs, App, Bound, Copy, Pair, Proj, Var, is_value
 from linadd.typesys import (
     FORALL_NEG, FORALL_POS, WITH_NEG, WITH_POS, Forall, Lolli, TBound, TVar, With,
-    polarity_occurrences,
+    bool_type, polarity_occurrences, unit_type,
 )
+
+ONE, B = unit_type(), bool_type()
 
 
 def _distinct(root, kids=lambda n: n.children()):
@@ -155,3 +163,98 @@ def test_equal_nodes_built_apart_hash_alike(nodes):
         u = _built_apart(t)
         assert u is not t and u == t
         assert hash(u) == hash(t)
+
+
+# -- the stored cut classes and least cuts against classify_cuts ---------------
+
+_RANK = {COMMUTING: 0, SYMMETRIC: 1, READY: 2}
+
+
+def _ref_least(d):
+    """The key of the cut of d that the round strategy picks first, over
+    the list of `classify_cuts`, each class recomputed by `classify_cut`:
+    (rank, minus its depth or 0 for a symmetric cut, its path)."""
+    best = None
+    for path, kind in classify_cuts(d):
+        n = d
+        for i in path:
+            n = n.premises[i]
+        assert kind == classify_cut(n)
+        r = _RANK.get(kind)
+        if r is not None:
+            key = (r, 0 if r == 1 else -len(path), path)
+            best = key if best is None or key < best else best
+    return best
+
+
+def _assert_least(roots):
+    nodes = {}
+    for d in roots:
+        nodes.update((id(n), n) for n in _distinct(d, premises))
+    for n in nodes.values():
+        assert n._cut == (classify_cut(n) if n.rule == "cut" else None), n.rule
+        want = _ref_least(n)
+        if want is None:
+            assert n._least is None
+            continue
+        r, depth, path = want
+        assert n._least == (r, depth, path[0] if path else -1)
+        got, m = [], n
+        while m._least[2] >= 0:
+            got.append(m._least[2])
+            m = m.premises[m._least[2]]
+        assert tuple(got) == path
+    return len(nodes)
+
+
+def _raw(d):
+    """d rebuilt with `Derivation(...)`, so that no node of it is derived."""
+    return fold(d, premises, lambda n, ps: Derivation(n.rule, n.conclusion, tuple(ps),
+                                                       n.params), {})
+
+
+def test_stored_least_cuts_of_corpus_and_family_members():
+    roots = []
+    for seed in (0, 1, 2):
+        for e in build_corpus(seed):
+            roots += [e.derivation, _raw(e.derivation)]
+    for n in range(9):
+        for base in (ONE, B):
+            _, add = gen_add(n, base)
+            _, ladd = gen_ladd(n, base)
+            v = maximal_value(base)[1]
+            roots += [gen_applied(add, v), gen_applied(ladd, v)]
+    roots += [quadratic_family(n) for n in range(1, 17)]
+    assert _assert_least(roots) > 1000
+
+
+def test_stored_least_cuts_along_elimination_and_reduction():
+    corpus = build_corpus(0)
+    roots = []
+    for e in corpus:
+        if "forall-lazy" in e.tags:
+            roots += eliminate(e.derivation, keep_derivations=True)[1].snapshots
+        if e.system == "lam":
+            roots += [push_reduction(e.derivation, r)
+                      for r in find_redexes(e.derivation.conclusion.subject)]
+    assert _assert_least(roots) > 1000
+
+
+def test_a_cut_of_any_shape_is_built():
+    # a cut node that no step could read gets no class and no key of its
+    # own; building it never raises
+    x, a = Var("x"), TVar("a")
+    j = Judgement((("x", a),), x, a)
+    ax = d_ax("x", a)
+    unstated = Derivation("lolliL", j, (ax, ax))  # no parameters stored
+    unknown = Derivation("foo", j, (), ())
+    for premises_, params in (((), ("x",)), ((ax,), ("x",)), ((ax, ax, ax), ("x",)),
+                              ((ax, ax), (a,)), ((ax, ax), ()), ((ax, ax), ("x", "y")),
+                              ((unstated, unstated), ("x",)), ((ax, unstated), ("x",)),
+                              ((unknown, ax), ("x",))):
+        d = Derivation("cut", j, premises_, params)
+        assert d._cut is None
+        assert d._least is None or d._least[2] >= 0
+    under = Derivation("cut", j, (ax, d_cut(ax, ax, "x")), ("y", "z"))
+    assert under._cut is None and under._least == (1, 0, 1)
+    assert Derivation("cut", j, (ax, ax), ("x",))._cut == SYMMETRIC
