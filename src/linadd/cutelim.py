@@ -37,7 +37,7 @@ heights from the heights the frames keep, updated upwards while they
 change.
 
 A frame is rebuilt once, when the walk climbs out of it, through its
-rule's constructor (`derivation.climb`, which `replace_at` also uses).  A
+rule's constructor (`derivation.climb`).  A
 constructor computes the context, the goal and the subject's free names
 and builds no term: the subject is a view that is computed when read (see
 `derivation`), and no step reads one, except a ready cut's test of its
@@ -55,12 +55,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .derivation import (
-    RANK, STEPPED, Derivation, check_ok, climb, is_cut_free, metrics, replace_at,
+    RANK, STEPPED, Derivation, check_ok, climb, is_cut_free, metrics,
 )
 from .typesys import judgement_is_forall_lazy
-from .steps import (
-    COMMUTING, READY, STEP, SYMMETRIC, CutElimError, classify_over, cut_class,
-)
+from .steps import COMMUTING, STEP, CutElimError, classify_over, cut_class
 
 
 @dataclass
@@ -94,15 +92,16 @@ class ElimTrace:
 
 
 def elim_step(d: Derivation, path: tuple) -> Derivation:
-    """Step the cut at `path` through `steps.STEP`.  Only symmetric,
-    commuting and ready cuts may be stepped."""
-    def step(node):
-        c = cut_class(node) if node.rule == "cut" else "no"
-        if c not in (SYMMETRIC, COMMUTING, READY):
-            raise CutElimError("%s cut at %r: only symmetric, commuting and "
-                               "ready cuts are stepped" % (c, path))
-        return STEP[c](node)
-    return replace_at(d, path, step)
+    """Step the cut at `path` through `steps.STEP`, on a walk moved there.
+    Only symmetric, commuting and ready cuts may be stepped."""
+    walk = Walk(d)
+    walk.move_to(path)
+    c = cut_class(walk.focus) if walk.focus.rule == "cut" else "no"
+    if c not in STEPPED:
+        raise CutElimError("%s cut at %r: only symmetric, commuting and "
+                           "ready cuts are stepped" % (c, path))
+    walk.step(STEP[c])
+    return walk.plugged()
 
 
 def eliminate(d: Derivation, budget: int | None = None,
@@ -123,7 +122,7 @@ def eliminate(d: Derivation, budget: int | None = None,
     trace = ElimTrace()
     if keep_derivations:
         trace.snapshots.append(d)
-    walk = _Walk(d)
+    walk = Walk(d)
     while walk.cuts:
         path, kind = walk.pick()
         if len(trace.steps) >= budget:
@@ -200,10 +199,11 @@ class _Frame:
                  "path", "h_other", "h", "own", "sib", "ctx", "left")
 
 
-class _Walk:
+class Walk:
     """One zipper walk (Huet, "The Zipper", JFP 1997) over a derivation:
     the focus, at path `at`, and the frames from the root down to it,
-    with the root's size, weight, summed cut heights and cut count."""
+    with the root's size, weight, summed cut heights and cut count.
+    `elim_step` and `reduce.push_reduction` step on it too."""
 
     def __init__(self, d: Derivation):
         self.focus, self.at, self.frames = d, (), []
@@ -229,7 +229,7 @@ class _Walk:
         while path[:len(self.at)] != self.at:
             self._up()
         for i in path[len(self.at):]:
-            self._down(i)
+            self.down(i)
 
     def _up(self) -> None:
         f = self.frames.pop()
@@ -238,7 +238,7 @@ class _Walk:
             self.guarded.pop()
         self.at = f.path
 
-    def _down(self, i: int) -> None:
+    def down(self, i: int) -> None:
         d, at = self.focus, self.at
         ps = d.premises
         f = _Frame()

@@ -974,19 +974,6 @@ def climb(node: Derivation, i: int, child: Derivation) -> Derivation:
     return rebuild(node, ps[:i] + (child,) + ps[i + 1:])
 
 
-def replace_at(d: Derivation, path: tuple, fn) -> Derivation:
-    """d with its subderivation n at premise path `path` replaced by fn(n),
-    and the ancestors of n on the path rebuilt bottom-up by `climb`."""
-    spine = []
-    for i in path:
-        spine.append(d)
-        d = d.premises[i]
-    new = fn(d)
-    for node, i in zip(reversed(spine), reversed(path)):
-        new = climb(node, i, new)
-    return new
-
-
 def d_app(fun: Derivation, arg: Derivation) -> Derivation:
     """Natural-deduction application: cut the function into an implication-left
     on a fresh head variable."""

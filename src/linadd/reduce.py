@@ -37,8 +37,9 @@ from .terms import (
     Abs, App, Bound, Copy, Pair, Proj, Term, Var,
     alpha_equal, free_vars, is_value, open_term,
 )
-from .derivation import climb, metrics
-from .steps import eliminate_cut_once
+from .cutelim import Walk
+from .derivation import metrics
+from .steps import contracts, eliminate_cut_once
 
 @dataclass(frozen=True)
 class Redex:
@@ -270,37 +271,29 @@ def push_reduction(d, r: Redex):
     subject, and the principal step performs exactly the requested
     contraction.
 
-    The search is one zipper walk: it keeps the nodes from the root down to
-    the cut it steps, with the premise taken at each.  A step that leaves
-    that cut's subject `==` leaves the root's too, since every rule's
-    subject is a function of its premises' that respects `==`, so the
-    search from the root would come down the same way: it goes on from the
-    cut instead.  The nodes above are rebuilt (`derivation.climb`) once, when
-    a step changes the subject.
+    The search runs on cut elimination's walk (`cutelim.Walk`): it moves
+    down into the premise that `_locate` picks until the redex is the
+    focus's interface redex, and steps that cut in place.  A step that
+    keeps the subject leaves the redex at the same path, so the search goes
+    on from the new focus.  Whether a step contracts is read from the cut
+    (`steps.contracts`); the first that does ends the push, and the walk is
+    plugged back together once.
     """
-    before = d.conclusion.subject
-    target = step(before, r)
-    fuel = 4 * (metrics(d).size ** 2) + 100
-    spine, node, path = [], d, r.path  # (node, premise taken) from the root
-    while fuel > 0:
-        fuel -= 1
-        loc = _locate(node, path)
+    target = step(d.conclusion.subject, r)
+    walk, path = Walk(d), r.path
+    for _ in range(4 * metrics(d).size ** 2 + 100):  # fuel
+        loc = _locate(walk.focus, path)
         while loc != "interface":
             i, path = loc
-            spine.append((node, i))
-            node = node.premises[i]
-            loc = _locate(node, path)
-        new = eliminate_cut_once(node)
-        if new.conclusion.subject == node.conclusion.subject:
-            node = new
-            continue
-        for above, i in reversed(spine):
-            new = climb(above, i, new)
-        if new.conclusion.subject != before:
+            walk.down(i)
+            loc = _locate(walk.focus, path)
+        fired = contracts(walk.focus)
+        walk.step(eliminate_cut_once)
+        if fired:
+            new = walk.plugged()
             if new.conclusion.subject != target:
                 raise AssertionError("push_reduction contracted the wrong redex")
             return new
-        spine, node, path = [], new, r.path
     raise AssertionError("push_reduction did not converge")
 
 

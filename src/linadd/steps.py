@@ -9,7 +9,8 @@ Everything cut elimination (and subject reduction, which reuses it) needs:
 * the one table `STEP` from each class that has a step to its step
   function: one commuting movement, one principal firing (each performs at
   most one reduction step on the subject), or one reassociation of a
-  blocked cut.
+  blocked cut, and beside it `contracts`, which of those steps contract a
+  redex of the cut's subject, read from the cut alone.
 
 `deadlock` and `copy_first` cuts have no step.  The round strategy of
 `cutelim` fires only `symmetric`, `commuting` and `ready` cuts; subject
@@ -204,9 +205,14 @@ def commute_once(d: Derivation) -> Derivation:
 def reassociate_blocked(d: Derivation) -> Derivation:
     """cut(cut(l1, l2), r) -> cut(l1, cut(l2, r)): push a blocked cut into
     its left cut so the producer of the cut formula meets its consumer.
-    Used by the localized subject-reduction driver; the round strategy
-    instead waits for the inner cut (the opposite reassociation would undo
-    this one, so pairing them loops)."""
+    Used by subject reduction; the round strategy instead waits for the
+    inner cut (the opposite reassociation would undo this one, so pairing
+    them loops).  An inner cut over an axiom or a quantifier only passes
+    l1's subject on, so the redex would stay the outer cut's, now commuting
+    over the new right cut back to where it was: that inner cut is fired."""
+    inner, r = d.premises
+    if cut_class(inner) == SYMMETRIC and not contracts(inner):
+        return d_cut(fire_symmetric(inner), r, d.params[0])
     return _push(d, 0)
 
 
@@ -266,6 +272,16 @@ STEP = {
     SAFE: fire_critical,
     BLOCKED: reassociate_blocked,
 }
+
+
+def contracts(d: Derivation) -> bool:
+    """Whether the step of the cut d through `STEP` contracts a redex of its
+    subject: the firing of a `ready` or `safe` cut (copy), or of a
+    `symmetric` cut over lolliR and lolliL (beta) or over withR0 and a left
+    projection (proj).  Every other step keeps the subject."""
+    c, (l, r) = cut_class(d), d.premises
+    return c in (READY, SAFE) or c == SYMMETRIC and (l.rule, r.rule) in (
+        ("lolliR", "lolliL"), ("withR0", "withL1"), ("withR0", "withL2"))
 
 
 def eliminate_cut_once(d: Derivation) -> Derivation:

@@ -43,6 +43,17 @@ def count_terms(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def pushed(corpus):
+    """(derivation, redex) for every redex of the seed-0 LAM entries and of
+    quadratic_family(1..12): 438 pushes, each a few milliseconds."""
+    from linadd.corpus import lam_entries, quadratic_family
+    from linadd.reduce import find_redexes
+    ds = [e.derivation for e in lam_entries(corpus)]
+    ds += [quadratic_family(n) for n in range(1, 13)]
+    return [(d, r) for d in ds for r in find_redexes(d.conclusion.subject)]
+
+
+@pytest.fixture(scope="session")
 def cut_chain():
     """A builder of n-deep cut chains: x0 : a |- x0 : a, then n cuts of an
     axiom x_k : a into x_{k-1}, closed by lolliR and forallR into

@@ -14,9 +14,11 @@ import sys
 import linadd
 from linadd import cli
 from linadd.corpus import build_corpus
-from linadd.cutelim import eliminate
+from linadd.cutelim import elim_step, eliminate
+from linadd.derivation import metrics
 from linadd.families import gen_ladd
 from linadd.frontend import derivations_equal, print_derivation
+from linadd.reduce import push_reduction
 from linadd.translate import translate_derivation
 from linadd.typesys import bool_type
 
@@ -82,6 +84,35 @@ def test_elimination_output_is_pinned(corpus):
         for snapshot in trace.snapshots:
             h.update(print_derivation(snapshot).encode())
     assert h.hexdigest() == ELIMINATION_SHA256
+
+
+# One sha256 over the printed push_reduction(d, r) of every pushed (d, r)
+# (see `conftest.pushed`), in order.  It was recorded while
+# push_reduction still kept its own spine and compared the stepped cut's
+# subject after every step, so it pins the derivation each push builds.
+PUSH_SHA256 = "b669a5c4fb711c360e2ab61dc1ddb8066f0ddfcd7e5d2aba290765512a68506f"
+
+
+def test_push_output_is_pinned(pushed):
+    assert len(pushed) == 438
+    h = hashlib.sha256()
+    for d, r in pushed:
+        h.update(print_derivation(push_reduction(d, r)).encode())
+    assert h.hexdigest() == PUSH_SHA256
+
+
+def test_elim_step_repeats_each_step_of_elimination(corpus):
+    # stepping a snapshot at the path the trace names gives the next one
+    stepped = 0
+    for e in corpus:
+        if "forall-lazy" in e.tags and metrics(e.derivation).size <= 60:
+            _, trace = eliminate(e.derivation, recheck=False, keep_derivations=True)
+            snapshots = trace.snapshots
+            for i, s in enumerate(trace.steps):
+                assert derivations_equal(elim_step(snapshots[i], s.path),
+                                         snapshots[i + 1]), (e.name, i)
+                stepped += 1
+    assert stepped == 846
 
 
 # One sha256 over repr(check(d, system)) for system in lam, imall2, imll2,

@@ -2,11 +2,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from linadd import reduce
-from linadd.derivation import check, d_app
+from linadd import reduce, steps
+from linadd.corpus import quadratic_family
+from linadd.cutelim import Walk
+from linadd.derivation import (
+    check, d_app, d_ax, d_cut, d_forallL, d_forallR, d_withL, d_withR0, d_withR1,
+    metrics,
+)
 from linadd.families import gen_add, gen_applied, gen_ladd
 from linadd.frontend import parse_term
 from linadd.inhabit import enumerate_inhabitants, maximal_value
+from linadd.nameless import Node
 from linadd.reduce import (
     BudgetExceeded, Redex, beta_eta_equal, beta_eta_normal_form, eta_normalize,
     find_redexes, normalize, push_reduction, redex_free, step,
@@ -16,7 +22,7 @@ from linadd.terms import (
     alpha_equal, free_vars, identity_term, is_value, subst, term_size,
 )
 from linadd.translate import GadgetLibrary, identity_derivation, translate_derivation
-from linadd.typesys import bool_type, tensor_type, unit_type
+from linadd.typesys import Forall, bool_type, tensor_type, unit_type
 
 
 I = identity_term()
@@ -148,6 +154,110 @@ def test_push_reduction_tracks_each_redex(corpus):
             break
         d = push_reduction(d, rs[0])
         assert check(d, "lam") == []
+
+
+ONE = unit_type()
+
+
+def _pair_and_use():
+    # the premises of |- p1(<V, V>) : 1, cut on y: a projection firing
+    _, v = maximal_value(ONE)
+    pair = d_withR0(v, v)
+    return pair, d_withL(1, d_ax("x", ONE), "y", "x", ONE)
+
+
+def _copy_over_a_cut():
+    # a guarded copy of a closed left premise that still holds a cut: `safe`
+    left = d_cut(identity_derivation(), d_ax("x", ONE), "x")
+    return d_cut(left, d_withR1(d_ax("x1", ONE), d_ax("x2", ONE),
+                                identity_derivation(), "x"), "x")
+
+
+def _blocked_over_an_axiom():
+    # the inner cut passes the pair on through an axiom: reassociating the
+    # outer cut over it and commuting back once looped until the fuel ran out
+    pair, use = _pair_and_use()
+    return d_cut(d_cut(pair, d_ax("z", pair.conclusion.goal), "z"), use, "y")
+
+
+def _blocked_over_a_quantifier():
+    # the same, the pair passed on through a quantifier instance
+    pair, use = _pair_and_use()
+    quant = Forall("a", pair.conclusion.goal)
+    inner = d_cut(d_forallR(pair, "a", "a"),
+                  d_forallL(d_ax("z", pair.conclusion.goal), "z", quant), "z")
+    return d_cut(inner, use, "y")
+
+
+def test_blocked_cut_over_a_subject_keeping_cut_is_pushed():
+    for d in (_blocked_over_an_axiom(), _blocked_over_a_quantifier()):
+        assert check(d, "lam") == []
+        assert steps.cut_class(d) == steps.BLOCKED
+        (r,) = find_redexes(d.conclusion.subject)
+        assert r.kind == "proj"
+        out = push_reduction(d, r)
+        assert check(out, "lam") == []
+        assert out.conclusion.subject == identity_term()
+
+
+def test_contraction_is_read_from_the_cut(pushed, monkeypatch):
+    # push_reduction decides that a step contracted from the cut's class
+    # and premise rules; it agrees with comparing the subjects
+    seen = set()
+    real = reduce.eliminate_cut_once
+
+    def spy(d):
+        new = real(d)
+        changed = new.conclusion.subject != d.conclusion.subject
+        assert steps.contracts(d) == changed, (steps.cut_class(d), d.premises)
+        seen.add((steps.cut_class(d), changed))
+        return new
+
+    monkeypatch.setattr(reduce, "eliminate_cut_once", spy)
+    pair, use = _pair_and_use()
+    hand = [d_cut(pair, use, "y"), _copy_over_a_cut(),
+            _blocked_over_an_axiom(), _blocked_over_a_quantifier()]
+    for d in hand:
+        assert check(d, "lam") == []
+    hand = [(d, r) for d in hand for r in find_redexes(d.conclusion.subject)]
+    for d, r in pushed + hand:
+        push_reduction(d, r)
+    assert seen == {(steps.COMMUTING, False), (steps.BLOCKED, False),
+                    (steps.SYMMETRIC, False), (steps.SYMMETRIC, True),
+                    (steps.READY, True), (steps.SAFE, True)}
+
+
+def test_a_push_compares_terms_once(monkeypatch):
+    # the target check is the one term comparison; the walk locates the
+    # redex once per premise it goes down and once per step
+    counts = {"eq": 0, "locate": 0, "down": 0, "steps": 0}
+    real_eq, real_locate = Node.__eq__, reduce._locate
+    real_down, real_step = Walk.down, reduce.eliminate_cut_once
+
+    def eq(a, b):
+        counts["eq"] += isinstance(a, Term)
+        return real_eq(a, b)
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+
+    for n in (16, 32):
+        d = quadratic_family(n)
+        for r in find_redexes(d.conclusion.subject):
+            counts.update(dict.fromkeys(counts, 0))
+            with monkeypatch.context() as m:
+                m.setattr(Node, "__eq__", eq)
+                m.setattr(reduce, "_locate", counted("locate", real_locate))
+                m.setattr(Walk, "down", counted("down", real_down))
+                m.setattr(reduce, "eliminate_cut_once", counted("steps", real_step))
+                push_reduction(d, r)
+            assert counts["eq"] == 1, counts
+            assert counts["steps"] > 0 and counts["down"] > 0, counts
+            assert counts["locate"] <= counts["down"] + counts["steps"], counts
+            assert counts["down"] < metrics(d).max_height + counts["steps"], counts
 
 
 @settings(max_examples=50, deadline=None)
