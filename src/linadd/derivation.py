@@ -81,17 +81,16 @@ dict of the context's names when it has two or more, the kinds of the
 parameters, and at cut and lolliL a dict of the left premise's names and,
 only when both premise contexts hold a type with free type variables, the
 two sets of those variables.  A derived node has no arity test and no
-rebuild, which its constructor guarantees.  In lam the walk also keeps
-whether each node it leaves is eta-expanded, so a withR1 reads its guard's
-answer from the walk and walks the guard apart only when the walk left a
-node of it before its checks.  The eigenvariables generalized above a node
-matter only to the linear-constraint tests at or below it, so a
-node reached again is visited again only when those eigenvariables differ
-on R(node), the variables that some split below it tests (`_split_vars`,
-computed on the first revisit).  A subderivation shared within a DAG is
-therefore checked once, however many uses it has, unless its uses differ on
-what its splits test; a violation in it is reported at the path of the
-first use, not again at the paths of uses that agree on what it tests.
+rebuild, which its constructor guarantees.  A withR1 reads whether its
+guard is eta-expanded from the summary the guard stored (below).  The
+eigenvariables generalized above a node matter only to the
+linear-constraint tests at or below it, so a node reached again is
+visited again only when those eigenvariables differ on R(node), the
+variables that some split below it tests (`_split_vars`, computed on the
+first revisit).  A subderivation shared within a DAG is therefore checked
+once, however many uses it has, unless its uses differ on what its splits
+test; a violation in it is reported at the path of the first use, not
+again at the paths of uses that agree on what it tests.
 
 In lam, `check` counts the uses of a node's assumptions in its subject
 (`_linearity`, which reads the subject) only where it may find one that is
@@ -137,7 +136,9 @@ the index of the premise that holds the cut, -1 for the node's own.  Paths
 from different premises part at their first step, so the premise index
 settles a tie as the cut's whole path would, and following the indices
 down spells that path.  None when no cut at or below the node is
-stepped.
+stepped.  Last, a node stores whether it is eta-expanded (`_eta`, which
+`is_eta_expanded` and `check`'s withR1 guard test read): it is neither a
+cut nor an axiom at a type that is not atomic, and its premises are.
 """
 
 from __future__ import annotations
@@ -275,13 +276,14 @@ class Derivation:
     """A rule instance; `params` is the tuple of parameters the node stores,
     () when it was built without them.  `_derived` is True only for a node
     that its rule's `d_*` constructor built, `_stats` is (size, weight,
-    height, summed cut heights, cuts), from the premises', and `_cut` and
-    `_least` are the class of its cut and the key of its least cut (see the
-    module docstring).  Nodes are immutable by convention: every slot is
-    set once, when the node is built (`_fill`)."""
+    height, summed cut heights, cuts), from the premises', `_cut` and
+    `_least` are the class of its cut and the key of its least cut, and
+    `_eta` whether it is eta-expanded (see the module docstring).  Nodes
+    are immutable by convention: every slot is set once, when the node is
+    built (`_fill`)."""
 
     __slots__ = ("rule", "conclusion", "premises", "params", "_stats",
-                 "_cut", "_least", "_derived", "__weakref__")
+                 "_cut", "_least", "_eta", "_derived", "__weakref__")
     rule: str
     conclusion: Judgement
     premises: tuple
@@ -380,8 +382,8 @@ def _cut_class(premises: tuple, params: tuple):
 
 def _fill(d: Derivation, rule: str, conclusion: Judgement, premises: tuple,
           params: tuple, derived: bool) -> None:
-    """Set the slots of the new node d: its `_stats` and `_least` from its
-    premises' and its own cut's class."""
+    """Set the slots of the new node d: its `_stats`, `_least` and `_eta`
+    from its premises' and its own rule, goal and cut's class."""
     d.rule = rule
     d.conclusion = conclusion
     d.premises = premises
@@ -389,11 +391,13 @@ def _fill(d: Derivation, rule: str, conclusion: Judgement, premises: tuple,
     d._derived = derived
     s = w = h = hs = c = 0
     least = None
+    eta = rule != "cut" and (rule != "ax" or conclusion.goal.__class__ is TVar)
     for i, p in enumerate(premises):
         s2, w2, h2, hs2, c2 = p._stats
         s, w, hs, c = s + s2, w + w2, hs + hs2, c + c2
         if h2 > h:
             h = h2
+        eta = eta and p._eta
         if c2 and (k := p._least) is not None:
             r, depth, _ = k  # a symmetric cut (rank 1) keeps depth 0
             k = (r, depth if r == 1 else depth - 1, i)
@@ -410,6 +414,7 @@ def _fill(d: Derivation, rule: str, conclusion: Judgement, premises: tuple,
         d._stats = (s + 1, w + (rule == "withR1"), h + 1, hs, c)
     d._cut = cut
     d._least = least
+    d._eta = eta
 
 
 @dataclass
@@ -530,7 +535,6 @@ def check(d: Derivation, system: str = LAM):
     again: dict = {}   # node -> {eigenvariables & R(node) visited}
     split: dict = {}   # id(node) -> R(node), filled on the first revisit
     dirty: dict = {}   # node -> whether some visit found it may be nonlinear
-    eta: dict = {}     # node -> whether it is eta-expanded (lam only), or None
 
     def bad(at, d, cond, msg):
         # `at` links to the parent's link: (parent_at, i), None at the root
@@ -642,10 +646,7 @@ def check(d: Derivation, system: str = LAM):
                     guard = ps[2]
                     if not is_value(guard.conclusion.subject):
                         bad(at, d, "withR1", "guard must be a value")
-                    expanded = eta.get(guard)
-                    if expanded is None:
-                        expanded = is_eta_expanded(guard)
-                    if not expanded:
+                    if not guard._eta:
                         bad(at, d, "withR1", "guard subderivation must be eta-expanded")
                     lazy = (j.context[0][1], j.goal.left, j.goal.right)
                 for a in lazy:
@@ -654,16 +655,6 @@ def check(d: Derivation, system: str = LAM):
                         break
         if not lam:
             continue
-        # d is eta-expanded when it is neither a cut nor an axiom at a type
-        # that is not atomic and its premises are; unknown (None) when the
-        # walk left some premise before its checks, and then a withR1 over
-        # d walks d itself
-        expanded = rule != "cut" and (rule != "ax" or isinstance(j.goal, TVar))
-        for p in ps:
-            if not expanded:
-                break
-            expanded = eta.get(p)
-        eta[d] = expanded
         if not _may_be_nonlinear(d, len(out) > mark, dirty):
             dirty.setdefault(d, False)
             continue
@@ -755,9 +746,9 @@ def dag_size(d: Derivation) -> int:
 
 
 def is_eta_expanded(d: Derivation) -> bool:
-    """Cut-free with every axiom at an atomic type."""
-    return all(n.rule != "cut" and (
-        n.rule != "ax" or isinstance(n.conclusion.goal, TVar)) for n in _nodes(d))
+    """Cut-free with every axiom at an atomic type: the summary d stored
+    when it was built."""
+    return d._eta
 
 
 @dataclass

@@ -140,11 +140,11 @@ def _atomic(ctx, goal, memo, counter):
 
 
 def _dedupe(derivs):
-    out = []
+    """The first derivation of each subject, in order of first occurrence."""
+    out: dict = {}
     for d in derivs:
-        if all(d.conclusion.subject != e.conclusion.subject for e in out):
-            out.append(d)
-    return out
+        out.setdefault(d.conclusion.subject, d)
+    return list(out.values())
 
 
 def enumerate_inhabitants(a: Type, use_fast_paths: bool = True) -> InhabitantSet:

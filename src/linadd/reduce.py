@@ -35,7 +35,7 @@ import random
 from .nameless import children, fold, references, shift
 from .terms import (
     Abs, App, Bound, Copy, Pair, Proj, Term, Var,
-    alpha_equal, free_vars, is_value, open_term,
+    alpha_equal, is_value, open_term,
 )
 from .cutelim import Walk
 from .derivation import metrics
@@ -273,20 +273,22 @@ def push_reduction(d, r: Redex):
 
     The search runs on cut elimination's walk (`cutelim.Walk`): it moves
     down into the premise that `_locate` picks until the redex is the
-    focus's interface redex, and steps that cut in place.  A step that
-    keeps the subject leaves the redex at the same path, so the search goes
-    on from the new focus.  Whether a step contracts is read from the cut
+    focus's interface redex, and steps that cut in place.  No move or step
+    changes the redex's kind, so `_locate` is given it, and at a cut or
+    lolliL reads only the right premise's subject, down the redex's path
+    once.  A step that keeps the subject leaves the redex at the same path,
+    so the search goes on from the new focus.  Whether a step contracts is read from the cut
     (`steps.contracts`); the first that does ends the push, and the walk is
     plugged back together once.
     """
     target = step(d.conclusion.subject, r)
-    walk, path = Walk(d), r.path
+    walk, path, kind = Walk(d), r.path, r.kind
     for _ in range(4 * metrics(d).size ** 2 + 100):  # fuel
-        loc = _locate(walk.focus, path)
+        loc = _locate(walk.focus, path, kind)
         while loc != "interface":
             i, path = loc
             walk.down(i)
-            loc = _locate(walk.focus, path)
+            loc = _locate(walk.focus, path, kind)
         fired = contracts(walk.focus)
         walk.step(eliminate_cut_once)
         if fired:
@@ -297,21 +299,19 @@ def push_reduction(d, r: Redex):
     raise AssertionError("push_reduction did not converge")
 
 
-def _var_path(t: Term, x: str):
-    """Path of the (unique) free occurrence of x in t."""
-    path = []
-    while not isinstance(t, Var):
-        i = next(i for i, c in enumerate(t.children()) if x in free_vars(c))
-        path.append(i)
-        t = t.children()[i]
-    return tuple(path)
+def _locate(d, path: tuple, kind: str):
+    """Map a subject redex of the given kind to a premise (index,
+    premise-local path), or report it as an interface redex of this node's
+    cut.
 
-
-def _locate(d, path: tuple):
-    """Map a subject redex to a premise (index, premise-local path), or report
-    it as an interface redex of this node's cut."""
+    At a cut or lolliL on x, the subject is the right premise's with x
+    replaced, so one walk down the right subject along `path` decides.  If
+    it meets x, the redex lies in what replaced x: the left subject, under
+    the application of y (past its index 1) for lolliL.  Otherwise the
+    redex is the right premise's, for a lolliL, and for a cut when the
+    right subject holds a redex of the same kind at `path`; if not, the
+    cut's substitution made it, an interface redex."""
     rule = d.rule
-    j = d.conclusion
     if rule in ("forallR", "forallL"):
         return (0, path)
     if rule == "lolliR":
@@ -327,21 +327,15 @@ def _locate(d, path: tuple):
         raise AssertionError("redex in a guard or scrutinee of withR1")
     if rule in ("withL1", "withL2"):
         return (0, path)
-    if rule == "lolliL":
-        rj = d.premises[1].conclusion
-        _, x = d.params
-        px = _var_path(rj.subject, x)
-        if path[:len(px) + 1] == px + (1,):
-            return (0, path[len(px) + 1:])
-        return (1, path)
-    if rule == "cut":
-        rj = d.premises[1].conclusion
-        x, = d.params
-        px = _var_path(rj.subject, x)
-        if path[:len(px)] == px:
-            return (0, path[len(px):])
-        kind = redex_kind_at(j.subject[path])
-        if redex_kind_at(rj.subject[path]) == kind:
-            return (1, path)
-        return "interface"
+    if rule == "lolliL" or rule == "cut":
+        x = d.params[-1]
+        t, k = d.premises[1].conclusion.subject, 0
+        while not (t.__class__ is Var and t.name == x):
+            if k == len(path):
+                if rule == "lolliL" or redex_kind_at(t) == kind:
+                    return (1, path)
+                return "interface"
+            t = t.children()[path[k]]
+            k += 1
+        return (0, path[k + (rule == "lolliL"):])
     raise AssertionError("no redex can appear under rule %s" % rule)

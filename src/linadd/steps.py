@@ -5,7 +5,8 @@ Everything cut elimination (and subject reduction, which reuses it) needs:
 * the class of a cut, one of the seven names that `derivation` defines
   beside `classify_over` (re-exported here), read from the last rules of
   its premises.  Each cut node stores its class when it is built, and
-  `cut_class` reads it; `classify_cut` classifies afresh;
+  `cut_class` reads it; `classify_cut` classifies afresh, a reference for
+  the stored class;
 * the one table `STEP` from each class that has a step to its step
   function: one commuting movement, one principal firing (each performs at
   most one reduction step on the subject), or one reassociation of a
@@ -136,10 +137,9 @@ def classify_cut(d: Derivation) -> str:
 
 def cut_class(d: Derivation) -> str:
     """The class of the cut d that d stored when it was built (see
-    `derivation`), or `classify_cut(d)` for a cut that stored none, as one
-    without two premises."""
-    c = d._cut
-    return classify_cut(d) if c is None else c
+    `derivation`); None on a node that no step could read, as a cut
+    without two premises or one built without parameters."""
+    return d._cut
 
 
 def classify_cuts(d: Derivation):

@@ -231,23 +231,17 @@ def test_eliminate_costs_local_work(monkeypatch, count_terms):
     d = gen_applied(d, maximal_value(ONE)[1])
     calls = {"classify": 0, "premises": 0}
     real_classify_over = derivation.classify_over
-    real_classify_cut = steps.classify_cut
     real_premises = Derivation.__dict__["premises"]
 
     def classify_over(*args):  # a cut node classified when it is built
         calls["classify"] += 1
         return real_classify_over(*args)
 
-    def classify_cut(x):  # a cut that stored no class, classified on a query
-        calls["classify"] += 1
-        return real_classify_cut(x)
-
     def premises(node):
         calls["premises"] += 1
         return real_premises.__get__(node, Derivation)
 
     monkeypatch.setattr(derivation, "classify_over", classify_over)
-    monkeypatch.setattr(steps, "classify_cut", classify_cut)
     monkeypatch.setattr(Derivation, "premises", property(
         premises, lambda node, v: real_premises.__set__(node, v)))
     terms_built = count_terms()

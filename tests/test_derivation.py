@@ -262,14 +262,11 @@ def test_forallR_binds_apart_from_a_free_namesake_of_its_hint():
 # -- the walk of `check` ----------------------------------------------------------
 
 def _check_counting(monkeypatch, d, system):
-    """check(d, system), with the nodes it visits, the withR1 guards whose
-    value test it makes and the guards that it walks apart from its own walk
-    counted.  A visit reads the node's rule in the system's rule table once;
-    a withR1 reads the guard's eta-expandedness from its own walk, and
-    calls `is_eta_expanded` only when the walk left some node of the guard
-    before its checks."""
+    """check(d, system), with the nodes it visits and the withR1 guards
+    whose value test it makes counted.  A visit reads the node's rule in the
+    system's rule table once."""
     from linadd import derivation
-    counts = {"visits": 0, "guards": 0, "guard_walks": 0}
+    counts = {"visits": 0, "guards": 0}
 
     class Counted(dict):
         def get(self, rule, default=None):
@@ -286,8 +283,6 @@ def _check_counting(monkeypatch, d, system):
         m.setattr(derivation, "_SYSTEM_RULES", {
             s: Counted(rules) for s, rules in derivation._SYSTEM_RULES.items()})
         m.setattr(derivation, "is_value", counted("guards", derivation.is_value))
-        m.setattr(derivation, "is_eta_expanded",
-                  counted("guard_walks", derivation.is_eta_expanded))
         vs = check(d, system)
     return vs, counts
 
@@ -312,21 +307,20 @@ def test_check_visits_each_distinct_node_once(monkeypatch):
         assert 0 < counts["visits"] == dag_size(d), system
         withR1 = sum(n.rule == "withR1" for n in _nodes(d))
         assert counts["guards"] == withR1, system
-        assert counts["guard_walks"] == 0, system
     assert sum(n.rule == "withR1" for n in _nodes(ladd)) > 0
 
 
 def test_guard_that_the_walk_left_early_is_walked_apart(monkeypatch):
     # withR is no rule of lam, so the walk leaves the guard's root before
     # its checks and never reaches the axiom at g -o g above it: the withR1
-    # walks the guard itself, and finds that axiom
+    # still finds that axiom, in the summary the guard stored when built
     g = TVar("g")
     wide = d_forallR(d_lolliR(d_ax("y", Lolli(g, g)), "y"), "g", "a")
     guard = d_withR(ID, wide)
     a = guard.conclusion.goal
     d = d_withR1(d_ax("x1", a), d_ax("x2", a), guard, "x")
     vs, counts = _check_counting(monkeypatch, d, "lam")
-    assert counts["guard_walks"] == counts["guards"] == 1
+    assert counts["guards"] == 1
     assert [(v.path, v.condition, v.message) for v in vs] == [
         ((2,), "system", "rule withR not available in lam"),
         ((), "withR1", "guard subderivation must be eta-expanded")]

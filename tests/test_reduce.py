@@ -6,8 +6,8 @@ from linadd import reduce, steps
 from linadd.corpus import quadratic_family
 from linadd.cutelim import Walk
 from linadd.derivation import (
-    check, d_app, d_ax, d_cut, d_forallL, d_forallR, d_withL, d_withR0, d_withR1,
-    metrics,
+    check, d_app, d_ax, d_cut, d_forallL, d_forallR, d_lolliL, d_lolliR, d_withL,
+    d_withR0, d_withR1, metrics,
 )
 from linadd.families import gen_add, gen_applied, gen_ladd
 from linadd.frontend import parse_term
@@ -189,6 +189,62 @@ def _blocked_over_a_quantifier():
     return d_cut(inner, use, "y")
 
 
+def _ready_copy():
+    # |- copy[I] V as x1,x2 in <x1, x2> : 1 & 1, a closed value cut into
+    # the guarded duplication: an interface copy redex at the root
+    _, v = maximal_value(ONE)
+    return d_cut(v, d_withR1(d_ax("x1", ONE), d_ax("x2", ONE),
+                             identity_derivation(), "x"), "x")
+
+
+def _redex_under_cuts(inner):
+    """For |- M : A with M a redex, three derivations over w M, the lolliL
+    that applies w to M: a cut of \\u. u into it (M lies in the cut's right
+    premise, then in the lolliL's left one), a lolliL that puts z V for w
+    (M lies in its right premise), and a cut of M into an axiom (M lies in
+    the cut's left premise)."""
+    a = inner.conclusion.goal
+    use = d_lolliL(inner, d_ax("v", a), "w", "v")           # w : A -o A |- w M
+    apply = d_cut(d_lolliR(d_ax("u", a), "u"), use, "w")   # |- (\u. u) M
+    _, v = maximal_value(ONE)
+    under = d_lolliL(v, use, "z", "w")                     # z : 1 -o A -o A |- z V M
+    return [apply, under, d_cut(inner, d_ax("y", a), "y")]
+
+
+def _located():
+    """Hand-built derivations whose proj and copy redexes `_locate` sends to
+    each premise of a cut and of a lolliL, and finds at a cut's interface;
+    the pinned pushes send no copy redex into a cut's right premise and
+    push no proj redex."""
+    pair, use = _pair_and_use()
+    proj = d_cut(pair, use, "y")  # |- p1(<V, V>) : 1
+    return [proj, _ready_copy(), *_redex_under_cuts(proj),
+            *_redex_under_cuts(_ready_copy())]
+
+
+def test_each_redex_kind_reaches_each_place_locate_names(monkeypatch):
+    seen = set()
+    real = reduce._locate
+
+    def spy(d, path, kind):
+        loc = real(d, path, kind)
+        if d.rule in ("cut", "lolliL"):
+            seen.add((kind, d.rule, loc if loc == "interface" else ("left", "right")[loc[0]]))
+        return loc
+
+    monkeypatch.setattr(reduce, "_locate", spy)
+    for d in _located():
+        assert check(d, "lam") == []
+        m = d.conclusion.subject
+        for r in find_redexes(m):
+            out = push_reduction(d, r)
+            assert check(out, "lam") == []
+            assert out.conclusion.subject == step(m, r)
+    want = {(k, "cut", at) for k in ("proj", "copy") for at in ("left", "right", "interface")}
+    want |= {(k, "lolliL", at) for k in ("proj", "copy") for at in ("left", "right")}
+    assert want <= seen, want - seen
+
+
 def test_blocked_cut_over_a_subject_keeping_cut_is_pushed():
     for d in (_blocked_over_an_axiom(), _blocked_over_a_quantifier()):
         assert check(d, "lam") == []
@@ -214,9 +270,8 @@ def test_contraction_is_read_from_the_cut(pushed, monkeypatch):
         return new
 
     monkeypatch.setattr(reduce, "eliminate_cut_once", spy)
-    pair, use = _pair_and_use()
-    hand = [d_cut(pair, use, "y"), _copy_over_a_cut(),
-            _blocked_over_an_axiom(), _blocked_over_a_quantifier()]
+    hand = [_copy_over_a_cut(), _blocked_over_an_axiom(),
+            _blocked_over_a_quantifier(), *_located()]
     for d in hand:
         assert check(d, "lam") == []
     hand = [(d, r) for d in hand for r in find_redexes(d.conclusion.subject)]

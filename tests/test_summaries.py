@@ -8,7 +8,8 @@ import pytest
 from linadd.corpus import build_corpus, quadratic_family
 from linadd.cutelim import eliminate
 from linadd.derivation import (
-    Derivation, Judgement, d_ax, d_cut, is_cut_free, metrics, premises,
+    Derivation, Judgement, d_ax, d_cut, is_cut_free, is_eta_expanded, metrics,
+    premises,
 )
 from linadd.families import gen_add, gen_applied, gen_ladd
 from linadd.inhabit import maximal_value
@@ -109,6 +110,13 @@ def _ref_stats(d) -> tuple:
     return fold(d, premises, here, {})
 
 
+def _ref_eta(d) -> bool:
+    """Cut-free with every axiom at an atomic type, over every distinct
+    node of d."""
+    return all(n.rule != "cut" and (n.rule != "ax" or isinstance(n.conclusion.goal, TVar))
+               for n in _distinct(d, premises))
+
+
 def _built_apart(t):
     """A copy of the term or type t that shares no node with it, each binder
     with another print hint."""
@@ -155,6 +163,19 @@ def test_derivation_stats_match_a_fold_over_premises(nodes):
         m = metrics(d)
         assert (m.size, m.weight, m.max_height + 1, m.height_sum) == stats[:4]
         assert is_cut_free(d) == (stats[4] == 0)
+
+
+def test_stored_eta_expansion_matches_the_node_walk(nodes):
+    # derived nodes, and their copies stated with `Derivation(...)`
+    derivs, _, _ = nodes
+    done: dict = {}
+    stated = [_raw(d, done) for d in derivs]
+    seen = set()
+    for d in derivs + stated:
+        want = _ref_eta(d)
+        assert d._eta == is_eta_expanded(d) == want, d.rule
+        seen.add((d._derived, want))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_equal_nodes_built_apart_hash_alike(nodes):
@@ -207,10 +228,11 @@ def _assert_least(roots):
     return len(nodes)
 
 
-def _raw(d):
-    """d rebuilt with `Derivation(...)`, so that no node of it is derived."""
+def _raw(d, done=None):
+    """d rebuilt with `Derivation(...)`, so that no node of it is derived;
+    `done` (id -> copy) may be shared between calls."""
     return fold(d, premises, lambda n, ps: Derivation(n.rule, n.conclusion, tuple(ps),
-                                                       n.params), {})
+                                                       n.params), {} if done is None else done)
 
 
 def test_stored_least_cuts_of_corpus_and_family_members():
